@@ -35,7 +35,6 @@ from .events import (
     union,
 )
 from .gameprob import (
-    LevyRunner,
     LevyStrategy,
     ValueFunction,
     conditional_upper_probability,

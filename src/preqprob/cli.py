@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -218,12 +219,11 @@ class StreamTooShort(ValueError):
     pass
 
 
+# Strategy name -> its start value at a horizon.
 _STRATEGIES = {
-    "constant": lambda horizon, c: strategies.ConstantStrategy,
-    "doubling": lambda horizon, c: strategies.DoublingStrategy,
-    "calibration": lambda horizon, c: (
-        lambda: strategies.CalibrationStrategy(horizon, c)
-    ),
+    "constant": lambda horizon: strategies.ConstantStrategy(),
+    "doubling": lambda horizon: strategies.DoublingStrategy(),
+    "calibration": lambda horizon: strategies.CalibrationStrategy(horizon, Fraction(1)),
 }
 
 
@@ -235,9 +235,9 @@ def cmd_ville(args) -> int:
         horizon = args.horizon if args.horizon is not None else 10
         phi = ForecastingSystem.constant(Fraction(1, 2), horizon)
     threshold = as_fraction(args.threshold_c if args.threshold_c is not None else 4)
-    factory = _STRATEGIES[args.strategy](phi.horizon, Fraction(1))
+    start = _STRATEGIES[args.strategy](phi.horizon)
     try:
-        result = strategies.ville_check(phi, factory, threshold, args.samples, seed)
+        result = strategies.ville_check(phi, lambda: start, threshold, args.samples, seed)
     except strategies.CertificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -264,7 +264,7 @@ def cmd_ville(args) -> int:
 
 def cmd_duality_sweep(args) -> int:
     seed = _default_seed(args)
-    rng = __import__("random").Random(seed)
+    rng = random.Random(seed)
     report = Report(
         "duality-sweep",
         inputs={"count": args.count, "grid": args.grid},
@@ -341,11 +341,11 @@ def cmd_levy_trace(args) -> int:
         if stream is None:
             print("error: failed to sample an event member", file=sys.stderr)
             return EXIT_INPUT
-    runner = gameprob.LevyRunner(event, threshold)
-    trajectory = [runner.initial_capital]
+    state = gameprob.LevyStrategy.start(event, threshold)
+    trajectory = [state.capital]
     for p, y in stream:
-        trajectory.append(runner.step(p, y))
-    state = runner.state
+        state = state.step(p, y)
+        trajectory.append(state.capital)
     report.results["capital_trajectory"] = trajectory
     report.results["final_capital"] = state.capital
     report.results["milestones"] = list(state.milestones)

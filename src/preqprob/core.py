@@ -41,7 +41,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -116,11 +119,15 @@ class ForecastingSystem:
     @classmethod
     def from_json(cls, text: str) -> "ForecastingSystem":
         doc = json.loads(text)
-        table = {
-            tuple(int(c) for c in key): as_fraction(value)
-            for key, value in doc["table"].items()
-        }
-        return cls.from_table(table, int(doc["horizon"]))
+        try:
+            table = {
+                tuple(int(c) for c in key): as_fraction(value)
+                for key, value in doc["table"].items()
+            }
+            horizon = int(doc["horizon"])
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed forecasting-system document: {exc}") from exc
+        return cls.from_table(table, horizon)
 
 
 def all_histories_below(horizon: int):

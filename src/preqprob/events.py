@@ -222,6 +222,21 @@ class ForecastPartition:
         raise ValueError(f"no cell contains {p}")  # unreachable for valid partitions
 
 
+def point_partition(points) -> ForecastPartition:
+    """Partition of [0, 1] with a degenerate cell at each given forecast value.
+
+    The breakpoints are the points plus 0 and 1; between consecutive
+    breakpoints lies one open cell.
+    """
+    pts = sorted({ZERO, ONE, *(check_forecast(p) for p in points)})
+    cells: list[Cell] = []
+    for i, b in enumerate(pts):
+        cells.append(Cell(b, b))
+        if i + 1 < len(pts):
+            cells.append(Cell(b, pts[i + 1], lo_open=True, hi_open=True))
+    return ForecastPartition(tuple(pts), tuple(cells))
+
+
 def forecast_partition(event: EventUnion, step: int) -> ForecastPartition:
     """Partition of the forecast axis at a step (1-based) of the event.
 
@@ -233,24 +248,19 @@ def forecast_partition(event: EventUnion, step: int) -> ForecastPartition:
     if not 1 <= step <= event.horizon:
         raise ArityError(f"step {step} outside 1..{event.horizon}")
     intervals = [(box.steps[step - 1].p_lo, box.steps[step - 1].p_hi) for box in event.boxes]
-    points = sorted({ZERO, ONE, *(p for iv in intervals for p in iv)})
-    pieces: list[Cell] = []
-    for i, b in enumerate(points):
-        pieces.append(Cell(b, b))
-        if i + 1 < len(points):
-            pieces.append(Cell(b, points[i + 1], lo_open=True, hi_open=True))
+    pieces = point_partition(p for iv in intervals for p in iv)
 
     def signature(cell: Cell):
         rep = cell.representative()
         return tuple(lo <= rep <= hi for lo, hi in intervals)
 
     merged: list[Cell] = []
-    for piece in pieces:
+    for piece in pieces.cells:
         if merged and signature(merged[-1]) == signature(piece):
             prev = merged.pop()
             piece = Cell(prev.lo, piece.hi, prev.lo_open, piece.hi_open)
         merged.append(piece)
-    return ForecastPartition(tuple(points), tuple(merged))
+    return ForecastPartition(pieces.breakpoints, tuple(merged))
 
 
 def event_partitions(event: EventUnion) -> tuple[ForecastPartition, ...]:
@@ -274,13 +284,7 @@ def rasterize_event(predicate, horizon: int, breakpoints) -> EventUnion:
     the predicate event (hence upper-bounds its probabilities) exactly when the
     predicate is constant on every cell; otherwise it is only a rasterization.
     """
-    pts = sorted({ZERO, ONE, *(check_forecast(b) for b in breakpoints)})
-    cells: list[Cell] = []
-    for i, b in enumerate(pts):
-        cells.append(Cell(b, b))
-        if i + 1 < len(pts):
-            cells.append(Cell(b, pts[i + 1], lo_open=True, hi_open=True))
-
+    cells = point_partition(breakpoints).cells
     boxes = []
 
     def walk(prefix, constraints):
@@ -332,14 +336,17 @@ def event_to_json(event: EventUnion) -> str:
 
 def event_from_json(text: str) -> EventUnion:
     doc = json.loads(text)
-    horizon = int(doc["horizon"])
-    boxes = []
-    for box_doc in doc.get("boxes", []):
-        steps = []
-        for step_doc in box_doc["steps"]:
-            lo, hi = (as_fraction(v) for v in step_doc["p"])
-            y_raw = step_doc.get("y", "*")
-            y = WILDCARD if y_raw == "*" else check_outcome(int(y_raw))
-            steps.append(StepConstraint(check_forecast(lo), check_forecast(hi), y))
-        boxes.append(Box(tuple(steps)))
+    try:
+        horizon = int(doc["horizon"])
+        boxes = []
+        for box_doc in doc.get("boxes", []):
+            steps = []
+            for step_doc in box_doc["steps"]:
+                lo, hi = (as_fraction(v) for v in step_doc["p"])
+                y_raw = step_doc.get("y", "*")
+                y = WILDCARD if y_raw == "*" else check_outcome(int(y_raw))
+                steps.append(StepConstraint(check_forecast(lo), check_forecast(hi), y))
+            boxes.append(Box(tuple(steps)))
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed event document: {exc}") from exc
     return EventUnion(horizon, tuple(boxes))

@@ -101,23 +101,27 @@ class ValueFunction:
     @classmethod
     def from_json(cls, text: str) -> "ValueFunction":
         doc = json.loads(text)
-        partitions = []
-        for cells_doc in doc["partitions"]:
-            cells = tuple(
-                Cell(
-                    as_fraction(c["lo"]),
-                    as_fraction(c["hi"]),
-                    bool(c["lo_open"]),
-                    bool(c["hi_open"]),
+        try:
+            partitions = []
+            for cells_doc in doc["partitions"]:
+                cells = tuple(
+                    Cell(
+                        as_fraction(c["lo"]),
+                        as_fraction(c["hi"]),
+                        bool(c["lo_open"]),
+                        bool(c["hi_open"]),
+                    )
+                    for c in cells_doc
                 )
-                for c in cells_doc
-            )
-            breakpoints = tuple(sorted({c.lo for c in cells} | {c.hi for c in cells}))
-            partitions.append(ForecastPartition(breakpoints, cells))
-        values = {
-            decode_cell_path(key): as_fraction(v) for key, v in doc["values"].items()
-        }
-        return cls(int(doc["horizon"]), tuple(partitions), values)
+                breakpoints = tuple(sorted({c.lo for c in cells} | {c.hi for c in cells}))
+                partitions.append(ForecastPartition(breakpoints, cells))
+            values = {
+                decode_cell_path(key): as_fraction(v) for key, v in doc["values"].items()
+            }
+            horizon = int(doc["horizon"])
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed value-function document: {exc}") from exc
+        return cls(horizon, tuple(partitions), values)
 
 
 def encode_cell_path(path: CellPath) -> str:
@@ -244,21 +248,16 @@ def optimal_forecast_at(event: EventUnion, x: PrequentialPrefix) -> Fraction:
     eng = _engine(event)
     depth = len(x)
     live = eng.live_for_prefix(x)
-    best = ZERO
-    attained: list[tuple[Fraction, Fraction]] = []
+    best = eng.value(depth, live)
+    # Cells are ordered and disjoint, so closed endpoints come in ascending order.
     for cell in eng.partitions[depth].cells:
         v0 = eng.value(depth + 1, eng.survivors_in_cell(live, depth, cell, 0))
         v1 = eng.value(depth + 1, eng.survivors_in_cell(live, depth, cell, 1))
-        for p in cell.endpoints():
-            candidate = (ONE - p) * v0 + p * v1
-            if candidate > best:
-                best = candidate
         for p in cell.closed_endpoints():
-            attained.append((p, (ONE - p) * v0 + p * v1))
-    winners = [p for p, v in attained if v == best]
-    if not winners:  # impossible for closed boxes; guards engine invariants
-        raise RuntimeError("supremum not attained at any closed endpoint")
-    return min(winners)
+            if (ONE - p) * v0 + p * v1 == best:
+                return p
+    # impossible for closed boxes; guards engine invariants
+    raise RuntimeError("supremum not attained at any closed endpoint")
 
 
 @dataclass(frozen=True)
@@ -308,6 +307,9 @@ class LevyStrategy:
         )
         return _maybe_trigger(state)
 
+    def step(self, p, y) -> "LevyStrategy":
+        return levy_strategy_step(self, (p, y))
+
 
 def _maybe_trigger(state: LevyStrategy) -> LevyStrategy:
     if (
@@ -355,18 +357,3 @@ def levy_strategy_step(state: LevyStrategy, step) -> LevyStrategy:
         state = replace(state, depth=depth, live=live, conditional=w)
     return _maybe_trigger(state)
 
-
-class LevyRunner:
-    """Stream-driven adapter: consumes (forecast, outcome) pairs, returns capital."""
-
-    def __init__(self, event: EventUnion, threshold):
-        self._state = LevyStrategy.start(event, threshold)
-        self.initial_capital = self._state.capital
-
-    @property
-    def state(self) -> LevyStrategy:
-        return self._state
-
-    def step(self, p, y) -> Fraction:
-        self._state = levy_strategy_step(self._state, (p, y))
-        return self._state.capital

@@ -101,47 +101,37 @@ def measure_upper_probability(event: EventUnion) -> tuple[Fraction, ForecastingS
     def survivors(live: frozenset, depth: int, p: Fraction, y: int) -> frozenset:
         return frozenset(i for i in live if boxes[i].steps[depth].accepts(p, y))
 
-    def best_value(depth: int, live: frozenset) -> Fraction:
+    def best(depth: int, live: frozenset) -> tuple[Fraction, Fraction]:
+        """The maximal value at a node and the smallest forecast attaining it."""
         if not live:
-            return ZERO
+            return ZERO, ZERO
         if depth == horizon:
-            return ONE
+            return ONE, ZERO
         key = (depth, live)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        best = ZERO
-        for p in candidates[depth]:
-            v0 = best_value(depth + 1, survivors(live, depth, p, 0))
-            v1 = best_value(depth + 1, survivors(live, depth, p, 1))
-            value = (ONE - p) * v0 + p * v1
-            if value > best:
-                best = value
-        memo[key] = best
-        return best
-
-    def best_forecast(depth: int, live: frozenset) -> Fraction:
-        best = ZERO
-        winner = ZERO
+        value, winner = ZERO, ZERO
         for p in candidates[depth]:  # ascending, so the first strict max is the smallest
-            v0 = best_value(depth + 1, survivors(live, depth, p, 0))
-            v1 = best_value(depth + 1, survivors(live, depth, p, 1))
-            value = (ONE - p) * v0 + p * v1
-            if value > best:
-                best = value
-                winner = p
-        return winner
+            v0 = best(depth + 1, survivors(live, depth, p, 0))[0]
+            v1 = best(depth + 1, survivors(live, depth, p, 1))[0]
+            candidate = (ONE - p) * v0 + p * v1
+            if candidate > value:
+                value, winner = candidate, p
+        memo[key] = value, winner
+        return value, winner
 
+    root = frozenset(range(len(boxes)))
+    value = best(0, root)[0]
     table: dict = {}
-    live_at: dict = {(): frozenset(range(len(boxes)))}
+    live_at: dict = {(): root}
     for history in all_histories_below(horizon):
         live = live_at[history]
-        p = best_forecast(len(history), live)
+        p = best(len(history), live)[1]
         table[history] = p
         for y in (0, 1):
             live_at[history + (y,)] = survivors(live, len(history), p, y)
 
-    value = best_value(0, frozenset(range(len(boxes))))
     witness = ForecastingSystem.from_table(table, horizon)
     return value, witness
 

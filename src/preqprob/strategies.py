@@ -22,12 +22,17 @@ overflows: everything is exact rational arithmetic.
 ``ville_check`` verifies the capital/probability inequality empirically: a
 non-negative martingale starting at v reaches C with probability at most v/C
 under the measure of the forecasting system being tested.  Strategies are
-certified before sampling by replaying them over the system's whole outcome
+certified before sampling by walking them over the system's whole outcome
 tree and checking the martingale identity exactly, so ad hoc capital inflation
 is refused rather than sampled.
 
-Strategies consume one (forecast, outcome) pair per step and nothing else;
-``run_stream`` drives any of them over a recorded stream.
+A strategy is a frozen value with a ``capital`` attribute (a Fraction) and a
+pure ``step(p, y)`` that consumes one (forecast, outcome) pair, and nothing
+else, and returns the next value.  Functions that take a strategy factory call
+it once for the start value and carry values down the tree or stream:
+``run_stream`` drives a strategy over a recorded stream, and
+``strategy_value_table``, ``certify_strategy`` and ``ville_check`` never
+replay a history from the root.
 """
 
 from __future__ import annotations
@@ -43,14 +48,13 @@ from .core import (
     ZERO,
     ForecastingSystem,
     HorizonError,
-    all_histories_below,
     as_fraction,
     check_forecast,
     check_outcome,
     induced_path,
     sample_outcomes,
 )
-from .events import Cell, ForecastPartition
+from .events import point_partition
 from .gameprob import CellPath, ValueFunction
 
 
@@ -98,6 +102,7 @@ def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
     if not vf.is_complete():
         raise IncompleteTableError("value table does not cover the partition tree")
     violations: list[tuple[CellPath, Fraction]] = []
+    seen: set[tuple[CellPath, Fraction]] = set()
     level: list[CellPath] = [()]
     for partition in vf.partitions:
         for path in level:
@@ -108,7 +113,8 @@ def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
                 for p in cell.endpoints():
                     rhs = (ONE - p) * v0 + p * v1
                     bad = parent != rhs if mode == "exact" else parent < rhs
-                    if bad and (path, p) not in violations:
+                    if bad and (path, p) not in seen:
+                        seen.add((path, p))
                         violations.append((path, p))
         level = [
             path + ((ci, bit),)
@@ -121,7 +127,7 @@ def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
 
 @dataclass(frozen=True)
 class CalibrationState:
-    """Running sums of the calibration test after n of N steps."""
+    """The calibration strategy: running sums of the test after n of N steps."""
 
     horizon: int
     threshold_c: Fraction
@@ -143,21 +149,26 @@ class CalibrationState:
         scale = self.threshold_c**2 * self.horizon + n_quarter
         return (self.bias**2 - self.spread + n_quarter) / scale
 
+    def step(self, p, y) -> "CalibrationState":
+        if self.n >= self.horizon:
+            raise HorizonError(f"calibration horizon {self.horizon} already consumed")
+        p = check_forecast(p)
+        y = check_outcome(y)
+        return CalibrationState(
+            horizon=self.horizon,
+            threshold_c=self.threshold_c,
+            n=self.n + 1,
+            bias=self.bias + (y - p),
+            spread=self.spread + p * (ONE - p),
+        )
+
+
+CalibrationStrategy = CalibrationState
+
 
 def calibration_step(state: CalibrationState, step) -> tuple[CalibrationState, Fraction]:
     """Consume one (forecast, outcome) pair; return the new state and its capital."""
-    if state.n >= state.horizon:
-        raise HorizonError(f"calibration horizon {state.horizon} already consumed")
-    p, y = step
-    p = check_forecast(p)
-    y = check_outcome(y)
-    new = CalibrationState(
-        horizon=state.horizon,
-        threshold_c=state.threshold_c,
-        n=state.n + 1,
-        bias=state.bias + (y - p),
-        spread=state.spread + p * (ONE - p),
-    )
+    new = state.step(*step)
     return new, new.capital
 
 
@@ -183,32 +194,17 @@ def calibration_verdict(state: CalibrationState) -> CalibrationVerdict:
     return CalibrationVerdict(reject=reject, ratio=ratio, bias=state.bias)
 
 
-class CalibrationStrategy:
-    """Stream-driven form of the calibration farthingale."""
-
-    def __init__(self, horizon: int, threshold_c):
-        self._state = CalibrationState(horizon, as_fraction(threshold_c))
-        self.initial_capital = self._state.capital
-
-    @property
-    def state(self) -> CalibrationState:
-        return self._state
-
-    def step(self, p, y) -> Fraction:
-        self._state, capital = calibration_step(self._state, (p, y))
-        return capital
-
-
+@dataclass(frozen=True)
 class ConstantStrategy:
     """Never bets; capital is constant."""
 
-    def __init__(self, capital=ONE):
-        self.initial_capital = as_fraction(capital)
+    capital: Fraction = ONE
 
-    def step(self, p, y) -> Fraction:
-        return self.initial_capital
+    def step(self, p, y) -> "ConstantStrategy":
+        return self
 
 
+@dataclass(frozen=True)
 class DoublingStrategy:
     """All of the capital rides on outcome 1 at even odds each step.
 
@@ -217,22 +213,19 @@ class DoublingStrategy:
     certification step enforces).
     """
 
-    def __init__(self):
-        self.initial_capital = ONE
-        self._capital = ONE
+    capital: Fraction = ONE
 
-    def step(self, p, y) -> Fraction:
-        self._capital = 2 * self._capital if check_outcome(y) == 1 else ZERO
-        return self._capital
+    def step(self, p, y) -> "DoublingStrategy":
+        return DoublingStrategy(2 * self.capital if check_outcome(y) == 1 else ZERO)
 
 
 def run_stream(strategy, stream) -> CapitalProcess:
-    """Drive a strategy over recorded (forecast, outcome) pairs.
+    """Drive a strategy value over recorded (forecast, outcome) pairs.
 
     The strategy sees nothing but the pairs themselves (prequential
     principle).  Malformed rows raise StreamFormatError with the row index.
     """
-    initial = as_fraction(strategy.initial_capital)
+    initial = strategy.capital
     trajectory = []
     for index, row in enumerate(stream):
         try:
@@ -241,19 +234,9 @@ def run_stream(strategy, stream) -> CapitalProcess:
             y = check_outcome(y)
         except (TypeError, ValueError) as exc:
             raise StreamFormatError(f"row {index}: {exc}") from exc
-        trajectory.append(as_fraction(strategy.step(p, y)))
+        strategy = strategy.step(p, y)
+        trajectory.append(strategy.capital)
     return CapitalProcess(initial, tuple(trajectory))
-
-
-def point_partition(points) -> ForecastPartition:
-    """Partition of [0, 1] with a degenerate cell at each given forecast value."""
-    pts = sorted({ZERO, ONE, *(check_forecast(p) for p in points)})
-    cells: list[Cell] = []
-    for i, b in enumerate(pts):
-        cells.append(Cell(b, b))
-        if i + 1 < len(pts):
-            cells.append(Cell(b, pts[i + 1], lo_open=True, hi_open=True))
-    return ForecastPartition(tuple(pts), tuple(cells))
 
 
 def strategy_value_table(strategy_factory, horizon: int, grid) -> ValueFunction:
@@ -269,50 +252,42 @@ def strategy_value_table(strategy_factory, horizon: int, grid) -> ValueFunction:
     partitions = tuple(partition for _ in range(horizon))
     values: dict = {}
 
-    def capital_of(steps) -> Fraction:
-        strategy = strategy_factory()
-        capital = as_fraction(strategy.initial_capital)
-        for p, y in steps:
-            capital = as_fraction(strategy.step(p, y))
-        return capital
-
-    def walk(path: CellPath, steps: tuple):
-        values[path] = capital_of(steps)
+    def walk(path: CellPath, strategy):
+        values[path] = strategy.capital
         if len(path) == horizon:
             return
         for ci, cell in enumerate(partition.cells):
             for bit in (0, 1):
-                more = steps + ((cell.lo, bit),) if cell.is_point else steps
-                walk(path + ((ci, bit),), more)
+                child = strategy.step(cell.lo, bit) if cell.is_point else strategy
+                walk(path + ((ci, bit),), child)
 
-    walk((), ())
+    walk((), strategy_factory())
     return ValueFunction(horizon, partitions, values)
 
 
 def certify_strategy(strategy_factory, phi: ForecastingSystem) -> tuple[bool, list]:
     """Exact martingale certification of a strategy under a forecasting system.
 
-    Replays fresh strategy instances along every outcome history up to the
-    horizon and checks capital(x) == (1-phi(x)) capital(x0) + phi(x) capital(x1)
-    together with non-negativity.  Returns (ok, violating histories).
+    Walks the outcome tree level by level, stepping each node's strategy value
+    into its two children, and checks
+    capital(x) == (1-phi(x)) capital(x0) + phi(x) capital(x1) together with
+    non-negativity.  Returns (ok, violating histories), shortest first.
     """
-    capital: dict = {}
-    for history in all_histories_below(phi.horizon + 1):
-        strategy = strategy_factory()
-        value = as_fraction(strategy.initial_capital)
-        for p, y in induced_path(phi, history):
-            value = as_fraction(strategy.step(p, y))
-        capital[history] = value
     violations = []
-    for history, value in capital.items():
-        if value < ZERO:
-            violations.append(history)
-            continue
-        if len(history) < phi.horizon:
-            p = phi.forecast(history)
-            expected = (ONE - p) * capital[history + (0,)] + p * capital[history + (1,)]
-            if value != expected:
+    level = [((), strategy_factory())]
+    for depth in range(phi.horizon + 1):
+        children = []
+        for history, strategy in level:
+            value = strategy.capital
+            bad = value < ZERO
+            if depth < phi.horizon:
+                p = phi.forecast(history)
+                s0, s1 = strategy.step(p, 0), strategy.step(p, 1)
+                children += [(history + (0,), s0), (history + (1,), s1)]
+                bad = bad or value != (ONE - p) * s0.capital + p * s1.capital
+            if bad:
                 violations.append(history)
+        level = children
     return not violations, violations
 
 
@@ -339,7 +314,8 @@ def ville_check(
     threshold = as_fraction(threshold)
     if threshold <= ZERO:
         raise ValueError("threshold must be positive")
-    ok, violations = certify_strategy(strategy_factory, phi)
+    start = strategy_factory()
+    ok, violations = certify_strategy(lambda: start, phi)
     if not ok:
         raise CertificationError(
             f"strategy is not a non-negative martingale under the system "
@@ -348,16 +324,16 @@ def ville_check(
     hits = 0
     for i in range(samples):
         omega = sample_outcomes(phi, phi.horizon, seed + i)
-        strategy = strategy_factory()
-        peak = as_fraction(strategy.initial_capital)
+        strategy = start
+        peak = strategy.capital
         for p, y in induced_path(phi, omega):
-            peak = max(peak, as_fraction(strategy.step(p, y)))
+            strategy = strategy.step(p, y)
+            peak = max(peak, strategy.capital)
             if peak >= threshold:
                 break
         if peak >= threshold:
             hits += 1
-    strategy = strategy_factory()
-    bound = as_fraction(strategy.initial_capital) / threshold
+    bound = start.capital / threshold
     frequency = hits / samples
     passed = frequency <= float(bound) + 4.0 * math.sqrt(float(bound) / samples)
     return VilleResult(
@@ -380,9 +356,9 @@ def parse_stream_csv(text: str) -> list[tuple[Fraction, int]]:
         if len(row) != 2:
             raise StreamFormatError(f"row {index}: expected two fields, got {len(row)}")
         try:
-            p = check_forecast(Fraction(row[0].strip()))
+            p = check_forecast(row[0].strip())
             y = check_outcome(int(row[1].strip()))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise StreamFormatError(f"row {index}: {exc}") from exc
         stream.append((p, y))
     return stream

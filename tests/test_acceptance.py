@@ -17,7 +17,7 @@ from preqprob import cli
 from preqprob.core import ForecastingSystem, induced_path, sample_outcomes
 from preqprob.events import Box, EventUnion, StepConstraint, contains, union
 from preqprob.gameprob import (
-    LevyRunner,
+    LevyStrategy,
     upper_game_probability,
     witness_superfarthingale,
 )
@@ -271,10 +271,10 @@ def test_criterion_9_levy_strategy():
                 break
         if member is None:
             continue
-        runner = LevyRunner(event, threshold)
+        state = LevyStrategy.start(event, threshold)
         for pair in member:
-            runner.step(*pair)
-        if not (runner.state.capital >= goal and runner.state.conditional == ONE):
+            state = state.step(*pair)
+        if not (state.capital >= goal and state.conditional == ONE):
             failures += 1
         checked += 1
     report(

@@ -257,3 +257,43 @@ class TestVerify:
         )
         assert code == 1
         assert "exact_farthingale: FAIL" in out
+
+
+GOOD_EVENT = event_to_json(counterexample_pair()[0])
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (["test-stream", "--stream", "{file}", "-C", "1/0"], "p,y\n1/2,1\n"),
+        (["ville", "-C", "1/0"], None),
+        (["levy-trace", "--event", "{file}", "--threshold", "1/0"], GOOD_EVENT),
+        (["value", "--event", "{file}"], '{"horizon": 1, "boxes": [{"steps": [{"p": ["0", "1/0"]}]}]}'),
+        (["value", "--event", "{file}"], '{"horizon": 1, "boxes": [{"steps": [{"p": 5}]}]}'),
+        (["value", "--event", "{file}"], "[1]"),
+        (["ville", "--phi", "{file}"], '{"horizon": 1, "table": {"": "1/0"}}'),
+        (["ville", "--phi", "{file}"], '{"horizon": 1, "table": 5}'),
+        (["ville", "--phi", "{file}"], "[1]"),
+        (["verify", "--value-function", "{file}"], "[1]"),
+    ],
+    ids=[
+        "stream-threshold-zero-denominator",
+        "ville-threshold-zero-denominator",
+        "levy-threshold-zero-denominator",
+        "event-zero-denominator",
+        "event-p-not-a-pair",
+        "event-not-an-object",
+        "phi-zero-denominator",
+        "phi-table-not-an-object",
+        "phi-not-an-object",
+        "value-function-not-an-object",
+    ],
+)
+def test_malformed_input_is_one_line_input_error(capsys, tmp_path, argv, document):
+    path = tmp_path / "input"
+    if document is not None:
+        path.write_text(document)
+    code, _, err = run(capsys, *(arg.replace("{file}", str(path)) for arg in argv))
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1

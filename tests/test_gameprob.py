@@ -16,7 +16,6 @@ from preqprob.events import (
     union,
 )
 from preqprob.gameprob import (
-    LevyRunner,
     LevyStrategy,
     ValueFunction,
     conditional_upper_probability,
@@ -291,17 +290,19 @@ class TestLevyStrategy:
         assert state.capital >= ONE
 
     def test_empty_event_freezes_at_one(self):
-        runner = LevyRunner(EventUnion.empty(2), Fraction(3, 4))
-        assert runner.initial_capital == ONE
-        assert runner.step(HALF, 1) == ONE
-        assert runner.step(HALF, 0) == ONE
+        state = LevyStrategy.start(EventUnion.empty(2), Fraction(3, 4))
+        assert state.capital == ONE
+        state = state.step(HALF, 1)
+        assert state.capital == ONE
+        state = state.step(HALF, 0)
+        assert state.capital == ONE
 
     def test_steps_past_horizon_freeze(self):
         a, _ = counterexample_pair()
-        runner = LevyRunner(a, Fraction(3, 4))
+        state = LevyStrategy.start(a, Fraction(3, 4))
         for pair in [(ZERO, 0), (HALF, 0), (HALF, 1), (HALF, 0)]:
-            capital = runner.step(*pair)
-        assert capital == 2
+            state = state.step(*pair)
+        assert state.capital == 2
 
     def test_threshold_must_be_interior(self):
         a, _ = counterexample_pair()
@@ -331,9 +332,9 @@ class TestLevyStrategy:
                     break
             if member is None:
                 continue
-            runner = LevyRunner(event, threshold)
+            state = LevyStrategy.start(event, threshold)
             for pair in member:
-                runner.step(*pair)
-            assert runner.state.capital >= goal
-            assert runner.state.conditional == ONE
+                state = state.step(*pair)
+            assert state.capital >= goal
+            assert state.conditional == ONE
             checked += 1

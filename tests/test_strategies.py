@@ -195,20 +195,18 @@ class TestRunStream:
     def test_strategies_see_only_the_pairs(self):
         """Prequential principle: a probe strategy receives (p, y) and nothing else."""
 
-        class Probe:
-            initial_capital = ONE
+        seen = []
 
-            def __init__(self):
-                self.seen = []
+        class Probe:
+            capital = ONE
 
             def step(self, p, y):
-                self.seen.append((p, y))
-                return ONE
+                seen.append((p, y))
+                return self
 
-        probe = Probe()
         stream = [(HALF, 1), (Fraction(1, 4), 0)]
-        run_stream(probe, stream)
-        assert probe.seen == stream
+        run_stream(Probe(), stream)
+        assert seen == stream
 
     def test_negative_capital_rejected(self):
         with pytest.raises(ValueError):
@@ -289,14 +287,11 @@ class TestVilleCheck:
         """Ad hoc capital inflation is caught by certification, not sampled."""
 
         class Inflator:
-            initial_capital = ONE
-
-            def __init__(self):
-                self._capital = ONE
+            def __init__(self, capital=ONE):
+                self.capital = capital
 
             def step(self, p, y):
-                self._capital *= 2
-                return self._capital
+                return Inflator(2 * self.capital)
 
         phi = ForecastingSystem.constant(HALF, 5)
         with pytest.raises(CertificationError):
