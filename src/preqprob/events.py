@@ -249,29 +249,25 @@ def forecast_partition(event: EventUnion, step: int) -> ForecastPartition:
         raise ArityError(f"step {step} outside 1..{event.horizon}")
     intervals = [(box.steps[step - 1].p_lo, box.steps[step - 1].p_hi) for box in event.boxes]
     pieces = point_partition(p for iv in intervals for p in iv)
-
-    def signature(cell: Cell):
-        rep = cell.representative()
-        return tuple(lo <= rep <= hi for lo, hi in intervals)
+    # Piece 2k is the point breakpoints[k] and piece 2k+1 the open gap after it, so
+    # the interval [breakpoints[a], breakpoints[b]] holds exactly the pieces 2a..2b.
+    position = {b: 2 * k for k, b in enumerate(pieces.breakpoints)}
+    spans = [(position[lo], position[hi]) for lo, hi in intervals]
 
     merged: list[Cell] = []
-    for piece in pieces.cells:
-        if merged and signature(merged[-1]) == signature(piece):
+    previous = None  # signature of merged[-1]; a merged cell keeps its pieces' signature
+    for j, piece in enumerate(pieces.cells):
+        current = tuple(a <= j <= b for a, b in spans)
+        if current == previous:
             prev = merged.pop()
             piece = Cell(prev.lo, piece.hi, prev.lo_open, piece.hi_open)
         merged.append(piece)
+        previous = current
     return ForecastPartition(pieces.breakpoints, tuple(merged))
 
 
 def event_partitions(event: EventUnion) -> tuple[ForecastPartition, ...]:
     return tuple(forecast_partition(event, i) for i in range(1, event.horizon + 1))
-
-
-def step_accepts_cell(box: Box, step_index: int, cell: Cell, bit: int) -> bool:
-    """Whether a box's step constraint holds for every forecast in the cell plus the bit."""
-    step = box.steps[step_index]
-    rep = cell.representative()
-    return step.p_lo <= rep <= step.p_hi and (step.y is WILDCARD or step.y == bit)
 
 
 def rasterize_event(predicate, horizon: int, breakpoints) -> EventUnion:

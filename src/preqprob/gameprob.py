@@ -18,26 +18,36 @@ semicontinuous in p and the global supremum is attained at a closed endpoint
 of some cell, which is what ``optimal_forecast_at`` returns.
 
 The value at a node depends on the prefix only through the set of boxes still
-consistent with it, so the recursion is memoized on (depth, live-box-set);
-subtrees containing no live box short-circuit to zero.  All operations are
-pure and the exact arithmetic makes results independent of evaluation order.
+consistent with it, its live-set, kept as an ``int`` bitmask (bit i for box
+i).  Every box test is constant on a cell, so the engine precomputes, once
+per event, one pair of masks per step and cell: the boxes accepting the cell's
+forecasts with outcome 0 and with outcome 1.  The live-sets of a node's
+children are then ``live & mask``, with no rational comparison.  The
+induction runs level by level, without recursion: a forward pass collects
+the live-sets reachable at each depth, and a backward pass fills in their
+values, so long horizons need no deep stack.  Cells that lead to the same
+two children share one linear objective, so each such group is evaluated
+once, at its outermost endpoints.  The empty live-set has value zero.  All
+operations are pure and the exact arithmetic makes results independent of
+evaluation order.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 from .core import ONE, ZERO, PrequentialPrefix, as_fraction, check_forecast, check_outcome
 from .events import (
+    WILDCARD,
     ArityError,
     Cell,
     EventUnion,
     ForecastPartition,
     event_partitions,
-    step_accepts_cell,
 )
 
 CellPath = tuple[tuple[int, int], ...]
@@ -139,51 +149,97 @@ def decode_cell_path(text: str) -> CellPath:
 
 
 class _GameEngine:
-    """Memoized backward induction for one event."""
+    """Backward induction for one event, solved level by level on bitmask live-sets.
+
+    Bit i of a live-set stands for box i.  ``masks[depth][cell]`` is the pair
+    (m0, m1) of boxes whose step ``depth`` accepts every forecast in the cell
+    together with outcome 0 and 1 respectively, so the survivors of a node are
+    ``live & m0`` and ``live & m1``.  ``_values[depth]`` maps each live-set
+    reachable at that depth, and the empty one, to its node value.
+    """
 
     def __init__(self, event: EventUnion):
         self.event = event
         self.partitions = event_partitions(event)
-        self._memo: dict = {}
-
-    def all_live(self) -> frozenset:
-        return frozenset(range(len(self.event.boxes)))
-
-    def survivors_in_cell(self, live: frozenset, depth: int, cell: Cell, bit: int) -> frozenset:
-        boxes = self.event.boxes
-        return frozenset(
-            i for i in live if step_accepts_cell(boxes[i], depth, cell, bit)
+        self.masks = tuple(
+            self._step_masks(depth, partition)
+            for depth, partition in enumerate(self.partitions)
         )
+        self._values = self._solve()
 
-    def survivors_at(self, live: frozenset, depth: int, p: Fraction, y: int) -> frozenset:
-        boxes = self.event.boxes
-        return frozenset(i for i in live if boxes[i].steps[depth].accepts(p, y))
+    def _step_masks(self, depth: int, partition: ForecastPartition) -> tuple:
+        steps = [box.steps[depth] for box in self.event.boxes]
+        by_bit = [
+            sum(1 << i for i, step in enumerate(steps) if step.y is WILDCARD or step.y == bit)
+            for bit in (0, 1)
+        ]
+        # Representatives ascend with the cells, so the cells whose representative
+        # satisfies p_lo <= rep <= p_hi form one run, found by bisection.
+        reps = [cell.representative() for cell in partition.cells]
+        inside = [0] * len(reps)
+        for i, step in enumerate(steps):
+            for ci in range(bisect_left(reps, step.p_lo), bisect_right(reps, step.p_hi)):
+                inside[ci] |= 1 << i
+        return tuple((m & by_bit[0], m & by_bit[1]) for m in inside)
 
-    def live_for_prefix(self, prefix: PrequentialPrefix) -> frozenset:
+    def _solve(self) -> list:
+        """Collect the reachable live-sets going forward, then fill in values going back."""
+        horizon = self.event.horizon
+        levels = [{self.all_live()} - {0}]
+        for depth in range(horizon):
+            reached = {live & m for live in levels[depth] for pair in self.masks[depth] for m in pair}
+            reached.discard(0)
+            levels.append(reached)
+        below = dict.fromkeys(levels[horizon], ONE)
+        below[0] = ZERO
+        values = [below]
+        for depth in reversed(range(horizon)):
+            cells = [
+                (m0, m1, cell.lo, cell.hi)
+                for (m0, m1), cell in zip(self.masks[depth], self.partitions[depth].cells)
+            ]
+            here = {0: ZERO}
+            for live in levels[depth]:
+                # Cells with the same two children share the objective v0 + p*(v1 - v0),
+                # linear in p, so only their smallest lo and largest hi matter; cells
+                # are in ascending order, so those are the first lo and the last hi.
+                ends: dict = {}
+                for m0, m1, lo, hi in cells:
+                    children = (live & m0, live & m1)
+                    ends[children] = (ends.get(children, (lo,))[0], hi)
+                best = ZERO
+                for (c0, c1), (lo, hi) in ends.items():
+                    v0 = below[c0]
+                    v1 = below[c1]
+                    if v1 > v0:
+                        candidate = v0 + hi * (v1 - v0)
+                    elif v1 < v0:
+                        candidate = v0 + lo * (v1 - v0)
+                    else:
+                        candidate = v0
+                    if candidate > best:
+                        best = candidate
+                here[live] = best
+            values.append(here)
+            below = here
+        values.reverse()
+        return values
+
+    def all_live(self) -> int:
+        return (1 << len(self.event.boxes)) - 1
+
+    def survivors_at(self, live: int, depth: int, p: Fraction, y: int) -> int:
+        # Every box test is constant on a cell, so the cell's mask decides them all.
+        return live & self.masks[depth][self.partitions[depth].cell_index_of(p)][y]
+
+    def live_for_prefix(self, prefix: PrequentialPrefix) -> int:
         live = self.all_live()
         for depth, (p, y) in enumerate(prefix):
             live = self.survivors_at(live, depth, check_forecast(p), check_outcome(y))
         return live
 
-    def value(self, depth: int, live: frozenset) -> Fraction:
-        if not live:
-            return ZERO
-        if depth == self.event.horizon:
-            return ONE
-        key = (depth, live)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        best = ZERO
-        for cell in self.partitions[depth].cells:
-            v0 = self.value(depth + 1, self.survivors_in_cell(live, depth, cell, 0))
-            v1 = self.value(depth + 1, self.survivors_in_cell(live, depth, cell, 1))
-            for p in cell.endpoints():
-                candidate = (ONE - p) * v0 + p * v1
-                if candidate > best:
-                    best = candidate
-        self._memo[key] = best
-        return best
+    def value(self, depth: int, live: int) -> Fraction:
+        return self._values[depth][live]
 
 
 @lru_cache(maxsize=256)
@@ -220,17 +276,13 @@ def witness_superfarthingale(event: EventUnion) -> ValueFunction:
     eng = _engine(event)
     values: dict = {}
 
-    def walk(path: CellPath, depth: int, live: frozenset):
+    def walk(path: CellPath, depth: int, live: int):
         values[path] = eng.value(depth, live)
         if depth == event.horizon:
             return
-        for ci, cell in enumerate(eng.partitions[depth].cells):
-            for bit in (0, 1):
-                walk(
-                    path + ((ci, bit),),
-                    depth + 1,
-                    eng.survivors_in_cell(live, depth, cell, bit),
-                )
+        for ci, pair in enumerate(eng.masks[depth]):
+            for bit, mask in enumerate(pair):
+                walk(path + ((ci, bit),), depth + 1, live & mask)
 
     walk((), 0, eng.all_live())
     return ValueFunction(event.horizon, eng.partitions, values)
@@ -250,9 +302,9 @@ def optimal_forecast_at(event: EventUnion, x: PrequentialPrefix) -> Fraction:
     live = eng.live_for_prefix(x)
     best = eng.value(depth, live)
     # Cells are ordered and disjoint, so closed endpoints come in ascending order.
-    for cell in eng.partitions[depth].cells:
-        v0 = eng.value(depth + 1, eng.survivors_in_cell(live, depth, cell, 0))
-        v1 = eng.value(depth + 1, eng.survivors_in_cell(live, depth, cell, 1))
+    for (m0, m1), cell in zip(eng.masks[depth], eng.partitions[depth].cells):
+        v0 = eng.value(depth + 1, live & m0)
+        v1 = eng.value(depth + 1, live & m1)
         for p in cell.closed_endpoints():
             if (ONE - p) * v0 + p * v1 == best:
                 return p
@@ -278,7 +330,7 @@ class LevyStrategy:
     event: EventUnion
     threshold: Fraction
     depth: int
-    live: frozenset
+    live: int  # bitmask of the boxes still consistent with the prefix
     capital: Fraction
     regime: str  # "waiting" or "riding"
     milestone: Fraction

@@ -12,11 +12,17 @@ runs a dynamic program over the same tree: at each outcome history the
 candidate forecasts are the box interval endpoints of the next step together
 with 0 and 1 (between consecutive endpoints the objective is linear in the
 forecast and its one-sided limits never beat the closed-endpoint values, so
-the finite candidate set realizes the true supremum).  The recursion is
-deliberately written against the outcome tree with direct interval tests and
-shares no code with the game-theoretic engine in ``gameprob``; the equality
-of the two roots on every box union is the coincidence theorem the test suite
-verifies rather than assumes.
+the finite candidate set realizes the true supremum).  The boxes still
+consistent with a history form its live-set, an ``int`` bitmask (bit i for
+box i); the program is memoized on (depth, live-set).  Once per event it
+precomputes, per step and candidate forecast, the masks of the boxes that
+accept that forecast with outcome 0 and with outcome 1, so the live-sets
+after a step are ``live & mask``.  Its witness is a table over all 2^N
+histories, so horizons beyond ``MAX_TABLE_HORIZON`` are refused before any
+work starts.  The masks come from this module's own interval tests, and the
+engine shares no code with the game-theoretic engine in ``gameprob``; the
+equality of the two roots on every box union is the coincidence theorem the
+test suite verifies rather than assumes.
 
 Box-union events induce finite unions of outcome cylinders, so no outer
 measure subtleties arise: everything here is plainly measurable.
@@ -24,21 +30,24 @@ measure subtleties arise: everything here is plainly measurable.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
 
 from .core import (
+    MAX_TABLE_HORIZON,
     ONE,
     ZERO,
     BinaryHistory,
     ForecastingSystem,
+    HorizonError,
     all_histories_below,
     cylinder_probability,
     induced_path,
     sample_outcomes,
 )
-from .events import ArityError, EventUnion, contains
+from .events import WILDCARD, ArityError, EventUnion, contains
 
 # Refuse grid enumerations beyond this many forecasting systems.
 GRID_ENUMERATION_LIMIT = 10**7
@@ -93,44 +102,63 @@ def measure_upper_probability(event: EventUnion) -> tuple[Fraction, ForecastingS
     Returns the exact maximum and a witness system attaining it; the witness
     records the smallest maximizing forecast at every outcome history.
     """
-    boxes = event.boxes
     horizon = event.horizon
+    if horizon > MAX_TABLE_HORIZON:
+        # The witness is a table over all 2^N histories; refuse before walking them.
+        raise HorizonError(f"table form limited to horizon {MAX_TABLE_HORIZON}")
     candidates = [_forecast_candidates(event, depth) for depth in range(horizon)]
-    memo: dict = {}
+    # accepts[depth][j]: bitmasks of the boxes accepting (candidates[depth][j], 0) and (..., 1).
+    accepts = []
+    for depth in range(horizon):
+        steps = [box.steps[depth] for box in event.boxes]
+        by_bit = [
+            sum(1 << i for i, step in enumerate(steps) if step.y is WILDCARD or step.y == y)
+            for y in (0, 1)
+        ]
+        # The candidates are sorted, so those in [p_lo, p_hi] form one run.
+        inside = [0] * len(candidates[depth])
+        for i, step in enumerate(steps):
+            for j in range(
+                bisect.bisect_left(candidates[depth], step.p_lo),
+                bisect.bisect_right(candidates[depth], step.p_hi),
+            ):
+                inside[j] |= 1 << i
+        accepts.append([(m & by_bit[0], m & by_bit[1]) for m in inside])
+    memo: list[dict] = [{} for _ in range(horizon)]
 
-    def survivors(live: frozenset, depth: int, p: Fraction, y: int) -> frozenset:
-        return frozenset(i for i in live if boxes[i].steps[depth].accepts(p, y))
-
-    def best(depth: int, live: frozenset) -> tuple[Fraction, Fraction]:
-        """The maximal value at a node and the smallest forecast attaining it."""
+    def best(depth: int, live: int) -> tuple[Fraction, int]:
+        """The maximal value at a node and the index of the smallest forecast attaining it."""
         if not live:
-            return ZERO, ZERO
+            return ZERO, 0
         if depth == horizon:
-            return ONE, ZERO
-        key = (depth, live)
-        cached = memo.get(key)
+            return ONE, 0
+        cached = memo[depth].get(live)
         if cached is not None:
             return cached
-        value, winner = ZERO, ZERO
-        for p in candidates[depth]:  # ascending, so the first strict max is the smallest
-            v0 = best(depth + 1, survivors(live, depth, p, 0))[0]
-            v1 = best(depth + 1, survivors(live, depth, p, 1))[0]
-            candidate = (ONE - p) * v0 + p * v1
+        value, winner = ZERO, 0
+        # Ascending candidates, so the first strict maximum is the smallest maximizer.
+        for j, (p, (m0, m1)) in enumerate(zip(candidates[depth], accepts[depth])):
+            if not live & (m0 | m1):
+                continue  # no box survives: the value 0 never beats the running maximum
+            v0 = best(depth + 1, live & m0)[0]
+            v1 = best(depth + 1, live & m1)[0]
+            candidate = v0 if v0 == v1 else v0 + p * (v1 - v0)
             if candidate > value:
-                value, winner = candidate, p
-        memo[key] = value, winner
+                value, winner = candidate, j
+        memo[depth][live] = value, winner
         return value, winner
 
-    root = frozenset(range(len(boxes)))
+    root = (1 << len(event.boxes)) - 1
     value = best(0, root)[0]
     table: dict = {}
     live_at: dict = {(): root}
     for history in all_histories_below(horizon):
+        depth = len(history)
         live = live_at[history]
-        p = best(len(history), live)[1]
-        table[history] = p
-        for y in (0, 1):
-            live_at[history + (y,)] = survivors(live, len(history), p, y)
+        j = best(depth, live)[1]
+        table[history] = candidates[depth][j]
+        for y, mask in enumerate(accepts[depth][j]):
+            live_at[history + (y,)] = live & mask
 
     witness = ForecastingSystem.from_table(table, horizon)
     return value, witness

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from preqprob import cli
-from preqprob.events import counterexample_pair, event_to_json
+from preqprob.events import EventUnion, counterexample_pair, event_to_json
 from preqprob.gameprob import witness_superfarthingale
 
 DATA = Path(__file__).parent / "data"
@@ -99,6 +99,14 @@ class TestValue:
             capsys, "verify", "--value-function", str(table_path), "--mode", "super"
         )
         assert code == 0
+
+    def test_long_horizon_game_value(self, capsys, tmp_path):
+        """The game induction runs level by level, so 1500 steps need no deep stack."""
+        path = tmp_path / "full.json"
+        path.write_text(event_to_json(EventUnion.full(1500)))
+        code, out, _ = run(capsys, "value", "--event", str(path), "--engine", "game", "--json")
+        assert code == 0
+        assert json.loads(out)["results"]["upper_game"] == "1"
 
     def test_unparseable_event_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from preqprob import measureprob
 from preqprob.core import (
     ForecastingSystem,
+    HorizonError,
     cylinder_probability,
     induced_path,
 )
@@ -21,7 +23,7 @@ from preqprob.events import (
     counterexample_pair,
     union,
 )
-from preqprob.gameprob import upper_game_probability
+from preqprob.gameprob import conditional_upper_probability, upper_game_probability
 from preqprob.measureprob import (
     EnumerationLimitError,
     exact_event_probability,
@@ -115,6 +117,35 @@ class TestMeasureUpperProbability:
             event = random_event(rng)
             value, _ = measure_upper_probability(event)
             assert value == upper_game_probability(event)
+
+    def test_live_sets_wider_than_a_machine_word(self):
+        """70 boxes put live-set bits past the 64th; both engines and the oracle agree."""
+        grid = [Fraction(j, 8) for j in range(9)]
+        points = [((p1, y1), (p2, 1)) for p1 in grid for y1 in (0, 1) for p2 in grid[:-1]]
+        event = EventUnion.from_points(2, random.Random(0).sample(points, 70))
+        value = upper_game_probability(event)
+        assert value == measure_upper_probability(event)[0] == grid_bruteforce(event, 8)
+
+        def reference(pfx):
+            # Point boxes on the 1/8 grid: off-grid forecasts kill every box.
+            if len(pfx) == 2:
+                return ONE if any(box.accepts(pfx) for box in event.boxes) else ZERO
+            return max(
+                (ONE - p) * reference(pfx + ((p, 0),)) + p * reference(pfx + ((p, 1),))
+                for p in grid
+            )
+
+        assert value == reference(())
+        for pfx in [((p, y),) for p in grid for y in (0, 1)] + list(points[::13]):
+            assert conditional_upper_probability(event, pfx) == reference(pfx)
+
+    def test_horizon_guard_runs_before_the_walk(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("forecast candidates built past the horizon guard")
+
+        monkeypatch.setattr(measureprob, "_forecast_candidates", refuse)
+        with pytest.raises(HorizonError, match="table form limited to horizon 16"):
+            measure_upper_probability(EventUnion.full(40))
 
     def test_no_system_beats_the_game_value(self):
         """One-sided bound: any system's probability is at most the game value."""
