@@ -10,6 +10,7 @@ floats at 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -115,6 +116,8 @@ def _default_seed(args) -> int:
 
 
 def cmd_value(args) -> int:
+    if args.table_out and args.engine == "measure":
+        raise ValueError("--table-out needs the game engine: use --engine game or both")
     event = _load_event(args.event)
     report = Report("value", inputs={"event": args.event, "digest": _digest(args.event), "engine": args.engine})
     exit_code = EXIT_OK
@@ -128,10 +131,11 @@ def cmd_value(args) -> int:
     if args.engine in ("measure", "both"):
         value, witness = measureprob.measure_upper_probability(event)
         report.results["upper_measure"] = value
-        report.results["witness_system"] = json.loads(witness.to_json())
+        witness_json = witness.to_json()
+        report.results["witness_system"] = json.loads(witness_json)
         if args.witness_out:
             with open(args.witness_out, "w", encoding="utf-8") as handle:
-                handle.write(witness.to_json())
+                handle.write(witness_json)
             report.results["witness_out"] = args.witness_out
     if args.engine == "both":
         equal = report.results["upper_game"] == report.results["upper_measure"]
@@ -377,7 +381,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``preq`` parser, built at the first call and shared by later ones.
+
+    ``parse_args`` returns a fresh namespace per call, so no option carries
+    over from one ``main`` call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="preq",
         description="Exact finite-horizon prequential probability toolkit",

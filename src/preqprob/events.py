@@ -341,7 +341,7 @@ def event_from_json(text: str) -> EventUnion:
                 lo, hi = (as_fraction(v) for v in step_doc["p"])
                 y_raw = step_doc.get("y", "*")
                 y = WILDCARD if y_raw == "*" else check_outcome(int(y_raw))
-                steps.append(StepConstraint(check_forecast(lo), check_forecast(hi), y))
+                steps.append(StepConstraint(lo, hi, y))
             boxes.append(Box(tuple(steps)))
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed event document: {exc}") from exc

@@ -73,23 +73,8 @@ class ValueFunction:
     def root_value(self) -> Fraction:
         return self.values[()]
 
-    def node_paths(self):
-        """All cell-paths, shortest first."""
-        level = [()]
-        yield ()
-        for partition in self.partitions:
-            level = [
-                path + ((ci, bit),)
-                for path in level
-                for ci in range(len(partition.cells))
-                for bit in (0, 1)
-            ]
-            yield from level
-
-    def is_complete(self) -> bool:
-        return all(path in self.values for path in self.node_paths())
-
     def to_json(self) -> str:
+        items = _Memo(_encode_item)
         doc = {
             "horizon": self.horizon,
             "partitions": [
@@ -104,48 +89,86 @@ class ValueFunction:
                 ]
                 for partition in self.partitions
             ],
-            "values": {encode_cell_path(p): str(v) for p, v in self.values.items()},
+            "values": {
+                ",".join(map(items.__getitem__, p)): str(v) for p, v in self.values.items()
+            },
         }
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ValueFunction":
+        """Parse and validate a table; ``verify`` trusts what this accepts.
+
+        Every partition must be ascending, disjoint cells covering [0, 1], one
+        per step of the horizon.  A table holds few distinct value strings and
+        "ci:bit" tokens, so each is parsed once.
+        """
         doc = json.loads(text)
         try:
             partitions = []
-            for cells_doc in doc["partitions"]:
-                cells = tuple(
-                    Cell(
-                        as_fraction(c["lo"]),
-                        as_fraction(c["hi"]),
-                        bool(c["lo_open"]),
-                        bool(c["hi_open"]),
+            for step, cells_doc in enumerate(doc["partitions"], start=1):
+                cells = tuple(_cell_from_json(step, c) for c in cells_doc)
+                if not _covers_unit_interval(cells):
+                    raise ValueError(
+                        f"partition {step}: cells must ascend, be disjoint and cover [0, 1]"
                     )
-                    for c in cells_doc
-                )
                 breakpoints = tuple(sorted({c.lo for c in cells} | {c.hi for c in cells}))
                 partitions.append(ForecastPartition(breakpoints, cells))
-            values = {
-                decode_cell_path(key): as_fraction(v) for key, v in doc["values"].items()
-            }
             horizon = int(doc["horizon"])
+            if horizon != len(partitions):
+                raise ValueError(f"horizon {horizon} but {len(partitions)} partitions")
+            items = _Memo(_decode_item)
+            fractions = _Memo(as_fraction)
+            # Only strings share the memo: as_fraction refuses 1.0, which equals 1 as a key.
+            values = {
+                tuple(map(items.__getitem__, key.split(","))) if key else ():
+                    fractions[v] if isinstance(v, str) else as_fraction(v)
+                for key, v in doc["values"].items()
+            }
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed value-function document: {exc}") from exc
         return cls(horizon, tuple(partitions), values)
 
 
+class _Memo(dict):
+    """``parse(key)`` for each key looked up, computed at the first lookup."""
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, key):
+        value = self[key] = self.parse(key)
+        return value
+
+
+def _cell_from_json(step: int, doc) -> Cell:
+    if not (isinstance(doc["lo_open"], bool) and isinstance(doc["hi_open"], bool)):
+        raise ValueError(f"partition {step}: lo_open and hi_open must be true or false")
+    return Cell(as_fraction(doc["lo"]), as_fraction(doc["hi"]), doc["lo_open"], doc["hi_open"])
+
+
+def _covers_unit_interval(cells: tuple[Cell, ...]) -> bool:
+    """Whether the cells ascend and cover [0, 1], each point exactly once."""
+    if not cells or cells[0].lo != ZERO or cells[0].lo_open:
+        return False
+    if cells[-1].hi != ONE or cells[-1].hi_open:
+        return False
+    # Neighbours meet at one point, which exactly one of them contains.
+    return all(a.hi == b.lo and a.hi_open != b.lo_open for a, b in zip(cells, cells[1:]))
+
+
+def _encode_item(item: tuple[int, int]) -> str:
+    return f"{item[0]}:{item[1]}"
+
+
+def _decode_item(token: str) -> tuple[int, int]:
+    ci, bit = token.split(":")
+    return int(ci), int(bit)
+
+
 def encode_cell_path(path: CellPath) -> str:
-    return ",".join(f"{ci}:{bit}" for ci, bit in path)
-
-
-def decode_cell_path(text: str) -> CellPath:
-    if not text:
-        return ()
-    items = []
-    for token in text.split(","):
-        ci, bit = token.split(":")
-        items.append((int(ci), int(bit)))
-    return tuple(items)
+    return ",".join(map(_encode_item, path))
 
 
 class _GameEngine:

@@ -95,33 +95,45 @@ def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
 
     mode "exact" requires equality, "super" allows the node to dominate.
     Returns (ok, violations) with the distinct (cell-path, forecast) pairs at
-    which an endpoint check failed.
+    which an endpoint check failed, shortest paths first.  In "super" mode
+    one endpoint decides a cell: the right-hand side v0 + p*(v1 - v0) is
+    linear in p, so the node dominates it on the whole cell iff it does at hi
+    when v1 > v0, at lo when v1 < v0, and anywhere when they are equal; both
+    endpoints are scanned only when that test fails.
     """
     if mode not in ("exact", "super"):
         raise ValueError(f"mode must be 'exact' or 'super', got {mode!r}")
-    if not vf.is_complete():
-        raise IncompleteTableError("value table does not cover the partition tree")
+    exact = mode == "exact"
+    values = vf.values
     violations: list[tuple[CellPath, Fraction]] = []
     seen: set[tuple[CellPath, Fraction]] = set()
     level: list[CellPath] = [()]
-    for partition in vf.partitions:
-        for path in level:
-            parent = vf.values[path]
-            for ci, cell in enumerate(partition.cells):
-                v0 = vf.values[path + ((ci, 0),)]
-                v1 = vf.values[path + ((ci, 1),)]
-                for p in cell.endpoints():
-                    rhs = (ONE - p) * v0 + p * v1
-                    bad = parent != rhs if mode == "exact" else parent < rhs
-                    if bad and (path, p) not in seen:
-                        seen.add((path, p))
-                        violations.append((path, p))
-        level = [
-            path + ((ci, bit),)
-            for path in level
-            for ci in range(len(partition.cells))
-            for bit in (0, 1)
-        ]
+    try:
+        values[()]  # the root; every other node is read below as a child
+        for partition in vf.partitions:
+            cells = [(((ci, 0),), ((ci, 1),), cell) for ci, cell in enumerate(partition.cells)]
+            children = []
+            for path in level:
+                parent = values[path]
+                for step0, step1, cell in cells:
+                    path0 = path + step0
+                    path1 = path + step1
+                    children += (path0, path1)
+                    v0 = values[path0]
+                    d = values[path1] - v0
+                    if not exact:
+                        top = v0 + (cell.hi if d > 0 else cell.lo) * d if d else v0
+                        if parent >= top:
+                            continue
+                    for p in cell.endpoints():
+                        rhs = v0 + p * d if d else v0
+                        bad = parent != rhs if exact else parent < rhs
+                        if bad and (path, p) not in seen:
+                            seen.add((path, p))
+                            violations.append((path, p))
+            level = children
+    except KeyError:
+        raise IncompleteTableError("value table does not cover the partition tree") from None
     return not violations, violations
 
 

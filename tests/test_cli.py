@@ -1,6 +1,9 @@
 """CLI surface: subcommands, exit-code contract, byte-stable reports."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,6 +102,16 @@ class TestValue:
             capsys, "verify", "--value-function", str(table_path), "--mode", "super"
         )
         assert code == 0
+
+    def test_measure_engine_refuses_table_out(self, capsys, event_file, tmp_path):
+        """The measure engine writes no value table, so asking for one is an input error."""
+        table = tmp_path / "table.json"
+        code, out, err = run(
+            capsys, "value", "--event", event_file, "--engine", "measure", "--table-out", str(table)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not table.exists()
 
     def test_long_horizon_game_value(self, capsys, tmp_path):
         """The game induction runs level by level, so 1500 steps need no deep stack."""
@@ -267,7 +280,42 @@ class TestVerify:
         assert "exact_farthingale: FAIL" in out
 
 
+def test_successive_calls_match_separate_runs(capsys, event_file, tmp_path):
+    """``main`` reuses one parser, and no option carries over from one call to the next."""
+    table = str(tmp_path / "table.json")
+    calls = [
+        ["value", "--event", event_file, "--engine", "game", "--table-out", table, "--json"],
+        ["verify", "--value-function", table],
+        ["value", "--event", event_file, "--engine", "game"],
+        ["verify", "--value-function", table, "--mode", "exact", "--json"],
+    ]
+    in_process = [run(capsys, *argv)[:2] for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    separate = [
+        subprocess.run(
+            [sys.executable, "-m", "preqprob.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60, check=False,
+        )
+        for argv in calls
+    ]
+    assert in_process == [(done.returncode, done.stdout) for done in separate]
+    assert [code for code, _ in in_process] == [0, 0, 0, 1]
+
+
 GOOD_EVENT = event_to_json(counterexample_pair()[0])
+
+
+def table_document(cells, horizon=1):
+    """A value-function document with one partition of (lo, hi, lo_open, hi_open) cells, all values 0."""
+    values = {"": "0"}
+    values.update({f"{ci}:{bit}": "0" for ci in range(len(cells)) for bit in (0, 1)})
+    partition = [
+        {"lo": lo, "hi": hi, "lo_open": lo_open, "hi_open": hi_open}
+        for lo, hi, lo_open, hi_open in cells
+    ]
+    return json.dumps({"horizon": horizon, "partitions": [partition], "values": values})
 
 
 @pytest.mark.parametrize(
@@ -283,6 +331,35 @@ GOOD_EVENT = event_to_json(counterexample_pair()[0])
         (["ville", "--phi", "{file}"], '{"horizon": 1, "table": 5}'),
         (["ville", "--phi", "{file}"], "[1]"),
         (["verify", "--value-function", "{file}"], "[1]"),
+        (
+            ["verify", "--value-function", "{file}"],
+            '{"horizon":1,"partitions":[[{"lo":"0","hi":"0","lo_open":false,"hi_open":false}]],'
+            '"values":{"":"0","0:0":"0","0:1":"5"}}',
+        ),
+        (
+            ["verify", "--value-function", "{file}"],
+            table_document([("1/2", "1", True, False), ("0", "1/2", False, False)]),
+        ),
+        (
+            ["verify", "--value-function", "{file}"],
+            table_document([("0", "1/2", False, False), ("1/4", "1", True, False)]),
+        ),
+        (
+            ["verify", "--value-function", "{file}"],
+            table_document([("0", "1/2", False, False), ("1/2", "1", False, False)]),
+        ),
+        (
+            ["verify", "--value-function", "{file}"],
+            table_document([("0", "1/4", False, False), ("1/2", "1", False, False)]),
+        ),
+        (
+            ["verify", "--value-function", "{file}"],
+            table_document([("0", "1", "false", False)]),
+        ),
+        (
+            ["verify", "--value-function", "{file}"],
+            table_document([("0", "1", False, False)], horizon=2),
+        ),
     ],
     ids=[
         "stream-threshold-zero-denominator",
@@ -295,6 +372,13 @@ GOOD_EVENT = event_to_json(counterexample_pair()[0])
         "phi-table-not-an-object",
         "phi-not-an-object",
         "value-function-not-an-object",
+        "value-function-cells-miss-most-of-the-interval",
+        "value-function-cells-descending",
+        "value-function-cells-overlap",
+        "value-function-cells-share-an-endpoint",
+        "value-function-cells-leave-a-gap",
+        "value-function-open-flag-not-boolean",
+        "value-function-horizon-differs-from-partitions",
     ],
 )
 def test_malformed_input_is_one_line_input_error(capsys, tmp_path, argv, document):

@@ -1,5 +1,6 @@
 """Game-theoretic engine: exact values, witnesses, conditional tables, betting."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -235,6 +236,18 @@ class TestWitnessSuperfarthingale:
         assert [
             [str(c) for c in part.cells] for part in again.partitions
         ] == [[str(c) for c in part.cells] for part in vf.partitions]
+
+
+    def test_json_bytes_are_pinned(self):
+        """The table format is byte-stable, and parsing then writing gives the same bytes."""
+        text = witness_superfarthingale(counterexample_pair()[0]).to_json()
+        assert len(text) == 1669
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "6e96b8a022a87e2fec421ea517562b8933eaf62ca8a3eaef9adc61e4f9b10817"
+        )
+        assert text.startswith('{"horizon": 2, "partitions": [[{"hi": "0", "hi_open": false')
+        assert '"values": {"": "1/2", "0:0": "1/2", "0:0,0:0": "0"' in text
+        assert ValueFunction.from_json(text).to_json() == text
 
 
 class TestOptimalForecast:

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from preqprob.core import ForecastingSystem, HorizonError
-from preqprob.events import counterexample_pair
+from preqprob.events import Cell, ForecastPartition, counterexample_pair
 from preqprob.gameprob import ValueFunction, witness_superfarthingale
-from preqprob.randgen import random_forecasting_system
+from preqprob.randgen import random_event, random_forecasting_system
 from preqprob.strategies import (
     CalibrationState,
     CalibrationStrategy,
@@ -84,6 +84,117 @@ class TestCheckFarthingale:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             check_farthingale(constant_table(1, ONE), "strict")
+
+
+def reference_check(vf, mode):
+    """check_farthingale as a plain loop: (1-p) v0 + p v1 at every endpoint of every cell."""
+    violations = []
+    level = [()]
+    for partition in vf.partitions:
+        for path in level:
+            parent = vf.values[path]
+            for ci, cell in enumerate(partition.cells):
+                v0 = vf.values[path + ((ci, 0),)]
+                v1 = vf.values[path + ((ci, 1),)]
+                for p in cell.endpoints():
+                    rhs = (ONE - p) * v0 + p * v1
+                    bad = parent != rhs if mode == "exact" else parent < rhs
+                    if bad and (path, p) not in violations:
+                        violations.append((path, p))
+        level = [
+            path + ((ci, bit),)
+            for path in level
+            for ci in range(len(partition.cells))
+            for bit in (0, 1)
+        ]
+    return not violations, violations
+
+
+QUARTER = Fraction(1, 4)
+# Open, half-open, closed and point cells.
+MIXED = ForecastPartition(
+    (ZERO, QUARTER, Fraction(3, 4), ONE),
+    (
+        Cell(ZERO, QUARTER, hi_open=True),
+        Cell(QUARTER, Fraction(3, 4)),
+        Cell(Fraction(3, 4), ONE, lo_open=True),
+    ),
+)
+POINTS = point_partition([QUARTER, HALF])
+WHOLE = ForecastPartition((ZERO, ONE), (Cell(ZERO, ONE),))
+
+
+def one_step_table(partition, parent, children):
+    """Horizon-1 table: the root's value and (v0, v1) per cell."""
+    values = {(): Fraction(parent)}
+    for ci, (v0, v1) in enumerate(children):
+        values[((ci, 0),)] = Fraction(v0)
+        values[((ci, 1),)] = Fraction(v1)
+    return ValueFunction(1, (partition,), values)
+
+
+class TestCheckFarthingaleAgainstReference:
+    @pytest.mark.parametrize(
+        "partition, children, expected",
+        [
+            (WHOLE, [(0, 1)], [ONE]),  # rising: the violation is at hi only
+            (WHOLE, [(1, 0)], [ZERO]),  # falling: at lo only
+            (WHOLE, [(1, 1)], [ZERO, ONE]),  # equal: at both
+            (WHOLE, [(HALF, HALF)], []),
+            (WHOLE, [(0, HALF)], []),
+            (WHOLE, [(2, -1)], [ZERO]),
+            # Open cells at (0, 1/4) and (1/4, 1/2), points at 0, 1/4, 1/2 and 1.
+            (
+                POINTS,
+                [(1, 1), (0, 4), (0, 0), (1, 0), (HALF, HALF), (2, 0), (0, 0)],
+                [ZERO, QUARTER, HALF],
+            ),
+            (
+                POINTS,
+                [(0, 0), (HALF, HALF), (1, 1), (0, 2), (0, 0), (HALF, HALF), (0, 1)],
+                [QUARTER, HALF, ONE],
+            ),
+            (MIXED, [(0, 4), (1, 0), (1, 1)], [QUARTER, Fraction(3, 4), ONE]),
+            (MIXED, [(HALF, HALF), (0, 1), (1, 0)], [Fraction(3, 4)]),
+        ],
+    )
+    def test_super_mode_endpoints(self, partition, children, expected):
+        vf = one_step_table(partition, HALF, children)
+        want = [((), p) for p in expected]
+        assert check_farthingale(vf, "super") == (not want, want)
+        assert check_farthingale(vf, "super") == reference_check(vf, "super")
+        assert check_farthingale(vf, "exact") == reference_check(vf, "exact")
+
+    def test_random_tables_match_reference(self):
+        rng = random.Random(41)
+        levels = [ZERO, QUARTER, HALF, Fraction(3, 4), ONE]
+        found = {"super": 0, "exact": 0}
+        for index in range(120):
+            partitions = (MIXED, POINTS) if index % 2 else (POINTS, MIXED)
+            values = {(): rng.choice(levels)}
+            level = [()]
+            for partition in partitions:
+                level = [
+                    path + ((ci, bit),)
+                    for path in level
+                    for ci in range(len(partition.cells))
+                    for bit in (0, 1)
+                ]
+                for path in level:
+                    values[path] = rng.choice(levels)
+            vf = ValueFunction(2, partitions, values)
+            for mode in ("super", "exact"):
+                got = check_farthingale(vf, mode)
+                assert got == reference_check(vf, mode)
+                found[mode] += len(got[1])
+        assert found["super"] > 0 and found["exact"] > found["super"]
+
+    def test_witness_tables_match_reference(self):
+        rng = random.Random(43)
+        for _ in range(20):
+            vf = witness_superfarthingale(random_event(rng, max_horizon=3, max_boxes=3))
+            for mode in ("super", "exact"):
+                assert check_farthingale(vf, mode) == reference_check(vf, mode)
 
 
 class TestCalibration:
