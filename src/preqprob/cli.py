@@ -22,7 +22,6 @@ from fractions import Fraction
 from . import gameprob, measureprob, randgen, strategies
 from .core import ForecastingSystem, as_fraction, induced_path, sample_outcomes
 from .events import (
-    ArityError,
     contains,
     counterexample_pair,
     event_from_json,
@@ -131,11 +130,10 @@ def cmd_value(args) -> int:
     if args.engine in ("measure", "both"):
         value, witness = measureprob.measure_upper_probability(event)
         report.results["upper_measure"] = value
-        witness_json = witness.to_json()
-        report.results["witness_system"] = json.loads(witness_json)
+        witness_doc = report.results["witness_system"] = witness.to_doc()
         if args.witness_out:
             with open(args.witness_out, "w", encoding="utf-8") as handle:
-                handle.write(witness_json)
+                handle.write(json.dumps(witness_doc, sort_keys=True))
             report.results["witness_out"] = args.witness_out
     if args.engine == "both":
         equal = report.results["upper_game"] == report.results["upper_measure"]
@@ -194,7 +192,7 @@ def cmd_test_stream(args) -> int:
     if horizon is None:
         horizon = len(stream)
     if horizon < 1 or len(stream) < horizon:
-        raise StreamTooShort(f"stream has {len(stream)} rows, need {horizon}")
+        raise ValueError(f"stream has {len(stream)} rows, need {horizon}")
     threshold_c = as_fraction(args.threshold_c if args.threshold_c is not None else 1)
     state = strategies.CalibrationState(horizon, threshold_c)
     initial = state.capital
@@ -217,10 +215,6 @@ def cmd_test_stream(args) -> int:
     report.results["verdict"] = "reject" if verdict.reject else "no_reject"
     report.emit(args.json)
     return EXIT_REJECT if verdict.reject else EXIT_OK
-
-
-class StreamTooShort(ValueError):
-    pass
 
 
 # Strategy name -> its start value at a horizon.
@@ -455,15 +449,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        OSError,
-        ValueError,
-        KeyError,
-        ArityError,
-        StreamTooShort,
-        strategies.StreamFormatError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -65,10 +65,9 @@ def check_outcome(y) -> int:
 class ForecastingSystem:
     """A rule assigning a forecast to every outcome history shorter than the horizon.
 
-    The canonical exact form is a total table over all 2^N - 1 histories of
-    length < N; ``from_table`` validates totality.  Rule-backed systems
-    (e.g. ``constant``) avoid materializing the table and therefore work at
-    horizons far beyond what the exact engines enumerate.
+    ``from_table`` takes exactly the 2^N - 1 histories of length < N; other
+    rules (``constant``, the measure engine's witness) compute each forecast,
+    so they work at any horizon until ``table`` or ``to_json`` lists them all.
     """
 
     def __init__(self, horizon: int, rule: Callable[[BinaryHistory], Fraction]):
@@ -94,27 +93,30 @@ class ForecastingSystem:
 
     @classmethod
     def from_table(cls, table: Mapping[BinaryHistory, Fraction], horizon: int) -> "ForecastingSystem":
-        """Build from a table, validating totality on all histories of length < horizon."""
+        """Build from a table holding exactly the histories of length < horizon."""
         if horizon > MAX_TABLE_HORIZON:
             raise HorizonError(f"table form limited to horizon {MAX_TABLE_HORIZON}")
-        fixed = {}
-        for history, value in table.items():
-            key = tuple(check_outcome(b) for b in history)
-            fixed[key] = check_forecast(value)
-        for history in all_histories_below(horizon):
-            if history not in fixed:
-                raise ValueError(f"table missing history {history}")
+        try:
+            fixed = {h: check_forecast(table[h]) for h in all_histories_below(horizon)}
+        except KeyError as exc:
+            raise ValueError(f"table missing history {exc.args[0]}") from None
+        if len(table) != len(fixed):  # every history is present, so the rest are extra
+            raise ValueError(f"table has {len(table) - len(fixed)} keys that are not histories")
         return cls(horizon, fixed.__getitem__)
 
     def table(self) -> dict:
         """Materialize the total table (guarded by MAX_TABLE_HORIZON)."""
         if self.horizon > MAX_TABLE_HORIZON:
             raise HorizonError(f"refusing to materialize table at horizon {self.horizon}")
-        return {h: self.forecast(h) for h in all_histories_below(self.horizon)}
+        return {h: check_forecast(self._rule(h)) for h in all_histories_below(self.horizon)}
+
+    def to_doc(self) -> dict:
+        """The JSON document of the table, its bit-string keys in sorted order."""
+        table = sorted(("".join(map(str, h)), str(p)) for h, p in self.table().items())
+        return {"horizon": self.horizon, "table": dict(table)}
 
     def to_json(self) -> str:
-        table = {"".join(map(str, h)): str(p) for h, p in self.table().items()}
-        return json.dumps({"horizon": self.horizon, "table": table}, sort_keys=True)
+        return json.dumps(self.to_doc(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ForecastingSystem":

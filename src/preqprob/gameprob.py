@@ -100,8 +100,8 @@ class ValueFunction:
         """Parse and validate a table; ``verify`` trusts what this accepts.
 
         Every partition must be ascending, disjoint cells covering [0, 1], one
-        per step of the horizon.  A table holds few distinct value strings and
-        "ci:bit" tokens, so each is parsed once.
+        per step of the horizon, and the values are read at exactly the nodes
+        of their tree, level by level.  Each distinct value string is parsed once.
         """
         doc = json.loads(text)
         try:
@@ -117,14 +117,29 @@ class ValueFunction:
             horizon = int(doc["horizon"])
             if horizon != len(partitions):
                 raise ValueError(f"horizon {horizon} but {len(partitions)} partitions")
-            items = _Memo(_decode_item)
+            given = doc["values"]
             fractions = _Memo(as_fraction)
-            # Only strings share the memo: as_fraction refuses 1.0, which equals 1 as a key.
-            values = {
-                tuple(map(items.__getitem__, key.split(","))) if key else ():
-                    fractions[v] if isinstance(v, str) else as_fraction(v)
-                for key, v in doc["values"].items()
-            }
+
+            def read(key: str) -> Fraction:
+                try:
+                    v = given[key]
+                except KeyError:
+                    raise ValueError(f"value function has no value at node '{key}'") from None
+                # Only strings share the memo: as_fraction refuses 1.0, which equals 1 as a key.
+                return fractions[v] if isinstance(v, str) else as_fraction(v)
+
+            values = {(): read("")}
+            level = [("", ())]
+            for partition in partitions:
+                items = [(f"{ci}:{y}", (ci, y)) for ci in range(len(partition.cells)) for y in (0, 1)]
+                level = [
+                    (f"{key},{token}" if key else token, path + (item,))
+                    for key, path in level
+                    for token, item in items
+                ]
+                values.update((path, read(key)) for key, path in level)
+            if len(given) != len(values):
+                raise ValueError(f"value function has {len(given) - len(values)} keys that are not tree nodes")
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed value-function document: {exc}") from exc
         return cls(horizon, tuple(partitions), values)
@@ -160,11 +175,6 @@ def _covers_unit_interval(cells: tuple[Cell, ...]) -> bool:
 
 def _encode_item(item: tuple[int, int]) -> str:
     return f"{item[0]}:{item[1]}"
-
-
-def _decode_item(token: str) -> tuple[int, int]:
-    ci, bit = token.split(":")
-    return int(ci), int(bit)
 
 
 def encode_cell_path(path: CellPath) -> str:

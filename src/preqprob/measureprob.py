@@ -17,9 +17,9 @@ consistent with a history form its live-set, an ``int`` bitmask (bit i for
 box i); the program is memoized on (depth, live-set).  Once per event it
 precomputes, per step and candidate forecast, the masks of the boxes that
 accept that forecast with outcome 0 and with outcome 1, so the live-sets
-after a step are ``live & mask``.  Its witness is a table over all 2^N
-histories, so horizons beyond ``MAX_TABLE_HORIZON`` are refused before any
-work starts.  The masks come from this module's own interval tests, and the
+after a step are ``live & mask``.  The memo is the witness: it follows the
+memoized maximizers along a history, and is a table only when written.
+The masks come from this module's own interval tests, and the
 engine shares no code with the game-theoretic engine in ``gameprob``; the
 equality of the two roots on every box union is the coincidence theorem the
 test suite verifies rather than assumes.
@@ -99,12 +99,13 @@ def _forecast_candidates(event: EventUnion, depth: int) -> tuple:
 def measure_upper_probability(event: EventUnion) -> tuple[Fraction, ForecastingSystem]:
     """Maximize the exact event probability over forecasting systems.
 
-    Returns the exact maximum and a witness system attaining it; the witness
-    records the smallest maximizing forecast at every outcome history.
+    Returns the exact maximum and a witness system attaining it: the smallest
+    maximizing forecast after a history, read from the memo at its live-set.
     """
     horizon = event.horizon
     if horizon > MAX_TABLE_HORIZON:
-        # The witness is a table over all 2^N histories; refuse before walking them.
+        # ``value`` prints the witness as a table over all 2^N histories, and
+        # ``best`` recurses once per step; refuse before any work.
         raise HorizonError(f"table form limited to horizon {MAX_TABLE_HORIZON}")
     candidates = [_forecast_candidates(event, depth) for depth in range(horizon)]
     # accepts[depth][j]: bitmasks of the boxes accepting (candidates[depth][j], 0) and (..., 1).
@@ -150,18 +151,17 @@ def measure_upper_probability(event: EventUnion) -> tuple[Fraction, ForecastingS
 
     root = (1 << len(event.boxes)) - 1
     value = best(0, root)[0]
-    table: dict = {}
-    live_at: dict = {(): root}
-    for history in all_histories_below(horizon):
-        depth = len(history)
-        live = live_at[history]
-        j = best(depth, live)[1]
-        table[history] = candidates[depth][j]
-        for y, mask in enumerate(accepts[depth][j]):
-            live_at[history + (y,)] = live & mask
 
-    witness = ForecastingSystem.from_table(table, horizon)
-    return value, witness
+    def rule(history: BinaryHistory) -> Fraction:
+        # best() evaluated both children of every winner (both are 0 when no box
+        # survived), so this walk only reads the memo.
+        live = root
+        for depth, y in enumerate(history):
+            live &= accepts[depth][best(depth, live)[1]][y]
+        depth = len(history)
+        return candidates[depth][best(depth, live)[1]]
+
+    return value, ForecastingSystem(horizon, rule)
 
 
 def grid_bruteforce(event: EventUnion, k: int) -> Fraction:

@@ -360,6 +360,17 @@ def table_document(cells, horizon=1):
             ["verify", "--value-function", "{file}"],
             table_document([("0", "1", False, False)], horizon=2),
         ),
+        (["ville", "--phi", "{file}"], '{"horizon": 1, "table": {"": "1/2", "0": "1/4", "11": "3/4"}}'),
+        (
+            ["verify", "--value-function", "{file}"],
+            '{"horizon":1,"partitions":[[{"lo":"0","hi":"1","lo_open":false,"hi_open":false}]],'
+            '"values":{"":"0","0:0":"0","0:1":"0","7:1":"0","0:0,3:1":"0"}}',
+        ),
+        (
+            ["verify", "--value-function", "{file}"],
+            '{"horizon":1,"partitions":[[{"lo":"0","hi":"1","lo_open":false,"hi_open":false}]],'
+            '"values":{"":"0","0:0":"0"}}',
+        ),
     ],
     ids=[
         "stream-threshold-zero-denominator",
@@ -379,6 +390,9 @@ def table_document(cells, horizon=1):
         "value-function-cells-leave-a-gap",
         "value-function-open-flag-not-boolean",
         "value-function-horizon-differs-from-partitions",
+        "phi-history-beyond-horizon",
+        "value-function-key-outside-tree",
+        "value-function-node-missing",
     ],
 )
 def test_malformed_input_is_one_line_input_error(capsys, tmp_path, argv, document):

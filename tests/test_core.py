@@ -126,6 +126,13 @@ class TestForecastingSystem:
         with pytest.raises(ValueError):
             ForecastingSystem.from_table({(): HALF, (0,): HALF}, 2)
 
+    def test_table_refuses_histories_past_horizon(self):
+        table = {(): HALF, (0,): Fraction(1, 4), (1, 1): Fraction(3, 4)}
+        with pytest.raises(ValueError, match="not histories"):
+            ForecastingSystem.from_table(table, 1)
+        with pytest.raises(ValueError, match="not histories"):
+            ForecastingSystem.from_table({(): HALF, (2,): HALF}, 1)
+
     def test_forecast_validates_range(self):
         phi = ForecastingSystem(2, lambda h: Fraction(3, 2))
         with pytest.raises(ValueError):

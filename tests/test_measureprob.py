@@ -1,6 +1,7 @@
 """Measure-theoretic engine: exact probabilities, the coincidence of the two
 upper probabilities, the grid oracle, and Monte Carlo cross-checks."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from preqprob.core import (
     HorizonError,
     cylinder_probability,
     induced_path,
+    sample_outcomes,
 )
 from preqprob.events import (
     ArityError,
@@ -146,6 +148,35 @@ class TestMeasureUpperProbability:
         monkeypatch.setattr(measureprob, "_forecast_candidates", refuse)
         with pytest.raises(HorizonError, match="table form limited to horizon 16"):
             measure_upper_probability(EventUnion.full(40))
+
+    @pytest.mark.parametrize(
+        "seed, digest, length",
+        [
+            (None, "ab2b4cb99d99d84c6f86258c0ab9b3fb4c868fc699fff351e20c6aa287a1812e", 56),
+            (5, "0d568f0e5e4968681b5fdf15a230227741e4b3b9e49e37eefe6e049cd8b65263", 408),
+            (6, "a7e40543caaa462bb3571f4792aa8fd7fde6d7152b7ae33da5388ea4dd535a00", 410),
+        ],
+        ids=["counterexample-union", "random-seed-5", "random-seed-6"],
+    )
+    def test_witness_json_is_pinned(self, seed, digest, length):
+        """The witness table, every history's forecast, is the one pinned here."""
+        if seed is None:
+            event = union(*counterexample_pair())
+        else:
+            event = random_event(random.Random(seed), max_horizon=5, max_boxes=4)
+        text = measure_upper_probability(event)[1].to_json()
+        assert (hashlib.sha256(text.encode()).hexdigest(), len(text)) == (digest, length)
+
+    def test_witness_needs_no_history_walk(self, monkeypatch):
+        """The witness reads the memo along one history; it never lists all 2^N of them."""
+
+        def refuse(*args):
+            raise AssertionError("walked every history")
+
+        monkeypatch.setattr(measureprob, "all_histories_below", refuse)
+        value, witness = measure_upper_probability(EventUnion.full(16))
+        assert value == ONE
+        assert len(sample_outcomes(witness, 16, 0)) == 16
 
     def test_no_system_beats_the_game_value(self):
         """One-sided bound: any system's probability is at most the game value."""
