@@ -31,7 +31,6 @@ from .events import (
     event_to_json,
     forecast_partition,
     intersection,
-    rasterize_event,
     union,
 )
 from .gameprob import (

@@ -270,35 +270,6 @@ def event_partitions(event: EventUnion) -> tuple[ForecastPartition, ...]:
     return tuple(forecast_partition(event, i) for i in range(1, event.horizon + 1))
 
 
-def rasterize_event(predicate, horizon: int, breakpoints) -> EventUnion:
-    """Bound a predicate-defined event by a box union; a bound, not an exact value.
-
-    The caller supplies a membership predicate on full-length prefixes plus the
-    forecast breakpoints per step.  Each combination of partition cell and
-    outcome bit is tested at a representative prefix; accepted combinations
-    contribute the closed box spanning the cell closure.  The result contains
-    the predicate event (hence upper-bounds its probabilities) exactly when the
-    predicate is constant on every cell; otherwise it is only a rasterization.
-    """
-    cells = point_partition(breakpoints).cells
-    boxes = []
-
-    def walk(prefix, constraints):
-        if len(prefix) == horizon:
-            if predicate(tuple(prefix)):
-                boxes.append(Box(tuple(constraints)))
-            return
-        for cell in cells:
-            for bit in (0, 1):
-                walk(
-                    prefix + [(cell.representative(), bit)],
-                    constraints + [StepConstraint(cell.lo, cell.hi, bit)],
-                )
-
-    walk([], [])
-    return EventUnion(horizon, tuple(boxes))
-
-
 def counterexample_pair() -> tuple[EventUnion, EventUnion]:
     """The built-in two-point events at horizon 2 violating strong subadditivity."""
     half = Fraction(1, 2)

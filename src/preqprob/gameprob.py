@@ -30,15 +30,19 @@ two children share one linear objective, so each such group is evaluated
 once, at its outermost endpoints.  The empty live-set has value zero.  All
 operations are pure and the exact arithmetic makes results independent of
 evaluation order.
+
+Every walk of the partition-refined tree goes through ``cell_tree``, which
+fixes the node order (level by level, children in (cell, bit) order) and the
+cell-path layout; the value-table key format is built on that walk too.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .core import ONE, ZERO, PrequentialPrefix, as_fraction, check_forecast, check_outcome
 from .events import (
@@ -53,6 +57,27 @@ from .events import (
 CellPath = tuple[tuple[int, int], ...]
 
 
+def cell_tree(partitions, root, children):
+    """Yield every node of the partition-refined tree as ``(path, state)``, level by level.
+
+    The root is ``((), root)``.  A node at depth d has one child per cell of
+    ``partitions[d]`` and outcome bit, in the order (0, 0), (0, 1), (1, 0), ...;
+    a child's path is its parent's extended by ``(cell, bit)``.
+    ``children(state, d)`` is called once per node at depth d and returns the
+    states of all of that node's children, in that order.
+    """
+    level = [((), root)]
+    yield from level
+    for depth, partition in enumerate(partitions):
+        steps = [(ci, bit) for ci in range(len(partition.cells)) for bit in (0, 1)]
+        level = [
+            (path + (step,), state)
+            for path, parent in level
+            for step, state in zip(steps, children(parent, depth))
+        ]
+        yield from level
+
+
 @dataclass(frozen=True, eq=False)
 class ValueFunction:
     """Rational values on every node of a partition-refined prequential tree.
@@ -60,6 +85,8 @@ class ValueFunction:
     A node is addressed by its cell-path: per step, the index of the chosen
     forecast cell and the outcome bit.  Canonical string encoding of a path
     joins "cell-index:bit" items with commas; the root is the empty string.
+    ``cell_tree`` fixes the nodes and their order, and the JSON form writes
+    and reads the keys along that walk.
     """
 
     horizon: int
@@ -74,7 +101,7 @@ class ValueFunction:
         return self.values[()]
 
     def to_json(self) -> str:
-        items = _Memo(_encode_item)
+        values = self.values
         doc = {
             "horizon": self.horizon,
             "partitions": [
@@ -89,9 +116,7 @@ class ValueFunction:
                 ]
                 for partition in self.partitions
             ],
-            "values": {
-                ",".join(map(items.__getitem__, p)): str(v) for p, v in self.values.items()
-            },
+            "values": {key: str(values[path]) for path, key in _key_tree(self.partitions)},
         }
         return json.dumps(doc, sort_keys=True)
 
@@ -118,43 +143,22 @@ class ValueFunction:
             if horizon != len(partitions):
                 raise ValueError(f"horizon {horizon} but {len(partitions)} partitions")
             given = doc["values"]
-            fractions = _Memo(as_fraction)
+            fraction = cache(as_fraction)
 
             def read(key: str) -> Fraction:
                 try:
                     v = given[key]
                 except KeyError:
                     raise ValueError(f"value function has no value at node '{key}'") from None
-                # Only strings share the memo: as_fraction refuses 1.0, which equals 1 as a key.
-                return fractions[v] if isinstance(v, str) else as_fraction(v)
+                # Only strings share the cache: as_fraction refuses 1.0, which equals 1 as a key.
+                return fraction(v) if isinstance(v, str) else as_fraction(v)
 
-            values = {(): read("")}
-            level = [("", ())]
-            for partition in partitions:
-                items = [(f"{ci}:{y}", (ci, y)) for ci in range(len(partition.cells)) for y in (0, 1)]
-                level = [
-                    (f"{key},{token}" if key else token, path + (item,))
-                    for key, path in level
-                    for token, item in items
-                ]
-                values.update((path, read(key)) for key, path in level)
+            values = {path: read(key) for path, key in _key_tree(partitions)}
             if len(given) != len(values):
                 raise ValueError(f"value function has {len(given) - len(values)} keys that are not tree nodes")
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed value-function document: {exc}") from exc
         return cls(horizon, tuple(partitions), values)
-
-
-class _Memo(dict):
-    """``parse(key)`` for each key looked up, computed at the first lookup."""
-
-    def __init__(self, parse):
-        super().__init__()
-        self.parse = parse
-
-    def __missing__(self, key):
-        value = self[key] = self.parse(key)
-        return value
 
 
 def _cell_from_json(step: int, doc) -> Cell:
@@ -173,12 +177,18 @@ def _covers_unit_interval(cells: tuple[Cell, ...]) -> bool:
     return all(a.hi == b.lo and a.hi_open != b.lo_open for a, b in zip(cells, cells[1:]))
 
 
-def _encode_item(item: tuple[int, int]) -> str:
-    return f"{item[0]}:{item[1]}"
+def _key_tree(partitions):
+    """``cell_tree`` with each node's canonical key string as its state."""
+    tokens = [[f"{ci}:{bit}" for ci in range(len(p.cells)) for bit in (0, 1)] for p in partitions]
+
+    def children(key: str, depth: int) -> list:
+        return [f"{key},{token}" for token in tokens[depth]] if key else tokens[depth]
+
+    return cell_tree(partitions, "", children)
 
 
 def encode_cell_path(path: CellPath) -> str:
-    return ",".join(map(_encode_item, path))
+    return ",".join(f"{ci}:{bit}" for ci, bit in path)
 
 
 class _GameEngine:
@@ -307,17 +317,14 @@ def witness_superfarthingale(event: EventUnion) -> ValueFunction:
     betting strategy achieving the upper probability.
     """
     eng = _engine(event)
-    values: dict = {}
 
-    def walk(path: CellPath, depth: int, live: int):
-        values[path] = eng.value(depth, live)
-        if depth == event.horizon:
-            return
-        for ci, pair in enumerate(eng.masks[depth]):
-            for bit, mask in enumerate(pair):
-                walk(path + ((ci, bit),), depth + 1, live & mask)
+    def children(live: int, depth: int) -> list:
+        return [live & m for pair in eng.masks[depth] for m in pair]
 
-    walk((), 0, eng.all_live())
+    values = {
+        path: eng.value(len(path), live)
+        for path, live in cell_tree(eng.partitions, eng.all_live(), children)
+    }
     return ValueFunction(event.horizon, eng.partitions, values)
 
 
@@ -369,6 +376,7 @@ class LevyStrategy:
     milestone: Fraction
     ride_base: Fraction | None
     conditional: Fraction
+    engine: _GameEngine = field(compare=False, repr=False)  # the event's, solved once
     milestones: tuple[Fraction, ...] = ()
 
     @classmethod
@@ -389,6 +397,7 @@ class LevyStrategy:
             milestone=ONE,
             ride_base=None,
             conditional=w0,
+            engine=eng,
         )
         return _maybe_trigger(state)
 
@@ -418,7 +427,7 @@ def levy_strategy_step(state: LevyStrategy, step) -> LevyStrategy:
     p, y = step
     p = check_forecast(p)
     y = check_outcome(y)
-    eng = _engine(state.event)
+    eng = state.engine
     live = eng.survivors_at(state.live, state.depth, p, y)
     depth = state.depth + 1
     w = eng.value(depth, live)

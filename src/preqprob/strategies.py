@@ -55,7 +55,7 @@ from .core import (
     sample_outcomes,
 )
 from .events import point_partition
-from .gameprob import CellPath, ValueFunction
+from .gameprob import CellPath, ValueFunction, cell_tree
 
 
 class IncompleteTableError(ValueError):
@@ -85,10 +85,6 @@ class CapitalProcess:
     def final_capital(self) -> Fraction:
         return self.trajectory[-1] if self.trajectory else self.initial_capital
 
-    @property
-    def peak(self) -> Fraction:
-        return max((self.initial_capital, *self.trajectory))
-
 
 def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
     """Verify the (super)farthingale identity on a complete cell-indexed table.
@@ -99,7 +95,9 @@ def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
     one endpoint decides a cell: the right-hand side v0 + p*(v1 - v0) is
     linear in p, so the node dominates it on the whole cell iff it does at hi
     when v1 > v0, at lo when v1 < v0, and anywhere when they are equal; both
-    endpoints are scanned only when that test fails.
+    endpoints are scanned only when that test fails.  The interior nodes come
+    from ``cell_tree`` over all but the last partition, and each node's
+    children are read by path.
     """
     if mode not in ("exact", "super"):
         raise ValueError(f"mode must be 'exact' or 'super', got {mode!r}")
@@ -107,31 +105,29 @@ def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
     values = vf.values
     violations: list[tuple[CellPath, Fraction]] = []
     seen: set[tuple[CellPath, Fraction]] = set()
-    level: list[CellPath] = [()]
+    # The state of an interior node is the cell list of its step; a root-only table has none.
+    steps = [[(((ci, 0),), ((ci, 1),), cell) for ci, cell in enumerate(p.cells)] for p in vf.partitions]
+    root_cells = steps[0] if steps else []
+
+    def children(cells: list, depth: int) -> list:
+        return [steps[depth + 1]] * (2 * len(cells))
+
     try:
-        values[()]  # the root; every other node is read below as a child
-        for partition in vf.partitions:
-            cells = [(((ci, 0),), ((ci, 1),), cell) for ci, cell in enumerate(partition.cells)]
-            children = []
-            for path in level:
-                parent = values[path]
-                for step0, step1, cell in cells:
-                    path0 = path + step0
-                    path1 = path + step1
-                    children += (path0, path1)
-                    v0 = values[path0]
-                    d = values[path1] - v0
-                    if not exact:
-                        top = v0 + (cell.hi if d > 0 else cell.lo) * d if d else v0
-                        if parent >= top:
-                            continue
-                    for p in cell.endpoints():
-                        rhs = v0 + p * d if d else v0
-                        bad = parent != rhs if exact else parent < rhs
-                        if bad and (path, p) not in seen:
-                            seen.add((path, p))
-                            violations.append((path, p))
-            level = children
+        for path, cells in cell_tree(vf.partitions[:-1], root_cells, children):
+            parent = values[path]
+            for step0, step1, cell in cells:
+                v0 = values[path + step0]
+                d = values[path + step1] - v0
+                if not exact:
+                    top = v0 + (cell.hi if d > 0 else cell.lo) * d if d else v0
+                    if parent >= top:
+                        continue
+                for p in cell.endpoints():
+                    rhs = v0 + p * d if d else v0
+                    bad = parent != rhs if exact else parent < rhs
+                    if bad and (path, p) not in seen:
+                        seen.add((path, p))
+                        violations.append((path, p))
     except KeyError:
         raise IncompleteTableError("value table does not cover the partition tree") from None
     return not violations, violations
@@ -258,22 +254,24 @@ def strategy_value_table(strategy_factory, horizon: int, grid) -> ValueFunction:
     them the strategy is not consulted and capital is carried over unchanged
     (not betting is itself a farthingale move, so the table stays exact).  The
     table reproduces the strategy's capital along any stream whose forecasts
-    lie on the grid and is the object ``check_farthingale`` inspects.
+    lie on the grid and is the object ``check_farthingale`` inspects.  It is
+    built along ``cell_tree``, each node's strategy value stepped into its
+    children.
     """
     partition = point_partition(grid)
     partitions = tuple(partition for _ in range(horizon))
-    values: dict = {}
 
-    def walk(path: CellPath, strategy):
-        values[path] = strategy.capital
-        if len(path) == horizon:
-            return
-        for ci, cell in enumerate(partition.cells):
-            for bit in (0, 1):
-                child = strategy.step(cell.lo, bit) if cell.is_point else strategy
-                walk(path + ((ci, bit),), child)
+    def children(strategy, depth: int) -> list:
+        return [
+            strategy.step(cell.lo, bit) if cell.is_point else strategy
+            for cell in partition.cells
+            for bit in (0, 1)
+        ]
 
-    walk((), strategy_factory())
+    values = {
+        path: strategy.capital
+        for path, strategy in cell_tree(partitions, strategy_factory(), children)
+    }
     return ValueFunction(horizon, partitions, values)
 
 

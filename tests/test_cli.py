@@ -279,6 +279,14 @@ class TestVerify:
         assert code == 1
         assert "exact_farthingale: FAIL" in out
 
+    def test_root_only_table_passes(self, capsys, tmp_path):
+        path = tmp_path / "root.json"
+        path.write_text('{"horizon": 0, "partitions": [], "values": {"": "1"}}')
+        code, out, err = run(capsys, "verify", "--value-function", str(path))
+        assert code == 0, err
+        assert "nodes = 1" in out
+        assert "super_farthingale: PASS" in out
+
 
 def test_successive_calls_match_separate_runs(capsys, event_file, tmp_path):
     """``main`` reuses one parser, and no option carries over from one call to the next."""

@@ -17,7 +17,6 @@ from preqprob.events import (
     event_to_json,
     forecast_partition,
     intersection,
-    rasterize_event,
     union,
 )
 from preqprob.randgen import random_event
@@ -189,23 +188,6 @@ class TestStructure:
         box = Box((StepConstraint(ZERO, ONE, WILDCARD),))
         with pytest.raises(ArityError):
             EventUnion(2, (box,))
-
-
-class TestRasterize:
-    def test_reproduces_box_event_on_its_own_breakpoints(self):
-        """Rasterizing a box union's own membership predicate recovers a superset."""
-        a, _ = counterexample_pair()
-        raster = rasterize_event(
-            lambda pfx: contains(a, pfx), horizon=2, breakpoints=[HALF]
-        )
-        for pfx in [
-            prefix((0, 0), (HALF, 0)),
-            prefix((HALF, 0), (0, 0)),
-            prefix((HALF, 1), (0, 0)),
-            prefix((Fraction(1, 4), 0), (HALF, 0)),
-        ]:
-            if contains(a, pfx):
-                assert contains(raster, pfx)
 
 
 class TestEventJson:

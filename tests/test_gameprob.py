@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -316,6 +317,29 @@ class TestLevyStrategy:
         for pair in [(ZERO, 0), (HALF, 0), (HALF, 1), (HALF, 0)]:
             state = state.step(*pair)
         assert state.capital == 2
+
+    def test_steps_use_the_engine_solved_at_start(self, monkeypatch):
+        """Stepping reads the engine the start value carries; the event is never looked up again."""
+        from preqprob import gameprob
+
+        a, _ = counterexample_pair()
+        state = LevyStrategy.start(a, Fraction(3, 4))
+
+        def refuse(event):
+            raise AssertionError("the engine was looked up again")
+
+        monkeypatch.setattr(gameprob, "_engine", refuse)
+        for pair in [(HALF, 0), (ZERO, 0)]:
+            state = state.step(*pair)
+        assert state.capital == 2
+        assert state.conditional == ONE
+
+    def test_engine_is_left_out_of_equality(self):
+        a, _ = counterexample_pair()
+        first = LevyStrategy.start(a, Fraction(3, 4))
+        again = replace(first, engine=None)
+        assert first == again and hash(first) == hash(again)
+        assert "engine" not in repr(first)
 
     def test_threshold_must_be_interior(self):
         a, _ = counterexample_pair()

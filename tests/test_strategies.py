@@ -85,6 +85,16 @@ class TestCheckFarthingale:
         with pytest.raises(ValueError):
             check_farthingale(constant_table(1, ONE), "strict")
 
+    @pytest.mark.parametrize("mode", ["exact", "super"])
+    def test_root_only_table_holds(self, mode):
+        """A table with no partitions has no interior node, so nothing can fail."""
+        vf = ValueFunction.from_json('{"horizon": 0, "partitions": [], "values": {"": "1"}}')
+        assert check_farthingale(vf, mode) == (True, [])
+
+    def test_root_only_table_needs_its_root(self):
+        with pytest.raises(IncompleteTableError):
+            check_farthingale(ValueFunction(0, (), {}), "super")
+
 
 def reference_check(vf, mode):
     """check_farthingale as a plain loop: (1-p) v0 + p v1 at every endpoint of every cell."""
