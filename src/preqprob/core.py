@@ -24,6 +24,7 @@ PrequentialPrefix = tuple[tuple[Fraction, int], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_TWO_53 = float(2**53)  # random() returns multiples of 1 / 2^53
 
 # Largest horizon for which a forecasting-system table is materialized
 # (2^16 - 1 entries); rule-backed systems work at any horizon.
@@ -51,7 +52,7 @@ def as_fraction(value) -> Fraction:
 def check_forecast(p) -> Fraction:
     """Validate a forecast: an exact rational in [0, 1]."""
     p = as_fraction(p)
-    if not ZERO <= p <= ONE:
+    if not 0 <= p.numerator <= p.denominator:  # a Fraction's denominator is positive
         raise ValueError(f"forecast {p} outside [0, 1]")
     return p
 
@@ -141,18 +142,27 @@ def all_histories_below(horizon: int):
         level = [h + (y,) for h in level for y in (0, 1)]
 
 
+def _forecasts_along(phi: ForecastingSystem, omega) -> tuple[BinaryHistory, list[Fraction]]:
+    """The bits of ``omega`` and the forecasts phi(omega[:i]) for every i < len(omega).
+
+    The horizon and the outcome bits are checked once for the whole history;
+    every forecast the rule returns is still checked.
+    """
+    if len(omega) > phi.horizon:
+        raise HorizonError(f"history of length {len(omega)} exceeds horizon {phi.horizon}")
+    omega = tuple(check_outcome(y) for y in omega)
+    rule = phi._rule
+    return omega, [check_forecast(rule(omega[:i])) for i in range(len(omega))]
+
+
 def induced_path(phi: ForecastingSystem, omega: BinaryHistory) -> PrequentialPrefix:
     """Interleave the system's forecasts with the outcomes of ``omega``.
 
     Step i of the result is (phi(omega[:i-1]), omega[i]); the empty history
     maps to the empty prefix.
     """
-    if len(omega) > phi.horizon:
-        raise HorizonError(f"history of length {len(omega)} exceeds horizon {phi.horizon}")
-    steps = []
-    for i, y in enumerate(omega):
-        steps.append((phi.forecast(tuple(omega[:i])), check_outcome(y)))
-    return tuple(steps)
+    omega, forecasts = _forecasts_along(phi, omega)
+    return tuple(zip(forecasts, omega))
 
 
 def cylinder_probability(phi: ForecastingSystem, x: BinaryHistory) -> Fraction:
@@ -161,12 +171,10 @@ def cylinder_probability(phi: ForecastingSystem, x: BinaryHistory) -> Fraction:
     The empty history has probability 1; each further bit multiplies by the
     forecast (bit 1) or its complement (bit 0).
     """
-    if len(x) > phi.horizon:
-        raise HorizonError(f"history of length {len(x)} exceeds horizon {phi.horizon}")
+    x, forecasts = _forecasts_along(phi, x)
     prob = ONE
-    for i, y in enumerate(x):
-        p = phi.forecast(tuple(x[:i]))
-        prob *= p if check_outcome(y) == 1 else ONE - p
+    for p, y in zip(forecasts, x):
+        prob *= p if y == 1 else ONE - p
     return prob
 
 
@@ -174,15 +182,22 @@ def sample_outcomes(phi: ForecastingSystem, n: int, seed: int) -> BinaryHistory:
     """Draw an outcome history of length n from the system's measure.
 
     Deterministic: a Mersenne Twister generator is seeded with ``seed`` and one
-    uniform variate is drawn per step; the outcome is 1 iff the variate is
-    strictly below the forecast (compared exactly, so degenerate forecasts 0
-    and 1 give constant bits).  Identical (phi, n, seed) give identical output.
+    uniform variate x is drawn per step; the outcome is 1 iff x is strictly
+    below the forecast p, compared exactly, so degenerate forecasts 0 and 1
+    give constant bits.  The compare is on integers: ``random()`` returns
+    x = m / 2^53 exactly, so with p = a / b (b > 0)
+
+        Fraction(x) < p  <=>  m * b < a * 2^53,   m = int(x * 2^53).
+
+    Identical (phi, n, seed) give identical output.
     """
     if n > phi.horizon:
         raise HorizonError(f"cannot sample {n} outcomes at horizon {phi.horizon}")
     rng = random.Random(seed)
-    bits = []
+    rule = phi._rule
+    bits: BinaryHistory = ()
     for _ in range(n):
-        p = phi.forecast(tuple(bits))
-        bits.append(1 if Fraction(rng.random()) < p else 0)
-    return tuple(bits)
+        p = check_forecast(rule(bits))
+        m = int(rng.random() * _TWO_53)
+        bits += (1 if m * p.denominator < p.numerator << 53 else 0,)
+    return bits

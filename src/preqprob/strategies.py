@@ -24,7 +24,10 @@ non-negative martingale starting at v reaches C with probability at most v/C
 under the measure of the forecasting system being tested.  Strategies are
 certified before sampling by walking them over the system's whole outcome
 tree and checking the martingale identity exactly, so ad hoc capital inflation
-is refused rather than sampled.
+is refused rather than sampled.  That walk visits 2^(N+1) - 1 nodes, so both
+refuse horizons above ``MAX_TABLE_HORIZON`` before any strategy is built.
+Sampling then steps each outcome-tree node at most once per call: the value
+reached at a node is kept and shared by every later sample through it.
 
 A strategy is a frozen value with a ``capital`` attribute (a Fraction) and a
 pure ``step(p, y)`` that consumes one (forecast, outcome) pair, and nothing
@@ -38,12 +41,14 @@ replay a history from the root.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    MAX_TABLE_HORIZON,
     ONE,
     ZERO,
     ForecastingSystem,
@@ -282,7 +287,10 @@ def certify_strategy(strategy_factory, phi: ForecastingSystem) -> tuple[bool, li
     into its two children, and checks
     capital(x) == (1-phi(x)) capital(x0) + phi(x) capital(x1) together with
     non-negativity.  Returns (ok, violating histories), shortest first.
+    Horizons above ``MAX_TABLE_HORIZON`` raise HorizonError before the
+    factory is called.
     """
+    _check_walk_size(phi)
     violations = []
     level = [((), strategy_factory())]
     for depth in range(phi.horizon + 1):
@@ -301,6 +309,19 @@ def certify_strategy(strategy_factory, phi: ForecastingSystem) -> tuple[bool, li
     return not violations, violations
 
 
+def _check_walk_size(phi: ForecastingSystem) -> None:
+    """Refuse an outcome-tree walk of more than 2^(MAX_TABLE_HORIZON+1) - 1 nodes."""
+    if phi.horizon > MAX_TABLE_HORIZON:
+        raise HorizonError(
+            f"certifying a strategy at horizon {phi.horizon} walks "
+            f"{2 ** (phi.horizon + 1) - 1} outcome-tree nodes; limited to horizon {MAX_TABLE_HORIZON}"
+        )
+
+
+# Node mark in ``ville_check``: capital has reached the threshold here.
+_REACHED = object()
+
+
 @dataclass(frozen=True)
 class VilleResult:
     frequency: float
@@ -317,13 +338,22 @@ def ville_check(
 
     The strategy must pass exact certification under ``phi`` first; sampled
     streams then estimate the frequency of sup_n V >= C, reported against the
-    bound V(initial)/C with the slack 4 sqrt(bound / samples).
+    bound V(initial)/C with the slack 4 sqrt(bound / samples).  Horizons
+    above ``MAX_TABLE_HORIZON`` raise HorizonError before the factory is
+    called.
+
+    Each outcome-tree node is stepped at most once per call.  Nodes are
+    indexed level by level (the children of k are 2k+1 and 2k+2), and a dict
+    keeps each node's strategy value, or a mark once capital has reached the
+    threshold there; strategies are pure values, so a kept value equals a
+    replayed one.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     threshold = as_fraction(threshold)
     if threshold <= ZERO:
         raise ValueError("threshold must be positive")
+    _check_walk_size(phi)
     start = strategy_factory()
     ok, violations = certify_strategy(lambda: start, phi)
     if not ok:
@@ -331,17 +361,21 @@ def ville_check(
             f"strategy is not a non-negative martingale under the system "
             f"(first violation at history {violations[0]})"
         )
+    nodes = {0: _REACHED if start.capital >= threshold else start}
     hits = 0
     for i in range(samples):
         omega = sample_outcomes(phi, phi.horizon, seed + i)
-        strategy = start
-        peak = strategy.capital
+        node, value = 0, nodes[0]
         for p, y in induced_path(phi, omega):
-            strategy = strategy.step(p, y)
-            peak = max(peak, strategy.capital)
-            if peak >= threshold:
+            if value is _REACHED:
                 break
-        if peak >= threshold:
+            node = 2 * node + 1 + y
+            child = nodes.get(node)
+            if child is None:
+                child = value.step(p, y)
+                nodes[node] = child = _REACHED if child.capital >= threshold else child
+            value = child
+        if value is _REACHED:
             hits += 1
     bound = start.capital / threshold
     frequency = hits / samples
@@ -361,12 +395,13 @@ def parse_stream_csv(text: str) -> list[tuple[Fraction, int]]:
     rows = [row for row in reader if row]
     if not rows or [field.strip() for field in rows[0]] != ["p", "y"]:
         raise StreamFormatError('stream must start with the header "p,y"')
+    forecast = functools.cache(check_forecast)  # streams repeat a few forecast strings
     stream = []
     for index, row in enumerate(rows[1:], start=1):
         if len(row) != 2:
             raise StreamFormatError(f"row {index}: expected two fields, got {len(row)}")
         try:
-            p = check_forecast(row[0].strip())
+            p = forecast(row[0].strip())
             y = check_outcome(int(row[1].strip()))
         except ValueError as exc:
             raise StreamFormatError(f"row {index}: {exc}") from exc

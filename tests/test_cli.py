@@ -411,3 +411,12 @@ def test_malformed_input_is_one_line_input_error(capsys, tmp_path, argv, documen
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_ville_past_the_certification_limit_is_one_line_input_error(capsys):
+    """The 2^31 - 1 node certification walk at horizon 30 is refused before it starts."""
+    code, out, err = run(capsys, "ville", "-N", "30", "--samples", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "2147483647" in err
