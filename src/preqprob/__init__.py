@@ -35,6 +35,7 @@ from .events import (
 )
 from .gameprob import (
     LevyStrategy,
+    LiveSetBudgetError,
     ValueFunction,
     conditional_upper_probability,
     levy_strategy_step,

@@ -37,6 +37,8 @@ EXIT_REJECT = 3
 
 
 def _render(value):
+    if isinstance(value, str):  # most values, e.g. every entry of a witness table
+        return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, float):

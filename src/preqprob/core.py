@@ -5,6 +5,12 @@ a binary outcome.  Finite forecast/outcome sequences are tuples of
 ``(Fraction, int)`` pairs; finite outcome histories are tuples of ints.  The
 empty tuple is the root of both trees.
 
+A forecasting system is held in a stepping form: a start state for the
+empty history and ``expand(state) -> (forecast, state after 0, state after
+1)``.  Sampling, induced paths, cylinder weights and tables step that form
+from the root, one expand per node they visit, instead of computing each
+history's forecast anew.
+
 Everything here is exact: forecasts and probabilities are
 ``fractions.Fraction`` values, and all operations are pure.  Floating point
 enters the package only in Monte Carlo estimators and report output.
@@ -66,31 +72,52 @@ def check_outcome(y) -> int:
 class ForecastingSystem:
     """A rule assigning a forecast to every outcome history shorter than the horizon.
 
-    ``from_table`` takes exactly the 2^N - 1 histories of length < N; other
-    rules (``constant``, the measure engine's witness) compute each forecast,
-    so they work at any horizon until ``table`` or ``to_json`` lists them all.
+    Every system is held in one stepping form ``(start, expand)``.  A state
+    stands for an outcome history, ``start`` for the empty one, and
+    ``expand(state)`` returns the forecast after that history together with
+    the states after outcome 0 and after outcome 1.  The constructor wraps a
+    history rule into this form, with the history itself as the state;
+    ``stepping`` takes the form directly.  ``from_table`` keeps its forecasts
+    in level order, with the index as the state, and ``constant`` has one
+    state.  Walkers step from ``start`` and never replay a history from the
+    root: a path of length n costs n expands and a table of all histories
+    2^N - 1.  Every forecast ``expand`` hands out is checked to lie in [0, 1].
     """
 
     def __init__(self, horizon: int, rule: Callable[[BinaryHistory], Fraction]):
         if horizon < 1:
             raise ValueError("horizon must be a positive integer")
         self.horizon = horizon
-        self._rule = rule
+        self.start = ()
+        self._expand = lambda history: (rule(history), history + (0,), history + (1,))
+
+    @classmethod
+    def stepping(cls, horizon: int, start, expand: Callable) -> "ForecastingSystem":
+        """A system given by its stepping form: ``expand(state)`` is ``(forecast, state0, state1)``."""
+        system = cls(horizon, None)
+        system.start, system._expand = start, expand
+        return system
+
+    def expand(self, state) -> tuple:
+        """The checked forecast at ``state`` and the states after outcome 0 and outcome 1."""
+        p, after0, after1 = self._expand(state)
+        return check_forecast(p), after0, after1
 
     def forecast(self, history: BinaryHistory) -> Fraction:
-        """Forecast for the outcome following ``history``."""
+        """Forecast for the outcome following ``history``, stepped from the start."""
         if len(history) >= self.horizon:
             raise HorizonError(
                 f"history of length {len(history)} needs a forecast beyond horizon {self.horizon}"
             )
+        state = self.start
         for bit in history:
-            check_outcome(bit)
-        return check_forecast(self._rule(tuple(history)))
+            state = self._expand(state)[1 + check_outcome(bit)]
+        return self.expand(state)[0]
 
     @classmethod
     def constant(cls, p, horizon: int) -> "ForecastingSystem":
         p = check_forecast(p)
-        return cls(horizon, lambda _h: p)
+        return cls.stepping(horizon, None, lambda state: (p, state, state))
 
     @classmethod
     def from_table(cls, table: Mapping[BinaryHistory, Fraction], horizon: int) -> "ForecastingSystem":
@@ -98,23 +125,39 @@ class ForecastingSystem:
         if horizon > MAX_TABLE_HORIZON:
             raise HorizonError(f"table form limited to horizon {MAX_TABLE_HORIZON}")
         try:
-            fixed = {h: check_forecast(table[h]) for h in all_histories_below(horizon)}
+            # Level order: the children of the history at index k are at 2k+1 and 2k+2.
+            forecasts = [check_forecast(table[h]) for h in all_histories_below(horizon)]
         except KeyError as exc:
             raise ValueError(f"table missing history {exc.args[0]}") from None
-        if len(table) != len(fixed):  # every history is present, so the rest are extra
-            raise ValueError(f"table has {len(table) - len(fixed)} keys that are not histories")
-        return cls(horizon, fixed.__getitem__)
+        if len(table) != len(forecasts):  # every history is present, so the rest are extra
+            raise ValueError(f"table has {len(table) - len(forecasts)} keys that are not histories")
+        return cls.stepping(horizon, 0, lambda k: (forecasts[k], 2 * k + 1, 2 * k + 2))
 
     def table(self) -> dict:
         """Materialize the total table (guarded by MAX_TABLE_HORIZON)."""
-        if self.horizon > MAX_TABLE_HORIZON:
-            raise HorizonError(f"refusing to materialize table at horizon {self.horizon}")
-        return {h: check_forecast(self._rule(h)) for h in all_histories_below(self.horizon)}
+        return dict(self._levels((), (0,), (1,)))
 
     def to_doc(self) -> dict:
         """The JSON document of the table, its bit-string keys in sorted order."""
-        table = sorted(("".join(map(str, h)), str(p)) for h, p in self.table().items())
+        table = sorted((key, str(p)) for key, p in self._levels("", "0", "1"))
         return {"horizon": self.horizon, "table": dict(table)}
+
+    def _levels(self, root, zero, one):
+        """Yield ``(key, forecast)`` for every history below the horizon, level by level.
+
+        The empty history's key is ``root`` and a child's key is its parent's
+        plus ``zero`` or ``one``; each history is expanded once.
+        """
+        if self.horizon > MAX_TABLE_HORIZON:
+            raise HorizonError(f"refusing to materialize table at horizon {self.horizon}")
+        level = [(root, self.start)]
+        for _ in range(self.horizon):
+            children = []
+            for key, state in level:
+                p, after0, after1 = self.expand(state)
+                yield key, p
+                children += ((key + zero, after0), (key + one, after1))
+            level = children
 
     def to_json(self) -> str:
         return json.dumps(self.to_doc(), sort_keys=True)
@@ -146,13 +189,18 @@ def _forecasts_along(phi: ForecastingSystem, omega) -> tuple[BinaryHistory, list
     """The bits of ``omega`` and the forecasts phi(omega[:i]) for every i < len(omega).
 
     The horizon and the outcome bits are checked once for the whole history;
-    every forecast the rule returns is still checked.
+    the system is stepped along it, one expand per bit.
     """
     if len(omega) > phi.horizon:
         raise HorizonError(f"history of length {len(omega)} exceeds horizon {phi.horizon}")
     omega = tuple(check_outcome(y) for y in omega)
-    rule = phi._rule
-    return omega, [check_forecast(rule(omega[:i])) for i in range(len(omega))]
+    forecasts = []
+    state = phi.start
+    for y in omega:
+        p, after0, after1 = phi.expand(state)
+        forecasts.append(p)
+        state = after1 if y else after0
+    return omega, forecasts
 
 
 def induced_path(phi: ForecastingSystem, omega: BinaryHistory) -> PrequentialPrefix:
@@ -189,15 +237,20 @@ def sample_outcomes(phi: ForecastingSystem, n: int, seed: int) -> BinaryHistory:
 
         Fraction(x) < p  <=>  m * b < a * 2^53,   m = int(x * 2^53).
 
+    The system is stepped along the drawn bits, one expand per step.
     Identical (phi, n, seed) give identical output.
     """
     if n > phi.horizon:
         raise HorizonError(f"cannot sample {n} outcomes at horizon {phi.horizon}")
     rng = random.Random(seed)
-    rule = phi._rule
-    bits: BinaryHistory = ()
+    state = phi.start
+    bits = []
     for _ in range(n):
-        p = check_forecast(rule(bits))
-        m = int(rng.random() * _TWO_53)
-        bits += (1 if m * p.denominator < p.numerator << 53 else 0,)
-    return bits
+        p, after0, after1 = phi.expand(state)
+        if int(rng.random() * _TWO_53) * p.denominator < p.numerator << 53:
+            bits.append(1)
+            state = after1
+        else:
+            bits.append(0)
+            state = after0
+    return tuple(bits)

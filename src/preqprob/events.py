@@ -9,10 +9,17 @@ only closed constraints are admitted.
 The forecast axis of each step is cut into a partition of maximal intervals on
 which every box's interval test is constant.  Those cells are the columns of
 the partition-refined game tree used by the backward-induction engines.
+
+Long events repeat steps: ``event_from_json`` builds one ``StepConstraint``
+per distinct raw step and shares it, and ``per_distinct_step`` sets up a
+step (its partition, an engine's masks) once per distinct column of box
+steps, keyed on the identity of those shared objects.  An event hashes each
+distinct step object once and keeps its hash.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,6 +99,20 @@ class EventUnion:
                     f"box horizon {box.horizon} != event horizon {self.horizon}"
                 )
 
+    @functools.cached_property
+    def _hash(self) -> int:
+        # A function of the step values, so equal events hash equal; each
+        # distinct step object is hashed once, since boxes share the
+        # constraint of identical steps (see event_from_json).
+        steps = {id(step): step for box in self.boxes for step in box.steps}
+        hashes = {key: hash(step) for key, step in steps.items()}
+        rows = tuple(tuple(hashes[id(step)] for step in box.steps) for box in self.boxes)
+        return hash((self.horizon, rows))
+
+    def __hash__(self) -> int:
+        # Computed once per event: the game engine's cache hashes it on every call.
+        return self._hash
+
     @classmethod
     def from_points(cls, horizon: int, points) -> "EventUnion":
         return cls(horizon, tuple(Box.from_point(pt) for pt in points))
@@ -102,8 +123,7 @@ class EventUnion:
 
     @classmethod
     def full(cls, horizon: int) -> "EventUnion":
-        one_box = Box(tuple(StepConstraint(ZERO, ONE, WILDCARD) for _ in range(horizon)))
-        return cls(horizon, (one_box,))
+        return cls(horizon, (Box((StepConstraint(ZERO, ONE, WILDCARD),) * horizon),))
 
 
 def contains(event: EventUnion, prefix: PrequentialPrefix) -> bool:
@@ -266,8 +286,25 @@ def forecast_partition(event: EventUnion, step: int) -> ForecastPartition:
     return ForecastPartition(pieces.breakpoints, tuple(merged))
 
 
+def per_distinct_step(event: EventUnion, build) -> tuple:
+    """``build(depth)`` for every step (0-based), called once per distinct column of box steps.
+
+    A step whose boxes hold the very same ``StepConstraint`` objects as an
+    earlier step's reuses that step's result; ``event_from_json`` shares the
+    constraint of identical raw steps, so a repeated step is set up once.
+    The columns are keyed on object identity, so no Fraction is hashed.
+    """
+    first: dict = {}
+    built: list = []
+    for depth in range(event.horizon):
+        j = first.setdefault(tuple(id(box.steps[depth]) for box in event.boxes), depth)
+        built.append(built[j] if j < depth else build(depth))
+    return tuple(built)
+
+
 def event_partitions(event: EventUnion) -> tuple[ForecastPartition, ...]:
-    return tuple(forecast_partition(event, i) for i in range(1, event.horizon + 1))
+    """Every step's forecast partition, built once per distinct column of box steps."""
+    return per_distinct_step(event, lambda depth: forecast_partition(event, depth + 1))
 
 
 def counterexample_pair() -> tuple[EventUnion, EventUnion]:
@@ -302,17 +339,30 @@ def event_to_json(event: EventUnion) -> str:
 
 
 def event_from_json(text: str) -> EventUnion:
+    """Parse an event document; identical raw steps share one ``StepConstraint``.
+
+    Only steps whose bounds are both strings are shared: a key must not let a
+    float such as 1.0, which ``as_fraction`` refuses, match the key of 1.
+    """
     doc = json.loads(text)
+    shared: dict = {}  # (lo, hi, y) as written -> the step built from them
     try:
         horizon = int(doc["horizon"])
         boxes = []
         for box_doc in doc.get("boxes", []):
             steps = []
             for step_doc in box_doc["steps"]:
-                lo, hi = (as_fraction(v) for v in step_doc["p"])
-                y_raw = step_doc.get("y", "*")
-                y = WILDCARD if y_raw == "*" else check_outcome(int(y_raw))
-                steps.append(StepConstraint(lo, hi, y))
+                p, y_raw = step_doc["p"], step_doc.get("y", "*")
+                plain = type(p) is list and len(p) == 2 and type(y_raw) in (str, int)
+                key = (p[0], p[1], y_raw) if plain and type(p[0]) is type(p[1]) is str else None
+                step = shared.get(key)
+                if step is None:
+                    lo, hi = (as_fraction(v) for v in p)
+                    y = WILDCARD if y_raw == "*" else check_outcome(int(y_raw))
+                    step = StepConstraint(lo, hi, y)
+                    if key is not None:
+                        shared[key] = step
+                steps.append(step)
             boxes.append(Box(tuple(steps)))
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed event document: {exc}") from exc

@@ -21,11 +21,15 @@ The value at a node depends on the prefix only through the set of boxes still
 consistent with it, its live-set, kept as an ``int`` bitmask (bit i for box
 i).  Every box test is constant on a cell, so the engine precomputes, once
 per event, one pair of masks per step and cell: the boxes accepting the cell's
-forecasts with outcome 0 and with outcome 1.  The live-sets of a node's
-children are then ``live & mask``, with no rational comparison.  The
+forecasts with outcome 0 and with outcome 1; steps whose box constraints
+repeat an earlier step's share its partition and masks.  The live-sets of a
+node's children are then ``live & mask``, with no rational comparison.  The
 induction runs level by level, without recursion: a forward pass collects
 the live-sets reachable at each depth, and a backward pass fills in their
-values, so long horizons need no deep stack.  Cells that lead to the same
+values, so long horizons need no deep stack.  The forward pass counts the
+(depth, live-set) pairs it reaches and refuses an event past
+``LIVE_SET_BUDGET`` with ``LiveSetBudgetError`` (an input error), because
+the count can double with every box.  Cells that lead to the same
 two children share one linear objective, so each such group is evaluated
 once, at its outermost endpoints.  The empty live-set has value zero.  All
 operations are pure and the exact arithmetic makes results independent of
@@ -52,9 +56,18 @@ from .events import (
     EventUnion,
     ForecastPartition,
     event_partitions,
+    per_distinct_step,
 )
 
 CellPath = tuple[tuple[int, int], ...]
+
+# Most (depth, live-set) pairs the game engine's forward pass may reach; the
+# count can double with every box, so it is checked as the pass goes.
+LIVE_SET_BUDGET = 300_000
+
+
+class LiveSetBudgetError(ValueError):
+    """An event's game tree reaches more live-sets than ``LIVE_SET_BUDGET``."""
 
 
 def cell_tree(partitions, root, children):
@@ -204,9 +217,8 @@ class _GameEngine:
     def __init__(self, event: EventUnion):
         self.event = event
         self.partitions = event_partitions(event)
-        self.masks = tuple(
-            self._step_masks(depth, partition)
-            for depth, partition in enumerate(self.partitions)
+        self.masks = per_distinct_step(
+            event, lambda depth: self._step_masks(depth, self.partitions[depth])
         )
         self._values = self._solve()
 
@@ -229,9 +241,20 @@ class _GameEngine:
         """Collect the reachable live-sets going forward, then fill in values going back."""
         horizon = self.event.horizon
         levels = [{self.all_live()} - {0}]
+        count = len(levels[0])
         for depth in range(horizon):
-            reached = {live & m for live in levels[depth] for pair in self.masks[depth] for m in pair}
+            step = [m for pair in self.masks[depth] for m in pair]
+            # Holding 0 from the start, len(reached) - 1 counts the non-empty live-sets.
+            reached = {0}
+            for live in levels[depth]:
+                reached.update([live & m for m in step])
+                if count + len(reached) - 1 > LIVE_SET_BUDGET:
+                    raise LiveSetBudgetError(
+                        f"the game engine reaches more than {LIVE_SET_BUDGET} (depth, live-set) "
+                        f"pairs by step {depth + 1} of {horizon}; too many overlapping boxes"
+                    )
             reached.discard(0)
+            count += len(reached)
             levels.append(reached)
         below = dict.fromkeys(levels[horizon], ONE)
         below[0] = ZERO
@@ -250,19 +273,20 @@ class _GameEngine:
                 for m0, m1, lo, hi in cells:
                     children = (live & m0, live & m1)
                     ends[children] = (ends.get(children, (lo,))[0], hi)
-                best = ZERO
+                # Every candidate is a convex combination of values in [0, 1],
+                # so the largest one is the node value.
+                candidates = []
                 for (c0, c1), (lo, hi) in ends.items():
-                    v0 = below[c0]
-                    v1 = below[c1]
-                    if v1 > v0:
-                        candidate = v0 + hi * (v1 - v0)
+                    v0, v1 = below[c0], below[c1]
+                    if v1 is v0:  # among others, every group whose two children coincide
+                        candidates.append(v0)
+                    elif v1 > v0:
+                        candidates.append(v0 + hi * (v1 - v0))
                     elif v1 < v0:
-                        candidate = v0 + lo * (v1 - v0)
+                        candidates.append(v0 + lo * (v1 - v0))
                     else:
-                        candidate = v0
-                    if candidate > best:
-                        best = candidate
-                here[live] = best
+                        candidates.append(v0)
+                here[live] = max(candidates)
             values.append(here)
             below = here
         values.reverse()

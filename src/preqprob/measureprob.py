@@ -17,9 +17,12 @@ consistent with a history form its live-set, an ``int`` bitmask (bit i for
 box i); the program is memoized on (depth, live-set).  Once per event it
 precomputes, per step and candidate forecast, the masks of the boxes that
 accept that forecast with outcome 0 and with outcome 1, so the live-sets
-after a step are ``live & mask``.  The memo is the witness: it follows the
-memoized maximizers along a history, and is a table only when written.
-The masks come from this module's own interval tests, and the
+after a step are ``live & mask``; steps whose box constraints repeat an
+earlier step's share its candidates and masks.  The memo is the witness: a
+forecasting system in stepping form whose state is (depth, live-set), where
+one step reads the memoized maximizer and its two masks.  A path of n steps
+costs n memo lookups, the table of all histories 2^N - 1, and it is a table
+only when written.  The masks come from this module's own interval tests, and the
 engine shares no code with the game-theoretic engine in ``gameprob``; the
 equality of the two roots on every box union is the coincidence theorem the
 test suite verifies rather than assumes.
@@ -39,7 +42,6 @@ from .core import (
     MAX_TABLE_HORIZON,
     ONE,
     ZERO,
-    BinaryHistory,
     ForecastingSystem,
     HorizonError,
     all_histories_below,
@@ -47,7 +49,7 @@ from .core import (
     induced_path,
     sample_outcomes,
 )
-from .events import WILDCARD, ArityError, EventUnion, contains
+from .events import WILDCARD, ArityError, EventUnion, contains, per_distinct_step
 
 # Refuse grid enumerations beyond this many forecasting systems.
 GRID_ENUMERATION_LIMIT = 10**7
@@ -60,8 +62,9 @@ class EnumerationLimitError(RuntimeError):
 def exact_event_probability(phi: ForecastingSystem, event: EventUnion) -> Fraction:
     """Exact probability that the induced path lies in the event.
 
-    Tree recursion over outcome histories; branches no box can accept are
-    pruned with their whole cylinder weight dropped.
+    Tree recursion over outcome histories, stepping the system into each
+    child; branches no box can accept are pruned with their whole cylinder
+    weight dropped.
     """
     if phi.horizon < event.horizon:
         raise ArityError(
@@ -69,22 +72,21 @@ def exact_event_probability(phi: ForecastingSystem, event: EventUnion) -> Fracti
         )
     boxes = event.boxes
 
-    def walk(history: BinaryHistory, live: tuple) -> Fraction:
+    def walk(depth: int, state, live: tuple) -> Fraction:
         if not live:
             return ZERO
-        if len(history) == event.horizon:
+        if depth == event.horizon:
             return ONE
-        depth = len(history)
-        p = phi.forecast(history)
+        p, after0, after1 = phi.expand(state)
         total = ZERO
-        for y, weight in ((0, ONE - p), (1, p)):
+        for y, weight, after in ((0, ONE - p, after0), (1, p, after1)):
             if weight == ZERO:
                 continue
             surviving = tuple(i for i in live if boxes[i].steps[depth].accepts(p, y))
-            total += weight * walk(history + (y,), surviving)
+            total += weight * walk(depth + 1, after, surviving)
         return total
 
-    return walk((), tuple(range(len(boxes))))
+    return walk(0, phi.start, tuple(range(len(boxes))))
 
 
 def _forecast_candidates(event: EventUnion, depth: int) -> tuple:
@@ -101,30 +103,35 @@ def measure_upper_probability(event: EventUnion) -> tuple[Fraction, ForecastingS
 
     Returns the exact maximum and a witness system attaining it: the smallest
     maximizing forecast after a history, read from the memo at its live-set.
+    The witness is in stepping form with state (depth, live-set), so each
+    step is one memo lookup.
     """
     horizon = event.horizon
     if horizon > MAX_TABLE_HORIZON:
         # ``value`` prints the witness as a table over all 2^N histories, and
         # ``best`` recurses once per step; refuse before any work.
         raise HorizonError(f"table form limited to horizon {MAX_TABLE_HORIZON}")
-    candidates = [_forecast_candidates(event, depth) for depth in range(horizon)]
-    # accepts[depth][j]: bitmasks of the boxes accepting (candidates[depth][j], 0) and (..., 1).
-    accepts = []
-    for depth in range(horizon):
+    # Steps whose box constraints repeat an earlier step's share its candidates and masks.
+    candidates = per_distinct_step(event, lambda depth: _forecast_candidates(event, depth))
+
+    def step_masks(depth: int) -> list:
+        points = candidates[depth]
         steps = [box.steps[depth] for box in event.boxes]
         by_bit = [
             sum(1 << i for i, step in enumerate(steps) if step.y is WILDCARD or step.y == y)
             for y in (0, 1)
         ]
         # The candidates are sorted, so those in [p_lo, p_hi] form one run.
-        inside = [0] * len(candidates[depth])
+        inside = [0] * len(points)
         for i, step in enumerate(steps):
             for j in range(
-                bisect.bisect_left(candidates[depth], step.p_lo),
-                bisect.bisect_right(candidates[depth], step.p_hi),
+                bisect.bisect_left(points, step.p_lo), bisect.bisect_right(points, step.p_hi)
             ):
                 inside[j] |= 1 << i
-        accepts.append([(m & by_bit[0], m & by_bit[1]) for m in inside])
+        return [(m & by_bit[0], m & by_bit[1]) for m in inside]
+
+    # accepts[depth][j]: bitmasks of the boxes accepting (candidates[depth][j], 0) and (..., 1).
+    accepts = per_distinct_step(event, step_masks)
     memo: list[dict] = [{} for _ in range(horizon)]
 
     def best(depth: int, live: int) -> tuple[Fraction, int]:
@@ -152,16 +159,15 @@ def measure_upper_probability(event: EventUnion) -> tuple[Fraction, ForecastingS
     root = (1 << len(event.boxes)) - 1
     value = best(0, root)[0]
 
-    def rule(history: BinaryHistory) -> Fraction:
+    def expand(state: tuple) -> tuple:
         # best() evaluated both children of every winner (both are 0 when no box
-        # survived), so this walk only reads the memo.
-        live = root
-        for depth, y in enumerate(history):
-            live &= accepts[depth][best(depth, live)[1]][y]
-        depth = len(history)
-        return candidates[depth][best(depth, live)[1]]
+        # survived), so stepping only reads the memo.
+        depth, live = state
+        j = best(depth, live)[1]
+        m0, m1 = accepts[depth][j]
+        return candidates[depth][j], (depth + 1, live & m0), (depth + 1, live & m1)
 
-    return value, ForecastingSystem(horizon, rule)
+    return value, ForecastingSystem.stepping(horizon, (0, root), expand)
 
 
 def grid_bruteforce(event: EventUnion, k: int) -> Fraction:

@@ -153,13 +153,16 @@ class CalibrationState:
             raise ValueError("horizon must be a positive integer")
         if self.threshold_c <= ZERO:
             raise ValueError("threshold must be positive")
-        if abs(self.bias) > self.n or not ZERO <= self.spread <= Fraction(self.n, 4):
+        # |bias| <= n and 0 <= spread <= n/4, compared as integers (denominators are positive).
+        bias, spread = self.bias, self.spread
+        if abs(bias.numerator) > self.n * bias.denominator or not (
+            0 <= 4 * spread.numerator <= self.n * spread.denominator
+        ):
             raise ValueError("inconsistent calibration sums")
 
     @property
     def capital(self) -> Fraction:
-        n_quarter = Fraction(self.horizon, 4)
-        scale = self.threshold_c**2 * self.horizon + n_quarter
+        n_quarter, scale = _capital_terms(self.horizon, self.threshold_c)
         return (self.bias**2 - self.spread + n_quarter) / scale
 
     def step(self, p, y) -> "CalibrationState":
@@ -177,6 +180,13 @@ class CalibrationState:
 
 
 CalibrationStrategy = CalibrationState
+
+
+@functools.lru_cache(maxsize=64)
+def _capital_terms(horizon: int, threshold_c: Fraction) -> tuple[Fraction, Fraction]:
+    """N/4 and the capital scale C^2 N + N/4, the same at every step of a test."""
+    n_quarter = Fraction(horizon, 4)
+    return n_quarter, threshold_c**2 * horizon + n_quarter
 
 
 def calibration_step(state: CalibrationState, step) -> tuple[CalibrationState, Fraction]:
@@ -201,9 +211,8 @@ def calibration_verdict(state: CalibrationState) -> CalibrationVerdict:
     if state.n != state.horizon:
         raise ValueError(f"verdict needs all {state.horizon} steps, have {state.n}")
     reject = state.bias**2 >= state.threshold_c**2 * state.horizon
-    ratio = (state.bias**2 - state.spread + Fraction(state.horizon, 4)) / Fraction(
-        state.horizon, 4
-    )
+    n_quarter = _capital_terms(state.horizon, state.threshold_c)[0]
+    ratio = (state.bias**2 - state.spread + n_quarter) / n_quarter
     return CalibrationVerdict(reject=reject, ratio=ratio, bias=state.bias)
 
 
@@ -284,7 +293,7 @@ def certify_strategy(strategy_factory, phi: ForecastingSystem) -> tuple[bool, li
     """Exact martingale certification of a strategy under a forecasting system.
 
     Walks the outcome tree level by level, stepping each node's strategy value
-    into its two children, and checks
+    and the system's state into its two children, and checks
     capital(x) == (1-phi(x)) capital(x0) + phi(x) capital(x1) together with
     non-negativity.  Returns (ok, violating histories), shortest first.
     Horizons above ``MAX_TABLE_HORIZON`` raise HorizonError before the
@@ -292,16 +301,16 @@ def certify_strategy(strategy_factory, phi: ForecastingSystem) -> tuple[bool, li
     """
     _check_walk_size(phi)
     violations = []
-    level = [((), strategy_factory())]
+    level = [((), phi.start, strategy_factory())]
     for depth in range(phi.horizon + 1):
         children = []
-        for history, strategy in level:
+        for history, state, strategy in level:
             value = strategy.capital
             bad = value < ZERO
             if depth < phi.horizon:
-                p = phi.forecast(history)
+                p, after0, after1 = phi.expand(state)
                 s0, s1 = strategy.step(p, 0), strategy.step(p, 1)
-                children += [(history + (0,), s0), (history + (1,), s1)]
+                children += [(history + (0,), after0, s0), (history + (1,), after1, s1)]
                 bad = bad or value != (ONE - p) * s0.capital + p * s1.capital
             if bad:
                 violations.append(history)

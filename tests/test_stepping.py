@@ -1,0 +1,150 @@
+"""The stepping form of forecasting systems: one expand per node, checks kept in every walker."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from preqprob.core import (
+    ForecastingSystem,
+    HorizonError,
+    all_histories_below,
+    cylinder_probability,
+    induced_path,
+    sample_outcomes,
+)
+from preqprob.events import EventUnion
+from preqprob.measureprob import (
+    exact_event_probability,
+    measure_upper_probability,
+    monte_carlo_probability,
+)
+from preqprob.randgen import random_event, random_forecasting_system
+from preqprob.strategies import ConstantStrategy, certify_strategy, ville_check
+
+HALF = Fraction(1, 2)
+BAD = Fraction(3, 2)
+
+
+@pytest.fixture()
+def expand_calls(monkeypatch):
+    """Count calls of ``ForecastingSystem.expand``, the one step every walker takes."""
+    calls = []
+    expand = ForecastingSystem.expand
+
+    def counting(self, state):
+        calls.append(state)
+        return expand(self, state)
+
+    monkeypatch.setattr(ForecastingSystem, "expand", counting)
+    return calls
+
+
+def reference_doc(phi):
+    """The table document built by asking ``forecast`` at each history separately."""
+    table = {
+        "".join(map(str, h)): str(phi.forecast(h)) for h in all_histories_below(phi.horizon)
+    }
+    return {"horizon": phi.horizon, "table": dict(sorted(table.items()))}
+
+
+def test_witness_doc_equals_the_per_history_reference():
+    rng = random.Random(808)
+    for _ in range(30):
+        event = random_event(rng, max_horizon=7, max_boxes=4)
+        witness = measure_upper_probability(event)[1]
+        doc = witness.to_doc()
+        assert doc == reference_doc(witness)
+        assert list(doc["table"]) == sorted(doc["table"])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_witness_table_expands_each_history_once(expand_calls, seed):
+    rng = random.Random(seed)
+    event = random_event(rng, horizon=rng.randint(1, 10), max_boxes=4)
+    witness = measure_upper_probability(event)[1]
+    expand_calls.clear()
+    witness.to_doc()
+    assert len(expand_calls) == 2**event.horizon - 1
+    expand_calls.clear()
+    assert len(witness.table()) == 2**event.horizon - 1
+    assert len(expand_calls) == 2**event.horizon - 1
+
+
+def test_paths_of_a_horizon_16_witness_expand_once_per_step(expand_calls):
+    event = random_event(random.Random(16), horizon=16, max_boxes=3)
+    witness = measure_upper_probability(event)[1]
+    for seed in range(5):
+        expand_calls.clear()
+        omega = sample_outcomes(witness, 16, seed)
+        assert len(expand_calls) == 16
+        expand_calls.clear()
+        path = induced_path(witness, omega)
+        assert len(expand_calls) == 16
+        assert [p for p, _ in path] == [witness.forecast(omega[:i]) for i in range(16)]
+
+
+def test_tabled_and_constant_systems_step_without_histories():
+    phi = random_forecasting_system(random.Random(5), 4)
+    table = phi.table()
+    assert list(table) == list(all_histories_below(4))
+    rebuilt = ForecastingSystem.from_table(table, 4)
+    for h in all_histories_below(4):
+        assert rebuilt.forecast(h) == table[h]
+    constant = ForecastingSystem.constant(HALF, 40)
+    assert constant.start is None and constant.expand(None) == (HALF, None, None)
+
+
+def test_stepping_constructor_matches_the_history_rule():
+    def rule(h):
+        return Fraction(1 + sum(h), 2 + len(h))
+
+    by_history = ForecastingSystem(5, rule)
+    # State (ones, length) carries exactly what the rule reads.
+    stepped = ForecastingSystem.stepping(
+        5, (0, 0), lambda s: (Fraction(1 + s[0], 2 + s[1]), (s[0], s[1] + 1), (s[0] + 1, s[1] + 1))
+    )
+    assert stepped.table() == by_history.table()
+    assert stepped.to_json() == by_history.to_json()
+    for seed in range(20):
+        omega = sample_outcomes(stepped, 5, seed)
+        assert omega == sample_outcomes(by_history, 5, seed)
+        assert cylinder_probability(stepped, omega) == cylinder_probability(by_history, omega)
+
+
+def history_rule(depth):
+    return ForecastingSystem(3, lambda h: BAD if len(h) == depth else HALF)
+
+
+def stepped_rule(depth):
+    return ForecastingSystem.stepping(3, 0, lambda d: (BAD if d == depth else HALF, d + 1, d + 1))
+
+
+WALKERS = {
+    "forecast": lambda phi: [phi.forecast(h) for h in ((), (1,), (1, 0))],
+    "table": lambda phi: phi.table(),
+    "to_doc": lambda phi: phi.to_doc(),
+    "sample_outcomes": lambda phi: sample_outcomes(phi, 3, 0),
+    "induced_path": lambda phi: induced_path(phi, (0, 1, 1)),
+    "cylinder_probability": lambda phi: cylinder_probability(phi, (1, 1, 0)),
+    "certify_strategy": lambda phi: certify_strategy(ConstantStrategy, phi),
+    "ville_check": lambda phi: ville_check(phi, ConstantStrategy, 4, 1, 0),
+    "exact_event_probability": lambda phi: exact_event_probability(phi, EventUnion.full(3)),
+    "monte_carlo_probability": lambda phi: monte_carlo_probability(phi, EventUnion.full(3), 1, 0),
+}
+
+
+@pytest.mark.parametrize("make", [history_rule, stepped_rule], ids=["history-rule", "stepping"])
+@pytest.mark.parametrize("walker", sorted(WALKERS))
+def test_forecast_outside_unit_interval_is_refused_by_every_walker(make, walker):
+    for depth in (0, 2):
+        with pytest.raises(ValueError, match="outside"):
+            WALKERS[walker](make(depth))
+
+
+def test_forecast_still_checks_the_history():
+    phi = ForecastingSystem.constant(HALF, 3)
+    with pytest.raises(HorizonError):
+        phi.forecast((0, 0, 0))
+    with pytest.raises(ValueError, match="outcome"):
+        phi.forecast((0, 2))
