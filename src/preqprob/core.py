@@ -11,6 +11,10 @@ empty history and ``expand(state) -> (forecast, state after 0, state after
 from the root, one expand per node they visit, instead of computing each
 history's forecast anew.
 
+The outcome tree is indexed in level order (``history_at``): the children of
+k are 2k+1 and 2k+2.  ``check_walk`` holds every tree walked node by node to
+one budget, checked first: 131,071 nodes, the outcome tree at horizon 16.
+
 Everything here is exact: forecasts and probabilities are
 ``fractions.Fraction`` values, and all operations are pure.  Floating point
 enters the package only in Monte Carlo estimators and report output.
@@ -32,13 +36,37 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 _TWO_53 = float(2**53)  # random() returns multiples of 1 / 2^53
 
-# Largest horizon for which a forecasting-system table is materialized
-# (2^16 - 1 entries); rule-backed systems work at any horizon.
+# Largest horizon whose outcome tree is materialized; ``check_walk`` derives
+# the node budget from it.  Rule-backed systems work at any horizon.
 MAX_TABLE_HORIZON = 16
 
 
 class HorizonError(ValueError):
     """A history, prefix or step index exceeds the relevant horizon."""
+
+
+def check_walk(nodes: int, what: str) -> None:
+    """Refuse, before any work, a walk of more nodes than the outcome tree at MAX_TABLE_HORIZON."""
+    if nodes > 2 ** (MAX_TABLE_HORIZON + 1) - 1:
+        count = nodes if nodes.bit_length() <= 64 else f"more than 2^{nodes.bit_length() - 1}"
+        raise HorizonError(f"{what} has {count} nodes; table form limited to horizon {MAX_TABLE_HORIZON}")
+
+
+def outcome_tree_nodes(horizon: int) -> int:
+    """2^(horizon+1) - 1, capped where ``check_walk`` stops naming counts exactly."""
+    return 2 ** (min(horizon, 64) + 1) - 1
+
+
+def history_at(k: int) -> BinaryHistory:
+    """The history at index k of the outcome tree in level order: the bits of k+1 after its leading 1."""
+    return tuple(map(int, bin(k + 1)[3:]))
+
+
+def as_int(value, what: str) -> int:
+    """An integer field of a document: an int, or a string ``int`` reads; floats and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def as_fraction(value) -> Fraction:
@@ -122,10 +150,9 @@ class ForecastingSystem:
     @classmethod
     def from_table(cls, table: Mapping[BinaryHistory, Fraction], horizon: int) -> "ForecastingSystem":
         """Build from a table holding exactly the histories of length < horizon."""
-        if horizon > MAX_TABLE_HORIZON:
-            raise HorizonError(f"table form limited to horizon {MAX_TABLE_HORIZON}")
+        check_walk(outcome_tree_nodes(horizon), f"a table at horizon {horizon}")
         try:
-            # Level order: the children of the history at index k are at 2k+1 and 2k+2.
+            # Indexed as in ``history_at``: the children of k are at 2k+1 and 2k+2.
             forecasts = [check_forecast(table[h]) for h in all_histories_below(horizon)]
         except KeyError as exc:
             raise ValueError(f"table missing history {exc.args[0]}") from None
@@ -133,31 +160,25 @@ class ForecastingSystem:
             raise ValueError(f"table has {len(table) - len(forecasts)} keys that are not histories")
         return cls.stepping(horizon, 0, lambda k: (forecasts[k], 2 * k + 1, 2 * k + 2))
 
+    def forecasts(self) -> list:
+        """Every history's forecast, in ``history_at`` order: 2^N - 1 expands, one per history."""
+        check_walk(outcome_tree_nodes(self.horizon), f"the outcome tree at horizon {self.horizon}")
+        states, forecasts = [self.start], []
+        for k in range(2**self.horizon - 1):
+            p, after0, after1 = self.expand(states[k])
+            forecasts.append(p)
+            states += (after0, after1)
+        return forecasts
+
     def table(self) -> dict:
-        """Materialize the total table (guarded by MAX_TABLE_HORIZON)."""
-        return dict(self._levels((), (0,), (1,)))
+        """Materialize the total table."""
+        return {history_at(k): p for k, p in enumerate(self.forecasts())}
 
     def to_doc(self) -> dict:
         """The JSON document of the table, its bit-string keys in sorted order."""
-        table = sorted((key, str(p)) for key, p in self._levels("", "0", "1"))
+        # The key of history_at(k) is its bit string, the binary form of k+1 after the leading 1.
+        table = sorted((bin(k)[3:], str(p)) for k, p in enumerate(self.forecasts(), start=1))
         return {"horizon": self.horizon, "table": dict(table)}
-
-    def _levels(self, root, zero, one):
-        """Yield ``(key, forecast)`` for every history below the horizon, level by level.
-
-        The empty history's key is ``root`` and a child's key is its parent's
-        plus ``zero`` or ``one``; each history is expanded once.
-        """
-        if self.horizon > MAX_TABLE_HORIZON:
-            raise HorizonError(f"refusing to materialize table at horizon {self.horizon}")
-        level = [(root, self.start)]
-        for _ in range(self.horizon):
-            children = []
-            for key, state in level:
-                p, after0, after1 = self.expand(state)
-                yield key, p
-                children += ((key + zero, after0), (key + one, after1))
-            level = children
 
     def to_json(self) -> str:
         return json.dumps(self.to_doc(), sort_keys=True)
@@ -170,19 +191,15 @@ class ForecastingSystem:
                 tuple(int(c) for c in key): as_fraction(value)
                 for key, value in doc["table"].items()
             }
-            horizon = int(doc["horizon"])
+            horizon = as_int(doc["horizon"], "horizon")
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed forecasting-system document: {exc}") from exc
         return cls.from_table(table, horizon)
 
 
 def all_histories_below(horizon: int):
-    """All binary histories of length 0 .. horizon-1, shortest first."""
-    level = [()]
-    for _ in range(horizon):
-        for h in level:
-            yield h
-        level = [h + (y,) for h in level for y in (0, 1)]
+    """All binary histories of length 0 .. horizon-1, in ``history_at`` order (none if horizon < 1)."""
+    return map(history_at, range(2 ** max(horizon, 0) - 1))
 
 
 def _forecasts_along(phi: ForecastingSystem, omega) -> tuple[BinaryHistory, list[Fraction]]:

@@ -29,6 +29,7 @@ from .core import (
     ZERO,
     PrequentialPrefix,
     as_fraction,
+    as_int,
     check_forecast,
     check_outcome,
 )
@@ -347,7 +348,7 @@ def event_from_json(text: str) -> EventUnion:
     doc = json.loads(text)
     shared: dict = {}  # (lo, hi, y) as written -> the step built from them
     try:
-        horizon = int(doc["horizon"])
+        horizon = as_int(doc["horizon"], "horizon")
         boxes = []
         for box_doc in doc.get("boxes", []):
             steps = []
@@ -358,7 +359,7 @@ def event_from_json(text: str) -> EventUnion:
                 step = shared.get(key)
                 if step is None:
                     lo, hi = (as_fraction(v) for v in p)
-                    y = WILDCARD if y_raw == "*" else check_outcome(int(y_raw))
+                    y = WILDCARD if y_raw == "*" else check_outcome(as_int(y_raw, "outcome y"))
                     step = StepConstraint(lo, hi, y)
                     if key is not None:
                         shared[key] = step

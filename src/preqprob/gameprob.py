@@ -37,7 +37,9 @@ evaluation order.
 
 Every walk of the partition-refined tree goes through ``cell_tree``, which
 fixes the node order (level by level, children in (cell, bit) order) and the
-cell-path layout; the value-table key format is built on that walk too.
+cell-path layout, and sizes the tree against ``core.check_walk``'s node
+budget before it starts; the value-table key format is built on that walk
+too.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, lru_cache
 
-from .core import ONE, ZERO, PrequentialPrefix, as_fraction, check_forecast, check_outcome
+from .core import ONE, ZERO, PrequentialPrefix, as_fraction, as_int, check_forecast, check_outcome, check_walk
 from .events import (
     WILDCARD,
     ArityError,
@@ -77,8 +79,15 @@ def cell_tree(partitions, root, children):
     ``partitions[d]`` and outcome bit, in the order (0, 0), (0, 1), (1, 0), ...;
     a child's path is its parent's extended by ``(cell, bit)``.
     ``children(state, d)`` is called once per node at depth d and returns the
-    states of all of that node's children, in that order.
+    states of all of that node's children, in that order.  The tree's size,
+    1 + sum over d of prod over k <= d of 2 * cells(k), is checked with
+    ``check_walk`` before the root is yielded.
     """
+    nodes = width = 1
+    for partition in partitions:
+        width *= 2 * len(partition.cells)
+        nodes += width
+    check_walk(nodes, f"the cell-path tree at horizon {len(partitions)}")
     level = [((), root)]
     yield from level
     for depth, partition in enumerate(partitions):
@@ -152,7 +161,7 @@ class ValueFunction:
                     )
                 breakpoints = tuple(sorted({c.lo for c in cells} | {c.hi for c in cells}))
                 partitions.append(ForecastPartition(breakpoints, cells))
-            horizon = int(doc["horizon"])
+            horizon = as_int(doc["horizon"], "horizon")
             if horizon != len(partitions):
                 raise ValueError(f"horizon {horizon} but {len(partitions)} partitions")
             given = doc["values"]

@@ -39,14 +39,14 @@ import math
 from fractions import Fraction
 
 from .core import (
-    MAX_TABLE_HORIZON,
     ONE,
     ZERO,
     ForecastingSystem,
-    HorizonError,
     all_histories_below,
+    check_walk,
     cylinder_probability,
     induced_path,
+    outcome_tree_nodes,
     sample_outcomes,
 )
 from .events import WILDCARD, ArityError, EventUnion, contains, per_distinct_step
@@ -107,10 +107,9 @@ def measure_upper_probability(event: EventUnion) -> tuple[Fraction, ForecastingS
     step is one memo lookup.
     """
     horizon = event.horizon
-    if horizon > MAX_TABLE_HORIZON:
-        # ``value`` prints the witness as a table over all 2^N histories, and
-        # ``best`` recurses once per step; refuse before any work.
-        raise HorizonError(f"table form limited to horizon {MAX_TABLE_HORIZON}")
+    # ``value`` prints the witness as a table over all 2^N histories, and
+    # ``best`` recurses once per step; refuse before any work.
+    check_walk(outcome_tree_nodes(horizon), f"the measure witness at horizon {horizon}")
     # Steps whose box constraints repeat an earlier step's share its candidates and masks.
     candidates = per_distinct_step(event, lambda depth: _forecast_candidates(event, depth))
 

@@ -25,7 +25,7 @@ under the measure of the forecasting system being tested.  Strategies are
 certified before sampling by walking them over the system's whole outcome
 tree and checking the martingale identity exactly, so ad hoc capital inflation
 is refused rather than sampled.  That walk visits 2^(N+1) - 1 nodes, so both
-refuse horizons above ``MAX_TABLE_HORIZON`` before any strategy is built.
+size it with ``check_walk`` and refuse it before any strategy is built.
 Sampling then steps each outcome-tree node at most once per call: the value
 reached at a node is kept and shared by every later sample through it.
 
@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    MAX_TABLE_HORIZON,
     ONE,
     ZERO,
     ForecastingSystem,
@@ -56,7 +55,10 @@ from .core import (
     as_fraction,
     check_forecast,
     check_outcome,
+    check_walk,
+    history_at,
     induced_path,
+    outcome_tree_nodes,
     sample_outcomes,
 )
 from .events import point_partition
@@ -292,39 +294,28 @@ def strategy_value_table(strategy_factory, horizon: int, grid) -> ValueFunction:
 def certify_strategy(strategy_factory, phi: ForecastingSystem) -> tuple[bool, list]:
     """Exact martingale certification of a strategy under a forecasting system.
 
-    Walks the outcome tree level by level, stepping each node's strategy value
-    and the system's state into its two children, and checks
+    Steps each node's strategy value into its two children under
+    ``phi.forecasts()``, in ``history_at`` order, and checks
     capital(x) == (1-phi(x)) capital(x0) + phi(x) capital(x1) together with
     non-negativity.  Returns (ok, violating histories), shortest first.
-    Horizons above ``MAX_TABLE_HORIZON`` raise HorizonError before the
-    factory is called.
+    ``check_walk`` refuses a tree over the node budget with HorizonError
+    before the factory is called.
     """
-    _check_walk_size(phi)
+    forecasts = phi.forecasts()
     violations = []
-    level = [((), phi.start, strategy_factory())]
-    for depth in range(phi.horizon + 1):
-        children = []
-        for history, state, strategy in level:
-            value = strategy.capital
-            bad = value < ZERO
-            if depth < phi.horizon:
-                p, after0, after1 = phi.expand(state)
-                s0, s1 = strategy.step(p, 0), strategy.step(p, 1)
-                children += [(history + (0,), after0, s0), (history + (1,), after1, s1)]
-                bad = bad or value != (ONE - p) * s0.capital + p * s1.capital
-            if bad:
-                violations.append(history)
-        level = children
+    # values[k] is the strategy at node k; the loop appends its children at 2k+1 and 2k+2.
+    values = [strategy_factory()]
+    for k, strategy in enumerate(values):
+        value = strategy.capital
+        bad = value < ZERO
+        if k < len(forecasts):
+            p = forecasts[k]
+            s0, s1 = strategy.step(p, 0), strategy.step(p, 1)
+            values += (s0, s1)
+            bad = bad or value != (ONE - p) * s0.capital + p * s1.capital
+        if bad:
+            violations.append(history_at(k))
     return not violations, violations
-
-
-def _check_walk_size(phi: ForecastingSystem) -> None:
-    """Refuse an outcome-tree walk of more than 2^(MAX_TABLE_HORIZON+1) - 1 nodes."""
-    if phi.horizon > MAX_TABLE_HORIZON:
-        raise HorizonError(
-            f"certifying a strategy at horizon {phi.horizon} walks "
-            f"{2 ** (phi.horizon + 1) - 1} outcome-tree nodes; limited to horizon {MAX_TABLE_HORIZON}"
-        )
 
 
 # Node mark in ``ville_check``: capital has reached the threshold here.
@@ -347,22 +338,21 @@ def ville_check(
 
     The strategy must pass exact certification under ``phi`` first; sampled
     streams then estimate the frequency of sup_n V >= C, reported against the
-    bound V(initial)/C with the slack 4 sqrt(bound / samples).  Horizons
-    above ``MAX_TABLE_HORIZON`` raise HorizonError before the factory is
-    called.
+    bound V(initial)/C with the slack 4 sqrt(bound / samples).  A walk over
+    ``check_walk``'s budget raises HorizonError before the factory is called.
 
     Each outcome-tree node is stepped at most once per call.  Nodes are
-    indexed level by level (the children of k are 2k+1 and 2k+2), and a dict
-    keeps each node's strategy value, or a mark once capital has reached the
-    threshold there; strategies are pure values, so a kept value equals a
-    replayed one.
+    indexed as in ``history_at`` (the children of k are 2k+1 and 2k+2), and
+    a dict keeps each node's strategy value, or a mark once capital has
+    reached the threshold there; strategies are pure values, so a kept value
+    equals a replayed one.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     threshold = as_fraction(threshold)
     if threshold <= ZERO:
         raise ValueError("threshold must be positive")
-    _check_walk_size(phi)
+    check_walk(outcome_tree_nodes(phi.horizon), f"the certification walk at horizon {phi.horizon}")
     start = strategy_factory()
     ok, violations = certify_strategy(lambda: start, phi)
     if not ok:

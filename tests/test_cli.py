@@ -132,6 +132,19 @@ class TestValue:
         code, _, _ = run(capsys, "value", "--event", "/nonexistent.json")
         assert code == 2
 
+    def test_table_out_past_the_node_budget_is_one_line_input_error(self, capsys, tmp_path):
+        """The horizon-17 cell-path tree has 262143 nodes, over the 131071-node budget."""
+        path = tmp_path / "full.json"
+        path.write_text(event_to_json(EventUnion.full(17)))
+        table = tmp_path / "table.json"
+        code, out, err = run(
+            capsys, "value", "--event", str(path), "--engine", "game", "--table-out", str(table)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "262143" in err
+        assert not table.exists()
+
 
 class TestTestStream:
     def test_fixture_is_not_rejected(self, capsys):
@@ -208,6 +221,15 @@ class TestVille:
         assert code == 0
         assert "frequency_within_bound: PASS" in out
 
+    def test_failed_certification_is_one_line_input_error(self, capsys, tmp_path):
+        """Doubling at even odds is no martingale when the forecast is 1/4."""
+        phi = tmp_path / "phi.json"
+        phi.write_text('{"horizon": 2, "table": {"": "1/4", "0": "1/4", "1": "1/4"}}')
+        code, out, err = run(capsys, "ville", "--phi", str(phi), "--strategy", "doubling")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "first violation at history ()" in err
+
     def test_seed_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("PREQ_SEED", "17")
         code, out, _ = run(
@@ -232,8 +254,34 @@ class TestDualitySweep:
         )
         assert first == second
 
+    def test_grid_reports_the_events_it_skips(self, capsys):
+        """At k = 10 the grid enumeration of five of these six events passes its limit."""
+        code, out, _ = run(
+            capsys, "duality-sweep", "--count", "6", "--seed", "0", "--grid", "10", "--json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["results"]["grid_bound_violations"] == 0
+        assert doc["results"]["grid_skipped"] == 5
+        check = next(c for c in doc["checks"] if c["name"] == "grid_values_bounded")
+        assert check == {"name": "grid_values_bounded", "status": "PASS", "detail": "0 violations, 5 skipped"}
+
+    def test_grid_without_skips(self, capsys):
+        code, out, _ = run(capsys, "duality-sweep", "--count", "3", "--seed", "1", "--grid", "3")
+        assert code == 0
+        assert "grid_skipped = 0" in out
+        assert "check grid_values_bounded: PASS (0 violations, 0 skipped)" in out
+
 
 class TestLevyTrace:
+    def test_event_of_upper_probability_zero_is_one_line_input_error(self, capsys, tmp_path):
+        """Outcome 1 after forecast 0 has probability 0, so no member can be sampled."""
+        event = tmp_path / "null.json"
+        event.write_text('{"horizon": 1, "boxes": [{"steps": [{"p": ["0", "0"], "y": 1}]}]}')
+        code, out, err = run(capsys, "levy-trace", "--event", str(event))
+        assert (code, out) == (2, "")
+        assert err == "error: event has upper probability 0; no member to sample\n"
+
     def test_trace_along_stream(self, capsys, event_file, tmp_path):
         stream = tmp_path / "member.csv"
         stream.write_text("p,y\n0,0\n1/2,0\n")
@@ -379,6 +427,13 @@ def table_document(cells, horizon=1):
             '{"horizon":1,"partitions":[[{"lo":"0","hi":"1","lo_open":false,"hi_open":false}]],'
             '"values":{"":"0","0:0":"0"}}',
         ),
+        (["value", "--event", "{file}"], '{"horizon": 1, "boxes": [{"steps": [{"p": ["0", "1"], "y": 1.9}]}]}'),
+        (["value", "--event", "{file}"], '{"horizon": 1, "boxes": [{"steps": [{"p": ["0", "1"], "y": 0.5}]}]}'),
+        (["value", "--event", "{file}"], '{"horizon": 1, "boxes": [{"steps": [{"p": ["0", "1"], "y": true}]}]}'),
+        (["value", "--event", "{file}"], '{"horizon": 1.7, "boxes": [{"steps": [{"p": ["0", "1"]}]}]}'),
+        (["ville", "--phi", "{file}"], '{"horizon": 1.9, "table": {"": "1/2"}}'),
+        (["verify", "--value-function", "{file}"], table_document([("0", "1", False, False)], horizon=1.5)),
+        (["verify", "--value-function", "{file}"], table_document([("0", "1", False, False)], horizon=True)),
     ],
     ids=[
         "stream-threshold-zero-denominator",
@@ -401,6 +456,13 @@ def table_document(cells, horizon=1):
         "phi-history-beyond-horizon",
         "value-function-key-outside-tree",
         "value-function-node-missing",
+        "event-outcome-float-above-one",
+        "event-outcome-float-below-one",
+        "event-outcome-boolean",
+        "event-horizon-float",
+        "phi-horizon-float",
+        "value-function-horizon-float",
+        "value-function-horizon-boolean",
     ],
 )
 def test_malformed_input_is_one_line_input_error(capsys, tmp_path, argv, document):

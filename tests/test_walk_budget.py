@@ -1,0 +1,204 @@
+"""One node budget for every materialized tree, and one level-order layout of the outcome tree.
+
+``core.check_walk`` refuses a walk of more nodes than the outcome tree at
+``MAX_TABLE_HORIZON`` has, 2^(MAX_TABLE_HORIZON+1) - 1, before the walk
+starts.  The tests shrink the budget to 7 nodes (horizon 2) by patching the
+constant, as ``test_step_memo`` does for the live-set budget.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from preqprob import core, measureprob
+from preqprob.core import (
+    ForecastingSystem,
+    HorizonError,
+    all_histories_below,
+    check_walk,
+    history_at,
+    outcome_tree_nodes,
+)
+from preqprob.events import EventUnion, event_partitions, point_partition
+from preqprob.gameprob import ValueFunction, cell_tree, witness_superfarthingale
+from preqprob.measureprob import measure_upper_probability
+from preqprob.strategies import (
+    DoublingStrategy,
+    certify_strategy,
+    check_farthingale,
+    strategy_value_table,
+    ville_check,
+)
+
+HALF = Fraction(1, 2)
+
+
+@pytest.fixture()
+def budget_7(monkeypatch):
+    monkeypatch.setattr(core, "MAX_TABLE_HORIZON", 2)
+
+
+def one_cell(horizon):
+    return event_partitions(EventUnion.full(horizon))
+
+
+def counting_system(horizon, calls):
+    def expand(state):
+        calls.append(state)
+        return HALF, state, state
+
+    return ForecastingSystem.stepping(horizon, None, expand)
+
+
+def refusing_factory():
+    raise AssertionError("strategy built past the size check")
+
+
+def test_budget_is_the_outcome_tree_at_horizon_16():
+    check_walk(131071, "a walk")
+    with pytest.raises(HorizonError, match="a walk has 131072 nodes.*table form limited to horizon 16"):
+        check_walk(131072, "a walk")
+
+
+def test_boundary(budget_7):
+    check_walk(7, "a walk")
+    with pytest.raises(HorizonError, match="has 8 nodes; table form limited to horizon 2"):
+        check_walk(8, "a walk")
+
+
+def test_huge_counts_are_named_by_their_size():
+    with pytest.raises(HorizonError, match=r"has more than 2\^20000 nodes"):
+        check_walk(2**20001 - 1, "a walk")
+
+
+def test_outcome_tree_counts_stay_small_at_absurd_horizons():
+    assert outcome_tree_nodes(30) == 2**31 - 1
+    assert outcome_tree_nodes(63) == 2**64 - 1
+    assert outcome_tree_nodes(10**12) == outcome_tree_nodes(64) == 2**65 - 1
+    with pytest.raises(HorizonError, match=r"horizon 1000000000000 has more than 2\^64 nodes"):
+        measure_upper_probability(EventUnion(10**12, ()))
+
+
+class TestHistoryAt:
+    def test_level_order(self):
+        assert [history_at(k) for k in range(7)] == [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_children_of_k_are_2k_plus_1_and_2k_plus_2(self):
+        for k in range(200):
+            assert history_at(2 * k + 1) == history_at(k) + (0,)
+            assert history_at(2 * k + 2) == history_at(k) + (1,)
+
+    def test_all_histories_below(self):
+        assert list(all_histories_below(3)) == [history_at(k) for k in range(7)]
+        assert list(all_histories_below(0)) == list(all_histories_below(-2)) == []
+
+
+class TestOutcomeTree:
+    def test_forecasts_expand_each_history_once_in_level_order(self):
+        calls = []
+        phi = ForecastingSystem(3, lambda h: Fraction(len(h), 4) + Fraction(sum(h), 16))
+        forecasts = phi.forecasts()
+        assert forecasts == [phi.forecast(history_at(k)) for k in range(7)]
+        counting_system(3, calls).forecasts()
+        assert len(calls) == 7
+
+    def test_table_and_document_read_the_one_walk(self):
+        phi = ForecastingSystem(2, lambda h: Fraction(1 + len(h) + sum(h), 5))
+        assert phi.table() == {(): Fraction(1, 5), (0,): Fraction(2, 5), (1,): Fraction(3, 5)}
+        assert phi.to_doc() == {"horizon": 2, "table": {"": "1/5", "0": "2/5", "1": "3/5"}}
+
+    def test_walks_at_the_budget_pass(self, budget_7):
+        calls = []
+        assert len(counting_system(2, calls).table()) == 3
+        table = {h: HALF for h in all_histories_below(2)}
+        assert ForecastingSystem.from_table(table, 2).table() == table
+
+    @pytest.mark.parametrize("walk", ["forecasts", "table", "to_doc", "to_json"])
+    def test_walks_past_the_budget_expand_nothing(self, budget_7, walk):
+        calls = []
+        with pytest.raises(HorizonError, match="has 15 nodes"):
+            getattr(counting_system(3, calls), walk)()
+        assert calls == []
+
+    def test_from_table_refuses_before_reading(self, budget_7):
+        class Unread(dict):
+            def __getitem__(self, key):
+                raise AssertionError("table read past the size check")
+
+        with pytest.raises(HorizonError, match="has 15 nodes"):
+            ForecastingSystem.from_table(Unread(), 3)
+
+    def test_certification_refuses_before_the_factory(self, budget_7):
+        phi = ForecastingSystem.constant(HALF, 3)
+        with pytest.raises(HorizonError, match="has 15 nodes"):
+            certify_strategy(refusing_factory, phi)
+        with pytest.raises(HorizonError, match="has 15 nodes"):
+            ville_check(phi, refusing_factory, 4, samples=1, seed=0)
+        assert certify_strategy(DoublingStrategy, ForecastingSystem.constant(HALF, 2)) == (True, [])
+
+    def test_certification_reports_violations_in_level_order(self):
+        phi = ForecastingSystem(2, lambda h: Fraction(1, 4) if h == (1,) else HALF)
+        assert certify_strategy(DoublingStrategy, phi) == (False, [(1,)])
+        phi = ForecastingSystem.constant(Fraction(1, 4), 2)
+        assert certify_strategy(DoublingStrategy, phi) == (False, [(), (1,)])
+
+    def test_measure_refuses_before_the_candidates(self, budget_7, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("forecast candidates built past the size check")
+
+        assert measure_upper_probability(EventUnion.full(2))[0] == 1
+        monkeypatch.setattr(measureprob, "_forecast_candidates", refuse)
+        with pytest.raises(HorizonError, match="has 15 nodes"):
+            measure_upper_probability(EventUnion.full(3))
+
+
+class TestCellPathTree:
+    @pytest.mark.parametrize(
+        "partitions",
+        [one_cell(2), (point_partition([]),)],
+        ids=["two-steps-of-one-cell", "one-step-of-three-cells"],
+    )
+    def test_a_tree_of_exactly_the_budget_passes(self, budget_7, partitions):
+        tree = cell_tree(partitions, "root", lambda state, depth: ["child"] * 6)
+        assert len(list(tree)) == 7
+
+    def test_a_larger_tree_yields_nothing(self, budget_7):
+        """One step of five cells is the root and ten children: 11 nodes."""
+        partition = point_partition([Fraction(1, 3)])
+        assert len(partition.cells) == 5
+
+        def children(state, depth):
+            raise AssertionError("node expanded past the size check")
+
+        tree = cell_tree((partition,), "root", children)
+        with pytest.raises(HorizonError, match="the cell-path tree at horizon 1 has 11 nodes"):
+            next(tree)
+
+    def test_witness_table(self, budget_7):
+        assert len(witness_superfarthingale(EventUnion.full(2)).values) == 7
+        with pytest.raises(HorizonError, match="has 15 nodes"):
+            witness_superfarthingale(EventUnion.full(3))
+
+    def test_strategy_value_table_steps_no_strategy(self, budget_7):
+        class Refusing(DoublingStrategy):
+            def step(self, p, y):
+                raise AssertionError("strategy stepped past the size check")
+
+        assert len(strategy_value_table(DoublingStrategy, 1, []).values) == 7
+        with pytest.raises(HorizonError, match="has 11 nodes"):
+            strategy_value_table(Refusing, 1, [Fraction(1, 3)])
+
+    def test_value_table_io_and_check(self, budget_7, monkeypatch):
+        table = witness_superfarthingale(EventUnion.full(2))
+        text = table.to_json()
+        monkeypatch.setattr(core, "MAX_TABLE_HORIZON", 1)
+        with pytest.raises(HorizonError, match="has 7 nodes"):
+            table.to_json()
+        with pytest.raises(HorizonError, match="has 7 nodes"):
+            ValueFunction.from_json(text)
+        # check_farthingale walks the interior nodes: 3 of them pass a budget of 3 ...
+        assert check_farthingale(table, "super") == (True, [])
+        # ... and 7 interior nodes do not.
+        deeper = ValueFunction(3, one_cell(3), {})
+        with pytest.raises(HorizonError, match="has 7 nodes"):
+            check_farthingale(deeper, "super")
