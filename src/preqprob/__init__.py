@@ -58,6 +58,7 @@ from .strategies import (
     ConstantStrategy,
     DoublingStrategy,
     StreamFormatError,
+    calibration_fold,
     calibration_step,
     calibration_verdict,
     certify_strategy,

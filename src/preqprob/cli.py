@@ -196,10 +196,8 @@ def cmd_test_stream(args) -> int:
     if horizon < 1 or len(stream) < horizon:
         raise ValueError(f"stream has {len(stream)} rows, need {horizon}")
     threshold_c = as_fraction(args.threshold_c if args.threshold_c is not None else 1)
-    state = strategies.CalibrationState(horizon, threshold_c)
-    initial = state.capital
-    for pair in stream[:horizon]:
-        state, _capital = strategies.calibration_step(state, pair)
+    start = strategies.CalibrationState(horizon, threshold_c)
+    state = strategies.calibration_fold(start, stream[:horizon])
     verdict = strategies.calibration_verdict(state)
     report = Report(
         "test-stream",
@@ -211,7 +209,7 @@ def cmd_test_stream(args) -> int:
         },
     )
     report.results["bias_sum"] = verdict.bias
-    report.results["initial_capital"] = initial
+    report.results["initial_capital"] = start.capital
     report.results["final_capital"] = state.capital
     report.results["capital_ratio"] = verdict.ratio
     report.results["verdict"] = "reject" if verdict.reject else "no_reject"

@@ -29,7 +29,9 @@ the live-sets reachable at each depth, and a backward pass fills in their
 values, so long horizons need no deep stack.  The forward pass counts the
 (depth, live-set) pairs it reaches and refuses an event past
 ``LIVE_SET_BUDGET`` with ``LiveSetBudgetError`` (an input error), because
-the count can double with every box.  Cells that lead to the same
+the count can double with every box; a horizon past the budget is refused
+the same way before any step is set up, since every depth holds a level even
+when no box is live.  Cells that lead to the same
 two children share one linear objective, so each such group is evaluated
 once, at its outermost endpoints.  The empty live-set has value zero.  All
 operations are pure and the exact arithmetic makes results independent of
@@ -224,6 +226,13 @@ class _GameEngine:
     """
 
     def __init__(self, event: EventUnion):
+        # The passes keep one level per depth, empty or not, so a horizon past
+        # the budget is refused before any step is set up.
+        if event.horizon > LIVE_SET_BUDGET:
+            raise LiveSetBudgetError(
+                f"the game engine keeps one level per step; horizon {event.horizon} "
+                f"is more than its budget of {LIVE_SET_BUDGET}"
+            )
         self.event = event
         self.partitions = event_partitions(event)
         self.masks = per_distinct_step(

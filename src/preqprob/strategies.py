@@ -19,6 +19,13 @@ p(1 - p), cancelling the increment of A, for every forecast p), and whenever
 rejection is backed by the corresponding betting gain.  Capital never
 overflows: everything is exact rational arithmetic.
 
+S and A do not depend on the order of the pairs, so ``calibration_fold``
+(what ``preq test-stream`` runs) counts the pairs of a stream by distinct
+forecast and adds each distinct forecast in once, instead of stepping pair
+by pair.  The tree walkers still step: ``CalibrationState.step`` builds each
+new sum as one Fraction from integer numerators and denominators, and a
+state's capital is computed once, on first read, and kept.
+
 ``ville_check`` verifies the capital/probability inequality empirically: a
 non-negative martingale starting at v reaches C with probability at most v/C
 under the measure of the forecasting system being tested.  Strategies are
@@ -40,6 +47,7 @@ replay a history from the root.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 import io
@@ -162,22 +170,43 @@ class CalibrationState:
         ):
             raise ValueError("inconsistent calibration sums")
 
-    @property
+    @functools.cached_property
     def capital(self) -> Fraction:
-        n_quarter, scale = _capital_terms(self.horizon, self.threshold_c)
-        return (self.bias**2 - self.spread + n_quarter) / scale
+        """(bias^2 - spread + N/4) / (C^2 N + N/4), computed once per state.
+
+        The numerator is formed on integers over the common denominator
+        4 b_d^2 s_d (bias = b_n/b_d, spread = s_n/s_d) and divided by the
+        scale in the one Fraction constructed.  The value is kept in the
+        instance dict, outside the dataclass fields, so ==, hash and repr
+        do not see it.
+        """
+        scale = _capital_terms(self.horizon, self.threshold_c)[1]
+        bn, bd = self.bias.numerator, self.bias.denominator
+        sn, sd = self.spread.numerator, self.spread.denominator
+        bd2 = bd * bd
+        top = 4 * bn * bn * sd - 4 * sn * bd2 + self.horizon * bd2 * sd
+        return Fraction(top * scale.denominator, 4 * bd2 * sd * scale.numerator)
 
     def step(self, p, y) -> "CalibrationState":
+        """The state after one more pair; each new sum is one Fraction built on integers.
+
+        With p = a/q: bias' = (b_n q + (y q - a) b_d) / (b_d q) and
+        spread' = (s_n q^2 + a (q - a) s_d) / (s_d q^2).
+        """
         if self.n >= self.horizon:
             raise HorizonError(f"calibration horizon {self.horizon} already consumed")
         p = check_forecast(p)
         y = check_outcome(y)
+        a, q = p.numerator, p.denominator
+        bn, bd = self.bias.numerator, self.bias.denominator
+        sn, sd = self.spread.numerator, self.spread.denominator
+        q2 = q * q
         return CalibrationState(
             horizon=self.horizon,
             threshold_c=self.threshold_c,
             n=self.n + 1,
-            bias=self.bias + (y - p),
-            spread=self.spread + p * (ONE - p),
+            bias=Fraction(bn * q + (y * q - a) * bd, bd * q),
+            spread=Fraction(sn * q2 + a * (q - a) * sd, sd * q2),
         )
 
 
@@ -197,6 +226,42 @@ def calibration_step(state: CalibrationState, step) -> tuple[CalibrationState, F
     return new, new.capital
 
 
+def calibration_fold(state: CalibrationState, pairs) -> CalibrationState:
+    """The state after all of ``pairs`` (a sequence), equal to stepping them one by one.
+
+    The sums are order-free, so the pairs are counted first and each
+    distinct forecast p, seen c_p times, enters once:
+    bias += #ones - sum c_p p and spread += sum c_p p (1 - p).  A stream
+    that repeats a few forecast values costs a few Fraction operations
+    instead of several per pair.  More pairs than the horizon has left
+    raise HorizonError before any work; every forecast and outcome is
+    checked as ``step`` checks it, the first bad pair in stream order
+    raising.
+    """
+    left = state.horizon - state.n
+    if len(pairs) > left:
+        raise HorizonError(
+            f"calibration horizon {state.horizon} has {left} steps left, got {len(pairs)} pairs"
+        )
+    # Pairs are counted by forecast object, not value: a Fraction's hash is
+    # recomputed on every call, and ``parse_stream_csv`` hands out one object
+    # per distinct forecast string.  Equal forecasts held by different objects
+    # (or given as "0.5" and "1/2") merge in ``counts`` once checked.
+    objects = {id(p): p for p, _ in pairs}
+    ones = 0
+    counts: dict[Fraction, int] = {}
+    for (key, y), c in collections.Counter((id(p), y) for p, y in pairs).items():
+        p = check_forecast(objects[key])
+        ones += check_outcome(y) * c
+        counts[p] = counts.get(p, 0) + c
+    bias = state.bias + ones
+    spread = state.spread
+    for p, c in counts.items():
+        bias -= c * p
+        spread += c * p * (ONE - p)
+    return CalibrationState(state.horizon, state.threshold_c, state.n + len(pairs), bias, spread)
+
+
 @dataclass(frozen=True)
 class CalibrationVerdict:
     reject: bool
@@ -212,9 +277,10 @@ def calibration_verdict(state: CalibrationState) -> CalibrationVerdict:
     """
     if state.n != state.horizon:
         raise ValueError(f"verdict needs all {state.horizon} steps, have {state.n}")
-    reject = state.bias**2 >= state.threshold_c**2 * state.horizon
-    n_quarter = _capital_terms(state.horizon, state.threshold_c)[0]
-    ratio = (state.bias**2 - state.spread + n_quarter) / n_quarter
+    square = state.bias**2
+    n_quarter, scale = _capital_terms(state.horizon, state.threshold_c)
+    reject = square >= scale - n_quarter  # C^2 N
+    ratio = (square - state.spread + n_quarter) / n_quarter
     return CalibrationVerdict(reject=reject, ratio=ratio, bias=state.bias)
 
 

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -121,6 +123,18 @@ class TestValue:
         assert code == 0
         assert json.loads(out)["results"]["upper_game"] == "1"
 
+    @pytest.mark.parametrize("horizon", [10**8, 10**12])
+    def test_game_engine_refuses_a_horizon_past_its_budget(self, capsys, tmp_path, horizon):
+        """An event with no boxes has no live-set to count, so the horizon itself is checked."""
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"horizon": horizon, "boxes": []}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "value", "--event", str(path), "--engine", "game")
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(horizon) in err
+
     def test_unparseable_event_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -170,6 +184,63 @@ class TestTestStream:
         assert code == 3
         assert "capital_ratio = 401" in out
         assert "verdict = reject" in out
+
+    # Forecast denominators 3, 7, 1000 and 1; the last 15 rows bias the stream.
+    MIXED = (
+        [("1/3", 0), ("1/3", 1), ("1/3", 0), ("2/7", 0), ("2/7", 1), ("2/7", 0), ("2/7", 0)]
+        + [("2/7", 0), ("2/7", 0), ("2/7", 1), ("0.999", 1), ("0.123", 0), ("1", 1), ("0", 0)]
+        + [("0.001", 1)] * 10
+        + [("2/7", 1)] * 5
+    )
+
+    @pytest.mark.parametrize(
+        "argv, code, results",
+        [
+            (
+                [],
+                3,
+                {
+                    "bias_sum": "23519/1750",
+                    "capital_ratio": "6785289727/266437500",
+                    "final_capital": "6785289727/1332187500",
+                    "initial_capital": "1/5",
+                    "verdict": "reject",
+                },
+            ),
+            (
+                ["-N", "14", "-C", "3/2"],
+                0,
+                {
+                    "bias_sum": "-61/500",
+                    "capital_ratio": "13763147/36750000",
+                    "final_capital": "13763147/367500000",
+                    "initial_capital": "1/10",
+                    "verdict": "no_reject",
+                },
+            ),
+        ],
+    )
+    def test_mixed_denominators_are_pinned(self, capsys, tmp_path, argv, code, results):
+        """The report matches pinned values and sums recomputed here over the first N rows."""
+        path = tmp_path / "mixed.csv"
+        path.write_text("p,y\n" + "".join(f"{p},{y}\n" for p, y in self.MIXED))
+        got, out, _ = run(capsys, "test-stream", "--stream", str(path), *argv, "--json")
+        assert got == code
+        doc = json.loads(out)
+        assert doc["results"] == results
+        n, c = doc["inputs"]["N"], Fraction(doc["inputs"]["C"])
+        assert n == (int(argv[1]) if argv else len(self.MIXED))
+        bias = spread = Fraction(0)
+        for p, y in self.MIXED[:n]:
+            bias += y - Fraction(p)
+            spread += Fraction(p) * (1 - Fraction(p))
+        n_quarter = Fraction(n, 4)
+        top = bias**2 - spread + n_quarter
+        assert results["bias_sum"] == str(bias)
+        assert results["initial_capital"] == str(n_quarter / (c**2 * n + n_quarter))
+        assert results["final_capital"] == str(top / (c**2 * n + n_quarter))
+        assert results["capital_ratio"] == str(top / n_quarter)
+        assert (results["verdict"] == "reject") == (bias**2 >= c**2 * n)
 
     def test_short_stream_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "short.csv"
