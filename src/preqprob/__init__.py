@@ -11,6 +11,7 @@ from .core import (
     Forecast,
     ForecastingSystem,
     HorizonError,
+    InputError,
     Outcome,
     PrequentialPrefix,
     cylinder_probability,

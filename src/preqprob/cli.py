@@ -1,10 +1,11 @@
 """Command-line surface: exact values, theorem verification, stream testing.
 
 Exit codes: 0 success, 1 invariant violation (a bug, e.g. the two engines
-disagree), 2 input error, 3 statistical rejection (a finding about the
-forecasts, not a tool failure).  Reports are deterministic given flags and
-seed; the --json form is byte-stable with rationals as "num/den" strings and
-floats at 12 significant digits.
+disagree), 2 input error (an ``InputError`` or ``OSError``, on one ``error:``
+line), 3 statistical rejection (a finding about the forecasts, not a tool
+failure); any other exception is a tool fault: a traceback and exit 1.
+Reports are deterministic given flags and seed; --json is byte-stable, with
+rationals as "num/den" strings and floats at 12 significant digits.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import gameprob, measureprob, randgen, strategies
-from .core import ForecastingSystem, as_fraction, induced_path, sample_outcomes
+from .core import ForecastingSystem, InputError, as_fraction, as_int, induced_path, sample_outcomes
 from .events import (
     contains,
     counterexample_pair,
@@ -100,26 +101,21 @@ def _digest(path: str) -> str:
         return hashlib.sha256(handle.read()).hexdigest()
 
 
-def _load_event(path: str):
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return event_from_json(handle.read())
-
-
-def _load_phi(path: str) -> ForecastingSystem:
-    with open(path, "r", encoding="utf-8") as handle:
-        return ForecastingSystem.from_json(handle.read())
+        return handle.read()
 
 
 def _default_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("PREQ_SEED", "0"))
+    return as_int(os.environ.get("PREQ_SEED", "0"), "$PREQ_SEED")
 
 
 def cmd_value(args) -> int:
     if args.table_out and args.engine == "measure":
-        raise ValueError("--table-out needs the game engine: use --engine game or both")
-    event = _load_event(args.event)
+        raise InputError("--table-out needs the game engine: use --engine game or both")
+    event = event_from_json(_read(args.event))
     report = Report("value", inputs={"event": args.event, "digest": _digest(args.event), "engine": args.engine})
     exit_code = EXIT_OK
     if args.engine in ("game", "both"):
@@ -188,14 +184,11 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_test_stream(args) -> int:
-    with open(args.stream, "r", encoding="utf-8") as handle:
-        stream = strategies.parse_stream_csv(handle.read())
-    horizon = args.horizon
-    if horizon is None:
-        horizon = len(stream)
+    stream = strategies.parse_stream_csv(_read(args.stream))
+    horizon = len(stream) if args.horizon is None else args.horizon
     if horizon < 1 or len(stream) < horizon:
-        raise ValueError(f"stream has {len(stream)} rows, need {horizon}")
-    threshold_c = as_fraction(args.threshold_c if args.threshold_c is not None else 1)
+        raise InputError(f"stream has {len(stream)} rows, need {horizon}")
+    threshold_c = as_fraction(args.threshold_c)
     start = strategies.CalibrationState(horizon, threshold_c)
     state = strategies.calibration_fold(start, stream[:horizon])
     verdict = strategies.calibration_verdict(state)
@@ -228,17 +221,12 @@ _STRATEGIES = {
 def cmd_ville(args) -> int:
     seed = _default_seed(args)
     if args.phi:
-        phi = _load_phi(args.phi)
+        phi = ForecastingSystem.from_json(_read(args.phi))
     else:
-        horizon = args.horizon if args.horizon is not None else 10
-        phi = ForecastingSystem.constant(Fraction(1, 2), horizon)
-    threshold = as_fraction(args.threshold_c if args.threshold_c is not None else 4)
+        phi = ForecastingSystem.constant(Fraction(1, 2), args.horizon)
+    threshold = as_fraction(args.threshold_c)
     start = _STRATEGIES[args.strategy](phi.horizon)
-    try:
-        result = strategies.ville_check(phi, lambda: start, threshold, args.samples, seed)
-    except strategies.CertificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    result = strategies.ville_check(phi, lambda: start, threshold, args.samples, seed)
     report = Report(
         "ville",
         inputs={
@@ -261,6 +249,8 @@ def cmd_ville(args) -> int:
 
 
 def cmd_duality_sweep(args) -> int:
+    if args.grid is not None and args.grid < 1:
+        raise InputError(f"--grid must be a positive integer, got {args.grid}")
     seed = _default_seed(args)
     rng = random.Random(seed)
     report = Report(
@@ -282,7 +272,7 @@ def cmd_duality_sweep(args) -> int:
                 False,
                 f"game {game} != measure {measure} on {event_to_json(event)}",
             )
-        if args.grid:
+        if args.grid is not None:
             try:
                 grid_value = measureprob.grid_bruteforce(event, args.grid)
             except measureprob.EnumerationLimitError:
@@ -297,11 +287,10 @@ def cmd_duality_sweep(args) -> int:
                 )
     report.results["events"] = args.count
     report.results["duality_mismatches"] = mismatches
-    if args.grid:
+    report.add_check("duality_holds_on_sweep", mismatches == 0, f"{mismatches} mismatches")
+    if args.grid is not None:
         report.results["grid_bound_violations"] = grid_violations
         report.results["grid_skipped"] = grid_skipped
-    report.add_check("duality_holds_on_sweep", mismatches == 0, f"{mismatches} mismatches")
-    if args.grid:
         report.add_check(
             "grid_values_bounded",
             grid_violations == 0,
@@ -312,7 +301,7 @@ def cmd_duality_sweep(args) -> int:
 
 
 def cmd_levy_trace(args) -> int:
-    event = _load_event(args.event)
+    event = event_from_json(_read(args.event))
     threshold = as_fraction(args.threshold)
     seed = _default_seed(args)
     report = Report(
@@ -324,26 +313,21 @@ def cmd_levy_trace(args) -> int:
         },
     )
     if args.stream:
-        with open(args.stream, "r", encoding="utf-8") as handle:
-            stream = strategies.parse_stream_csv(handle.read())
-        stream = stream[: event.horizon]
+        stream = strategies.parse_stream_csv(_read(args.stream))[: event.horizon]
         report.inputs["stream"] = args.stream
     else:
         value, witness = measureprob.measure_upper_probability(event)
         if value == 0:
-            print("error: event has upper probability 0; no member to sample", file=sys.stderr)
-            return EXIT_INPUT
+            raise InputError("event has upper probability 0; no member to sample")
         report.seed = seed
-        stream = None
         for attempt in range(1000):
             omega = sample_outcomes(witness, event.horizon, seed + attempt)
             candidate = induced_path(witness, omega)
             if contains(event, candidate):
                 stream = list(candidate)
                 break
-        if stream is None:
-            print("error: failed to sample an event member", file=sys.stderr)
-            return EXIT_INPUT
+        else:
+            raise InputError("failed to sample an event member")
     state = gameprob.LevyStrategy.start(event, threshold)
     trajectory = [state.capital]
     for p, y in stream:
@@ -358,8 +342,7 @@ def cmd_levy_trace(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.value_function, "r", encoding="utf-8") as handle:
-        vf = gameprob.ValueFunction.from_json(handle.read())
+    vf = gameprob.ValueFunction.from_json(_read(args.value_function))
     ok, violations = strategies.check_farthingale(vf, args.mode)
     report = Report(
         "verify",
@@ -414,15 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test-stream", help="calibration test of a forecast stream")
     p.add_argument("--stream", required=True, help="CSV stream file with header p,y")
     p.add_argument("-N", dest="horizon", type=int, default=None, help="test horizon (default: stream length)")
-    p.add_argument("-C", dest="threshold_c", default=None, help="bias threshold C (rational, default 1)")
+    p.add_argument("-C", dest="threshold_c", default="1", help="bias threshold C (rational, default 1)")
     common(p)
     p.set_defaults(func=cmd_test_stream)
 
     p = sub.add_parser("ville", help="empirical capital/probability inequality check")
     p.add_argument("--phi", default=None, help="forecasting system JSON (default: constant 1/2)")
     p.add_argument("--strategy", choices=sorted(_STRATEGIES), default="doubling")
-    p.add_argument("-C", dest="threshold_c", default=None, help="capital threshold (rational, default 4)")
-    p.add_argument("-N", dest="horizon", type=int, default=None, help="horizon for the default system")
+    p.add_argument("-C", dest="threshold_c", default="4", help="capital threshold (rational, default 4)")
+    p.add_argument("-N", dest="horizon", type=int, default=10, help="default system's horizon (default 10)")
     p.add_argument("--samples", type=int, default=10000)
     common(p, seed=True)
     p.set_defaults(func=cmd_ville)
@@ -454,7 +437,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

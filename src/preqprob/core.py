@@ -18,10 +18,13 @@ one budget, checked first: 131,071 nodes, the outcome tree at horizon 16.
 Everything here is exact: forecasts and probabilities are
 ``fractions.Fraction`` values, and all operations are pure.  Floating point
 enters the package only in Monte Carlo estimators and report output.
+Input is checked once, where it enters: refused input raises ``InputError``
+(a ``ValueError``), and document loaders read under one guard, ``reading``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 from fractions import Fraction
@@ -41,8 +44,22 @@ _TWO_53 = float(2**53)  # random() returns multiples of 1 / 2^53
 MAX_TABLE_HORIZON = 16
 
 
-class HorizonError(ValueError):
+class InputError(ValueError):
+    """A refused argument or document: the caller's input, not the program, is at fault."""
+
+
+class HorizonError(InputError):
     """A history, prefix or step index exceeds the relevant horizon."""
+
+
+@contextlib.contextmanager
+def reading(document: str, *also: type):
+    """Guard a document loader: JSON, key, type and index errors, and ``also``, become an ``InputError``."""
+    try:
+        yield
+    except (KeyError, json.JSONDecodeError, TypeError, AttributeError, IndexError, *also) as exc:
+        what = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise InputError(f"malformed {document} document: {what}") from exc
 
 
 def check_walk(nodes: int, what: str) -> None:
@@ -64,36 +81,37 @@ def history_at(k: int) -> BinaryHistory:
 
 def as_int(value, what: str) -> int:
     """An integer field of a document: an int, or a string ``int`` reads; floats and booleans are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    try:
+        if not isinstance(value, bool) and isinstance(value, (int, str)):
+            return int(value)
+    except ValueError:
+        pass
+    raise InputError(f"{what} must be an integer, got {value!r}")
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and strings like "1/2" or "0.25" to Fraction."""
+    """Coerce ints, Fractions and strings like "1/2" or "0.25" to Fraction; refuse floats and booleans."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
+    try:
+        if not isinstance(value, bool) and isinstance(value, (int, str)):
             return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise InputError(f"cannot interpret {value!r} as an exact rational")
 
 
 def check_forecast(p) -> Fraction:
     """Validate a forecast: an exact rational in [0, 1]."""
     p = as_fraction(p)
     if not 0 <= p.numerator <= p.denominator:  # a Fraction's denominator is positive
-        raise ValueError(f"forecast {p} outside [0, 1]")
+        raise InputError(f"forecast {p} outside [0, 1]")
     return p
 
 
 def check_outcome(y) -> int:
     if y not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {y!r}")
+        raise InputError(f"outcome must be 0 or 1, got {y!r}")
     return int(y)
 
 
@@ -109,27 +127,37 @@ class ForecastingSystem:
     in level order, with the index as the state, and ``constant`` has one
     state.  Walkers step from ``start`` and never replay a history from the
     root: a path of length n costs n expands and a table of all histories
-    2^N - 1.  Every forecast ``expand`` hands out is checked to lie in [0, 1].
+    2^N - 1.  ``expand`` is the raw step: the history rule and ``stepping``,
+    which take caller code, check each forecast it returns to lie in [0, 1],
+    and ``constant`` and ``from_table`` check theirs once, when built.
     """
 
     def __init__(self, horizon: int, rule: Callable[[BinaryHistory], Fraction]):
         if horizon < 1:
-            raise ValueError("horizon must be a positive integer")
-        self.horizon = horizon
-        self.start = ()
-        self._expand = lambda history: (rule(history), history + (0,), history + (1,))
+            raise InputError("horizon must be a positive integer")
+        self.horizon, self.start = horizon, ()
+        self._expand = lambda history: (check_forecast(rule(history)), history + (0,), history + (1,))
 
     @classmethod
     def stepping(cls, horizon: int, start, expand: Callable) -> "ForecastingSystem":
         """A system given by its stepping form: ``expand(state)`` is ``(forecast, state0, state1)``."""
+
+        def checked(state) -> tuple:
+            p, after0, after1 = expand(state)
+            return check_forecast(p), after0, after1
+
+        return cls._trusted(horizon, start, checked)
+
+    @classmethod
+    def _trusted(cls, horizon: int, start, expand: Callable) -> "ForecastingSystem":
+        """A system whose ``expand`` hands out checked forecasts only, such as the measure witness."""
         system = cls(horizon, None)
         system.start, system._expand = start, expand
         return system
 
     def expand(self, state) -> tuple:
-        """The checked forecast at ``state`` and the states after outcome 0 and outcome 1."""
-        p, after0, after1 = self._expand(state)
-        return check_forecast(p), after0, after1
+        """The forecast at ``state`` and the states after outcome 0 and outcome 1."""
+        return self._expand(state)
 
     def forecast(self, history: BinaryHistory) -> Fraction:
         """Forecast for the outcome following ``history``, stepped from the start."""
@@ -145,7 +173,7 @@ class ForecastingSystem:
     @classmethod
     def constant(cls, p, horizon: int) -> "ForecastingSystem":
         p = check_forecast(p)
-        return cls.stepping(horizon, None, lambda state: (p, state, state))
+        return cls._trusted(horizon, None, lambda state: (p, state, state))
 
     @classmethod
     def from_table(cls, table: Mapping[BinaryHistory, Fraction], horizon: int) -> "ForecastingSystem":
@@ -155,10 +183,10 @@ class ForecastingSystem:
             # Indexed as in ``history_at``: the children of k are at 2k+1 and 2k+2.
             forecasts = [check_forecast(table[h]) for h in all_histories_below(horizon)]
         except KeyError as exc:
-            raise ValueError(f"table missing history {exc.args[0]}") from None
+            raise InputError(f"table missing history {exc.args[0]}") from None
         if len(table) != len(forecasts):  # every history is present, so the rest are extra
-            raise ValueError(f"table has {len(table) - len(forecasts)} keys that are not histories")
-        return cls.stepping(horizon, 0, lambda k: (forecasts[k], 2 * k + 1, 2 * k + 2))
+            raise InputError(f"table has {len(table) - len(forecasts)} keys that are not histories")
+        return cls._trusted(horizon, 0, lambda k: (forecasts[k], 2 * k + 1, 2 * k + 2))
 
     def forecasts(self) -> list:
         """Every history's forecast, in ``history_at`` order: 2^N - 1 expands, one per history."""
@@ -176,8 +204,10 @@ class ForecastingSystem:
 
     def to_doc(self) -> dict:
         """The JSON document of the table, its bit-string keys in sorted order."""
+        forecasts = self.forecasts()
+        text = {key: str(p) for key, p in {id(p): p for p in forecasts}.items()}  # once per object
         # The key of history_at(k) is its bit string, the binary form of k+1 after the leading 1.
-        table = sorted((bin(k)[3:], str(p)) for k, p in enumerate(self.forecasts(), start=1))
+        table = sorted((bin(k)[3:], text[id(p)]) for k, p in enumerate(forecasts, start=1))
         return {"horizon": self.horizon, "table": dict(table)}
 
     def to_json(self) -> str:
@@ -185,15 +215,11 @@ class ForecastingSystem:
 
     @classmethod
     def from_json(cls, text: str) -> "ForecastingSystem":
-        doc = json.loads(text)
-        try:
-            table = {
-                tuple(int(c) for c in key): as_fraction(value)
-                for key, value in doc["table"].items()
-            }
+        # Every ValueError here is the document's: a key that is not a bit string, say.
+        with reading("forecasting-system", ValueError):
+            doc = json.loads(text)
+            table = {tuple(map(int, key)): as_fraction(value) for key, value in doc["table"].items()}
             horizon = as_int(doc["horizon"], "horizon")
-        except (TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed forecasting-system document: {exc}") from exc
         return cls.from_table(table, horizon)
 
 

@@ -27,17 +27,19 @@ from fractions import Fraction
 from .core import (
     ONE,
     ZERO,
+    InputError,
     PrequentialPrefix,
     as_fraction,
     as_int,
     check_forecast,
     check_outcome,
+    reading,
 )
 
 WILDCARD = None
 
 
-class ArityError(ValueError):
+class ArityError(InputError):
     """Lengths or horizons of two prequential objects do not match."""
 
 
@@ -53,7 +55,7 @@ class StepConstraint:
         check_forecast(self.p_lo)
         check_forecast(self.p_hi)
         if self.p_lo > self.p_hi:
-            raise ValueError(f"empty interval [{self.p_lo}, {self.p_hi}]")
+            raise InputError(f"empty interval [{self.p_lo}, {self.p_hi}]")
         if self.y is not WILDCARD:
             check_outcome(self.y)
 
@@ -72,18 +74,12 @@ class Box:
     @classmethod
     def from_point(cls, prefix: PrequentialPrefix) -> "Box":
         """Degenerate box containing exactly one prequential prefix."""
-        return cls(
-            tuple(
-                StepConstraint(check_forecast(p), check_forecast(p), check_outcome(y))
-                for p, y in prefix
-            )
-        )
+        points = ((as_fraction(p), y) for p, y in prefix)  # StepConstraint checks p and y
+        return cls(tuple(StepConstraint(p, p, y) for p, y in points))
 
     def accepts(self, prefix: PrequentialPrefix) -> bool:
-        return all(
-            step.accepts(as_fraction(p), check_outcome(y))
-            for step, (p, y) in zip(self.steps, prefix)
-        )
+        """Membership of a prefix of Fraction forecasts and bits, as ``contains`` passes it."""
+        return all(step.accepts(p, y) for step, (p, y) in zip(self.steps, prefix))
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,7 @@ class EventUnion:
 
     def __post_init__(self):
         if self.horizon < 1:
-            raise ValueError("horizon must be a positive integer")
+            raise InputError("horizon must be a positive integer")
         for box in self.boxes:
             if box.horizon != self.horizon:
                 raise ArityError(
@@ -133,6 +129,7 @@ def contains(event: EventUnion, prefix: PrequentialPrefix) -> bool:
         raise ArityError(
             f"prefix length {len(prefix)} != event horizon {event.horizon}"
         )
+    prefix = [(as_fraction(p), check_outcome(y)) for p, y in prefix]  # once for every box
     return any(box.accepts(prefix) for box in event.boxes)
 
 
@@ -188,7 +185,7 @@ class Cell:
 
     def __post_init__(self):
         if self.lo > self.hi or (self.lo == self.hi and (self.lo_open or self.hi_open)):
-            raise ValueError("malformed cell")
+            raise InputError("malformed cell")
 
     def __str__(self):
         left = "(" if self.lo_open else "["
@@ -244,12 +241,12 @@ class ForecastPartition:
 
 
 def point_partition(points) -> ForecastPartition:
-    """Partition of [0, 1] with a degenerate cell at each given forecast value.
+    """Partition of [0, 1] with a degenerate cell at each given forecast, a Fraction in [0, 1].
 
     The breakpoints are the points plus 0 and 1; between consecutive
     breakpoints lies one open cell.
     """
-    pts = sorted({ZERO, ONE, *(check_forecast(p) for p in points)})
+    pts = sorted({ZERO, ONE, *points})
     cells: list[Cell] = []
     for i, b in enumerate(pts):
         cells.append(Cell(b, b))
@@ -345,26 +342,25 @@ def event_from_json(text: str) -> EventUnion:
     Only steps whose bounds are both strings are shared: a key must not let a
     float such as 1.0, which ``as_fraction`` refuses, match the key of 1.
     """
-    doc = json.loads(text)
     shared: dict = {}  # (lo, hi, y) as written -> the step built from them
-    try:
+    with reading("event"):
+        doc = json.loads(text)
         horizon = as_int(doc["horizon"], "horizon")
         boxes = []
         for box_doc in doc.get("boxes", []):
             steps = []
             for step_doc in box_doc["steps"]:
                 p, y_raw = step_doc["p"], step_doc.get("y", "*")
-                plain = type(p) is list and len(p) == 2 and type(y_raw) in (str, int)
-                key = (p[0], p[1], y_raw) if plain and type(p[0]) is type(p[1]) is str else None
+                if type(p) is not list or len(p) != 2:
+                    raise InputError(f"a step's p must be a pair [lo, hi], got {p!r}")
+                plain = type(p[0]) is type(p[1]) is str and type(y_raw) in (str, int)
+                key = (p[0], p[1], y_raw) if plain else None
                 step = shared.get(key)
                 if step is None:
-                    lo, hi = (as_fraction(v) for v in p)
-                    y = WILDCARD if y_raw == "*" else check_outcome(as_int(y_raw, "outcome y"))
-                    step = StepConstraint(lo, hi, y)
+                    y = WILDCARD if y_raw == "*" else as_int(y_raw, "outcome y")  # StepConstraint checks it
+                    step = StepConstraint(as_fraction(p[0]), as_fraction(p[1]), y)
                     if key is not None:
                         shared[key] = step
                 steps.append(step)
             boxes.append(Box(tuple(steps)))
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed event document: {exc}") from exc
     return EventUnion(horizon, tuple(boxes))

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, lru_cache
 
-from .core import ONE, ZERO, PrequentialPrefix, as_fraction, as_int, check_forecast, check_outcome, check_walk
+from .core import ONE, ZERO, InputError, PrequentialPrefix, as_fraction, as_int, check_outcome, check_walk, reading
 from .events import (
     WILDCARD,
     ArityError,
@@ -70,7 +70,7 @@ CellPath = tuple[tuple[int, int], ...]
 LIVE_SET_BUDGET = 300_000
 
 
-class LiveSetBudgetError(ValueError):
+class LiveSetBudgetError(InputError):
     """An event's game tree reaches more live-sets than ``LIVE_SET_BUDGET``."""
 
 
@@ -152,42 +152,35 @@ class ValueFunction:
         per step of the horizon, and the values are read at exactly the nodes
         of their tree, level by level.  Each distinct value string is parsed once.
         """
-        doc = json.loads(text)
-        try:
+        with reading("value-function"):
+            doc = json.loads(text)
             partitions = []
             for step, cells_doc in enumerate(doc["partitions"], start=1):
                 cells = tuple(_cell_from_json(step, c) for c in cells_doc)
                 if not _covers_unit_interval(cells):
-                    raise ValueError(
+                    raise InputError(
                         f"partition {step}: cells must ascend, be disjoint and cover [0, 1]"
                     )
                 breakpoints = tuple(sorted({c.lo for c in cells} | {c.hi for c in cells}))
                 partitions.append(ForecastPartition(breakpoints, cells))
             horizon = as_int(doc["horizon"], "horizon")
             if horizon != len(partitions):
-                raise ValueError(f"horizon {horizon} but {len(partitions)} partitions")
+                raise InputError(f"horizon {horizon} but {len(partitions)} partitions")
             given = doc["values"]
             fraction = cache(as_fraction)
-
-            def read(key: str) -> Fraction:
-                try:
-                    v = given[key]
-                except KeyError:
-                    raise ValueError(f"value function has no value at node '{key}'") from None
-                # Only strings share the cache: as_fraction refuses 1.0, which equals 1 as a key.
-                return fraction(v) if isinstance(v, str) else as_fraction(v)
-
-            values = {path: read(key) for path, key in _key_tree(partitions)}
+            # Only strings share the cache: as_fraction refuses 1.0, which equals 1 as a key.
+            values = {
+                path: fraction(v) if isinstance(v := given[key], str) else as_fraction(v)
+                for path, key in _key_tree(partitions)
+            }
             if len(given) != len(values):
-                raise ValueError(f"value function has {len(given) - len(values)} keys that are not tree nodes")
-        except (TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed value-function document: {exc}") from exc
+                raise InputError(f"value function has {len(given) - len(values)} keys that are not tree nodes")
         return cls(horizon, tuple(partitions), values)
 
 
 def _cell_from_json(step: int, doc) -> Cell:
     if not (isinstance(doc["lo_open"], bool) and isinstance(doc["hi_open"], bool)):
-        raise ValueError(f"partition {step}: lo_open and hi_open must be true or false")
+        raise InputError(f"partition {step}: lo_open and hi_open must be true or false")
     return Cell(as_fraction(doc["lo"]), as_fraction(doc["hi"]), doc["lo_open"], doc["hi_open"])
 
 
@@ -320,7 +313,7 @@ class _GameEngine:
     def live_for_prefix(self, prefix: PrequentialPrefix) -> int:
         live = self.all_live()
         for depth, (p, y) in enumerate(prefix):
-            live = self.survivors_at(live, depth, check_forecast(p), check_outcome(y))
+            live = self.survivors_at(live, depth, p, check_outcome(y))  # survivors_at checks p
         return live
 
     def value(self, depth: int, live: int) -> Fraction:
@@ -425,7 +418,7 @@ class LevyStrategy:
     def start(cls, event: EventUnion, threshold) -> "LevyStrategy":
         threshold = as_fraction(threshold)
         if not ZERO < threshold < ONE:
-            raise ValueError("threshold must lie strictly between 0 and 1")
+            raise InputError("threshold must lie strictly between 0 and 1")
         eng = _engine(event)
         live = eng.all_live()
         w0 = eng.value(0, live)
@@ -467,10 +460,8 @@ def levy_strategy_step(state: LevyStrategy, step) -> LevyStrategy:
     if state.depth >= state.event.horizon:
         return state
     p, y = step
-    p = check_forecast(p)
-    y = check_outcome(y)
     eng = state.engine
-    live = eng.survivors_at(state.live, state.depth, p, y)
+    live = eng.survivors_at(state.live, state.depth, p, check_outcome(y))  # survivors_at checks p
     depth = state.depth + 1
     w = eng.value(depth, live)
     if state.regime == "riding":

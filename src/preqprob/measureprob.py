@@ -42,6 +42,7 @@ from .core import (
     ONE,
     ZERO,
     ForecastingSystem,
+    InputError,
     all_histories_below,
     check_walk,
     cylinder_probability,
@@ -55,7 +56,7 @@ from .events import WILDCARD, ArityError, EventUnion, contains, per_distinct_ste
 GRID_ENUMERATION_LIMIT = 10**7
 
 
-class EnumerationLimitError(RuntimeError):
+class EnumerationLimitError(InputError):
     """The requested brute-force enumeration exceeds the guarded size."""
 
 
@@ -166,7 +167,7 @@ def measure_upper_probability(event: EventUnion) -> tuple[Fraction, ForecastingS
         m0, m1 = accepts[depth][j]
         return candidates[depth][j], (depth + 1, live & m0), (depth + 1, live & m1)
 
-    return value, ForecastingSystem.stepping(horizon, (0, root), expand)
+    return value, ForecastingSystem._trusted(horizon, (0, root), expand)
 
 
 def grid_bruteforce(event: EventUnion, k: int) -> Fraction:
@@ -179,7 +180,7 @@ def grid_bruteforce(event: EventUnion, k: int) -> Fraction:
     1/k; in general it is a lower bound, nondecreasing under grid refinement.
     """
     if k < 1:
-        raise ValueError("grid parameter k must be a positive integer")
+        raise InputError("grid parameter k must be a positive integer")
     horizon = event.horizon
     positions = list(all_histories_below(horizon))
     system_count = (k + 1) ** len(positions)
@@ -211,7 +212,7 @@ def monte_carlo_probability(
     fraction and the half-width 4 * sqrt(est * (1 - est) / samples).
     """
     if samples < 1:
-        raise ValueError("samples must be at least 1")
+        raise InputError("samples must be at least 1")
     if phi.horizon < event.horizon:
         raise ArityError(
             f"system horizon {phi.horizon} below event horizon {event.horizon}"

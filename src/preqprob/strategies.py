@@ -60,6 +60,7 @@ from .core import (
     ZERO,
     ForecastingSystem,
     HorizonError,
+    InputError,
     as_fraction,
     check_forecast,
     check_outcome,
@@ -67,21 +68,22 @@ from .core import (
     history_at,
     induced_path,
     outcome_tree_nodes,
+    reading,
     sample_outcomes,
 )
 from .events import point_partition
 from .gameprob import CellPath, ValueFunction, cell_tree
 
 
-class IncompleteTableError(ValueError):
+class IncompleteTableError(InputError):
     """A value table is missing nodes required by its partitions."""
 
 
-class CertificationError(RuntimeError):
+class CertificationError(InputError):
     """A strategy failed the exact martingale certification."""
 
 
-class StreamFormatError(ValueError):
+class StreamFormatError(InputError):
     """A forecast/outcome stream row is malformed."""
 
 
@@ -94,7 +96,7 @@ class CapitalProcess:
 
     def __post_init__(self):
         if self.initial_capital < ZERO or any(v < ZERO for v in self.trajectory):
-            raise ValueError("capital must stay non-negative")
+            raise InputError("capital must stay non-negative")
 
     @property
     def final_capital(self) -> Fraction:
@@ -115,7 +117,7 @@ def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
     children are read by path.
     """
     if mode not in ("exact", "super"):
-        raise ValueError(f"mode must be 'exact' or 'super', got {mode!r}")
+        raise InputError(f"mode must be 'exact' or 'super', got {mode!r}")
     exact = mode == "exact"
     values = vf.values
     violations: list[tuple[CellPath, Fraction]] = []
@@ -160,15 +162,15 @@ class CalibrationState:
 
     def __post_init__(self):
         if self.horizon < 1:
-            raise ValueError("horizon must be a positive integer")
+            raise InputError("horizon must be a positive integer")
         if self.threshold_c <= ZERO:
-            raise ValueError("threshold must be positive")
+            raise InputError("threshold must be positive")
         # |bias| <= n and 0 <= spread <= n/4, compared as integers (denominators are positive).
         bias, spread = self.bias, self.spread
         if abs(bias.numerator) > self.n * bias.denominator or not (
             0 <= 4 * spread.numerator <= self.n * spread.denominator
         ):
-            raise ValueError("inconsistent calibration sums")
+            raise InputError("inconsistent calibration sums")
 
     @functools.cached_property
     def capital(self) -> Fraction:
@@ -276,7 +278,7 @@ def calibration_verdict(state: CalibrationState) -> CalibrationVerdict:
     ratio >= 4 C^2.
     """
     if state.n != state.horizon:
-        raise ValueError(f"verdict needs all {state.horizon} steps, have {state.n}")
+        raise InputError(f"verdict needs all {state.horizon} steps, have {state.n}")
     square = state.bias**2
     n_quarter, scale = _capital_terms(state.horizon, state.threshold_c)
     reject = square >= scale - n_quarter  # C^2 N
@@ -340,7 +342,7 @@ def strategy_value_table(strategy_factory, horizon: int, grid) -> ValueFunction:
     built along ``cell_tree``, each node's strategy value stepped into its
     children.
     """
-    partition = point_partition(grid)
+    partition = point_partition(map(check_forecast, grid))
     partitions = tuple(partition for _ in range(horizon))
 
     def children(strategy, depth: int) -> list:
@@ -414,10 +416,10 @@ def ville_check(
     equals a replayed one.
     """
     if samples < 1:
-        raise ValueError("samples must be at least 1")
+        raise InputError("samples must be at least 1")
     threshold = as_fraction(threshold)
     if threshold <= ZERO:
-        raise ValueError("threshold must be positive")
+        raise InputError("threshold must be positive")
     check_walk(outcome_tree_nodes(phi.horizon), f"the certification walk at horizon {phi.horizon}")
     start = strategy_factory()
     ok, violations = certify_strategy(lambda: start, phi)
@@ -456,8 +458,8 @@ def ville_check(
 
 def parse_stream_csv(text: str) -> list[tuple[Fraction, int]]:
     """Parse the stream format: header "p,y", forecasts as decimals or num/den."""
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+    with reading("stream", csv.Error):
+        rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows or [field.strip() for field in rows[0]] != ["p", "y"]:
         raise StreamFormatError('stream must start with the header "p,y"')
     forecast = functools.cache(check_forecast)  # streams repeat a few forecast strings
