@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import gameprob, measureprob, randgen, strategies
-from .core import ForecastingSystem, InputError, as_fraction, as_int, induced_path, sample_outcomes
+from .core import ForecastingSystem, InputError, as_fraction, as_int, induced_path, reading, sample_outcomes
 from .events import (
     contains,
     counterexample_pair,
@@ -102,7 +102,8 @@ def _digest(path: str) -> str:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
+    """The text of an input file; bytes that are not UTF-8 are an ``InputError`` naming the file."""
+    with open(path, "r", encoding="utf-8") as handle, reading(path, UnicodeDecodeError):
         return handle.read()
 
 

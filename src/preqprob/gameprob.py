@@ -125,7 +125,17 @@ class ValueFunction:
         return self.values[()]
 
     def to_json(self) -> str:
+        """The table document, keys in sorted order.
+
+        A table holds few distinct value objects (a witness table one per
+        reachable depth and live-set), so each distinct object in ``values``
+        is formatted once and its text shared by every node that holds it.
+        ``values`` must return the object it holds for a node, as a dict does.
+        """
         values = self.values
+        # ``objects`` holds every object it keys for the whole call, so no id in it is reused.
+        objects = {id(v): v for v in values.values()}
+        text = {i: str(v) for i, v in objects.items()}  # once per object
         doc = {
             "horizon": self.horizon,
             "partitions": [
@@ -140,7 +150,7 @@ class ValueFunction:
                 ]
                 for partition in self.partitions
             ],
-            "values": {key: str(values[path]) for path, key in _key_tree(self.partitions)},
+            "values": {key: text[id(values[path])] for path, key in _key_tree(self.partitions)},
         }
         return json.dumps(doc, sort_keys=True)
 
@@ -150,13 +160,22 @@ class ValueFunction:
 
         Every partition must be ascending, disjoint cells covering [0, 1], one
         per step of the horizon, and the values are read at exactly the nodes
-        of their tree, level by level.  Each distinct value string is parsed once.
+        of their tree, level by level.  Each distinct value or cell-endpoint
+        string is parsed once, into one Fraction that every node or cell
+        giving that string shares, so ``check_farthingale`` sees equal values
+        as one object.
         """
+        fraction = cache(as_fraction)
+
+        def number(v) -> Fraction:
+            # Only strings share the cache: as_fraction refuses 1.0, which equals 1 as a key.
+            return fraction(v) if isinstance(v, str) else as_fraction(v)
+
         with reading("value-function"):
             doc = json.loads(text)
             partitions = []
             for step, cells_doc in enumerate(doc["partitions"], start=1):
-                cells = tuple(_cell_from_json(step, c) for c in cells_doc)
+                cells = tuple(_cell_from_json(step, c, number) for c in cells_doc)
                 if not _covers_unit_interval(cells):
                     raise InputError(
                         f"partition {step}: cells must ascend, be disjoint and cover [0, 1]"
@@ -167,21 +186,16 @@ class ValueFunction:
             if horizon != len(partitions):
                 raise InputError(f"horizon {horizon} but {len(partitions)} partitions")
             given = doc["values"]
-            fraction = cache(as_fraction)
-            # Only strings share the cache: as_fraction refuses 1.0, which equals 1 as a key.
-            values = {
-                path: fraction(v) if isinstance(v := given[key], str) else as_fraction(v)
-                for path, key in _key_tree(partitions)
-            }
+            values = {path: number(given[key]) for path, key in _key_tree(partitions)}
             if len(given) != len(values):
                 raise InputError(f"value function has {len(given) - len(values)} keys that are not tree nodes")
         return cls(horizon, tuple(partitions), values)
 
 
-def _cell_from_json(step: int, doc) -> Cell:
+def _cell_from_json(step: int, doc, number) -> Cell:
     if not (isinstance(doc["lo_open"], bool) and isinstance(doc["hi_open"], bool)):
         raise InputError(f"partition {step}: lo_open and hi_open must be true or false")
-    return Cell(as_fraction(doc["lo"]), as_fraction(doc["hi"]), doc["lo_open"], doc["hi_open"])
+    return Cell(number(doc["lo"]), number(doc["hi"]), doc["lo_open"], doc["hi_open"])
 
 
 def _covers_unit_interval(cells: tuple[Cell, ...]) -> bool:

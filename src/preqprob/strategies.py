@@ -6,7 +6,11 @@ gambler may discard capital (superfarthingale).  ``check_farthingale``
 verifies either property exactly on a cell-indexed value table: within one
 partition cell the successor values are constant, so the defining identity is
 linear in the forecast and holds on the whole cell iff it holds at both cell
-endpoints.
+endpoints.  A table holds few distinct value objects (``from_json`` shares one
+Fraction per value string, and a witness table one per depth and live-set),
+so the check keeps an identity memo: each distinct (cell, node value, child
+values) is decided once, keyed by ``id`` with references to the keyed objects
+kept for the call, and every node holding those objects reads the result.
 
 The calibration strategy realizes the finite-horizon bias test: with
 S = sum(y_i - p_i) and A = sum(p_i (1 - p_i)) the process
@@ -115,6 +119,14 @@ def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
     endpoints are scanned only when that test fails.  The interior nodes come
     from ``cell_tree`` over all but the last partition, and each node's
     children are read by path.
+
+    A check depends only on the cell, the parent value and the two child
+    values, so its outcome, the endpoints that fail, is decided once per
+    distinct (cell, parent, v0, v1) by object identity and then read by every
+    node that holds the same four objects.  The memo keeps references to the
+    keyed objects, so no id is reused during the call even when ``vf.values``
+    hands out a fresh object on each lookup.  Each node still reports its own
+    failing endpoints, in level, cell and endpoint order.
     """
     if mode not in ("exact", "super"):
         raise InputError(f"mode must be 'exact' or 'super', got {mode!r}")
@@ -122,6 +134,8 @@ def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
     values = vf.values
     violations: list[tuple[CellPath, Fraction]] = []
     seen: set[tuple[CellPath, Fraction]] = set()
+    # (id(cell), id(parent), id(v0), id(v1)) -> (failing endpoints, the four objects).
+    memo: dict[tuple[int, int, int, int], tuple] = {}
     # The state of an interior node is the cell list of its step; a root-only table has none.
     steps = [[(((ci, 0),), ((ci, 1),), cell) for ci, cell in enumerate(p.cells)] for p in vf.partitions]
     root_cells = steps[0] if steps else []
@@ -134,20 +148,34 @@ def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
             parent = values[path]
             for step0, step1, cell in cells:
                 v0 = values[path + step0]
-                d = values[path + step1] - v0
-                if not exact:
-                    top = v0 + (cell.hi if d > 0 else cell.lo) * d if d else v0
-                    if parent >= top:
-                        continue
-                for p in cell.endpoints():
-                    rhs = v0 + p * d if d else v0
-                    bad = parent != rhs if exact else parent < rhs
-                    if bad and (path, p) not in seen:
+                v1 = values[path + step1]
+                key = (id(cell), id(parent), id(v0), id(v1))
+                known = memo.get(key)
+                if known is None:
+                    failing = _failing_endpoints(cell, parent, v0, v1, exact)
+                    known = memo[key] = (failing, cell, parent, v0, v1)
+                for p in known[0]:
+                    if (path, p) not in seen:
                         seen.add((path, p))
                         violations.append((path, p))
     except KeyError:
         raise IncompleteTableError("value table does not cover the partition tree") from None
     return not violations, violations
+
+
+def _failing_endpoints(cell, parent: Fraction, v0: Fraction, v1: Fraction, exact: bool) -> tuple:
+    """The endpoints of ``cell`` at which ``parent`` fails against v0 + p*(v1 - v0)."""
+    d = v1 - v0
+    if not exact:
+        top = v0 + (cell.hi if d > 0 else cell.lo) * d if d else v0
+        if parent >= top:
+            return ()
+    failing = []
+    for p in cell.endpoints():
+        rhs = v0 + p * d if d else v0
+        if parent != rhs if exact else parent < rhs:
+            failing.append(p)
+    return tuple(failing)
 
 
 @dataclass(frozen=True)

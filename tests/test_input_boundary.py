@@ -107,6 +107,28 @@ def test_refused_input_exits_2_with_one_line(capsys, tmp_path, name):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+NOT_UTF8 = {
+    "value-event": ["value", "--event", "{bad}"],
+    "verify-value-function": ["verify", "--value-function", "{bad}"],
+    "test-stream-stream": ["test-stream", "--stream", "{bad}"],
+    "ville-phi": ["ville", "--phi", "{bad}"],
+    "levy-trace-event": ["levy-trace", "--event", "{bad}"],
+    "levy-trace-stream": ["levy-trace", "--event", "{good}", "--stream", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_UTF8))
+def test_a_file_that_is_not_utf8_exits_2_naming_it(capsys, tmp_path, name):
+    bad, good = tmp_path / "latin1", tmp_path / "event.json"
+    bad.write_bytes(b"p,y\n\xff,1\n")
+    good.write_text(GOOD_EVENT)
+    argv = [arg.format(bad=bad, good=good) for arg in NOT_UTF8[name]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: malformed {bad} document: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
 def test_unparsable_seed_variable_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("PREQ_SEED", "x")
     code, out, err = run(capsys, "ville", "--samples", "1")
