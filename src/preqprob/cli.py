@@ -96,15 +96,15 @@ class Report:
             print(f"check {check['name']}: {check['status']}{detail}")
 
 
-def _digest(path: str) -> str:
+def _read(path: str) -> tuple[str, str]:
+    """An input file's text, line ends read as in text mode, and the SHA-256 of its bytes, read once.
+
+    Bytes that are not UTF-8 are an ``InputError`` naming the file."""
     with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
-
-
-def _read(path: str) -> str:
-    """The text of an input file; bytes that are not UTF-8 are an ``InputError`` naming the file."""
-    with open(path, "r", encoding="utf-8") as handle, reading(path, UnicodeDecodeError):
-        return handle.read()
+        data = handle.read()
+    with reading(path, UnicodeDecodeError):
+        text = data.decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n"), hashlib.sha256(data).hexdigest()
 
 
 def _default_seed(args) -> int:
@@ -116,8 +116,11 @@ def _default_seed(args) -> int:
 def cmd_value(args) -> int:
     if args.table_out and args.engine == "measure":
         raise InputError("--table-out needs the game engine: use --engine game or both")
-    event = event_from_json(_read(args.event))
-    report = Report("value", inputs={"event": args.event, "digest": _digest(args.event), "engine": args.engine})
+    if args.witness_out and args.engine == "game":
+        raise InputError("--witness-out needs the measure engine: use --engine measure or both")
+    text, digest = _read(args.event)
+    event = event_from_json(text)
+    report = Report("value", inputs={"event": args.event, "digest": digest, "engine": args.engine})
     exit_code = EXIT_OK
     if args.engine in ("game", "both"):
         report.results["upper_game"] = gameprob.upper_game_probability(event)
@@ -185,7 +188,8 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_test_stream(args) -> int:
-    stream = strategies.parse_stream_csv(_read(args.stream))
+    text, digest = _read(args.stream)
+    stream = strategies.parse_stream_csv(text)
     horizon = len(stream) if args.horizon is None else args.horizon
     if horizon < 1 or len(stream) < horizon:
         raise InputError(f"stream has {len(stream)} rows, need {horizon}")
@@ -197,7 +201,7 @@ def cmd_test_stream(args) -> int:
         "test-stream",
         inputs={
             "stream": args.stream,
-            "digest": _digest(args.stream),
+            "digest": digest,
             "N": horizon,
             "C": threshold_c,
         },
@@ -222,7 +226,7 @@ _STRATEGIES = {
 def cmd_ville(args) -> int:
     seed = _default_seed(args)
     if args.phi:
-        phi = ForecastingSystem.from_json(_read(args.phi))
+        phi = ForecastingSystem.from_json(_read(args.phi)[0])
     else:
         phi = ForecastingSystem.constant(Fraction(1, 2), args.horizon)
     threshold = as_fraction(args.threshold_c)
@@ -250,6 +254,8 @@ def cmd_ville(args) -> int:
 
 
 def cmd_duality_sweep(args) -> int:
+    if args.count < 1:
+        raise InputError(f"--count must be a positive integer, got {args.count}")
     if args.grid is not None and args.grid < 1:
         raise InputError(f"--grid must be a positive integer, got {args.grid}")
     seed = _default_seed(args)
@@ -302,19 +308,20 @@ def cmd_duality_sweep(args) -> int:
 
 
 def cmd_levy_trace(args) -> int:
-    event = event_from_json(_read(args.event))
+    text, digest = _read(args.event)
+    event = event_from_json(text)
     threshold = as_fraction(args.threshold)
     seed = _default_seed(args)
     report = Report(
         "levy-trace",
         inputs={
             "event": args.event,
-            "digest": _digest(args.event),
+            "digest": digest,
             "threshold": threshold,
         },
     )
     if args.stream:
-        stream = strategies.parse_stream_csv(_read(args.stream))[: event.horizon]
+        stream = strategies.parse_stream_csv(_read(args.stream)[0])[: event.horizon]
         report.inputs["stream"] = args.stream
     else:
         value, witness = measureprob.measure_upper_probability(event)
@@ -343,13 +350,14 @@ def cmd_levy_trace(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    vf = gameprob.ValueFunction.from_json(_read(args.value_function))
+    text, digest = _read(args.value_function)
+    vf = gameprob.ValueFunction.from_json(text)
     ok, violations = strategies.check_farthingale(vf, args.mode)
     report = Report(
         "verify",
         inputs={
             "value_function": args.value_function,
-            "digest": _digest(args.value_function),
+            "digest": digest,
             "mode": args.mode,
         },
     )

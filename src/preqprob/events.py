@@ -9,12 +9,14 @@ only closed constraints are admitted.
 The forecast axis of each step is cut into a partition of maximal intervals on
 which every box's interval test is constant.  Those cells are the columns of
 the partition-refined game tree used by the backward-induction engines.
+``forecast_partition`` cuts a step in one integer pass, giving each cell the
+bitmasks of the boxes accepting it, which the game engine reads as they are.
 
 Long events repeat steps: ``event_from_json`` builds one ``StepConstraint``
 per distinct raw step and shares it, and ``per_distinct_step`` sets up a
-step (its partition, an engine's masks) once per distinct column of box
-steps, keyed on the identity of those shared objects.  An event hashes each
-distinct step object once and keeps its hash.
+step (its partition, the measure engine's candidates) once per distinct
+column of box steps, keyed on the identity of those shared objects.  An
+event hashes each distinct step object once and keeps its hash.
 """
 
 from __future__ import annotations
@@ -217,7 +219,7 @@ class Cell:
         return tuple(pts)
 
     def representative(self) -> Fraction:
-        """Any point of the cell; used to read off the constant interval tests."""
+        """Any point of the cell: a forecast at which every test constant on the cell can be read."""
         if not self.lo_open:
             return self.lo
         if not self.hi_open:
@@ -227,10 +229,16 @@ class Cell:
 
 @dataclass(frozen=True)
 class ForecastPartition:
-    """Ordered, disjoint cells covering [0, 1] exactly."""
+    """Ordered, disjoint cells covering [0, 1] exactly.
+
+    ``masks`` holds, per cell, the bitmasks (m0, m1) of the boxes accepting
+    it with outcome 0 and with outcome 1.  Only ``forecast_partition`` sets
+    it: ``point_partition`` grids and partitions read from a table have none.
+    """
 
     breakpoints: tuple[Fraction, ...]
     cells: tuple[Cell, ...]
+    masks: tuple[tuple[int, int], ...] = ()
 
     def cell_index_of(self, p: Fraction) -> int:
         p = check_forecast(p)
@@ -256,32 +264,35 @@ def point_partition(points) -> ForecastPartition:
 
 
 def forecast_partition(event: EventUnion, step: int) -> ForecastPartition:
-    """Partition of the forecast axis at a step (1-based) of the event.
+    """Partition of the forecast axis at a step (1-based) of the event, with its box masks.
 
     Breakpoints are the box interval endpoints at that step plus 0 and 1;
     cells are the maximal intervals on which every box's interval test is
-    constant (adjacent raw pieces with equal signatures are merged, so an
-    unconstrained axis collapses to the single cell [0, 1]).
+    constant (an unconstrained axis is the single cell [0, 1]).  Each cell's
+    pair (m0, m1) in ``masks`` holds bit i when box i's step accepts the
+    cell's forecasts together with outcome 0 and outcome 1 respectively.
     """
     if not 1 <= step <= event.horizon:
         raise ArityError(f"step {step} outside 1..{event.horizon}")
-    intervals = [(box.steps[step - 1].p_lo, box.steps[step - 1].p_hi) for box in event.boxes]
-    pieces = point_partition(p for iv in intervals for p in iv)
-    # Piece 2k is the point breakpoints[k] and piece 2k+1 the open gap after it, so
-    # the interval [breakpoints[a], breakpoints[b]] holds exactly the pieces 2a..2b.
-    position = {b: 2 * k for k, b in enumerate(pieces.breakpoints)}
-    spans = [(position[lo], position[hi]) for lo, hi in intervals]
+    steps = [box.steps[step - 1] for box in event.boxes]
+    points = sorted({ZERO, ONE, *(p for s in steps for p in (s.p_lo, s.p_hi))})
+    # Piece 2k is the point points[k] and piece 2k+1 the open gap after it, so
+    # the interval [points[a], points[b]] holds exactly the pieces 2a..2b.
+    position = {p: 2 * k for k, p in enumerate(points)}
+    inside = [0] * (2 * len(points) - 1)  # bit i: box i's interval holds the piece
+    for i, s in enumerate(steps):
+        for j in range(position[s.p_lo], position[s.p_hi] + 1):
+            inside[j] |= 1 << i
+    by_bit = [sum(1 << i for i, s in enumerate(steps) if s.y is WILDCARD or s.y == bit) for bit in (0, 1)]
 
-    merged: list[Cell] = []
-    previous = None  # signature of merged[-1]; a merged cell keeps its pieces' signature
-    for j, piece in enumerate(pieces.cells):
-        current = tuple(a <= j <= b for a, b in spans)
-        if current == previous:
-            prev = merged.pop()
-            piece = Cell(prev.lo, piece.hi, prev.lo_open, piece.hi_open)
-        merged.append(piece)
-        previous = current
-    return ForecastPartition(pieces.breakpoints, tuple(merged))
+    cells, masks = [], []
+    a = 0  # first piece of the run of equal masks that ends at piece b
+    for b, mask in enumerate(inside):
+        if b + 1 == len(inside) or inside[b + 1] != mask:
+            cells.append(Cell(points[a // 2], points[(b + 1) // 2], a % 2 == 1, b % 2 == 1))
+            masks.append((mask & by_bit[0], mask & by_bit[1]))
+            a = b + 1
+    return ForecastPartition(tuple(points), tuple(cells), tuple(masks))
 
 
 def per_distinct_step(event: EventUnion, build) -> tuple:

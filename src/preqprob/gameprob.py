@@ -19,12 +19,12 @@ of some cell, which is what ``optimal_forecast_at`` returns.
 
 The value at a node depends on the prefix only through the set of boxes still
 consistent with it, its live-set, kept as an ``int`` bitmask (bit i for box
-i).  Every box test is constant on a cell, so the engine precomputes, once
-per event, one pair of masks per step and cell: the boxes accepting the cell's
-forecasts with outcome 0 and with outcome 1; steps whose box constraints
-repeat an earlier step's share its partition and masks.  The live-sets of a
-node's children are then ``live & mask``, with no rational comparison.  The
-induction runs level by level, without recursion: a forward pass collects
+i).  Every box test is constant on a cell, so each step's partition, from
+``events.event_partitions``, comes with one pair of masks per cell: the boxes
+accepting the cell's forecasts with outcome 0 and with outcome 1; steps whose
+box constraints repeat an earlier step's share its partition.  The live-sets
+of a node's children are then ``live & mask``, with no rational comparison.
+The induction runs level by level, without recursion: a forward pass collects
 the live-sets reachable at each depth, and a backward pass fills in their
 values, so long horizons need no deep stack.  The forward pass counts the
 (depth, live-set) pairs it reaches and refuses an event past
@@ -47,21 +47,12 @@ too.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, lru_cache
 
 from .core import ONE, ZERO, InputError, PrequentialPrefix, as_fraction, as_int, check_outcome, check_walk, reading
-from .events import (
-    WILDCARD,
-    ArityError,
-    Cell,
-    EventUnion,
-    ForecastPartition,
-    event_partitions,
-    per_distinct_step,
-)
+from .events import ArityError, Cell, EventUnion, ForecastPartition, event_partitions
 
 CellPath = tuple[tuple[int, int], ...]
 
@@ -225,11 +216,12 @@ def encode_cell_path(path: CellPath) -> str:
 class _GameEngine:
     """Backward induction for one event, solved level by level on bitmask live-sets.
 
-    Bit i of a live-set stands for box i.  ``masks[depth][cell]`` is the pair
-    (m0, m1) of boxes whose step ``depth`` accepts every forecast in the cell
-    together with outcome 0 and 1 respectively, so the survivors of a node are
-    ``live & m0`` and ``live & m1``.  ``_values[depth]`` maps each live-set
-    reachable at that depth, and the empty one, to its node value.
+    Bit i of a live-set stands for box i.  ``masks[depth]`` is the ``masks``
+    of step ``depth``'s partition: per cell, the pair (m0, m1) of boxes whose
+    step accepts every forecast in the cell together with outcome 0 and 1
+    respectively, so the survivors of a node are ``live & m0`` and
+    ``live & m1``.  ``_values[depth]`` maps each live-set reachable at that
+    depth, and the empty one, to its node value.
     """
 
     def __init__(self, event: EventUnion):
@@ -242,25 +234,8 @@ class _GameEngine:
             )
         self.event = event
         self.partitions = event_partitions(event)
-        self.masks = per_distinct_step(
-            event, lambda depth: self._step_masks(depth, self.partitions[depth])
-        )
+        self.masks = tuple(partition.masks for partition in self.partitions)
         self._values = self._solve()
-
-    def _step_masks(self, depth: int, partition: ForecastPartition) -> tuple:
-        steps = [box.steps[depth] for box in self.event.boxes]
-        by_bit = [
-            sum(1 << i for i, step in enumerate(steps) if step.y is WILDCARD or step.y == bit)
-            for bit in (0, 1)
-        ]
-        # Representatives ascend with the cells, so the cells whose representative
-        # satisfies p_lo <= rep <= p_hi form one run, found by bisection.
-        reps = [cell.representative() for cell in partition.cells]
-        inside = [0] * len(reps)
-        for i, step in enumerate(steps):
-            for ci in range(bisect_left(reps, step.p_lo), bisect_right(reps, step.p_hi)):
-                inside[ci] |= 1 << i
-        return tuple((m & by_bit[0], m & by_bit[1]) for m in inside)
 
     def _solve(self) -> list:
         """Collect the reachable live-sets going forward, then fill in values going back."""

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from preqprob import cli
+from preqprob import cli, gameprob, measureprob
 from preqprob.events import EventUnion, counterexample_pair, event_to_json
 from preqprob.gameprob import witness_superfarthingale
 
@@ -114,6 +115,27 @@ class TestValue:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not table.exists()
+
+    def test_game_engine_refuses_witness_out_before_reading_the_event(self, capsys, tmp_path):
+        """The game engine writes no forecasting system, so asking for one is an input error."""
+        witness = tmp_path / "witness.json"
+        missing = tmp_path / "no-such-event.json"
+        code, out, err = run(
+            capsys, "value", "--event", str(missing), "--engine", "game", "--witness-out", str(witness)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --witness-out needs the measure engine: use --engine measure or both\n"
+        assert not witness.exists()
+
+    def test_engines_that_disagree_exit_one_with_the_report(self, capsys, event_file, monkeypatch):
+        monkeypatch.setattr(gameprob, "upper_game_probability", lambda event: Fraction(1, 3))
+        code, out, _ = run(capsys, "value", "--event", event_file, "--engine", "both", "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["results"]["upper_game"] == "1/3" and doc["results"]["upper_measure"] == "1/2"
+        assert doc["checks"] == [
+            {"name": "game_equals_measure", "status": "FAIL", "detail": "game 1/3 != measure 1/2"}
+        ]
 
     def test_long_horizon_game_value(self, capsys, tmp_path):
         """The game induction runs level by level, so 1500 steps need no deep stack."""
@@ -344,6 +366,31 @@ class TestDualitySweep:
         assert "check grid_values_bounded: PASS (0 violations, 0 skipped)" in out
 
 
+    def test_a_mismatch_exits_one_with_the_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(gameprob, "upper_game_probability", lambda event: Fraction(2))
+        code, out, _ = run(capsys, "duality-sweep", "--count", "2", "--seed", "3", "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["results"] == {"duality_mismatches": 2, "events": 2}
+        failed = [c for c in doc["checks"] if c["status"] == "FAIL"]
+        assert [c["name"] for c in failed] == ["event_0_duality", "event_1_duality", "duality_holds_on_sweep"]
+        for check in failed[:2]:
+            assert re.fullmatch(r"game 2 != measure \d+(/\d+)? on \{.*\}", check["detail"])
+        assert failed[2]["detail"] == "2 mismatches"
+
+    def test_a_grid_bound_violation_exits_one_with_the_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(measureprob, "grid_bruteforce", lambda event, k: Fraction(2))
+        code, out, _ = run(capsys, "duality-sweep", "--count", "2", "--seed", "3", "--grid", "2", "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["results"]["grid_bound_violations"] == 2 and doc["results"]["duality_mismatches"] == 0
+        failed = [c for c in doc["checks"] if c["status"] == "FAIL"]
+        assert [c["name"] for c in failed] == ["event_0_grid_bound", "event_1_grid_bound", "grid_values_bounded"]
+        for check in failed[:2]:
+            assert re.fullmatch(r"grid 2 exceeds measure \d+(/\d+)?", check["detail"])
+        assert failed[2]["detail"] == "2 violations, 0 skipped"
+
+
 class TestLevyTrace:
     def test_event_of_upper_probability_zero_is_one_line_input_error(self, capsys, tmp_path):
         """Outcome 1 after forecast 0 has probability 0, so no member can be sampled."""
@@ -449,6 +496,7 @@ def table_document(cells, horizon=1):
     "argv, document",
     [
         (["test-stream", "--stream", "{file}", "-C", "1/0"], "p,y\n1/2,1\n"),
+        (["test-stream", "--stream", "{file}"], "p,y\n1/2,1,0\n"),
         (["ville", "-C", "1/0"], None),
         (["levy-trace", "--event", "{file}", "--threshold", "1/0"], GOOD_EVENT),
         (["value", "--event", "{file}"], '{"horizon": 1, "boxes": [{"steps": [{"p": ["0", "1/0"]}]}]}'),
@@ -508,6 +556,7 @@ def table_document(cells, horizon=1):
     ],
     ids=[
         "stream-threshold-zero-denominator",
+        "stream-row-with-three-fields",
         "ville-threshold-zero-denominator",
         "levy-threshold-zero-denominator",
         "event-zero-denominator",

@@ -2,7 +2,9 @@
 
 ``measureprob`` must not import the game engine, directly or through
 ``strategies``, which builds on it; ``gameprob`` must not import the measure
-engine.  Both may use ``core`` and ``events``.
+engine.  Both may use ``core`` and ``events``, but the box masks that
+``events.forecast_partition`` builds are the game engine's: the measure
+engine derives its own.
 """
 
 import ast
@@ -52,3 +54,36 @@ def test_absolute_and_relative_imports_are_both_seen(tmp_path):
         "from preqprob.events import y\n"
     )
     assert imported_modules(probe) == {"gameprob", "strategies", "measureprob", "cli", "events"}
+
+
+# What the game engine takes from ``events`` and the measure engine must not.
+GAME_PARTITIONS = {"forecast_partition", "event_partitions"}
+
+
+def partition_uses(path: Path) -> set[str]:
+    """The names of ``GAME_PARTITIONS`` a source file uses, and ``.masks`` if it reads that attribute."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Attribute):
+            used.add(".masks" if node.attr == "masks" else node.attr)
+    return used & (GAME_PARTITIONS | {".masks"})
+
+
+def test_measure_engine_derives_its_own_masks():
+    assert partition_uses(PACKAGE / "measureprob.py") == set()
+
+
+def test_every_way_to_use_the_game_partitions_is_seen(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .events import forecast_partition as cut\n"
+        "import preqprob.events\n"
+        "parts = preqprob.events.event_partitions(event)\n"
+        "pairs = parts[0].masks\n"
+        "masks = 0\n"
+    )
+    assert partition_uses(probe) == {"forecast_partition", "event_partitions", ".masks"}

@@ -17,6 +17,7 @@ from preqprob.events import (
     event_to_json,
     forecast_partition,
     intersection,
+    point_partition,
     union,
 )
 from preqprob.randgen import random_event
@@ -118,6 +119,22 @@ class TestForecastPartition:
                             step_c.p_lo <= p <= step_c.p_hi for p in samples
                         }
                         assert len(answers) == 1
+
+    def test_masks_are_the_boxes_accepting_each_cell(self):
+        """Bit i of a cell's (m0, m1) is box i's test at the cell's points; neighbours differ."""
+        rng = random.Random(29)
+        for _ in range(40):
+            event = random_event(rng)
+            for step in range(1, event.horizon + 1):
+                part = forecast_partition(event, step)
+                assert len(part.masks) == len(part.cells)
+                for cell, pair in zip(part.cells, part.masks):
+                    for p in {*cell.closed_endpoints(), cell.representative()}:
+                        for bit in (0, 1):
+                            accepting = [box.steps[step - 1].accepts(p, bit) for box in event.boxes]
+                            assert accepting == [bool(pair[bit] >> i & 1) for i in range(len(event.boxes))]
+                assert all(a != b for a, b in zip(part.masks, part.masks[1:]))
+        assert point_partition([HALF]).masks == ()
 
     def test_step_out_of_range(self):
         a, _ = counterexample_pair()

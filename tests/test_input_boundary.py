@@ -5,6 +5,7 @@ inside the program is a fault of the tool and propagates out of ``main``.
 """
 
 import ast
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from preqprob import cli, core, gameprob, measureprob
+from preqprob import cli, core, gameprob, measureprob, randgen
 from preqprob.core import ForecastingSystem, InputError
 from preqprob.events import ArityError, Box, contains, counterexample_pair, event_from_json, event_to_json
 from preqprob.gameprob import LiveSetBudgetError, ValueFunction
@@ -129,6 +130,31 @@ def test_a_file_that_is_not_utf8_exits_2_naming_it(capsys, tmp_path, name):
     assert err.count("\n") == 1
 
 
+# A stream and an event document spread over lines; the event has one box per line.
+LINED = {
+    "test-stream": ("p,y\n1/2,1\n1/3,0\n", ["test-stream", "--stream", "{path}", "--json"]),
+    "value": (GOOD_EVENT.replace("{\"steps", "\n{\"steps") + "\n", ["value", "--event", "{path}", "--json"]),
+}
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("name", sorted(LINED))
+def test_line_ends_do_not_change_a_report_but_its_digest(capsys, tmp_path, name, newline):
+    """A file is read once: its report digest is the SHA-256 of exactly the bytes parsed."""
+    text, argv = LINED[name]
+    reports = []
+    for twin, line_end in (("lf", "\n"), ("other", newline)):
+        path = tmp_path / twin
+        path.write_bytes(text.replace("\n", line_end).encode())
+        code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["inputs"].pop("digest") == hashlib.sha256(path.read_bytes()).hexdigest()
+        doc["inputs"].pop(next(key for key, value in doc["inputs"].items() if value == str(path)))
+        reports.append(doc)
+    assert reports[0] == reports[1]
+
+
 def test_unparsable_seed_variable_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("PREQ_SEED", "x")
     code, out, err = run(capsys, "ville", "--samples", "1")
@@ -174,6 +200,17 @@ def test_duality_sweep_refuses_a_grid_below_one_before_any_engine_runs(capsys, m
     code, out, err = run(capsys, "duality-sweep", "--count", "3", "--grid", grid)
     assert (code, out) == (2, "")
     assert err == f"error: --grid must be a positive integer, got {grid}\n"
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_duality_sweep_refuses_a_count_below_one_before_any_event(capsys, monkeypatch, count):
+    def generate(rng):
+        raise AssertionError("an event was generated")
+
+    monkeypatch.setattr(randgen, "random_event", generate)
+    code, out, err = run(capsys, "duality-sweep", "--count", count)
+    assert (code, out) == (2, "")
+    assert err == f"error: --count must be a positive integer, got {count}\n"
 
 
 def test_duality_sweep_grid_one_is_checked(capsys):

@@ -73,7 +73,7 @@ def test_shared_partitions_and_masks_equal_the_per_step_ones(parsed):
         for depth in range(event.horizon):
             alone = forecast_partition(event, depth + 1)
             assert partitions[depth] == alone
-            assert engine.masks[depth] == engine._step_masks(depth, alone)
+            assert engine.masks[depth] == alone.masks
         assert upper_game_probability(event) == measure_upper_probability(event)[0]
 
 
