@@ -37,19 +37,24 @@ once, at its outermost endpoints.  The empty live-set has value zero.  All
 operations are pure and the exact arithmetic makes results independent of
 evaluation order.
 
-Every walk of the partition-refined tree goes through ``cell_tree``, which
-fixes the node order (level by level, children in (cell, bit) order) and the
-cell-path layout, and sizes the tree against ``core.check_walk``'s node
-budget before it starts; the value-table key format is built on that walk
-too.
+Every walk of the partition-refined tree goes through ``cell_levels``,
+which fixes the node order (level by level, children in (cell, bit) order)
+and sizes the tree against ``core.check_walk``'s node budget before it
+starts.  It yields one list of states per depth and builds no cell-path:
+a value table holds its node values as one list in that order, behind the
+path-keyed ``LevelValues`` view, and its JSON keys are built by the same
+walk and paired with the values by position.  ``cell_tree`` pairs each
+state with its cell-path, for callers that want paths.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import chain
 
 from .core import ONE, ZERO, InputError, PrequentialPrefix, as_fraction, as_int, check_outcome, check_walk, reading
 from .events import ArityError, Cell, EventUnion, ForecastPartition, event_partitions
@@ -65,32 +70,114 @@ class LiveSetBudgetError(InputError):
     """An event's game tree reaches more live-sets than ``LIVE_SET_BUDGET``."""
 
 
-def cell_tree(partitions, root, children):
-    """Yield every node of the partition-refined tree as ``(path, state)``, level by level.
+def cell_levels(partitions, root, children):
+    """Yield the states of the partition-refined tree one level at a time, each level a list.
 
-    The root is ``((), root)``.  A node at depth d has one child per cell of
+    Level 0 is ``[root]``.  A node at depth d has one child per cell of
     ``partitions[d]`` and outcome bit, in the order (0, 0), (0, 1), (1, 0), ...;
-    a child's path is its parent's extended by ``(cell, bit)``.
     ``children(state, d)`` is called once per node at depth d and returns the
-    states of all of that node's children, in that order.  The tree's size,
+    states of all of that node's children, in that order, and level d + 1
+    lists them parent by parent.  The tree's size,
     1 + sum over d of prod over k <= d of 2 * cells(k), is checked with
-    ``check_walk`` before the root is yielded.
+    ``check_walk`` before the root level is yielded.
     """
     nodes = width = 1
     for partition in partitions:
         width *= 2 * len(partition.cells)
         nodes += width
     check_walk(nodes, f"the cell-path tree at horizon {len(partitions)}")
-    level = [((), root)]
-    yield from level
-    for depth, partition in enumerate(partitions):
-        steps = [(ci, bit) for ci in range(len(partition.cells)) for bit in (0, 1)]
-        level = [
-            (path + (step,), state)
-            for path, parent in level
-            for step, state in zip(steps, children(parent, depth))
-        ]
+    level = [root]
+    yield level
+    for depth in range(len(partitions)):
+        level = [state for parent in level for state in children(parent, depth)]
+        yield level
+
+
+def cell_tree(partitions, root, children):
+    """Yield every node of the partition-refined tree as ``(path, state)``, level by level.
+
+    ``cell_levels`` with each state paired with its cell-path: the root is
+    ``((), root)``, and a child's path is its parent's extended by
+    ``(cell, bit)``.
+    """
+    steps = [[(ci, bit) for ci in range(len(p.cells)) for bit in (0, 1)] for p in partitions]
+
+    def expand(node, depth: int) -> list:
+        path, state = node
+        return [(path + (step,), child) for step, child in zip(steps[depth], children(state, depth))]
+
+    for level in cell_levels(partitions, ((), root), expand):
         yield from level
+
+
+def level_starts(partitions) -> list[int]:
+    """The level-order position of each depth's first node, then the node count.
+
+    Node i of depth d (in ``cell_levels`` order) is at ``starts[d] + i``, and
+    its children are at ``starts[d + 1] + i * 2 * cells(d)`` onwards.
+    """
+    starts = [0]
+    width = 1
+    for partition in partitions:
+        starts.append(starts[-1] + width)
+        width *= 2 * len(partition.cells)
+    starts.append(starts[-1] + width)
+    return starts
+
+
+def cell_path_at(partitions, depth: int, index: int) -> CellPath:
+    """The cell-path of node ``index`` of depth ``depth``, by mixed radix 2 * cells(k)."""
+    path = []
+    for partition in reversed(partitions[:depth]):
+        index, step = divmod(index, 2 * len(partition.cells))
+        path.append(divmod(step, 2))
+    return tuple(reversed(path))
+
+
+def _paths(partitions):
+    """Every node's cell-path, in ``cell_tree`` order."""
+    blanks = [[None] * (2 * len(p.cells)) for p in partitions]
+    return (path for path, _ in cell_tree(partitions, None, lambda _, depth: blanks[depth]))
+
+
+class LevelValues(Mapping):
+    """A read-only, path-keyed view of node values held as one list in ``cell_tree`` order.
+
+    A path is decoded by mixed radix in O(depth): per step, the cell index
+    and the bit give the digit 2 * cell + bit of radix 2 * cells(k), and the
+    digits give the node's index within its level.  Any key that is not a
+    node of the tree raises ``KeyError``.
+    """
+
+    __slots__ = ("nodes", "_partitions", "_radix", "_starts")
+
+    def __init__(self, partitions, nodes: list):
+        starts = level_starts(partitions)
+        if len(nodes) != starts[-1]:
+            raise ValueError(f"{len(nodes)} values for a tree of {starts[-1]} nodes")
+        self.nodes = nodes
+        self._partitions = tuple(partitions)
+        self._radix = tuple(2 * len(p.cells) for p in partitions)
+        self._starts = starts
+
+    def __getitem__(self, path) -> Fraction:
+        if not isinstance(path, tuple) or len(path) > len(self._radix):
+            raise KeyError(path)
+        index = 0
+        for step, radix in zip(path, self._radix):
+            if not (isinstance(step, tuple) and len(step) == 2):
+                raise KeyError(path)
+            ci, bit = step
+            if not (isinstance(ci, int) and isinstance(bit, int) and 0 <= 2 * ci < radix and 0 <= bit <= 1):
+                raise KeyError(path)
+            index = index * radix + 2 * ci + bit
+        return self.nodes[self._starts[len(path)] + index]
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __iter__(self):
+        return _paths(self._partitions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,13 +187,18 @@ class ValueFunction:
     A node is addressed by its cell-path: per step, the index of the chosen
     forecast cell and the outcome bit.  Canonical string encoding of a path
     joins "cell-index:bit" items with commas; the root is the empty string.
-    ``cell_tree`` fixes the nodes and their order, and the JSON form writes
-    and reads the keys along that walk.
+    ``cell_tree`` fixes the nodes and their order.
+
+    ``values`` maps cell-paths to values.  Tables the library builds hold a
+    ``LevelValues`` view, whose ``nodes`` list has the values in
+    ``cell_tree`` order; any other mapping (a dict, say) works as well.
+    ``nodes`` is that list, so the library's walks, and the JSON form,
+    read values by position.
     """
 
     horizon: int
     partitions: tuple[ForecastPartition, ...]
-    values: dict
+    values: Mapping
 
     def value(self, path: CellPath) -> Fraction:
         return self.values[path]
@@ -115,17 +207,28 @@ class ValueFunction:
     def root_value(self) -> Fraction:
         return self.values[()]
 
+    @property
+    def nodes(self) -> list:
+        """Every node's value in ``cell_tree`` order.
+
+        For a ``LevelValues`` view this is its own list; any other mapping is
+        read once along ``cell_tree``, and a missing node raises ``KeyError``.
+        """
+        values = self.values
+        if isinstance(values, LevelValues):
+            return values.nodes
+        return [values[path] for path in _paths(self.partitions)]
+
     def to_json(self) -> str:
         """The table document, keys in sorted order.
 
         A table holds few distinct value objects (a witness table one per
-        reachable depth and live-set), so each distinct object in ``values``
+        reachable depth and live-set), so each distinct object in ``nodes``
         is formatted once and its text shared by every node that holds it.
-        ``values`` must return the object it holds for a node, as a dict does.
         """
-        values = self.values
+        nodes = self.nodes
         # ``objects`` holds every object it keys for the whole call, so no id in it is reused.
-        objects = {id(v): v for v in values.values()}
+        objects = {id(v): v for v in nodes}
         text = {i: str(v) for i, v in objects.items()}  # once per object
         doc = {
             "horizon": self.horizon,
@@ -141,7 +244,7 @@ class ValueFunction:
                 ]
                 for partition in self.partitions
             ],
-            "values": {key: text[id(values[path])] for path, key in _key_tree(self.partitions)},
+            "values": {key: text[id(v)] for key, v in zip(_node_keys(self.partitions), nodes)},
         }
         return json.dumps(doc, sort_keys=True)
 
@@ -151,10 +254,10 @@ class ValueFunction:
 
         Every partition must be ascending, disjoint cells covering [0, 1], one
         per step of the horizon, and the values are read at exactly the nodes
-        of their tree, level by level.  Each distinct value or cell-endpoint
-        string is parsed once, into one Fraction that every node or cell
-        giving that string shares, so ``check_farthingale`` sees equal values
-        as one object.
+        of their tree, level by level, into a ``LevelValues`` view.  Each
+        distinct value or cell-endpoint string is parsed once, into one
+        Fraction that every node or cell giving that string shares, so
+        ``check_farthingale`` sees equal values as one object.
         """
         fraction = cache(as_fraction)
 
@@ -177,10 +280,10 @@ class ValueFunction:
             if horizon != len(partitions):
                 raise InputError(f"horizon {horizon} but {len(partitions)} partitions")
             given = doc["values"]
-            values = {path: number(given[key]) for path, key in _key_tree(partitions)}
-            if len(given) != len(values):
-                raise InputError(f"value function has {len(given) - len(values)} keys that are not tree nodes")
-        return cls(horizon, tuple(partitions), values)
+            nodes = [number(given[key]) for key in _node_keys(partitions)]
+            if len(given) != len(nodes):
+                raise InputError(f"value function has {len(given) - len(nodes)} keys that are not tree nodes")
+        return cls(horizon, tuple(partitions), LevelValues(partitions, nodes))
 
 
 def _cell_from_json(step: int, doc, number) -> Cell:
@@ -199,14 +302,14 @@ def _covers_unit_interval(cells: tuple[Cell, ...]) -> bool:
     return all(a.hi == b.lo and a.hi_open != b.lo_open for a, b in zip(cells, cells[1:]))
 
 
-def _key_tree(partitions):
-    """``cell_tree`` with each node's canonical key string as its state."""
+def _node_keys(partitions):
+    """Every node's canonical key string, in ``cell_tree`` order, built level by level."""
     tokens = [[f"{ci}:{bit}" for ci in range(len(p.cells)) for bit in (0, 1)] for p in partitions]
 
     def children(key: str, depth: int) -> list:
         return [f"{key},{token}" for token in tokens[depth]] if key else tokens[depth]
 
-    return cell_tree(partitions, "", children)
+    return chain.from_iterable(cell_levels(partitions, "", children))
 
 
 def encode_cell_path(path: CellPath) -> str:
@@ -338,18 +441,20 @@ def witness_superfarthingale(event: EventUnion) -> ValueFunction:
     Its root value equals ``upper_game_probability(event)``, its level-N values
     are the membership indicator, and it satisfies the superfarthingale
     inequality at every node and cell endpoint, which makes it the witness
-    betting strategy achieving the upper probability.
+    betting strategy achieving the upper probability.  The walk carries each
+    node's live-set, and each level's live-sets map through that depth's
+    values.
     """
     eng = _engine(event)
+    steps = [[m for pair in masks for m in pair] for masks in eng.masks]
 
     def children(live: int, depth: int) -> list:
-        return [live & m for pair in eng.masks[depth] for m in pair]
+        return [live & m for m in steps[depth]]
 
-    values = {
-        path: eng.value(len(path), live)
-        for path, live in cell_tree(eng.partitions, eng.all_live(), children)
-    }
-    return ValueFunction(event.horizon, eng.partitions, values)
+    nodes = []
+    for values, level in zip(eng._values, cell_levels(eng.partitions, eng.all_live(), children)):
+        nodes += map(values.__getitem__, level)
+    return ValueFunction(event.horizon, eng.partitions, LevelValues(eng.partitions, nodes))
 
 
 def optimal_forecast_at(event: EventUnion, x: PrequentialPrefix) -> Fraction:

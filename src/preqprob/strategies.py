@@ -6,11 +6,16 @@ gambler may discard capital (superfarthingale).  ``check_farthingale``
 verifies either property exactly on a cell-indexed value table: within one
 partition cell the successor values are constant, so the defining identity is
 linear in the forecast and holds on the whole cell iff it holds at both cell
-endpoints.  A table holds few distinct value objects (``from_json`` shares one
-Fraction per value string, and a witness table one per depth and live-set),
-so the check keeps an identity memo: each distinct (cell, node value, child
-values) is decided once, keyed by ``id`` with references to the keyed objects
-kept for the call, and every node holding those objects reads the result.
+endpoints.  The check reads the table by position: ``ValueFunction.nodes``
+lists the values in level order, each node's children follow at an offset
+computed from the partition sizes, and a cell-path is decoded only for a
+node that fails.  A table holds few distinct value objects (``from_json``
+shares one Fraction per value string, and a witness table one per depth and
+live-set), so the check keeps an identity memo: each distinct (cell, node
+value, child values) is decided once, keyed by ``id`` with references to the
+keyed objects kept for the call, and every node holding those objects reads
+the result.  ``strategy_value_table`` builds its table in the same level
+order.
 
 The calibration strategy realizes the finite-horizon bias test: with
 S = sum(y_i - p_i) and A = sum(p_i (1 - p_i)) the process
@@ -76,7 +81,7 @@ from .core import (
     sample_outcomes,
 )
 from .events import point_partition
-from .gameprob import CellPath, ValueFunction, cell_tree
+from .gameprob import CellPath, LevelValues, ValueFunction, cell_levels, cell_path_at, level_starts
 
 
 class IncompleteTableError(InputError):
@@ -116,9 +121,12 @@ def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
     one endpoint decides a cell: the right-hand side v0 + p*(v1 - v0) is
     linear in p, so the node dominates it on the whole cell iff it does at hi
     when v1 > v0, at lo when v1 < v0, and anywhere when they are equal; both
-    endpoints are scanned only when that test fails.  The interior nodes come
-    from ``cell_tree`` over all but the last partition, and each node's
-    children are read by path.
+    endpoints are scanned only when that test fails.  The values are read by
+    position from ``vf.nodes``: ``cell_levels`` over all but the last
+    partition gives the interior nodes' positions (and sizes that tree before
+    any value is read), and the children of node i of depth d are the
+    2 * cells(d) values from ``level_starts[d + 1] + i * 2 * cells(d)`` on.
+    A node's cell-path is decoded only when it fails.
 
     A check depends only on the cell, the parent value and the two child
     values, so its outcome, the endpoints that fail, is decided once per
@@ -131,35 +139,39 @@ def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
     if mode not in ("exact", "super"):
         raise InputError(f"mode must be 'exact' or 'super', got {mode!r}")
     exact = mode == "exact"
-    values = vf.values
+    partitions = vf.partitions
+    starts = level_starts(partitions)
+    radix = [2 * len(p.cells) for p in partitions]
+
+    def children(position: int, depth: int) -> range:
+        first = starts[depth + 1] + (position - starts[depth]) * radix[depth]
+        return range(first, first + radix[depth])
+
+    interior = list(cell_levels(partitions[:-1], 0, children))
     violations: list[tuple[CellPath, Fraction]] = []
-    seen: set[tuple[CellPath, Fraction]] = set()
     # (id(cell), id(parent), id(v0), id(v1)) -> (failing endpoints, the four objects).
     memo: dict[tuple[int, int, int, int], tuple] = {}
-    # The state of an interior node is the cell list of its step; a root-only table has none.
-    steps = [[(((ci, 0),), ((ci, 1),), cell) for ci, cell in enumerate(p.cells)] for p in vf.partitions]
-    root_cells = steps[0] if steps else []
-
-    def children(cells: list, depth: int) -> list:
-        return [steps[depth + 1]] * (2 * len(cells))
-
     try:
-        for path, cells in cell_tree(vf.partitions[:-1], root_cells, children):
-            parent = values[path]
-            for step0, step1, cell in cells:
-                v0 = values[path + step0]
-                v1 = values[path + step1]
+        nodes = vf.nodes
+    except KeyError:
+        raise IncompleteTableError("value table does not cover the partition tree") from None
+    for depth, (level, partition) in enumerate(zip(interior, partitions)):
+        cells, width = partition.cells, radix[depth]
+        first = starts[depth + 1]  # a level's nodes are consecutive, and so are their children
+        for position in level:
+            parent = nodes[position]
+            below = nodes[first : first + width]
+            first += width
+            failed = ()
+            for cell, v0, v1 in zip(cells, below[0::2], below[1::2]):
                 key = (id(cell), id(parent), id(v0), id(v1))
                 known = memo.get(key)
                 if known is None:
-                    failing = _failing_endpoints(cell, parent, v0, v1, exact)
-                    known = memo[key] = (failing, cell, parent, v0, v1)
-                for p in known[0]:
-                    if (path, p) not in seen:
-                        seen.add((path, p))
-                        violations.append((path, p))
-    except KeyError:
-        raise IncompleteTableError("value table does not cover the partition tree") from None
+                    known = memo[key] = (_failing_endpoints(cell, parent, v0, v1, exact), cell, parent, v0, v1)
+                failed += known[0]
+            if failed:
+                path = cell_path_at(partitions, depth, position - starts[depth])
+                violations += [(path, p) for p in dict.fromkeys(failed)]
     return not violations, violations
 
 
@@ -367,9 +379,12 @@ def strategy_value_table(strategy_factory, horizon: int, grid) -> ValueFunction:
     (not betting is itself a farthingale move, so the table stays exact).  The
     table reproduces the strategy's capital along any stream whose forecasts
     lie on the grid and is the object ``check_farthingale`` inspects.  It is
-    built along ``cell_tree``, each node's strategy value stepped into its
-    children.
+    built along ``cell_levels``, each node's strategy value stepped into its
+    children, and holds the capitals in level order.  A negative horizon is
+    refused before the factory is called.
     """
+    if horizon < 0:
+        raise InputError(f"horizon must be non-negative, got {horizon}")
     partition = point_partition(map(check_forecast, grid))
     partitions = tuple(partition for _ in range(horizon))
 
@@ -380,11 +395,12 @@ def strategy_value_table(strategy_factory, horizon: int, grid) -> ValueFunction:
             for bit in (0, 1)
         ]
 
-    values = {
-        path: strategy.capital
-        for path, strategy in cell_tree(partitions, strategy_factory(), children)
-    }
-    return ValueFunction(horizon, partitions, values)
+    nodes = [
+        strategy.capital
+        for level in cell_levels(partitions, strategy_factory(), children)
+        for strategy in level
+    ]
+    return ValueFunction(horizon, partitions, LevelValues(partitions, nodes))
 
 
 def certify_strategy(strategy_factory, phi: ForecastingSystem) -> tuple[bool, list]:

@@ -15,11 +15,21 @@ import pytest
 
 from preqprob import cli, core, gameprob, measureprob, randgen
 from preqprob.core import ForecastingSystem, InputError
-from preqprob.events import ArityError, Box, contains, counterexample_pair, event_from_json, event_to_json
+from preqprob.events import (
+    ArityError,
+    Box,
+    EventUnion,
+    contains,
+    counterexample_pair,
+    event_from_json,
+    event_to_json,
+    intersection,
+)
 from preqprob.gameprob import LiveSetBudgetError, ValueFunction
 from preqprob.measureprob import EnumerationLimitError, measure_upper_probability
 from preqprob.randgen import random_event, random_forecasting_system
 from preqprob.strategies import (
+    CalibrationState,
     CertificationError,
     IncompleteTableError,
     StreamFormatError,
@@ -326,3 +336,21 @@ def test_contains_coerces_a_prefix_once_for_every_box():
     assert contains(a, (("0", 0), ("1/2", 0))) and not contains(a, (("0", 0), ("1/3", 0)))
     with pytest.raises(InputError, match="outcome"):
         contains(a, ((0, 0), (HALF, 2)))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: measureprob.grid_bruteforce(counterexample_pair()[0], 0), InputError, "positive integer"),
+        (lambda: measureprob.monte_carlo_probability(
+            ForecastingSystem.constant(HALF, 2), counterexample_pair()[0], 0, 0), InputError, "at least 1"),
+        (lambda: measureprob.monte_carlo_probability(
+            ForecastingSystem.constant(HALF, 1), counterexample_pair()[0], 10, 0), ArityError, "system horizon 1"),
+        (lambda: CalibrationState(0, Fraction(1)), InputError, "positive integer"),
+        (lambda: intersection(EventUnion.full(1), EventUnion.full(2)), ArityError, "horizon mismatch: 1 != 2"),
+    ],
+    ids=["grid-below-one", "no-samples", "short-system", "calibration-horizon-0", "intersection-horizons"],
+)
+def test_library_refusals_raise_their_input_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from preqprob import cli, gameprob
 from preqprob.events import Cell, ForecastPartition
-from preqprob.gameprob import ValueFunction, cell_tree, encode_cell_path, witness_superfarthingale
+from preqprob.gameprob import LevelValues, ValueFunction, cell_tree, encode_cell_path, witness_superfarthingale
 from preqprob.randgen import random_event
 from preqprob.strategies import check_farthingale
 from test_strategies import MIXED, POINTS, WHOLE, reference_check
@@ -100,9 +100,16 @@ def looked_up(vf):
     return ValueFunction(vf.horizon, vf.partitions, FreshValues(vf.values))
 
 
+def level_order(vf):
+    """The library's form: the same values in a ``LevelValues`` view."""
+    return ValueFunction(vf.horizon, vf.partitions, LevelValues(vf.partitions, vf.nodes))
+
+
 @PROPERTY
 @given(shared_tables())
-@pytest.mark.parametrize("form", [lambda vf: vf, copied, looked_up], ids=["shared", "copied", "fresh-lookups"])
+@pytest.mark.parametrize(
+    "form", [lambda vf: vf, copied, looked_up, level_order], ids=["shared", "copied", "fresh-lookups", "level-order"]
+)
 def test_memo_matches_the_reference(form, vf):
     table = form(vf)
     for mode in MODES:
