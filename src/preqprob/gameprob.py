@@ -280,7 +280,10 @@ class ValueFunction:
             if horizon != len(partitions):
                 raise InputError(f"horizon {horizon} but {len(partitions)} partitions")
             given = doc["values"]
-            nodes = [number(given[key]) for key in _node_keys(partitions)]
+            raw = [given[key] for key in _node_keys(partitions)]
+            # One parse per distinct value string; any other value goes through as_fraction.
+            parsed = {v: fraction(v) for v in {v for v in raw if type(v) is str}}
+            nodes = [parsed[v] if type(v) is str else as_fraction(v) for v in raw]
             if len(given) != len(nodes):
                 raise InputError(f"value function has {len(given) - len(nodes)} keys that are not tree nodes")
         return cls(horizon, tuple(partitions), LevelValues(partitions, nodes))

@@ -7,25 +7,32 @@ measure-theoretic probability is the supremum of that quantity over all
 forecasting systems.
 
 For box unions both quantities are exact.  ``exact_event_probability`` sums
-cylinder weights down the binary outcome tree.  ``measure_upper_probability``
-runs a dynamic program over the same tree: at each outcome history the
-candidate forecasts are the box interval endpoints of the next step together
-with 0 and 1 (between consecutive endpoints the objective is linear in the
-forecast and its one-sided limits never beat the closed-endpoint values, so
-the finite candidate set realizes the true supremum).  The boxes still
-consistent with a history form its live-set, an ``int`` bitmask (bit i for
-box i); the program is memoized on (depth, live-set).  Once per event it
-precomputes, per step and candidate forecast, the masks of the boxes that
-accept that forecast with outcome 0 and with outcome 1, so the live-sets
-after a step are ``live & mask``; steps whose box constraints repeat an
-earlier step's share its candidates and masks.  The memo is the witness: a
-forecasting system in stepping form whose state is (depth, live-set), where
-one step reads the memoized maximizer and its two masks.  A path of n steps
-costs n memo lookups, the table of all histories 2^N - 1, and it is a table
-only when written.  The masks come from this module's own interval tests, and the
-engine shares no code with the game-theoretic engine in ``gameprob``; the
-equality of the two roots on every box union is the coincidence theorem the
-test suite verifies rather than assumes.
+cylinder weights down the binary outcome tree, level by level.
+``measure_upper_probability`` runs a dynamic program over the same tree: at
+each outcome history the candidate forecasts are the box interval endpoints
+of the next step together with 0 and 1 (between consecutive endpoints the
+objective is linear in the forecast and its one-sided limits never beat the
+closed-endpoint values, so the finite candidate set realizes the true
+supremum).  The boxes still consistent with a history form its live-set, an
+``int`` bitmask (bit i for box i), and a node's value depends only on its
+(depth, live-set).  Once per distinct step the engine puts the candidates
+on integers, a = p*q over the lcm q of the step's endpoint denominators, and
+gives each the masks of the boxes accepting it with outcome 0 and with
+outcome 1, so the live-sets after a step are ``live & mask``.
+
+The program runs in level order, without recursion.  A forward pass collects
+the live-sets reachable through candidates with a survivor, counted against
+``MEASURE_BUDGET``; a backward pass fills in their values.  A value at depth
+d is an integer numerator over one denominator per depth, the product of
+the q of steps d..N-1, so the pass compares integers and builds no Fraction
+but the root value.  The maximizers the backward pass keeps per (depth,
+live-set) are the witness: a forecasting system in stepping form whose state
+is (depth, live-set), where one step reads the maximizer and its two masks.
+A path of n steps costs n lookups, the table of all histories 2^N - 1, and it
+is a table only when written.  The masks come from this module's own
+interval tests, and the engine shares no code with the game-theoretic engine
+in ``gameprob``; the equality of the two roots on every box union is the
+coincidence theorem the test suite verifies rather than assumes.
 
 Box-union events induce finite unions of outcome cylinders, so no outer
 measure subtleties arise: everything here is plainly measurable.
@@ -33,7 +40,6 @@ measure subtleties arise: everything here is plainly measurable.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -55,117 +61,151 @@ from .events import WILDCARD, ArityError, EventUnion, contains, per_distinct_ste
 # Refuse grid enumerations beyond this many forecasting systems.
 GRID_ENUMERATION_LIMIT = 10**7
 
+# Refuse events whose forward pass reaches more (depth, live-set) pairs.
+MEASURE_BUDGET = 300_000
+
 
 class EnumerationLimitError(InputError):
     """The requested brute-force enumeration exceeds the guarded size."""
 
 
+class MeasureBudgetError(InputError):
+    """An event's measure program reaches more (depth, live-set) pairs than ``MEASURE_BUDGET``."""
+
+
 def exact_event_probability(phi: ForecastingSystem, event: EventUnion) -> Fraction:
     """Exact probability that the induced path lies in the event.
 
-    Tree recursion over outcome histories, stepping the system into each
-    child; branches no box can accept are pruned with their whole cylinder
-    weight dropped.
+    A level walk over outcome histories, stepping the system into each
+    child; branches no box can accept, or of weight 0, are pruned with their
+    whole cylinder.  The nodes kept are counted against ``check_walk``'s
+    budget level by level, so a walk too large to finish is refused.
     """
     if phi.horizon < event.horizon:
         raise ArityError(
             f"system horizon {phi.horizon} below event horizon {event.horizon}"
         )
     boxes = event.boxes
-
-    def walk(depth: int, state, live: tuple) -> Fraction:
-        if not live:
-            return ZERO
-        if depth == event.horizon:
-            return ONE
-        p, after0, after1 = phi.expand(state)
-        total = ZERO
-        for y, weight, after in ((0, ONE - p, after0), (1, p, after1)):
-            if weight == ZERO:
-                continue
-            surviving = tuple(i for i in live if boxes[i].steps[depth].accepts(p, y))
-            total += weight * walk(depth + 1, after, surviving)
-        return total
-
-    return walk(0, phi.start, tuple(range(len(boxes))))
+    # A node is (system state, cylinder weight, indices of the live boxes).
+    level = [(phi.start, ONE, tuple(range(len(boxes))))] if boxes else []
+    visited = len(level)
+    for depth in range(event.horizon):
+        below = []
+        for state, weight, live in level:
+            p, after0, after1 = phi.expand(state)
+            for y, w, after in ((0, ONE - p, after0), (1, p, after1)):
+                if w == ZERO:
+                    continue
+                surviving = tuple(i for i in live if boxes[i].steps[depth].accepts(p, y))
+                if surviving:
+                    below.append((after, weight * w, surviving))
+        visited += len(below)
+        check_walk(visited, f"the outcome walk of the event to step {depth + 1} of {event.horizon}")
+        level = below
+    return sum((weight for _, weight, _ in level), ZERO)
 
 
 def _forecast_candidates(event: EventUnion, depth: int) -> tuple:
-    points = {ZERO, ONE}
-    for box in event.boxes:
-        step = box.steps[depth]
-        points.add(step.p_lo)
-        points.add(step.p_hi)
-    return tuple(sorted(points))
+    """A step's candidate forecasts on integers, each with its two box masks.
+
+    Returns ``(q, ints, forecasts, pairs)``.  ``q`` is the lcm of the step's
+    endpoint denominators, so each endpoint p is the integer a = p*q.
+    ``ints`` holds the distinct such integers in ascending order, 0 and q
+    among them; ``forecasts[j]`` is one Fraction equal to ``ints[j] / q``,
+    for the witness; ``pairs[j]`` is (m0, m1), with bit i set when box i
+    accepts that forecast together with outcome 0 and outcome 1 respectively.
+    """
+    steps = [box.steps[depth] for box in event.boxes]
+    endpoints = [p for step in steps for p in (step.p_lo, step.p_hi)]
+    ratios = [p.as_integer_ratio() for p in endpoints]
+    q = math.lcm(*[d for _, d in ratios])
+    ends = [n * (q // d) for n, d in ratios]  # box i's interval is [ends[2i], ends[2i+1]]
+    forecast = {0: ZERO, q: ONE}
+    for a, p in zip(ends, endpoints):
+        forecast.setdefault(a, p)
+    ints = sorted(forecast)
+    index = {a: j for j, a in enumerate(ints)}
+    inside = [0] * len(ints)  # bit i: box i's interval holds the candidate
+    by_bit = [0, 0]  # bit i: box i's step allows the outcome
+    for i, step in enumerate(steps):
+        for j in range(index[ends[2 * i]], index[ends[2 * i + 1]] + 1):
+            inside[j] |= 1 << i
+        for y in (0, 1):
+            if step.y is WILDCARD or step.y == y:
+                by_bit[y] |= 1 << i
+    pairs = [(m & by_bit[0], m & by_bit[1]) for m in inside]
+    return q, ints, [forecast[a] for a in ints], pairs
 
 
 def measure_upper_probability(event: EventUnion) -> tuple[Fraction, ForecastingSystem]:
     """Maximize the exact event probability over forecasting systems.
 
-    Returns the exact maximum and a witness system attaining it: the smallest
-    maximizing forecast after a history, read from the memo at its live-set.
-    The witness is in stepping form with state (depth, live-set), so each
-    step is one memo lookup.
+    Returns the exact maximum and a witness system attaining it: after a
+    history, the smallest maximizing forecast at its (depth, live-set).  The
+    live-sets are collected going forward and valued going back, on integer
+    numerators; the witness is in stepping form with state (depth, live-set),
+    so each step is one lookup of the maximizers the backward pass kept.
     """
     horizon = event.horizon
-    # ``value`` prints the witness as a table over all 2^N histories, and
-    # ``best`` recurses once per step; refuse before any work.
+    # ``value`` prints the witness as a table over all 2^N histories; refuse before any work.
     check_walk(outcome_tree_nodes(horizon), f"the measure witness at horizon {horizon}")
     # Steps whose box constraints repeat an earlier step's share its candidates and masks.
-    candidates = per_distinct_step(event, lambda depth: _forecast_candidates(event, depth))
-
-    def step_masks(depth: int) -> list:
-        points = candidates[depth]
-        steps = [box.steps[depth] for box in event.boxes]
-        by_bit = [
-            sum(1 << i for i, step in enumerate(steps) if step.y is WILDCARD or step.y == y)
-            for y in (0, 1)
-        ]
-        # The candidates are sorted, so those in [p_lo, p_hi] form one run.
-        inside = [0] * len(points)
-        for i, step in enumerate(steps):
-            for j in range(
-                bisect.bisect_left(points, step.p_lo), bisect.bisect_right(points, step.p_hi)
-            ):
-                inside[j] |= 1 << i
-        return [(m & by_bit[0], m & by_bit[1]) for m in inside]
-
-    # accepts[depth][j]: bitmasks of the boxes accepting (candidates[depth][j], 0) and (..., 1).
-    accepts = per_distinct_step(event, step_masks)
-    memo: list[dict] = [{} for _ in range(horizon)]
-
-    def best(depth: int, live: int) -> tuple[Fraction, int]:
-        """The maximal value at a node and the index of the smallest forecast attaining it."""
-        if not live:
-            return ZERO, 0
-        if depth == horizon:
-            return ONE, 0
-        cached = memo[depth].get(live)
-        if cached is not None:
-            return cached
-        value, winner = ZERO, 0
-        # Ascending candidates, so the first strict maximum is the smallest maximizer.
-        for j, (p, (m0, m1)) in enumerate(zip(candidates[depth], accepts[depth])):
-            if not live & (m0 | m1):
-                continue  # no box survives: the value 0 never beats the running maximum
-            v0 = best(depth + 1, live & m0)[0]
-            v1 = best(depth + 1, live & m1)[0]
-            candidate = v0 if v0 == v1 else v0 + p * (v1 - v0)
-            if candidate > value:
-                value, winner = candidate, j
-        memo[depth][live] = value, winner
-        return value, winner
-
+    steps = per_distinct_step(event, lambda depth: _forecast_candidates(event, depth))
     root = (1 << len(event.boxes)) - 1
-    value = best(0, root)[0]
+
+    levels = [{root} - {0}]
+    count = len(levels[0])
+    for depth in range(horizon):
+        masks = [m for pair in steps[depth][3] for m in pair]
+        # Holding 0 from the start, len(reached) - 1 counts the non-empty live-sets.
+        reached = {0}
+        for live in levels[depth]:
+            reached.update([live & m for m in masks])
+            if count + len(reached) - 1 > MEASURE_BUDGET:
+                raise MeasureBudgetError(
+                    f"the measure engine reaches more than {MEASURE_BUDGET} (depth, live-set) "
+                    f"pairs by step {depth + 1} of {horizon}; too many overlapping boxes"
+                )
+        reached.discard(0)
+        count += len(reached)
+        levels.append(reached)
+
+    # below[live]: the value at the depth below, as a numerator over that depth's denominator.
+    below = dict.fromkeys(levels[horizon], 1)
+    below[0] = 0
+    denominator = 1
+    winners = [None] * horizon  # per depth, the index of the smallest maximizing candidate
+    for depth in reversed(range(horizon)):
+        q, ints, _, pairs = steps[depth]
+        positions = range(len(pairs))
+        denominator *= q
+        here, won = {0: 0}, {0: 0}
+        for live in levels[depth]:
+            children = [(live & m0, live & m1) for m0, m1 in pairs]
+            # Candidates with the same two children share the objective
+            # q*n0 + a*(n1 - n0), linear in a, so each group is scored once: at
+            # its last candidate when it rises, at its first otherwise.
+            value = winner = 0
+            for key, j in dict(zip(children, positions)).items():
+                n0, n1 = below[key[0]], below[key[1]]
+                if n1 <= n0:
+                    j = children.index(key)
+                candidate = q * n0 + ints[j] * (n1 - n0)
+                # The smallest index among the largest values; a largest value of 0 gives 0.
+                if candidate > value or (candidate == value and j < winner):
+                    value, winner = candidate, j
+            here[live], won[live] = value, winner
+        winners[depth] = won
+        below = here
+    value = Fraction(below[root], denominator)
 
     def expand(state: tuple) -> tuple:
-        # best() evaluated both children of every winner (both are 0 when no box
-        # survived), so stepping only reads the memo.
+        # The children of every maximizer were valued, so stepping only reads ``winners``.
         depth, live = state
-        j = best(depth, live)[1]
-        m0, m1 = accepts[depth][j]
-        return candidates[depth][j], (depth + 1, live & m0), (depth + 1, live & m1)
+        j = winners[depth][live]
+        _, _, forecasts, pairs = steps[depth]
+        m0, m1 = pairs[j]
+        return forecasts[j], (depth + 1, live & m0), (depth + 1, live & m1)
 
     return value, ForecastingSystem._trusted(horizon, (0, root), expand)
 

@@ -21,7 +21,7 @@ from preqprob.core import (
 )
 from preqprob.events import EventUnion, event_partitions, point_partition
 from preqprob.gameprob import ValueFunction, cell_tree, witness_superfarthingale
-from preqprob.measureprob import measure_upper_probability
+from preqprob.measureprob import exact_event_probability, measure_upper_probability
 from preqprob.strategies import (
     DoublingStrategy,
     certify_strategy,
@@ -150,6 +150,12 @@ class TestOutcomeTree:
         monkeypatch.setattr(measureprob, "_forecast_candidates", refuse)
         with pytest.raises(HorizonError, match="has 15 nodes"):
             measure_upper_probability(EventUnion.full(3))
+
+    def test_exact_probability_counts_the_nodes_it_walks(self, budget_7):
+        phi = ForecastingSystem.constant(HALF, 3)
+        assert exact_event_probability(phi, EventUnion.full(2)) == 1
+        with pytest.raises(HorizonError, match="to step 3 of 3 has 15 nodes"):
+            exact_event_probability(phi, EventUnion.full(3))
 
 
 class TestCellPathTree:
