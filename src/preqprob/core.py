@@ -27,6 +27,8 @@ from __future__ import annotations
 import contextlib
 import json
 import random
+import re
+import sys
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -54,10 +56,14 @@ class HorizonError(InputError):
 
 @contextlib.contextmanager
 def reading(document: str, *also: type):
-    """Guard a document loader: JSON, key, type and index errors, and ``also``, become an ``InputError``."""
+    """Guard a document loader: JSON, key, type and index errors, and ``also``, become an ``InputError``.
+
+    A ``RecursionError`` is one too: ``json.loads`` raises it on a document
+    nested too deeply to parse.
+    """
     try:
         yield
-    except (KeyError, json.JSONDecodeError, TypeError, AttributeError, IndexError, *also) as exc:
+    except (KeyError, json.JSONDecodeError, TypeError, AttributeError, IndexError, RecursionError, *also) as exc:
         what = f"missing {exc}" if isinstance(exc, KeyError) else exc
         raise InputError(f"malformed {document} document: {what}") from exc
 
@@ -89,10 +95,34 @@ def as_int(value, what: str) -> int:
     raise InputError(f"{what} must be an integer, got {value!r}")
 
 
+# The exponent of a string like "1.5e-3", the one part of it whose length ``int`` does not limit.
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
+
+
+def _exponent_beyond_limit(text: str) -> bool:
+    """Whether ``text`` has an exponent of magnitude over ``sys.get_int_max_str_digits()`` (0: no limit)."""
+    match, limit = _EXPONENT.search(text), sys.get_int_max_str_digits()
+    if not (match and limit):
+        return False
+    digits = match[1].lstrip("+-").replace("_", "").lstrip("0")
+    return len(digits) > len(str(limit)) or int(digits or "0") > limit
+
+
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and strings like "1/2" or "0.25" to Fraction; refuse floats and booleans."""
+    """Coerce ints, Fractions and strings like "1/2" or "0.25" to Fraction; refuse floats and booleans.
+
+    ``int`` refuses a digit string longer than ``sys.get_int_max_str_digits()``,
+    and so does the parse of a numerator or denominator.  An exponent's
+    magnitude is held to the same limit before the parse: "1e-30000000"
+    would otherwise build 10^30000000.
+    """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str) and _exponent_beyond_limit(value):
+        raise InputError(
+            f"cannot interpret {value!r} as an exact rational: its exponent's magnitude is over "
+            f"{sys.get_int_max_str_digits()}, the interpreter's limit on integer digits"
+        )
     try:
         if not isinstance(value, bool) and isinstance(value, (int, str)):
             return Fraction(value)

@@ -37,14 +37,15 @@ once, at its outermost endpoints.  The empty live-set has value zero.  All
 operations are pure and the exact arithmetic makes results independent of
 evaluation order.
 
-Every walk of the partition-refined tree goes through ``cell_levels``,
+A value table is held as levels of states, a ``StateGraph``.  A witness
+table has one state per (depth, live-set) reached from the root, built
+straight from the engine's levels; any other table is hash-consed from its
+node values in level order.  Every walk of the partition-refined tree goes through ``cell_levels``,
 which fixes the node order (level by level, children in (cell, bit) order)
-and sizes the tree against ``core.check_walk``'s node budget before it
-starts.  It yields one list of states per depth and builds no cell-path:
-a value table holds its node values as one list in that order, behind the
-path-keyed ``LevelValues`` view, and its JSON keys are built by the same
-walk and paired with the values by position.  ``cell_tree`` pairs each
-state with its cell-path, for callers that want paths.
+and sizes the tree with ``tree_nodes``, against ``core.check_walk``'s node
+budget, before it starts.  It yields one list of states per depth and
+builds no cell-path: the JSON keys are built by that walk and paired by
+position with the node states it reaches.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import chain
+from itertools import chain, product, repeat
 
 from .core import ONE, ZERO, InputError, PrequentialPrefix, as_fraction, as_int, check_outcome, check_walk, reading
 from .events import ArityError, Cell, EventUnion, ForecastPartition, event_partitions
@@ -70,6 +71,19 @@ class LiveSetBudgetError(InputError):
     """An event's game tree reaches more live-sets than ``LIVE_SET_BUDGET``."""
 
 
+def tree_nodes(partitions) -> int:
+    """The node count of the partition-refined tree, refused past ``check_walk``'s budget.
+
+    The count is 1 + sum over d of prod over k <= d of 2 * cells(k).
+    """
+    nodes = width = 1
+    for partition in partitions:
+        width *= 2 * len(partition.cells)
+        nodes += width
+    check_walk(nodes, f"the cell-path tree at horizon {len(partitions)}")
+    return nodes
+
+
 def cell_levels(partitions, root, children):
     """Yield the states of the partition-refined tree one level at a time, each level a list.
 
@@ -77,52 +91,15 @@ def cell_levels(partitions, root, children):
     ``partitions[d]`` and outcome bit, in the order (0, 0), (0, 1), (1, 0), ...;
     ``children(state, d)`` is called once per node at depth d and returns the
     states of all of that node's children, in that order, and level d + 1
-    lists them parent by parent.  The tree's size,
-    1 + sum over d of prod over k <= d of 2 * cells(k), is checked with
-    ``check_walk`` before the root level is yielded.
+    lists them parent by parent.  The tree is sized with ``tree_nodes``
+    before the root level is yielded.
     """
-    nodes = width = 1
-    for partition in partitions:
-        width *= 2 * len(partition.cells)
-        nodes += width
-    check_walk(nodes, f"the cell-path tree at horizon {len(partitions)}")
+    tree_nodes(partitions)
     level = [root]
     yield level
     for depth in range(len(partitions)):
         level = [state for parent in level for state in children(parent, depth)]
         yield level
-
-
-def cell_tree(partitions, root, children):
-    """Yield every node of the partition-refined tree as ``(path, state)``, level by level.
-
-    ``cell_levels`` with each state paired with its cell-path: the root is
-    ``((), root)``, and a child's path is its parent's extended by
-    ``(cell, bit)``.
-    """
-    steps = [[(ci, bit) for ci in range(len(p.cells)) for bit in (0, 1)] for p in partitions]
-
-    def expand(node, depth: int) -> list:
-        path, state = node
-        return [(path + (step,), child) for step, child in zip(steps[depth], children(state, depth))]
-
-    for level in cell_levels(partitions, ((), root), expand):
-        yield from level
-
-
-def level_starts(partitions) -> list[int]:
-    """The level-order position of each depth's first node, then the node count.
-
-    Node i of depth d (in ``cell_levels`` order) is at ``starts[d] + i``, and
-    its children are at ``starts[d + 1] + i * 2 * cells(d)`` onwards.
-    """
-    starts = [0]
-    width = 1
-    for partition in partitions:
-        starts.append(starts[-1] + width)
-        width *= 2 * len(partition.cells)
-    starts.append(starts[-1] + width)
-    return starts
 
 
 def cell_path_at(partitions, depth: int, index: int) -> CellPath:
@@ -134,50 +111,77 @@ def cell_path_at(partitions, depth: int, index: int) -> CellPath:
     return tuple(reversed(path))
 
 
-def _paths(partitions):
-    """Every node's cell-path, in ``cell_tree`` order."""
-    blanks = [[None] * (2 * len(p.cells)) for p in partitions]
-    return (path for path, _ in cell_tree(partitions, None, lambda _, depth: blanks[depth]))
+def _level_order(partitions):
+    """Every node's cell-path in ``cell_levels`` order: per depth, the product of the steps so far."""
+    steps = [[(ci, bit) for ci in range(len(p.cells)) for bit in (0, 1)] for p in partitions]
+    return chain.from_iterable(product(*steps[:depth]) for depth in range(len(steps) + 1))
 
 
-class LevelValues(Mapping):
-    """A read-only, path-keyed view of node values held as one list in ``cell_tree`` order.
+class StateGraph(Mapping):
+    """A read-only, path-keyed view of a value table held as levels of distinct states.
 
-    A path is decoded by mixed radix in O(depth): per step, the cell index
-    and the bit give the digit 2 * cell + bit of radix 2 * cells(k), and the
-    digits give the node's index within its level.  Any key that is not a
-    node of the tree raises ``KeyError``.
+    ``levels[d]`` lists the values of depth d's states, and state 0 of depth
+    0 is the root.  At an interior depth, ``children[d][s]`` holds state s's
+    child-state indices at depth d + 1, one per (cell, bit) in ``cell_levels``
+    order.  A node is a state reached from the root; nodes that hold the same
+    value with the same children share one state.  A path is followed along
+    the child indices in O(depth), and any key that is not a node of the
+    tree raises ``KeyError``.  ``len`` is the tree's node count and iteration
+    yields every node's cell-path in level order.
     """
 
-    __slots__ = ("nodes", "_partitions", "_radix", "_starts")
+    __slots__ = ("levels", "children", "_partitions", "_size")
 
-    def __init__(self, partitions, nodes: list):
-        starts = level_starts(partitions)
-        if len(nodes) != starts[-1]:
-            raise ValueError(f"{len(nodes)} values for a tree of {starts[-1]} nodes")
-        self.nodes = nodes
+    def __init__(self, partitions, levels: list, children: list):
+        self.levels, self.children = levels, children
         self._partitions = tuple(partitions)
-        self._radix = tuple(2 * len(p.cells) for p in partitions)
-        self._starts = starts
+        self._size = tree_nodes(partitions)
+
+    @classmethod
+    def from_nodes(cls, partitions, nodes: list) -> "StateGraph":
+        """Hash-cons node values given in ``cell_levels`` order into states, bottom-up.
+
+        A node's key is (``id`` of its value, its child-state indices); the
+        list keeps every value alive during the build, so no id is reused.
+        """
+        widths = [1]
+        for partition in partitions:
+            widths.append(widths[-1] * 2 * len(partition.cells))
+        if len(nodes) != sum(widths):
+            raise ValueError(f"{len(nodes)} values for a tree of {sum(widths)} nodes")
+        levels, children = [], []
+        end, below = len(nodes), ()
+        for depth in reversed(range(len(widths))):
+            level = nodes[end - widths[depth] : end]
+            end -= widths[depth]
+            kids = zip(*[iter(below)] * (2 * len(partitions[depth].cells))) if below else repeat(())
+            index: dict = {}
+            below = [index.setdefault(key, len(index)) for key in zip(map(id, level), kids)]
+            # States are numbered in order of first appearance, and so are these keys.
+            levels.append(list(dict(zip(below, level)).values()))
+            children.append([key[1] for key in index])
+        # Both lists run from the leaves up, and the leaves have no children.
+        return cls(partitions, levels[::-1], children[1:][::-1])
 
     def __getitem__(self, path) -> Fraction:
-        if not isinstance(path, tuple) or len(path) > len(self._radix):
+        if not isinstance(path, tuple) or len(path) > len(self.children):
             raise KeyError(path)
-        index = 0
-        for step, radix in zip(path, self._radix):
+        state = 0
+        for step, partition, below in zip(path, self._partitions, self.children):
             if not (isinstance(step, tuple) and len(step) == 2):
                 raise KeyError(path)
             ci, bit = step
-            if not (isinstance(ci, int) and isinstance(bit, int) and 0 <= 2 * ci < radix and 0 <= bit <= 1):
+            cells = len(partition.cells)
+            if not (isinstance(ci, int) and isinstance(bit, int) and 0 <= ci < cells and 0 <= bit <= 1):
                 raise KeyError(path)
-            index = index * radix + 2 * ci + bit
-        return self.nodes[self._starts[len(path)] + index]
+            state = below[state][2 * ci + bit]
+        return self.levels[len(path)][state]
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return self._size
 
     def __iter__(self):
-        return _paths(self._partitions)
+        return _level_order(self._partitions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,13 +191,11 @@ class ValueFunction:
     A node is addressed by its cell-path: per step, the index of the chosen
     forecast cell and the outcome bit.  Canonical string encoding of a path
     joins "cell-index:bit" items with commas; the root is the empty string.
-    ``cell_tree`` fixes the nodes and their order.
+    ``cell_levels`` fixes the nodes and their order.
 
     ``values`` maps cell-paths to values.  Tables the library builds hold a
-    ``LevelValues`` view, whose ``nodes`` list has the values in
-    ``cell_tree`` order; any other mapping (a dict, say) works as well.
-    ``nodes`` is that list, so the library's walks, and the JSON form,
-    read values by position.
+    ``StateGraph``; any other mapping (a dict, say) works as well, and
+    ``state_graph`` reads it once into one.
     """
 
     horizon: int
@@ -207,29 +209,31 @@ class ValueFunction:
     def root_value(self) -> Fraction:
         return self.values[()]
 
-    @property
-    def nodes(self) -> list:
-        """Every node's value in ``cell_tree`` order.
+    def state_graph(self) -> StateGraph:
+        """The table as levels of states: ``values`` itself if it is one.
 
-        For a ``LevelValues`` view this is its own list; any other mapping is
-        read once along ``cell_tree``, and a missing node raises ``KeyError``.
+        Any other mapping is sized with ``tree_nodes`` and read once in level
+        order, and a missing node raises ``KeyError``.
         """
-        values = self.values
-        if isinstance(values, LevelValues):
-            return values.nodes
-        return [values[path] for path in _paths(self.partitions)]
+        if isinstance(self.values, StateGraph):
+            return self.values
+        tree_nodes(self.partitions)
+        nodes = [self.values[path] for path in _level_order(self.partitions)]
+        return StateGraph.from_nodes(self.partitions, nodes)
 
     def to_json(self) -> str:
         """The table document, keys in sorted order.
 
         A table holds few distinct value objects (a witness table one per
-        reachable depth and live-set), so each distinct object in ``nodes``
-        is formatted once and its text shared by every node that holds it.
+        reachable depth and live-set), so each distinct object is formatted
+        once and its text shared by every node that holds it.
         """
-        nodes = self.nodes
-        # ``objects`` holds every object it keys for the whole call, so no id in it is reused.
-        objects = {id(v): v for v in nodes}
+        graph = self.state_graph()  # it holds every value for the whole call, so no id is reused
+        objects = {id(v): v for level in graph.levels for v in level}
         text = {i: str(v) for i, v in objects.items()}  # once per object
+        texts = [[text[id(v)] for v in level] for level in graph.levels]
+        states = cell_levels(self.partitions, 0, lambda state, depth: graph.children[depth][state])
+        node_texts = (map(level.__getitem__, level_states) for level, level_states in zip(texts, states))
         doc = {
             "horizon": self.horizon,
             "partitions": [
@@ -244,7 +248,7 @@ class ValueFunction:
                 ]
                 for partition in self.partitions
             ],
-            "values": {key: text[id(v)] for key, v in zip(_node_keys(self.partitions), nodes)},
+            "values": dict(zip(_node_keys(self.partitions), chain.from_iterable(node_texts))),
         }
         return json.dumps(doc, sort_keys=True)
 
@@ -254,10 +258,10 @@ class ValueFunction:
 
         Every partition must be ascending, disjoint cells covering [0, 1], one
         per step of the horizon, and the values are read at exactly the nodes
-        of their tree, level by level, into a ``LevelValues`` view.  Each
-        distinct value or cell-endpoint string is parsed once, into one
-        Fraction that every node or cell giving that string shares, so
-        ``check_farthingale`` sees equal values as one object.
+        of their tree, level by level, and hash-consed into a ``StateGraph``.
+        Each distinct value or cell-endpoint string is parsed once, into one
+        Fraction that every node or cell giving that string shares, so nodes
+        with equal values and equal children are one state.
         """
         fraction = cache(as_fraction)
 
@@ -286,7 +290,7 @@ class ValueFunction:
             nodes = [parsed[v] if type(v) is str else as_fraction(v) for v in raw]
             if len(given) != len(nodes):
                 raise InputError(f"value function has {len(given) - len(nodes)} keys that are not tree nodes")
-        return cls(horizon, tuple(partitions), LevelValues(partitions, nodes))
+        return cls(horizon, tuple(partitions), StateGraph.from_nodes(partitions, nodes))
 
 
 def _cell_from_json(step: int, doc, number) -> Cell:
@@ -306,7 +310,7 @@ def _covers_unit_interval(cells: tuple[Cell, ...]) -> bool:
 
 
 def _node_keys(partitions):
-    """Every node's canonical key string, in ``cell_tree`` order, built level by level."""
+    """Every node's canonical key string, in ``cell_levels`` order, built level by level."""
     tokens = [[f"{ci}:{bit}" for ci in range(len(p.cells)) for bit in (0, 1)] for p in partitions]
 
     def children(key: str, depth: int) -> list:
@@ -444,20 +448,23 @@ def witness_superfarthingale(event: EventUnion) -> ValueFunction:
     Its root value equals ``upper_game_probability(event)``, its level-N values
     are the membership indicator, and it satisfies the superfarthingale
     inequality at every node and cell endpoint, which makes it the witness
-    betting strategy achieving the upper probability.  The walk carries each
-    node's live-set, and each level's live-sets map through that depth's
-    values.
+    betting strategy achieving the upper probability.  It has one state per
+    (depth, live-set) reached from the root, each live-set's value read from
+    that depth's values; a state's children are its live-set's survivors,
+    numbered as they are first reached.  No walk of the cell tree is made,
+    but the tree is sized with ``tree_nodes`` first.
     """
     eng = _engine(event)
+    tree_nodes(eng.partitions)
     steps = [[m for pair in masks for m in pair] for masks in eng.masks]
-
-    def children(live: int, depth: int) -> list:
-        return [live & m for m in steps[depth]]
-
-    nodes = []
-    for values, level in zip(eng._values, cell_levels(eng.partitions, eng.all_live(), children)):
-        nodes += map(values.__getitem__, level)
-    return ValueFunction(event.horizon, eng.partitions, LevelValues(eng.partitions, nodes))
+    lives, levels, children = [eng.all_live()], [], []
+    for values, step in zip(eng._values, steps):
+        levels.append(list(map(values.__getitem__, lives)))
+        index: dict = {}
+        children.append([tuple(index.setdefault(live & m, len(index)) for m in step) for live in lives])
+        lives = list(index)
+    levels.append(list(map(eng._values[-1].__getitem__, lives)))
+    return ValueFunction(event.horizon, eng.partitions, StateGraph(eng.partitions, levels, children))
 
 
 def optimal_forecast_at(event: EventUnion, x: PrequentialPrefix) -> Fraction:

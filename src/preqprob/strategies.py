@@ -6,16 +6,13 @@ gambler may discard capital (superfarthingale).  ``check_farthingale``
 verifies either property exactly on a cell-indexed value table: within one
 partition cell the successor values are constant, so the defining identity is
 linear in the forecast and holds on the whole cell iff it holds at both cell
-endpoints.  The check reads the table by position: ``ValueFunction.nodes``
-lists the values in level order, each node's children follow at an offset
-computed from the partition sizes, and a cell-path is decoded only for a
-node that fails.  A table holds few distinct value objects (``from_json``
-shares one Fraction per value string, and a witness table one per depth and
-live-set), so the check keeps an identity memo: each distinct (cell, node
-value, child values) is decided once, keyed by ``id`` with references to the
-keyed objects kept for the call, and every node holding those objects reads
-the result.  ``strategy_value_table`` builds its table in the same level
-order.
+endpoints.  The check reads the table as levels of states
+(``ValueFunction.state_graph``): a state fixes its value and its children's,
+so each (depth, state, cell) is decided once, and a witness table has one
+state per depth and live-set.  Only when a state fails is the tree walked,
+along the child indices, to report every node that holds it, with its
+cell-path decoded from its position.  ``strategy_value_table`` lists its
+capitals in level order and hash-conses them into states.
 
 The calibration strategy realizes the finite-horizon bias test: with
 S = sum(y_i - p_i) and A = sum(p_i (1 - p_i)) the process
@@ -81,7 +78,7 @@ from .core import (
     sample_outcomes,
 )
 from .events import point_partition
-from .gameprob import CellPath, LevelValues, ValueFunction, cell_levels, cell_path_at, level_starts
+from .gameprob import CellPath, StateGraph, ValueFunction, cell_levels, cell_path_at, tree_nodes
 
 
 class IncompleteTableError(InputError):
@@ -121,57 +118,41 @@ def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
     one endpoint decides a cell: the right-hand side v0 + p*(v1 - v0) is
     linear in p, so the node dominates it on the whole cell iff it does at hi
     when v1 > v0, at lo when v1 < v0, and anywhere when they are equal; both
-    endpoints are scanned only when that test fails.  The values are read by
-    position from ``vf.nodes``: ``cell_levels`` over all but the last
-    partition gives the interior nodes' positions (and sizes that tree before
-    any value is read), and the children of node i of depth d are the
-    2 * cells(d) values from ``level_starts[d + 1] + i * 2 * cells(d)`` on.
-    A node's cell-path is decoded only when it fails.
+    endpoints are scanned only when that test fails.
 
-    A check depends only on the cell, the parent value and the two child
-    values, so its outcome, the endpoints that fail, is decided once per
-    distinct (cell, parent, v0, v1) by object identity and then read by every
-    node that holds the same four objects.  The memo keeps references to the
-    keyed objects, so no id is reused during the call even when ``vf.values``
-    hands out a fresh object on each lookup.  Each node still reports its own
-    failing endpoints, in level, cell and endpoint order.
+    The check reads ``vf.state_graph()``, after sizing the interior tree with
+    ``tree_nodes``, and decides each (depth, state, cell) once.  Only when a
+    state fails is the interior tree walked with ``cell_levels``; every node
+    holding a failing state reports its failing endpoints, in level, cell
+    and endpoint order, its cell-path decoded from its position.
     """
     if mode not in ("exact", "super"):
         raise InputError(f"mode must be 'exact' or 'super', got {mode!r}")
     exact = mode == "exact"
     partitions = vf.partitions
-    starts = level_starts(partitions)
-    radix = [2 * len(p.cells) for p in partitions]
-
-    def children(position: int, depth: int) -> range:
-        first = starts[depth + 1] + (position - starts[depth]) * radix[depth]
-        return range(first, first + radix[depth])
-
-    interior = list(cell_levels(partitions[:-1], 0, children))
-    violations: list[tuple[CellPath, Fraction]] = []
-    # (id(cell), id(parent), id(v0), id(v1)) -> (failing endpoints, the four objects).
-    memo: dict[tuple[int, int, int, int], tuple] = {}
+    tree_nodes(partitions[:-1])
     try:
-        nodes = vf.nodes
+        graph = vf.state_graph()
     except KeyError:
         raise IncompleteTableError("value table does not cover the partition tree") from None
-    for depth, (level, partition) in enumerate(zip(interior, partitions)):
-        cells, width = partition.cells, radix[depth]
-        first = starts[depth + 1]  # a level's nodes are consecutive, and so are their children
-        for position in level:
-            parent = nodes[position]
-            below = nodes[first : first + width]
-            first += width
+    # failing[depth][state]: the distinct endpoints at which that state fails, in cell order.
+    failing: list[dict] = []
+    for partition, parents, below, children in zip(partitions, graph.levels, graph.levels[1:], graph.children):
+        failing.append({})
+        for state, (parent, kids) in enumerate(zip(parents, children)):
             failed = ()
-            for cell, v0, v1 in zip(cells, below[0::2], below[1::2]):
-                key = (id(cell), id(parent), id(v0), id(v1))
-                known = memo.get(key)
-                if known is None:
-                    known = memo[key] = (_failing_endpoints(cell, parent, v0, v1, exact), cell, parent, v0, v1)
-                failed += known[0]
+            for cell, c0, c1 in zip(partition.cells, kids[0::2], kids[1::2]):
+                failed += _failing_endpoints(cell, parent, below[c0], below[c1], exact)
             if failed:
-                path = cell_path_at(partitions, depth, position - starts[depth])
-                violations += [(path, p) for p in dict.fromkeys(failed)]
+                failing[-1][state] = tuple(dict.fromkeys(failed))
+    violations: list[tuple[CellPath, Fraction]] = []
+    if any(failing):
+        nodes = cell_levels(partitions[:-1], 0, lambda state, depth: graph.children[depth][state])
+        for depth, (level, failed) in enumerate(zip(nodes, failing)):
+            for index, state in enumerate(level):
+                if state in failed:
+                    path = cell_path_at(partitions, depth, index)
+                    violations += [(path, p) for p in failed[state]]
     return not violations, violations
 
 
@@ -380,27 +361,36 @@ def strategy_value_table(strategy_factory, horizon: int, grid) -> ValueFunction:
     table reproduces the strategy's capital along any stream whose forecasts
     lie on the grid and is the object ``check_farthingale`` inspects.  It is
     built along ``cell_levels``, each node's strategy value stepped into its
-    children, and holds the capitals in level order.  A negative horizon is
-    refused before the factory is called.
+    children, and its capitals are hash-consed into states.  A strategy
+    object held at several nodes (a gap cell hands its node's on) is stepped
+    once, since strategies are pure values, so those nodes share children
+    and become one state.  A negative horizon is refused before the factory
+    is called.
     """
     if horizon < 0:
         raise InputError(f"horizon must be non-negative, got {horizon}")
     partition = point_partition(map(check_forecast, grid))
     partitions = tuple(partition for _ in range(horizon))
+    # id(strategy) -> (strategy, its children); holding the strategy keeps its id from being reused.
+    stepped: dict[int, tuple] = {}
 
     def children(strategy, depth: int) -> list:
-        return [
-            strategy.step(cell.lo, bit) if cell.is_point else strategy
-            for cell in partition.cells
-            for bit in (0, 1)
-        ]
+        known = stepped.get(id(strategy))
+        if known is None:
+            steps = [
+                strategy.step(cell.lo, bit) if cell.is_point else strategy
+                for cell in partition.cells
+                for bit in (0, 1)
+            ]
+            known = stepped[id(strategy)] = (strategy, steps)
+        return known[1]
 
     nodes = [
         strategy.capital
         for level in cell_levels(partitions, strategy_factory(), children)
         for strategy in level
     ]
-    return ValueFunction(horizon, partitions, LevelValues(partitions, nodes))
+    return ValueFunction(horizon, partitions, StateGraph.from_nodes(partitions, nodes))
 
 
 def certify_strategy(strategy_factory, phi: ForecastingSystem) -> tuple[bool, list]:

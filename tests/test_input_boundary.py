@@ -8,6 +8,7 @@ import ast
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,6 +62,18 @@ def event_steps(*steps):
     return json.dumps({"horizon": 1, "boxes": [{"steps": list(steps)}]})
 
 
+def table_with_root(value):
+    doc = json.loads(json.dumps(GOOD_TABLE))
+    doc["values"][""] = value
+    return json.dumps(doc)
+
+
+# Deeper than ``json.loads`` can recurse.
+DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000
+# A rational whose exponent is over the interpreter's digit limit; Fraction would build 10^30000000.
+HUGE_EXPONENT = "1e-30000000"
+
+
 CASES = {
     "event-invalid-json": (["value", "--event", "{file}"], "{"),
     "event-missing-horizon": (["value", "--event", "{file}"], '{"boxes": []}'),
@@ -100,6 +113,13 @@ CASES = {
     "test-stream-horizon-zero": (["test-stream", "--stream", "{file}", "-N", "0"], "p,y\n1/2,1\n"),
     "test-stream-threshold-zero": (["test-stream", "--stream", "{file}", "-C", "0"], "p,y\n1/2,1\n"),
     "levy-threshold-above-one": (["levy-trace", "--event", "{file}", "--threshold", "2"], GOOD_EVENT),
+    "event-deeply-nested": (["value", "--event", "{file}"], DEEPLY_NESTED),
+    "value-function-deeply-nested": (["verify", "--value-function", "{file}"], DEEPLY_NESTED),
+    "phi-deeply-nested": (["ville", "--phi", "{file}"], DEEPLY_NESTED),
+    "stream-huge-exponent": (["test-stream", "--stream", "{file}"], f"p,y\n{HUGE_EXPONENT},1\n"),
+    "event-bound-huge-exponent": (["value", "--event", "{file}"], event_steps({"p": [HUGE_EXPONENT, "1"]})),
+    "value-function-huge-exponent": (["verify", "--value-function", "{file}"], table_with_root(HUGE_EXPONENT)),
+    "ville-threshold-huge-exponent": (["ville", "-C", HUGE_EXPONENT], None),
     "value-table-out-with-measure-engine": (
         ["value", "--event", "{file}", "--engine", "measure", "--table-out", "{file}.table"], GOOD_EVENT
     ),
@@ -163,6 +183,12 @@ def test_line_ends_do_not_change_a_report_but_its_digest(capsys, tmp_path, name,
         doc["inputs"].pop(next(key for key, value in doc["inputs"].items() if value == str(path)))
         reports.append(doc)
     assert reports[0] == reports[1]
+
+
+def test_exponents_within_the_digit_limit_still_parse():
+    assert core.as_fraction("1e-3") == Fraction(1, 1000)
+    assert core.as_fraction("2.5E2") == 250
+    assert core.as_fraction(f"1e-{sys.get_int_max_str_digits()}").denominator > 1
 
 
 def test_unparsable_seed_variable_exits_2(capsys, monkeypatch):

@@ -1,11 +1,12 @@
-"""Value tables in level order: built, written, read and checked by position.
+"""Value tables as levels of states: built, written, read and checked without cell-paths.
 
-Tables the library builds hold their node values as one list in
-``cell_tree`` order behind a read-only ``LevelValues`` view, which decodes a
-cell-path by mixed radix.  ``to_json`` pairs the list with the key strings
-by position and never looks a value up by path, so a slip in the decoding
-would mislabel nodes in silence; the property below compares the view with
-a dict built along ``cell_tree``.
+Tables the library builds hold a read-only ``StateGraph``: per depth, the
+values of its distinct states and each state's child-state indices.  A
+path is followed along the child indices.  ``to_json`` pairs the states that
+the level-order walk reaches with the key strings by position and never
+looks a value up by path, so a slip in the hash-consing would mislabel nodes
+in silence; the property below compares the view with a dict built in
+``cell_levels`` order.
 """
 
 import hashlib
@@ -19,12 +20,13 @@ from hypothesis import strategies as st
 from preqprob import cli, gameprob, strategies
 from preqprob.core import InputError
 from preqprob.events import point_partition
-from preqprob.gameprob import LevelValues, ValueFunction, encode_cell_path, witness_superfarthingale
+from preqprob.gameprob import StateGraph, ValueFunction, encode_cell_path, witness_superfarthingale
 from preqprob.randgen import random_event
 from preqprob.strategies import CalibrationState, DoublingStrategy, check_farthingale, strategy_value_table
 from test_strategies import reference_check
 from test_value_memo import (
     MODES,
+    POOL,
     PROPERTY,
     TAMPERED_VIOLATIONS,
     WITNESS_PINS,
@@ -36,28 +38,37 @@ from test_value_memo import (
 
 @st.composite
 def level_tables(draw):
-    """Up to three steps of ``partitions()`` and a view holding one distinct value per node."""
+    """Up to three steps of ``partitions()``, node values in level order, and their view.
+
+    The values are one distinct object per node, or objects of ``POOL``, so
+    that nodes share states.
+    """
     parts = tuple(draw(st.lists(partitions(), max_size=3)))
     count = len(node_paths(parts))
-    return parts, LevelValues(parts, [Fraction(i, 7) for i in range(count)])
+    if draw(st.booleans()):
+        nodes = [Fraction(i, 7) for i in range(count)]
+    else:
+        nodes = [POOL[i] for i in draw(st.lists(st.integers(0, 2), min_size=count, max_size=count))]
+    return parts, nodes, StateGraph.from_nodes(parts, nodes)
 
 
 @PROPERTY
 @given(level_tables())
 def test_the_view_agrees_with_the_path_dict(table):
-    parts, view = table
-    paths = node_paths(parts)  # along cell_tree
-    by_path = dict(zip(paths, view.nodes))
+    parts, nodes, view = table
+    paths = node_paths(parts)  # along cell_levels
+    by_path = dict(zip(paths, nodes))
     assert len(by_path) == len(view) == len(paths)
     assert list(view) == list(by_path)
     assert all(view[path] is value for path, value in by_path.items())
-    assert ValueFunction(len(parts), parts, by_path).nodes == view.nodes
+    again = ValueFunction(len(parts), parts, by_path).state_graph()
+    assert (again.levels, again.children) == (view.levels, view.children)
 
 
 @PROPERTY
 @given(level_tables(), st.data())
 def test_a_key_that_is_not_a_node_raises_key_error(table, data):
-    parts, view = table
+    parts, _, view = table
     path = data.draw(st.sampled_from(node_paths(parts)))
     refused = [[path], "", None, len(path), path + ((0, 0),) * (len(parts) - len(path) + 1)]
     if path:
@@ -72,10 +83,10 @@ def test_a_key_that_is_not_a_node_raises_key_error(table, data):
         assert key not in view
 
 
-def test_a_view_must_hold_one_value_per_node():
+def test_the_builder_needs_one_value_per_node():
     parts = (point_partition([]),)
     with pytest.raises(ValueError, match="2 values for a tree of 7 nodes"):
-        LevelValues(parts, [Fraction(0)] * 2)
+        StateGraph.from_nodes(parts, [Fraction(0)] * 2)
 
 
 def test_a_negative_horizon_is_refused_before_the_factory_is_called():
@@ -90,11 +101,12 @@ def test_a_negative_horizon_is_refused_before_the_factory_is_called():
 
 @pytest.fixture()
 def no_cell_paths(monkeypatch):
+    """Refuse ``_level_order``, the one generator of every node's cell-path."""
+
     def refuse(*args):
         raise AssertionError("a table walk built cell-paths")
 
-    for module in (gameprob, strategies):
-        monkeypatch.setattr(module, "cell_tree", refuse, raising=False)
+    monkeypatch.setattr(gameprob, "_level_order", refuse)
 
 
 def test_table_walks_build_no_cell_path(no_cell_paths, capsys, monkeypatch, tmp_path):
@@ -102,7 +114,8 @@ def test_table_walks_build_no_cell_path(no_cell_paths, capsys, monkeypatch, tmp_
     text = vf.to_json()
     assert (hashlib.sha256(text.encode()).hexdigest(), len(text)) == WITNESS_PINS[5]
     again = ValueFunction.from_json(text)
-    assert again.nodes == vf.nodes and again.to_json() == text
+    assert all(again.values[path] == vf.values[path] for path in node_paths(vf.partitions))
+    assert again.to_json() == text
     tampered = ValueFunction.from_json(tampered_table())
     for mode in MODES:
         assert check_farthingale(again, mode) == reference_check(vf, mode)
@@ -115,3 +128,67 @@ def test_table_walks_build_no_cell_path(no_cell_paths, capsys, monkeypatch, tmp_
     (tmp_path / "table.json").write_text(text)
     assert cli.main(["verify", "--value-function", "table.json", "--mode", "super", "--json"]) == 0
     assert '"nodes":297' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_witness_has_one_state_per_live_set_reached(seed):
+    event = random_event(random.Random(seed))
+    engine = gameprob._engine(event)
+    graph = witness_superfarthingale(event).values
+    lives = {engine.all_live()}
+    for depth, masks in enumerate(engine.masks):
+        assert len(graph.levels[depth]) == len(lives)
+        lives = {live & m for live in lives for pair in masks for m in pair}
+    assert len(graph.levels[-1]) == len(lives)
+
+
+def test_the_witness_is_built_without_walking_the_tree(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the witness walked the cell tree")
+
+    monkeypatch.setattr(gameprob, "cell_levels", refuse)
+    event = random_event(random.Random(5))
+    vf = witness_superfarthingale(event)
+    monkeypatch.undo()
+    text = vf.to_json()
+    assert (hashlib.sha256(text.encode()).hexdigest(), len(text)) == WITNESS_PINS[5]
+
+
+@pytest.mark.parametrize("document", ["witness", "tampered"])
+def test_each_state_and_cell_is_checked_once(monkeypatch, document):
+    text = witness_superfarthingale(random_event(random.Random(5))).to_json()
+    vf = ValueFunction.from_json(text if document == "witness" else tampered_table())
+    graph = vf.values
+    bound = sum(len(graph.levels[d]) * len(p.cells) for d, p in enumerate(vf.partitions))
+    nodes = gameprob.cell_levels(vf.partitions[:-1], 0, lambda state, depth: graph.children[depth][state])
+    interior_cells = sum(len(level) * len(p.cells) for level, p in zip(nodes, vf.partitions))
+    calls = []
+    failing_endpoints = strategies._failing_endpoints
+
+    def counting(*args):
+        calls.append(args)
+        return failing_endpoints(*args)
+
+    monkeypatch.setattr(strategies, "_failing_endpoints", counting)
+    for mode in MODES:
+        calls.clear()
+        assert check_farthingale(vf, mode) == reference_check(vf, mode)
+        assert 0 < len(calls) <= bound < interior_cells
+
+
+def test_a_strategy_held_at_several_nodes_is_stepped_once(monkeypatch):
+    """Grid {1/3}: cells {0}, (0, 1/3), {1/3}, (1/3, 1), {1}, so a node's four gap children hold its own strategy."""
+    stepped = []
+    step = CalibrationState.step
+    monkeypatch.setattr(CalibrationState, "step", lambda self, p, y: stepped.append(self) or step(self, p, y))
+    vf = strategy_value_table(lambda: CalibrationState(3, Fraction(1)), 3, [Fraction(1, 3)])
+    monkeypatch.undo()
+    # Each distinct strategy above the leaves is stepped at its three point cells, once: 1 + 6 + 36 of them.
+    assert len(stepped) == 6 * len({id(s) for s in stepped}) == 6 * 43
+    cells = vf.partitions[0].cells
+    for path in node_paths(vf.partitions):
+        strategy = CalibrationState(3, Fraction(1))
+        for ci, bit in path:
+            strategy = strategy.step(cells[ci].lo, bit) if cells[ci].is_point else strategy
+        assert vf.values[path] == strategy.capital
+    assert check_farthingale(vf, "exact") == (True, [])

@@ -1,10 +1,11 @@
 """Value tables work once per distinct value object.
 
-``check_farthingale`` decides each (cell, parent, v0, v1) check once, keyed by
-object identity, and ``ValueFunction.to_json`` formats each value object once.
-Results stay those of the plain per-node loop ``reference_check``, and the
-table bytes and ``verify`` reports are pinned to the values they had before
-the memo.
+``check_farthingale`` decides each (depth, state, cell) check once, nodes
+holding the same value object over the same children being one state, and
+``ValueFunction.to_json`` formats each value object once.  Results stay those
+of the plain per-node loop ``reference_check``, and the table bytes and
+``verify`` reports are pinned to the values they had before tables were
+shared.
 """
 
 import collections
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from preqprob import cli, gameprob
 from preqprob.events import Cell, ForecastPartition
-from preqprob.gameprob import LevelValues, ValueFunction, cell_tree, encode_cell_path, witness_superfarthingale
+from preqprob.gameprob import StateGraph, ValueFunction, cell_levels, encode_cell_path, witness_superfarthingale
 from preqprob.randgen import random_event
 from preqprob.strategies import check_farthingale
 from test_strategies import MIXED, POINTS, WHOLE, reference_check
@@ -56,9 +57,10 @@ def partitions(draw):
 
 
 def node_paths(parts):
-    """Every node of the tree over ``parts``, in ``cell_tree`` order."""
-    width = [2 * len(p.cells) for p in parts]
-    return [path for path, _ in cell_tree(parts, None, lambda state, depth: [None] * width[depth])]
+    """Every node of the tree over ``parts``, in ``cell_levels`` order."""
+    steps = [[(ci, bit) for ci in range(len(p.cells)) for bit in (0, 1)] for p in parts]
+    levels = cell_levels(parts, (), lambda path, depth: [path + (step,) for step in steps[depth]])
+    return [path for level in levels for path in level]
 
 
 @st.composite
@@ -100,15 +102,16 @@ def looked_up(vf):
     return ValueFunction(vf.horizon, vf.partitions, FreshValues(vf.values))
 
 
-def level_order(vf):
-    """The library's form: the same values in a ``LevelValues`` view."""
-    return ValueFunction(vf.horizon, vf.partitions, LevelValues(vf.partitions, vf.nodes))
+def state_graph(vf):
+    """The library's form: the same values hash-consed into a ``StateGraph``."""
+    nodes = [vf.values[path] for path in node_paths(vf.partitions)]
+    return ValueFunction(vf.horizon, vf.partitions, StateGraph.from_nodes(vf.partitions, nodes))
 
 
 @PROPERTY
 @given(shared_tables())
 @pytest.mark.parametrize(
-    "form", [lambda vf: vf, copied, looked_up, level_order], ids=["shared", "copied", "fresh-lookups", "level-order"]
+    "form", [lambda vf: vf, copied, looked_up, state_graph], ids=["shared", "copied", "fresh-lookups", "state-graph"]
 )
 def test_memo_matches_the_reference(form, vf):
     table = form(vf)

@@ -20,7 +20,7 @@ from preqprob.core import (
     outcome_tree_nodes,
 )
 from preqprob.events import EventUnion, event_partitions, point_partition
-from preqprob.gameprob import ValueFunction, cell_tree, witness_superfarthingale
+from preqprob.gameprob import ValueFunction, cell_levels, witness_superfarthingale
 from preqprob.measureprob import exact_event_probability, measure_upper_probability
 from preqprob.strategies import (
     DoublingStrategy,
@@ -165,8 +165,8 @@ class TestCellPathTree:
         ids=["two-steps-of-one-cell", "one-step-of-three-cells"],
     )
     def test_a_tree_of_exactly_the_budget_passes(self, budget_7, partitions):
-        tree = cell_tree(partitions, "root", lambda state, depth: ["child"] * 6)
-        assert len(list(tree)) == 7
+        tree = cell_levels(partitions, "root", lambda state, depth: ["child"] * 2 * len(partitions[depth].cells))
+        assert sum(map(len, tree)) == 7
 
     def test_a_larger_tree_yields_nothing(self, budget_7):
         """One step of five cells is the root and ten children: 11 nodes."""
@@ -176,7 +176,7 @@ class TestCellPathTree:
         def children(state, depth):
             raise AssertionError("node expanded past the size check")
 
-        tree = cell_tree((partition,), "root", children)
+        tree = cell_levels((partition,), "root", children)
         with pytest.raises(HorizonError, match="the cell-path tree at horizon 1 has 11 nodes"):
             next(tree)
 
