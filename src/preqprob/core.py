@@ -108,27 +108,45 @@ def _exponent_beyond_limit(text: str) -> bool:
     return len(digits) > len(str(limit)) or int(digits or "0") > limit
 
 
+def _digits_beyond_limit(value: Fraction, limit: int) -> bool:
+    """Whether ``value``'s numerator or denominator has more than ``limit`` digits (0: no limit)."""
+    top = max(abs(value.numerator), value.denominator)
+    # Below 2^(3 limit) < 10^limit a number has at most ``limit`` digits, so only longer ones are compared.
+    return bool(limit) and top.bit_length() > 3 * limit and top >= 10**limit
+
+
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions and strings like "1/2" or "0.25" to Fraction; refuse floats and booleans.
 
     ``int`` refuses a digit string longer than ``sys.get_int_max_str_digits()``,
     and so does the parse of a numerator or denominator.  An exponent's
     magnitude is held to the same limit before the parse: "1e-30000000"
-    would otherwise build 10^30000000.
+    would otherwise build 10^30000000.  The parsed numerator and denominator
+    are held to it after the parse: "1e4300" is 10^4300, one digit too long
+    to print.
     """
     if isinstance(value, Fraction):
         return value
+    limit = sys.get_int_max_str_digits()
     if isinstance(value, str) and _exponent_beyond_limit(value):
         raise InputError(
             f"cannot interpret {value!r} as an exact rational: its exponent's magnitude is over "
-            f"{sys.get_int_max_str_digits()}, the interpreter's limit on integer digits"
+            f"{limit}, the interpreter's limit on integer digits"
         )
     try:
-        if not isinstance(value, bool) and isinstance(value, (int, str)):
-            return Fraction(value)
+        fraction = Fraction(value) if not isinstance(value, bool) and isinstance(value, (int, str)) else None
     except (ValueError, ZeroDivisionError):
-        pass
-    raise InputError(f"cannot interpret {value!r} as an exact rational")
+        fraction = None
+    if fraction is None:
+        raise InputError(f"cannot interpret {value!r} as an exact rational")
+    # Without an exponent, a string of at most ``limit`` characters parses to at most ``limit`` digits.
+    may_be_long = isinstance(value, str) and ("e" in value or "E" in value or len(value) > limit)
+    if may_be_long and _digits_beyond_limit(fraction, limit):
+        raise InputError(
+            f"cannot interpret {value!r} as an exact rational: its numerator or denominator has "
+            f"more than {limit} digits, the interpreter's limit on integer digits"
+        )
+    return fraction
 
 
 def check_forecast(p) -> Fraction:

@@ -38,14 +38,14 @@ operations are pure and the exact arithmetic makes results independent of
 evaluation order.
 
 A value table is held as levels of states, a ``StateGraph``.  A witness
-table has one state per (depth, live-set) reached from the root, built
-straight from the engine's levels; any other table is hash-consed from its
-node values in level order.  Every walk of the partition-refined tree goes through ``cell_levels``,
-which fixes the node order (level by level, children in (cell, bit) order)
-and sizes the tree with ``tree_nodes``, against ``core.check_walk``'s node
-budget, before it starts.  It yields one list of states per depth and
-builds no cell-path: the JSON keys are built by that walk and paired by
-position with the node states it reaches.
+table and a strategy table are reached from the root by ``StateGraph.reach``,
+the equal states of a depth being one; any other table is hash-consed from
+its node values in level order.  The tree order lives here alone:
+``cell_levels`` fixes it (level by level, children in (cell, bit) order) and
+sizes the tree with ``tree_nodes``, against ``core.check_walk``'s node
+budget, before it starts.  No walk builds a cell-path: the JSON keys are
+paired by position with the node states reached, and
+``StateGraph.marked_nodes`` decodes only the paths of the nodes it reports.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import chain, product, repeat
+from itertools import chain, product
 
 from .core import ONE, ZERO, InputError, PrequentialPrefix, as_fraction, as_int, check_outcome, check_walk, reading
 from .events import ArityError, Cell, EventUnion, ForecastPartition, event_partitions
@@ -89,10 +89,9 @@ def cell_levels(partitions, root, children):
 
     Level 0 is ``[root]``.  A node at depth d has one child per cell of
     ``partitions[d]`` and outcome bit, in the order (0, 0), (0, 1), (1, 0), ...;
-    ``children(state, d)`` is called once per node at depth d and returns the
-    states of all of that node's children, in that order, and level d + 1
-    lists them parent by parent.  The tree is sized with ``tree_nodes``
-    before the root level is yielded.
+    ``children(state, d)``, called once per node at depth d, returns them in
+    that order, and level d + 1 lists them parent by parent.  The tree is
+    sized with ``tree_nodes`` before the root level is yielded.
     """
     tree_nodes(partitions)
     level = [root]
@@ -138,11 +137,28 @@ class StateGraph(Mapping):
         self._size = tree_nodes(partitions)
 
     @classmethod
+    def reach(cls, partitions, root, children, value) -> "StateGraph":
+        """The states reached from ``root``, the equal ones of a depth numbered once, as first reached.
+
+        ``children(state, d)`` lists a depth-d state's children in ``cell_levels`` order and
+        ``value(state, d)`` its value, each called once per state after ``tree_nodes`` sizes the tree.
+        """
+        tree_nodes(partitions)
+        states, levels, kids = [root], [], []
+        for depth in range(len(partitions)):
+            levels.append([value(state, depth) for state in states])
+            index: dict = {}
+            kids.append([tuple(index.setdefault(c, len(index)) for c in children(s, depth)) for s in states])
+            states = list(index)
+        levels.append([value(state, len(partitions)) for state in states])
+        return cls(partitions, levels, kids)
+
+    @classmethod
     def from_nodes(cls, partitions, nodes: list) -> "StateGraph":
         """Hash-cons node values given in ``cell_levels`` order into states, bottom-up.
 
-        A node's key is (``id`` of its value, its child-state indices); the
-        list keeps every value alive during the build, so no id is reused.
+        A leaf's key is its value's ``id``, an interior node's adds its child
+        states; the list keeps every value alive, so no id is reused.
         """
         widths = [1]
         for partition in partitions:
@@ -150,18 +166,35 @@ class StateGraph(Mapping):
         if len(nodes) != sum(widths):
             raise ValueError(f"{len(nodes)} values for a tree of {sum(widths)} nodes")
         levels, children = [], []
-        end, below = len(nodes), ()
+        end, below = len(nodes), None
         for depth in reversed(range(len(widths))):
             level = nodes[end - widths[depth] : end]
             end -= widths[depth]
-            kids = zip(*[iter(below)] * (2 * len(partitions[depth].cells))) if below else repeat(())
+            keys = map(id, level)
+            if below is not None:
+                keys = zip(keys, zip(*[iter(below)] * (2 * len(partitions[depth].cells))))
             index: dict = {}
-            below = [index.setdefault(key, len(index)) for key in zip(map(id, level), kids)]
+            below = [index.setdefault(key, len(index)) for key in keys]
             # States are numbered in order of first appearance, and so are these keys.
             levels.append(list(dict(zip(below, level)).values()))
-            children.append([key[1] for key in index])
+            children.append([key[1] for key in index] if depth < len(partitions) else None)
         # Both lists run from the leaves up, and the leaves have no children.
         return cls(partitions, levels[::-1], children[1:][::-1])
+
+    def marked_nodes(self, marks: list) -> list:
+        """(cell-path, mark) of each node whose state s of depth d has a mark ``marks[d][s]``, in level order.
+
+        Depths 0 .. len(marks) - 1 are walked only if some state is marked.
+        """
+        if not any(marks):
+            return []
+        nodes = cell_levels(self._partitions[: len(marks) - 1], 0, lambda state, d: self.children[d][state])
+        return [
+            (cell_path_at(self._partitions, depth, index), marked[state])
+            for depth, (level, marked) in enumerate(zip(nodes, marks))
+            for index, state in enumerate(level)
+            if state in marked
+        ]
 
     def __getitem__(self, path) -> Fraction:
         if not isinstance(path, tuple) or len(path) > len(self.children):
@@ -448,23 +481,16 @@ def witness_superfarthingale(event: EventUnion) -> ValueFunction:
     Its root value equals ``upper_game_probability(event)``, its level-N values
     are the membership indicator, and it satisfies the superfarthingale
     inequality at every node and cell endpoint, which makes it the witness
-    betting strategy achieving the upper probability.  It has one state per
-    (depth, live-set) reached from the root, each live-set's value read from
-    that depth's values; a state's children are its live-set's survivors,
-    numbered as they are first reached.  No walk of the cell tree is made,
-    but the tree is sized with ``tree_nodes`` first.
+    betting strategy achieving the upper probability.  It is reached from
+    the root live-set by ``StateGraph.reach``, one state per (depth, live-set).
     """
     eng = _engine(event)
-    tree_nodes(eng.partitions)
-    steps = [[m for pair in masks for m in pair] for masks in eng.masks]
-    lives, levels, children = [eng.all_live()], [], []
-    for values, step in zip(eng._values, steps):
-        levels.append(list(map(values.__getitem__, lives)))
-        index: dict = {}
-        children.append([tuple(index.setdefault(live & m, len(index)) for m in step) for live in lives])
-        lives = list(index)
-    levels.append(list(map(eng._values[-1].__getitem__, lives)))
-    return ValueFunction(event.horizon, eng.partitions, StateGraph(eng.partitions, levels, children))
+
+    def survivors(live: int, depth: int) -> list:
+        return [live & m for pair in eng.masks[depth] for m in pair]
+
+    graph = StateGraph.reach(eng.partitions, eng.all_live(), survivors, lambda live, depth: eng.value(depth, live))
+    return ValueFunction(event.horizon, eng.partitions, graph)
 
 
 def optimal_forecast_at(event: EventUnion, x: PrequentialPrefix) -> Fraction:

@@ -8,11 +8,8 @@ partition cell the successor values are constant, so the defining identity is
 linear in the forecast and holds on the whole cell iff it holds at both cell
 endpoints.  The check reads the table as levels of states
 (``ValueFunction.state_graph``): a state fixes its value and its children's,
-so each (depth, state, cell) is decided once, and a witness table has one
-state per depth and live-set.  Only when a state fails is the tree walked,
-along the child indices, to report every node that holds it, with its
-cell-path decoded from its position.  ``strategy_value_table`` lists its
-capitals in level order and hash-conses them into states.
+so each (depth, state, cell) is decided once, and only the nodes holding a
+failing state are looked up, by ``StateGraph.marked_nodes``.
 
 The calibration strategy realizes the finite-horizon bias test: with
 S = sum(y_i - p_i) and A = sum(p_i (1 - p_i)) the process
@@ -42,13 +39,14 @@ size it with ``check_walk`` and refuse it before any strategy is built.
 Sampling then steps each outcome-tree node at most once per call: the value
 reached at a node is kept and shared by every later sample through it.
 
-A strategy is a frozen value with a ``capital`` attribute (a Fraction) and a
-pure ``step(p, y)`` that consumes one (forecast, outcome) pair, and nothing
-else, and returns the next value.  Functions that take a strategy factory call
-it once for the start value and carry values down the tree or stream:
-``run_stream`` drives a strategy over a recorded stream, and
-``strategy_value_table``, ``certify_strategy`` and ``ville_check`` never
-replay a history from the root.
+A strategy is a frozen, hashable value with a ``capital`` attribute (a
+Fraction) and a pure ``step(p, y)`` that consumes one (forecast, outcome)
+pair, and nothing else, and returns the next value.  Functions that take a
+strategy factory call it once for the start value and carry values down the
+tree or stream: ``run_stream`` drives a strategy over a recorded stream, and
+``certify_strategy`` and ``ville_check`` never replay a history from the root.
+``strategy_value_table`` is reached from the start value by
+``StateGraph.reach``: equal values at a depth are one state, stepped once.
 """
 
 from __future__ import annotations
@@ -78,7 +76,7 @@ from .core import (
     sample_outcomes,
 )
 from .events import point_partition
-from .gameprob import CellPath, StateGraph, ValueFunction, cell_levels, cell_path_at, tree_nodes
+from .gameprob import StateGraph, ValueFunction, tree_nodes
 
 
 class IncompleteTableError(InputError):
@@ -121,23 +119,21 @@ def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
     endpoints are scanned only when that test fails.
 
     The check reads ``vf.state_graph()``, after sizing the interior tree with
-    ``tree_nodes``, and decides each (depth, state, cell) once.  Only when a
-    state fails is the interior tree walked with ``cell_levels``; every node
+    ``tree_nodes``, and decides each (depth, state, cell) once.  Every node
     holding a failing state reports its failing endpoints, in level, cell
-    and endpoint order, its cell-path decoded from its position.
+    and endpoint order, from ``StateGraph.marked_nodes``.
     """
     if mode not in ("exact", "super"):
         raise InputError(f"mode must be 'exact' or 'super', got {mode!r}")
     exact = mode == "exact"
-    partitions = vf.partitions
-    tree_nodes(partitions[:-1])
+    tree_nodes(vf.partitions[:-1])
     try:
         graph = vf.state_graph()
     except KeyError:
         raise IncompleteTableError("value table does not cover the partition tree") from None
     # failing[depth][state]: the distinct endpoints at which that state fails, in cell order.
     failing: list[dict] = []
-    for partition, parents, below, children in zip(partitions, graph.levels, graph.levels[1:], graph.children):
+    for partition, parents, below, children in zip(vf.partitions, graph.levels, graph.levels[1:], graph.children):
         failing.append({})
         for state, (parent, kids) in enumerate(zip(parents, children)):
             failed = ()
@@ -145,14 +141,7 @@ def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
                 failed += _failing_endpoints(cell, parent, below[c0], below[c1], exact)
             if failed:
                 failing[-1][state] = tuple(dict.fromkeys(failed))
-    violations: list[tuple[CellPath, Fraction]] = []
-    if any(failing):
-        nodes = cell_levels(partitions[:-1], 0, lambda state, depth: graph.children[depth][state])
-        for depth, (level, failed) in enumerate(zip(nodes, failing)):
-            for index, state in enumerate(level):
-                if state in failed:
-                    path = cell_path_at(partitions, depth, index)
-                    violations += [(path, p) for p in failed[state]]
+    violations = [(path, p) for path, failed in graph.marked_nodes(failing) for p in failed]
     return not violations, violations
 
 
@@ -360,37 +349,22 @@ def strategy_value_table(strategy_factory, horizon: int, grid) -> ValueFunction:
     (not betting is itself a farthingale move, so the table stays exact).  The
     table reproduces the strategy's capital along any stream whose forecasts
     lie on the grid and is the object ``check_farthingale`` inspects.  It is
-    built along ``cell_levels``, each node's strategy value stepped into its
-    children, and its capitals are hash-consed into states.  A strategy
-    object held at several nodes (a gap cell hands its node's on) is stepped
-    once, since strategies are pure values, so those nodes share children
-    and become one state.  A negative horizon is refused before the factory
-    is called.
+    reached from the factory's value by ``StateGraph.reach``, equal strategy
+    values at a depth being one state, and a value-keyed cache steps each
+    distinct value once, at whatever depth (a gap cell hands a node's value
+    on).  A negative horizon is refused before the factory is called.
     """
     if horizon < 0:
         raise InputError(f"horizon must be non-negative, got {horizon}")
     partition = point_partition(map(check_forecast, grid))
     partitions = tuple(partition for _ in range(horizon))
-    # id(strategy) -> (strategy, its children); holding the strategy keeps its id from being reused.
-    stepped: dict[int, tuple] = {}
 
-    def children(strategy, depth: int) -> list:
-        known = stepped.get(id(strategy))
-        if known is None:
-            steps = [
-                strategy.step(cell.lo, bit) if cell.is_point else strategy
-                for cell in partition.cells
-                for bit in (0, 1)
-            ]
-            known = stepped[id(strategy)] = (strategy, steps)
-        return known[1]
+    @functools.cache
+    def children(strategy) -> list:
+        return [strategy.step(c.lo, bit) if c.is_point else strategy for c in partition.cells for bit in (0, 1)]
 
-    nodes = [
-        strategy.capital
-        for level in cell_levels(partitions, strategy_factory(), children)
-        for strategy in level
-    ]
-    return ValueFunction(horizon, partitions, StateGraph.from_nodes(partitions, nodes))
+    graph = StateGraph.reach(partitions, strategy_factory(), lambda s, d: children(s), lambda s, d: s.capital)
+    return ValueFunction(horizon, partitions, graph)
 
 
 def certify_strategy(strategy_factory, phi: ForecastingSystem) -> tuple[bool, list]:

@@ -72,6 +72,9 @@ def table_with_root(value):
 DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000
 # A rational whose exponent is over the interpreter's digit limit; Fraction would build 10^30000000.
 HUGE_EXPONENT = "1e-30000000"
+# 10^limit (10^4300 by default) has one digit more than ``str`` prints.
+UNPRINTABLE = f"1e{sys.get_int_max_str_digits()}"
+UNPRINTABLE_FORECAST = f"1e-{sys.get_int_max_str_digits()}"
 
 
 CASES = {
@@ -120,6 +123,12 @@ CASES = {
     "event-bound-huge-exponent": (["value", "--event", "{file}"], event_steps({"p": [HUGE_EXPONENT, "1"]})),
     "value-function-huge-exponent": (["verify", "--value-function", "{file}"], table_with_root(HUGE_EXPONENT)),
     "ville-threshold-huge-exponent": (["ville", "-C", HUGE_EXPONENT], None),
+    "ville-threshold-too-long-to-print": (
+        ["ville", "-C", UNPRINTABLE, "-N", "3", "--samples", "5", "--json"], None
+    ),
+    "stream-forecast-too-long-to-print": (
+        ["test-stream", "--stream", "{file}", "-N", "1"], f"p,y\n{UNPRINTABLE_FORECAST},1\n"
+    ),
     "value-table-out-with-measure-engine": (
         ["value", "--event", "{file}", "--engine", "measure", "--table-out", "{file}.table"], GOOD_EVENT
     ),
@@ -188,7 +197,12 @@ def test_line_ends_do_not_change_a_report_but_its_digest(capsys, tmp_path, name,
 def test_exponents_within_the_digit_limit_still_parse():
     assert core.as_fraction("1e-3") == Fraction(1, 1000)
     assert core.as_fraction("2.5E2") == 250
-    assert core.as_fraction(f"1e-{sys.get_int_max_str_digits()}").denominator > 1
+    # 10^(limit - 1) has exactly ``limit`` digits, the most ``str`` prints; 10^limit has one more.
+    limit = sys.get_int_max_str_digits()
+    assert str(core.as_fraction(f"1e-{limit - 1}").denominator) == "1" + "0" * (limit - 1)
+    for refused in (f"1e-{limit}", f"1e{limit}", f"10e{limit - 1}", f"0.1e-{limit - 1}"):
+        with pytest.raises(InputError, match=f"more than {limit} digits"):
+            core.as_fraction(refused)
 
 
 def test_unparsable_seed_variable_exits_2(capsys, monkeypatch):

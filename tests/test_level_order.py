@@ -22,7 +22,13 @@ from preqprob.core import InputError
 from preqprob.events import point_partition
 from preqprob.gameprob import StateGraph, ValueFunction, encode_cell_path, witness_superfarthingale
 from preqprob.randgen import random_event
-from preqprob.strategies import CalibrationState, DoublingStrategy, check_farthingale, strategy_value_table
+from preqprob.strategies import (
+    CalibrationState,
+    ConstantStrategy,
+    DoublingStrategy,
+    check_farthingale,
+    strategy_value_table,
+)
 from test_strategies import reference_check
 from test_value_memo import (
     MODES,
@@ -183,8 +189,8 @@ def test_a_strategy_held_at_several_nodes_is_stepped_once(monkeypatch):
     monkeypatch.setattr(CalibrationState, "step", lambda self, p, y: stepped.append(self) or step(self, p, y))
     vf = strategy_value_table(lambda: CalibrationState(3, Fraction(1)), 3, [Fraction(1, 3)])
     monkeypatch.undo()
-    # Each distinct strategy above the leaves is stepped at its three point cells, once: 1 + 6 + 36 of them.
-    assert len(stepped) == 6 * len({id(s) for s in stepped}) == 6 * 43
+    # Each distinct strategy value above the leaves is stepped at its three point cells, once: 18 of them.
+    assert len(stepped) == 6 * len({id(s) for s in stepped}) == 6 * 18
     cells = vf.partitions[0].cells
     for path in node_paths(vf.partitions):
         strategy = CalibrationState(3, Fraction(1))
@@ -192,3 +198,48 @@ def test_a_strategy_held_at_several_nodes_is_stepped_once(monkeypatch):
             strategy = strategy.step(cells[ci].lo, bit) if cells[ci].is_point else strategy
         assert vf.values[path] == strategy.capital
     assert check_farthingale(vf, "exact") == (True, [])
+
+
+# Strategy kind -> factory at a table horizon; calibration's own horizon is at least 1.
+FACTORIES = {
+    "calibration": lambda horizon, c: (lambda: CalibrationState(max(horizon, 1), c)),
+    "doubling": lambda horizon, c: DoublingStrategy,
+    "constant": lambda horizon, c: ConstantStrategy,
+}
+
+
+def replayed(factory, horizon, grid):
+    """A plain dict of each node's capital, replayed from the factory along its path, and each depth's values."""
+    partition = point_partition(grid)
+    parts = tuple(partition for _ in range(horizon))
+    table, values = {}, [set() for _ in range(horizon + 1)]
+    for path in node_paths(parts):
+        strategy = factory()
+        for ci, bit in path:
+            cell = partition.cells[ci]
+            strategy = strategy.step(cell.lo, bit) if cell.is_point else strategy
+        table[path] = strategy.capital
+        values[len(path)].add(strategy)
+    return ValueFunction(horizon, parts, table), values
+
+
+@PROPERTY
+@given(
+    st.sampled_from(sorted(FACTORIES)),
+    st.integers(0, 3),
+    st.lists(st.sampled_from([Fraction(k, 6) for k in range(7)]), max_size=3, unique=True),
+    st.fractions(Fraction(1, 4), 3, max_denominator=4),
+)
+def test_a_strategy_table_has_one_state_per_distinct_value(kind, horizon, grid, c):
+    factory = FACTORIES[kind](horizon, c)
+    vf = strategy_value_table(factory, horizon, grid)
+    reference, values = replayed(factory, horizon, grid)
+    assert vf.to_json() == reference.to_json()
+    for mode in MODES:
+        assert check_farthingale(vf, mode) == check_farthingale(reference, mode)
+    assert list(map(len, vf.values.levels)) == list(map(len, values))
+
+
+def test_equal_calibration_states_reached_along_different_paths_are_one():
+    vf = strategy_value_table(lambda: CalibrationState(3, Fraction(1)), 3, [Fraction(1, 3)])
+    assert list(map(len, vf.values.levels)) == [1, 6, 18, 40]
