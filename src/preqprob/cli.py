@@ -5,7 +5,10 @@ disagree), 2 input error (an ``InputError`` or ``OSError``, on one ``error:``
 line), 3 statistical rejection (a finding about the forecasts, not a tool
 failure); any other exception is a tool fault: a traceback and exit 1.
 Reports are deterministic given flags and seed; --json is byte-stable, with
-rationals as "num/den" strings and floats at 12 significant digits.
+rationals as "num/den" strings and floats at 12 significant digits.  A
+report is rendered whole before its first byte is printed, and a computed
+rational too long for ``str`` (``core.digits_beyond_limit``) is an
+``InputError`` naming it, so the command prints nothing and exits 2.
 """
 
 from __future__ import annotations
@@ -21,7 +24,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import gameprob, measureprob, randgen, strategies
-from .core import ForecastingSystem, InputError, as_fraction, as_int, induced_path, reading, sample_outcomes
+from .core import (
+    ForecastingSystem,
+    InputError,
+    as_fraction,
+    as_int,
+    digits_beyond_limit,
+    induced_path,
+    reading,
+    sample_outcomes,
+)
 from .events import (
     contains,
     counterexample_pair,
@@ -37,17 +49,24 @@ EXIT_INPUT = 2
 EXIT_REJECT = 3
 
 
-def _render(value):
+def _render(value, name: str):
+    """``value`` as a report prints it; a rational too long to print is an ``InputError`` naming ``name``."""
     if isinstance(value, str):  # most values, e.g. every entry of a witness table
         return value
     if isinstance(value, Fraction):
+        limit = sys.get_int_max_str_digits()
+        if digits_beyond_limit(value, limit):
+            raise InputError(
+                f"{name} has a numerator or denominator of more than {limit} digits, "
+                f"the interpreter's limit on integer digits, so it cannot be printed"
+            )
         return str(value)
     if isinstance(value, float):
         return f"{value:.12g}"
     if isinstance(value, (list, tuple)):
-        return [_render(v) for v in value]
+        return [_render(v, name) for v in value]
     if isinstance(value, dict):
-        return {k: _render(v) for k, v in value.items()}
+        return {k: _render(v, name) for k, v in value.items()}
     return value
 
 
@@ -72,28 +91,28 @@ class Report:
     def to_json(self) -> str:
         doc = {
             "command": self.command,
-            "inputs": _render(self.inputs),
-            "results": _render(self.results),
+            "inputs": {key: _render(value, f"input {key}") for key, value in self.inputs.items()},
+            "results": {key: _render(value, key) for key, value in self.results.items()},
             "checks": self.checks,
         }
         if self.seed is not None:
             doc["seed"] = self.seed
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
-    def emit(self, as_json: bool):
-        if as_json:
-            sys.stdout.write(self.to_json())
-            return
-        print(f"command: {self.command}")
-        for key, value in self.inputs.items():
-            print(f"input {key} = {_render(value)}")
+    def to_text(self) -> str:
+        lines = [f"command: {self.command}"]
+        lines += (f"input {key} = {_render(value, f'input {key}')}" for key, value in self.inputs.items())
         if self.seed is not None:
-            print(f"seed = {self.seed}")
-        for key, value in self.results.items():
-            print(f"{key} = {_render(value)}")
+            lines.append(f"seed = {self.seed}")
+        lines += (f"{key} = {_render(value, key)}" for key, value in self.results.items())
         for check in self.checks:
             detail = f" ({check['detail']})" if check["detail"] else ""
-            print(f"check {check['name']}: {check['status']}{detail}")
+            lines.append(f"check {check['name']}: {check['status']}{detail}")
+        return "\n".join(lines) + "\n"
+
+    def emit(self, as_json: bool):
+        """Print the report, rendered whole first, so a value that cannot be printed prints nothing."""
+        sys.stdout.write(self.to_json() if as_json else self.to_text())
 
 
 def _read(path: str) -> tuple[str, str]:
@@ -125,9 +144,9 @@ def cmd_value(args) -> int:
     if args.engine in ("game", "both"):
         report.results["upper_game"] = gameprob.upper_game_probability(event)
         if args.table_out:
-            table = gameprob.witness_superfarthingale(event)
+            table = gameprob.witness_superfarthingale(event).to_json()  # before the file is opened
             with open(args.table_out, "w", encoding="utf-8") as handle:
-                handle.write(table.to_json())
+                handle.write(table)
             report.results["table_out"] = args.table_out
     if args.engine in ("measure", "both"):
         value, witness = measureprob.measure_upper_probability(event)

@@ -108,11 +108,15 @@ def _exponent_beyond_limit(text: str) -> bool:
     return len(digits) > len(str(limit)) or int(digits or "0") > limit
 
 
-def _digits_beyond_limit(value: Fraction, limit: int) -> bool:
-    """Whether ``value``'s numerator or denominator has more than ``limit`` digits (0: no limit)."""
-    top = max(abs(value.numerator), value.denominator)
-    # Below 2^(3 limit) < 10^limit a number has at most ``limit`` digits, so only longer ones are compared.
-    return bool(limit) and top.bit_length() > 3 * limit and top >= 10**limit
+def digits_beyond_limit(value: Fraction, limit: int) -> bool:
+    """Whether ``value``'s numerator or denominator has more than ``limit`` digits (0: no limit).
+
+    ``str`` refuses such a value.  Below 2^(3 limit) < 10^limit a number has
+    at most ``limit`` digits, so one bit-length compare settles every value
+    whose numerator and denominator are that short.
+    """
+    top, bottom = abs(value.numerator), value.denominator
+    return (top | bottom).bit_length() > 3 * limit and bool(limit) and max(top, bottom) >= 10**limit
 
 
 def as_fraction(value) -> Fraction:
@@ -141,7 +145,7 @@ def as_fraction(value) -> Fraction:
         raise InputError(f"cannot interpret {value!r} as an exact rational")
     # Without an exponent, a string of at most ``limit`` characters parses to at most ``limit`` digits.
     may_be_long = isinstance(value, str) and ("e" in value or "E" in value or len(value) > limit)
-    if may_be_long and _digits_beyond_limit(fraction, limit):
+    if may_be_long and digits_beyond_limit(fraction, limit):
         raise InputError(
             f"cannot interpret {value!r} as an exact rational: its numerator or denominator has "
             f"more than {limit} digits, the interpreter's limit on integer digits"

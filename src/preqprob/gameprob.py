@@ -51,13 +51,15 @@ paired by position with the node states reached, and
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import chain, product
 
-from .core import ONE, ZERO, InputError, PrequentialPrefix, as_fraction, as_int, check_outcome, check_walk, reading
+from .core import (ONE, ZERO, InputError, PrequentialPrefix, as_fraction, as_int, check_outcome, check_walk,
+                   digits_beyond_limit, reading)
 from .events import ArityError, Cell, EventUnion, ForecastPartition, event_partitions
 
 CellPath = tuple[tuple[int, int], ...]
@@ -259,10 +261,14 @@ class ValueFunction:
 
         A table holds few distinct value objects (a witness table one per
         reachable depth and live-set), so each distinct object is formatted
-        once and its text shared by every node that holds it.
+        once and its text shared by every node that holds it.  A value too
+        long for ``str`` is an ``InputError``, raised before any is formatted.
         """
         graph = self.state_graph()  # it holds every value for the whole call, so no id is reused
         objects = {id(v): v for level in graph.levels for v in level}
+        limit = sys.get_int_max_str_digits()
+        if any(digits_beyond_limit(v, limit) for v in objects.values()):
+            raise InputError(f"a table value has more than {limit} digits, the interpreter's integer digit limit")
         text = {i: str(v) for i, v in objects.items()}  # once per object
         texts = [[text[id(v)] for v in level] for level in graph.levels]
         states = cell_levels(self.partitions, 0, lambda state, depth: graph.children[depth][state])
@@ -525,11 +531,13 @@ class LevyStrategy:
     of the target event stays at or above the threshold.  When it dips below,
     the strategy rides the witness superfarthingale rescaled to current
     capital until capital grows by the factor 1/threshold, records that
-    milestone, freezes again, and waits for the next dip.  On event members
-    whose prefixes the witness values positively, each completed ride
-    multiplies capital by more than 1/threshold; riding a zero-valued witness
-    is replaced by freezing, which keeps the process a non-negative
-    farthingale vacuously (e.g. on the empty event capital stays at 1).
+    milestone, freezes again, and waits for the next dip.  It rides exactly
+    while ``ride_base``, the conditional value at which the ride began, is
+    set; ``regime`` names the two states.  On event members whose prefixes
+    the witness values positively, each completed ride multiplies capital by
+    more than 1/threshold; riding a zero-valued witness is replaced by
+    freezing, which keeps the process a non-negative farthingale vacuously
+    (e.g. on the empty event capital stays at 1).
     """
 
     event: EventUnion
@@ -537,12 +545,15 @@ class LevyStrategy:
     depth: int
     live: int  # bitmask of the boxes still consistent with the prefix
     capital: Fraction
-    regime: str  # "waiting" or "riding"
     milestone: Fraction
     ride_base: Fraction | None
     conditional: Fraction
     engine: _GameEngine = field(compare=False, repr=False)  # the event's, solved once
     milestones: tuple[Fraction, ...] = ()
+
+    @property
+    def regime(self) -> str:
+        return "waiting" if self.ride_base is None else "riding"
 
     @classmethod
     def start(cls, event: EventUnion, threshold) -> "LevyStrategy":
@@ -552,65 +563,34 @@ class LevyStrategy:
         eng = _engine(event)
         live = eng.all_live()
         w0 = eng.value(0, live)
-        state = cls(
-            event=event,
-            threshold=threshold,
-            depth=0,
-            live=live,
-            capital=ONE,
-            regime="waiting",
-            milestone=ONE,
-            ride_base=None,
-            conditional=w0,
-            engine=eng,
-        )
-        return _maybe_trigger(state)
+        ride_base = w0 if ZERO < w0 < threshold else None  # capital is 1
+        return cls(event=event, threshold=threshold, depth=0, live=live, capital=ONE, milestone=ONE,
+                   ride_base=ride_base, conditional=w0, engine=eng)
 
     def step(self, p, y) -> "LevyStrategy":
         return levy_strategy_step(self, (p, y))
 
 
-def _maybe_trigger(state: LevyStrategy) -> LevyStrategy:
-    if (
-        state.regime == "waiting"
-        and ZERO < state.conditional < state.threshold
-        and state.capital > ZERO
-    ):
-        return replace(
-            state, regime="riding", ride_base=state.conditional, milestone=state.capital
-        )
-    return state
-
-
 def levy_strategy_step(state: LevyStrategy, step) -> LevyStrategy:
     """Advance the strategy by one (forecast, outcome) step.
 
-    Steps past the horizon leave the state terminal with capital frozen.
+    A ride that reaches the milestone times 1/threshold ends there; a state
+    not riding starts a ride when the new conditional value is positive and
+    below the threshold and capital is positive.  Steps past the horizon
+    leave the state terminal with capital frozen.
     """
     if state.depth >= state.event.horizon:
         return state
     p, y = step
-    eng = state.engine
-    live = eng.survivors_at(state.live, state.depth, p, check_outcome(y))  # survivors_at checks p
-    depth = state.depth + 1
-    w = eng.value(depth, live)
-    if state.regime == "riding":
-        capital = state.milestone * w / state.ride_base
-        if capital >= state.milestone / state.threshold:
-            state = replace(
-                state,
-                depth=depth,
-                live=live,
-                conditional=w,
-                capital=capital,
-                regime="waiting",
-                milestone=capital,
-                ride_base=None,
-                milestones=state.milestones + (capital,),
-            )
-        else:
-            state = replace(state, depth=depth, live=live, conditional=w, capital=capital)
-    else:
-        state = replace(state, depth=depth, live=live, conditional=w)
-    return _maybe_trigger(state)
-
+    live = state.engine.survivors_at(state.live, state.depth, p, check_outcome(y))  # survivors_at checks p
+    w = state.engine.value(state.depth + 1, live)
+    capital, milestone, ride_base = state.capital, state.milestone, state.ride_base
+    milestones = state.milestones
+    if ride_base is not None:
+        capital = milestone * w / ride_base
+        if capital >= milestone / state.threshold:
+            milestone, ride_base, milestones = capital, None, milestones + (capital,)
+    if ride_base is None and ZERO < w < state.threshold and capital > ZERO:
+        milestone, ride_base = capital, w
+    return replace(state, depth=state.depth + 1, live=live, capital=capital, milestone=milestone,
+                   ride_base=ride_base, conditional=w, milestones=milestones)

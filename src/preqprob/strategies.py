@@ -22,12 +22,12 @@ p(1 - p), cancelling the increment of A, for every forecast p), and whenever
 rejection is backed by the corresponding betting gain.  Capital never
 overflows: everything is exact rational arithmetic.
 
-S and A do not depend on the order of the pairs, so ``calibration_fold``
-(what ``preq test-stream`` runs) counts the pairs of a stream by distinct
-forecast and adds each distinct forecast in once, instead of stepping pair
-by pair.  The tree walkers still step: ``CalibrationState.step`` builds each
-new sum as one Fraction from integer numerators and denominators, and a
-state's capital is computed once, on first read, and kept.
+S and A change through one exact update, ``_add(p, count, ones)``: ``count``
+more pairs with forecast p, ``ones`` of them with outcome 1.  ``step`` adds
+one pair; the sums are order-free, so ``calibration_fold`` (what ``preq
+test-stream`` runs) adds each distinct forecast of a stream once.  A state's
+capital is computed once, on first read, and the verdict's ratio is the
+final capital over the initial one.
 
 ``ville_check`` verifies the capital/probability inequality empirically: a
 non-negative martingale starting at v reaches C with probability at most v/C
@@ -40,11 +40,12 @@ Sampling then steps each outcome-tree node at most once per call: the value
 reached at a node is kept and shared by every later sample through it.
 
 A strategy is a frozen, hashable value with a ``capital`` attribute (a
-Fraction) and a pure ``step(p, y)`` that consumes one (forecast, outcome)
-pair, and nothing else, and returns the next value.  Functions that take a
-strategy factory call it once for the start value and carry values down the
-tree or stream: ``run_stream`` drives a strategy over a recorded stream, and
-``certify_strategy`` and ``ville_check`` never replay a history from the root.
+Fraction) and a pure ``step(p, y)`` that consumes one checked pair, a
+Fraction forecast and a bit, and nothing else, and returns the next value;
+pairs are checked where they enter (``run_stream``, ``calibration_step``,
+``calibration_fold``, or the forecasting system's constructor).  Functions
+that take a strategy factory call it once for the start value and carry
+values down the tree or stream, never replaying a history from the root.
 ``strategy_value_table`` is reached from the start value by
 ``StateGraph.reach``: equal values at a depth are one state, stepped once.
 """
@@ -192,23 +193,25 @@ class CalibrationState:
         instance dict, outside the dataclass fields, so ==, hash and repr
         do not see it.
         """
-        scale = _capital_terms(self.horizon, self.threshold_c)[1]
+        scale = _capital_scale(self.horizon, self.threshold_c)
         bn, bd = self.bias.numerator, self.bias.denominator
         sn, sd = self.spread.numerator, self.spread.denominator
         bd2 = bd * bd
         top = 4 * bn * bn * sd - 4 * sn * bd2 + self.horizon * bd2 * sd
         return Fraction(top * scale.denominator, 4 * bd2 * sd * scale.numerator)
 
-    def step(self, p, y) -> "CalibrationState":
-        """The state after one more pair; each new sum is one Fraction built on integers.
-
-        With p = a/q: bias' = (b_n q + (y q - a) b_d) / (b_d q) and
-        spread' = (s_n q^2 + a (q - a) s_d) / (s_d q^2).
-        """
+    def step(self, p: Fraction, y: int) -> "CalibrationState":
+        """The state after one checked pair (a Fraction forecast and a bit; ``calibration_step`` checks)."""
         if self.n >= self.horizon:
             raise HorizonError(f"calibration horizon {self.horizon} already consumed")
-        p = check_forecast(p)
-        y = check_outcome(y)
+        return self._add(p, 1, y)
+
+    def _add(self, p: Fraction, count: int, ones: int) -> "CalibrationState":
+        """The state after ``count`` more pairs with forecast p, ``ones`` of them with outcome 1.
+
+        With p = a/q: bias' = (b_n q + (ones q - count a) b_d) / (b_d q) and
+        spread' = (s_n q^2 + count a (q - a) s_d) / (s_d q^2).
+        """
         a, q = p.numerator, p.denominator
         bn, bd = self.bias.numerator, self.bias.denominator
         sn, sd = self.spread.numerator, self.spread.denominator
@@ -216,9 +219,9 @@ class CalibrationState:
         return CalibrationState(
             horizon=self.horizon,
             threshold_c=self.threshold_c,
-            n=self.n + 1,
-            bias=Fraction(bn * q + (y * q - a) * bd, bd * q),
-            spread=Fraction(sn * q2 + a * (q - a) * sd, sd * q2),
+            n=self.n + count,
+            bias=Fraction(bn * q + (ones * q - count * a) * bd, bd * q),
+            spread=Fraction(sn * q2 + count * a * (q - a) * sd, sd * q2),
         )
 
 
@@ -226,15 +229,15 @@ CalibrationStrategy = CalibrationState
 
 
 @functools.lru_cache(maxsize=64)
-def _capital_terms(horizon: int, threshold_c: Fraction) -> tuple[Fraction, Fraction]:
-    """N/4 and the capital scale C^2 N + N/4, the same at every step of a test."""
-    n_quarter = Fraction(horizon, 4)
-    return n_quarter, threshold_c**2 * horizon + n_quarter
+def _capital_scale(horizon: int, threshold_c: Fraction) -> Fraction:
+    """The capital scale C^2 N + N/4, the same at every step of a test."""
+    return threshold_c**2 * horizon + Fraction(horizon, 4)
 
 
 def calibration_step(state: CalibrationState, step) -> tuple[CalibrationState, Fraction]:
-    """Consume one (forecast, outcome) pair; return the new state and its capital."""
-    new = state.step(*step)
+    """Check and consume one (forecast, outcome) pair; return the new state and its capital."""
+    p, y = step
+    new = state.step(check_forecast(p), check_outcome(y))
     return new, new.capital
 
 
@@ -242,36 +245,27 @@ def calibration_fold(state: CalibrationState, pairs) -> CalibrationState:
     """The state after all of ``pairs`` (a sequence), equal to stepping them one by one.
 
     The sums are order-free, so the pairs are counted first and each
-    distinct forecast p, seen c_p times, enters once:
-    bias += #ones - sum c_p p and spread += sum c_p p (1 - p).  A stream
-    that repeats a few forecast values costs a few Fraction operations
-    instead of several per pair.  More pairs than the horizon has left
-    raise HorizonError before any work; every forecast and outcome is
-    checked as ``step`` checks it, the first bad pair in stream order
-    raising.
+    distinct forecast is added once, with its count and number of ones.
+    More pairs than the horizon has left raise HorizonError before any
+    work; every pair is checked as ``calibration_step`` checks it, the
+    first bad pair in stream order raising.
     """
     left = state.horizon - state.n
     if len(pairs) > left:
-        raise HorizonError(
-            f"calibration horizon {state.horizon} has {left} steps left, got {len(pairs)} pairs"
-        )
+        raise HorizonError(f"calibration horizon {state.horizon} has {left} steps left, got {len(pairs)} pairs")
     # Pairs are counted by forecast object, not value: a Fraction's hash is
     # recomputed on every call, and ``parse_stream_csv`` hands out one object
     # per distinct forecast string.  Equal forecasts held by different objects
-    # (or given as "0.5" and "1/2") merge in ``counts`` once checked.
+    # (or given as "0.5" and "1/2") merge in ``tallies`` once checked.
     objects = {id(p): p for p, _ in pairs}
-    ones = 0
-    counts: dict[Fraction, int] = {}
+    tallies: dict[Fraction, list[int]] = {}  # forecast -> [pairs, ones]
     for (key, y), c in collections.Counter((id(p), y) for p, y in pairs).items():
-        p = check_forecast(objects[key])
-        ones += check_outcome(y) * c
-        counts[p] = counts.get(p, 0) + c
-    bias = state.bias + ones
-    spread = state.spread
-    for p, c in counts.items():
-        bias -= c * p
-        spread += c * p * (ONE - p)
-    return CalibrationState(state.horizon, state.threshold_c, state.n + len(pairs), bias, spread)
+        tally = tallies.setdefault(check_forecast(objects[key]), [0, 0])
+        tally[0] += c
+        tally[1] += check_outcome(y) * c
+    for p, (count, ones) in tallies.items():
+        state = state._add(p, count, ones)
+    return state
 
 
 @dataclass(frozen=True)
@@ -284,15 +278,13 @@ class CalibrationVerdict:
 def calibration_verdict(state: CalibrationState) -> CalibrationVerdict:
     """Decide the bias test after all N steps: reject iff S^2 >= C^2 N (exact).
 
-    The capital ratio final/initial is reported; a rejection guarantees
-    ratio >= 4 C^2.
+    The ratio is the final capital over the initial one; a rejection
+    guarantees ratio >= 4 C^2.
     """
     if state.n != state.horizon:
         raise InputError(f"verdict needs all {state.horizon} steps, have {state.n}")
-    square = state.bias**2
-    n_quarter, scale = _capital_terms(state.horizon, state.threshold_c)
-    reject = square >= scale - n_quarter  # C^2 N
-    ratio = (square - state.spread + n_quarter) / n_quarter
+    reject = state.bias**2 >= state.threshold_c**2 * state.horizon
+    ratio = state.capital / CalibrationState(state.horizon, state.threshold_c).capital
     return CalibrationVerdict(reject=reject, ratio=ratio, bias=state.bias)
 
 
@@ -317,8 +309,9 @@ class DoublingStrategy:
 
     capital: Fraction = ONE
 
-    def step(self, p, y) -> "DoublingStrategy":
-        return DoublingStrategy(2 * self.capital if check_outcome(y) == 1 else ZERO)
+    def step(self, p: Fraction, y: int) -> "DoublingStrategy":
+        """The value after one checked pair (a Fraction forecast and a bit)."""
+        return DoublingStrategy(2 * self.capital if y == 1 else ZERO)
 
 
 def run_stream(strategy, stream) -> CapitalProcess:

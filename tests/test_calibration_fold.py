@@ -1,14 +1,14 @@
-"""The calibration fold equals stepping, and a state's cached capital stays out of sight."""
+"""Folding equals stepping, the verdict follows its definition, and cached capital stays out of sight."""
 
 import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from preqprob.core import HorizonError
-from preqprob.strategies import CalibrationState, calibration_fold, calibration_step
+from preqprob.core import HorizonError, check_forecast
+from preqprob.strategies import CalibrationState, calibration_fold, calibration_step, calibration_verdict
 
 ONE = Fraction(1)
 
@@ -73,6 +73,25 @@ def test_fold_refuses_a_bad_pair_as_stepping_does(pairs, at, bad):
     with pytest.raises(ValueError) as stepping:
         stepped(state, pairs)
     assert str(folding.value) == str(stepping.value)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(forecasts, st.integers(0, 1)), min_size=1, max_size=40), thresholds)
+@example([(0, 1), (0, 1), (1, 1), (1, 1)], ONE)  # S^2 = C^2 N = 4: on the boundary, rejected
+def test_verdict_follows_its_definition(pairs, c):
+    """The verdict by its definition, through folding and stepping.
+
+    With S = sum(y - p) and A = sum p(1 - p) over N pairs:
+    ratio = (S^2 - A + N/4) / (N/4), and reject iff S^2 >= C^2 N.
+    """
+    n = len(pairs)
+    s = sum(y - check_forecast(p) for p, y in pairs)
+    a = sum(check_forecast(p) * (1 - check_forecast(p)) for p, _ in pairs)
+    expected = (s * s >= c * c * n, (s * s - a + Fraction(n, 4)) / Fraction(n, 4), s)
+    start = CalibrationState(n, c)
+    for state in (calibration_fold(start, pairs), stepped(start, pairs)):
+        verdict = calibration_verdict(state)
+        assert (verdict.reject, verdict.ratio, verdict.bias) == expected
 
 
 def test_fold_of_nothing_is_the_state():

@@ -75,6 +75,10 @@ HUGE_EXPONENT = "1e-30000000"
 # 10^limit (10^4300 by default) has one digit more than ``str`` prints.
 UNPRINTABLE = f"1e{sys.get_int_max_str_digits()}"
 UNPRINTABLE_FORECAST = f"1e-{sys.get_int_max_str_digits()}"
+# 10^-2200 at the default limit 4300: it prints, but its square, which results computed from it carry, does not.
+UNPRINTABLE_SQUARE = f"1e-{sys.get_int_max_str_digits() // 2 + 50}"
+# Two steps that each ask p = 10^-2200 and outcome 1: the event's upper probability is 10^-4400.
+UNPRINTABLE_VALUE = json.dumps({"horizon": 2, "boxes": [{"steps": [{"p": [UNPRINTABLE_SQUARE] * 2, "y": 1}] * 2}]})
 
 
 CASES = {
@@ -129,6 +133,19 @@ CASES = {
     "stream-forecast-too-long-to-print": (
         ["test-stream", "--stream", "{file}", "-N", "1"], f"p,y\n{UNPRINTABLE_FORECAST},1\n"
     ),
+    "stream-capital-too-long-to-print": (
+        ["test-stream", "--stream", "{file}", "-N", "1"], f"p,y\n{UNPRINTABLE_SQUARE},1\n"
+    ),
+    "stream-capital-too-long-to-print-json": (
+        ["test-stream", "--stream", "{file}", "-N", "1", "--json"], f"p,y\n{UNPRINTABLE_SQUARE},1\n"
+    ),
+    "value-game-too-long-to-print": (["value", "--event", "{file}", "--engine", "game", "--json"], UNPRINTABLE_VALUE),
+    "value-measure-too-long-to-print": (
+        ["value", "--event", "{file}", "--engine", "measure", "--json"], UNPRINTABLE_VALUE
+    ),
+    "value-table-too-long-to-print": (
+        ["value", "--event", "{file}", "--engine", "game", "--table-out", "{file}.table"], UNPRINTABLE_VALUE
+    ),
     "value-table-out-with-measure-engine": (
         ["value", "--event", "{file}", "--engine", "measure", "--table-out", "{file}.table"], GOOD_EVENT
     ),
@@ -145,6 +162,14 @@ def test_refused_input_exits_2_with_one_line(capsys, tmp_path, name):
     assert (code, out) == (2, "")
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_table_too_long_to_print_leaves_no_file(capsys, tmp_path):
+    event, table = tmp_path / "event.json", tmp_path / "table.json"
+    event.write_text(UNPRINTABLE_VALUE)
+    code, out, err = run(capsys, "value", "--event", str(event), "--engine", "game", "--table-out", str(table))
+    assert (code, out, table.exists()) == (2, "", False)
+    assert err.startswith("error: a table value has more than") and err.count("\n") == 1
 
 
 NOT_UTF8 = {
