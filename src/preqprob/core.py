@@ -25,6 +25,7 @@ Input is checked once, where it enters: refused input raises ``InputError``
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import random
 import re
@@ -151,6 +152,16 @@ def as_fraction(value) -> Fraction:
             f"more than {limit} digits, the interpreter's limit on integer digits"
         )
     return fraction
+
+
+def parse_once_per_string(parse: Callable) -> Callable:
+    """``parse`` called once per distinct string, for the values of one document.
+
+    Only strings share a result: ``as_fraction`` refuses the float 1.0, which
+    equals 1 as a key.  Any other value goes through ``parse`` every time.
+    """
+    cached = functools.cache(parse)
+    return lambda value: cached(value) if isinstance(value, str) else parse(value)
 
 
 def check_forecast(p) -> Fraction:

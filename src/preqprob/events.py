@@ -9,22 +9,29 @@ only closed constraints are admitted.
 The forecast axis of each step is cut into a partition of maximal intervals on
 which every box's interval test is constant.  Those cells are the columns of
 the partition-refined game tree used by the backward-induction engines.
-``forecast_partition`` cuts a step in one integer pass, giving each cell the
-bitmasks of the boxes accepting it, which the game engine reads as they are.
+``forecast_partition`` cuts a step on integers: each endpoint p becomes
+a = p*q over the lcm q of the step's endpoint denominators, the partition's
+``scale``, so the endpoints are sorted and located as ints.  It gives each
+cell its integer ends and the bitmasks of the boxes accepting it, which the
+game engine reads as they are.
 
-Long events repeat steps: ``event_from_json`` builds one ``StepConstraint``
-per distinct raw step and shares it, and ``per_distinct_step`` sets up a
-step (its partition, the measure engine's candidates) once per distinct
-column of box steps, keyed on the identity of those shared objects.  An
-event hashes each distinct step object once and keeps its hash.
+Long events repeat steps: ``event_from_json`` parses each distinct endpoint
+string once, builds one ``StepConstraint`` per distinct raw step and shares
+it, and ``per_distinct_step`` sets up a step (its partition, the measure
+engine's candidates) once per distinct column of box steps, keyed on the
+identity of those shared objects.  An event hashes each distinct step object
+once and keeps its hash.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import xor
 
 from .core import (
     ONE,
@@ -35,6 +42,7 @@ from .core import (
     as_int,
     check_forecast,
     check_outcome,
+    parse_once_per_string,
     reading,
 )
 
@@ -102,9 +110,13 @@ class EventUnion:
     def _hash(self) -> int:
         # A function of the step values, so equal events hash equal; each
         # distinct step object is hashed once, since boxes share the
-        # constraint of identical steps (see event_from_json).
+        # constraint of identical steps (see event_from_json), and through
+        # its bounds' integer ratios, which hash without Fraction's modular inverse.
         steps = {id(step): step for box in self.boxes for step in box.steps}
-        hashes = {key: hash(step) for key, step in steps.items()}
+        hashes = {
+            key: hash((step.p_lo.as_integer_ratio(), step.p_hi.as_integer_ratio(), step.y))
+            for key, step in steps.items()
+        }
         rows = tuple(tuple(hashes[id(step)] for step in box.steps) for box in self.boxes)
         return hash((self.horizon, rows))
 
@@ -171,19 +183,23 @@ def _intersect_boxes(a: Box, b: Box) -> Box | None:
     return Box(tuple(steps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """A maximal interval of [0, 1] on which every relevant interval test is constant.
 
     Ends may be open after merging (e.g. the cell (1/2, 1] next to the point
     cell [1/2, 1/2]).  ``endpoints`` are the evaluation points for the
     piecewise-linear maximization: values at open ends are one-sided limits.
+    ``grid_lo`` and ``grid_hi`` are lo and hi times the partition's
+    ``scale``; only ``forecast_partition`` sets them.
     """
 
     lo: Fraction
     hi: Fraction
     lo_open: bool = False
     hi_open: bool = False
+    grid_lo: int | None = field(default=None, compare=False, repr=False)
+    grid_hi: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.lo > self.hi or (self.lo == self.hi and (self.lo_open or self.hi_open)):
@@ -232,13 +248,15 @@ class ForecastPartition:
     """Ordered, disjoint cells covering [0, 1] exactly.
 
     ``masks`` holds, per cell, the bitmasks (m0, m1) of the boxes accepting
-    it with outcome 0 and with outcome 1.  Only ``forecast_partition`` sets
-    it: ``point_partition`` grids and partitions read from a table have none.
+    it with outcome 0 and with outcome 1, and ``scale`` the lcm of the
+    breakpoints' denominators.  Only ``forecast_partition`` sets them:
+    ``point_partition`` grids and partitions read from a table have none.
     """
 
     breakpoints: tuple[Fraction, ...]
     cells: tuple[Cell, ...]
     masks: tuple[tuple[int, int], ...] = ()
+    scale: int | None = None
 
     def cell_index_of(self, p: Fraction) -> int:
         p = check_forecast(p)
@@ -271,28 +289,58 @@ def forecast_partition(event: EventUnion, step: int) -> ForecastPartition:
     constant (an unconstrained axis is the single cell [0, 1]).  Each cell's
     pair (m0, m1) in ``masks`` holds bit i when box i's step accepts the
     cell's forecasts together with outcome 0 and outcome 1 respectively.
+    The cut runs on the integers a = p*q, q the partition's ``scale``.
     """
     if not 1 <= step <= event.horizon:
         raise ArityError(f"step {step} outside 1..{event.horizon}")
     steps = [box.steps[step - 1] for box in event.boxes]
-    points = sorted({ZERO, ONE, *(p for s in steps for p in (s.p_lo, s.p_hi))})
-    # Piece 2k is the point points[k] and piece 2k+1 the open gap after it, so
-    # the interval [points[a], points[b]] holds exactly the pieces 2a..2b.
-    position = {p: 2 * k for k, p in enumerate(points)}
-    inside = [0] * (2 * len(points) - 1)  # bit i: box i's interval holds the piece
+    endpoints = [p for s in steps for p in (s.p_lo, s.p_hi)]
+    ratios = [p.as_integer_ratio() for p in endpoints]
+    q = math.lcm(*[d for _, d in ratios])
+    ends = [n * (q // d) for n, d in ratios]  # box i's interval is [ends[2i], ends[2i+1]]
+    point = {0: ZERO, q: ONE}  # each integer's breakpoint, the first Fraction given for it
+    for a, p in zip(ends, endpoints):
+        point.setdefault(a, p)
+    grid = sorted(point)
+    # Piece 2k is the point grid[k] and piece 2k+1 the open gap after it, so
+    # the interval [grid[a], grid[b]] holds exactly the pieces 2a..2b.  Box
+    # i's bit toggles on at its first piece and off after its last, so a
+    # running xor gives each piece the boxes whose interval holds it.
+    position = {a: 2 * k for k, a in enumerate(grid)}
+    toggles = [0] * (2 * len(grid))
+    by_bit = [0, 0]  # bit i: box i's step allows the outcome
     for i, s in enumerate(steps):
-        for j in range(position[s.p_lo], position[s.p_hi] + 1):
-            inside[j] |= 1 << i
-    by_bit = [sum(1 << i for i, s in enumerate(steps) if s.y is WILDCARD or s.y == bit) for bit in (0, 1)]
-
+        bit = 1 << i
+        toggles[position[ends[2 * i]]] ^= bit
+        toggles[position[ends[2 * i + 1]] + 1] ^= bit
+        if s.y != 1:  # a wildcard or 0
+            by_bit[0] |= bit
+        if s.y != 0:
+            by_bit[1] |= bit
+    inside = list(accumulate(toggles[:-1], xor))
+    # The cells are the runs of equal masks: run k spans the pieces starts[k] .. starts[k + 1] - 1.
+    starts = [0, *[b for b in range(1, len(inside)) if inside[b] != inside[b - 1]], len(inside)]
     cells, masks = [], []
-    a = 0  # first piece of the run of equal masks that ends at piece b
-    for b, mask in enumerate(inside):
-        if b + 1 == len(inside) or inside[b + 1] != mask:
-            cells.append(Cell(points[a // 2], points[(b + 1) // 2], a % 2 == 1, b % 2 == 1))
-            masks.append((mask & by_bit[0], mask & by_bit[1]))
-            a = b + 1
-    return ForecastPartition(tuple(points), tuple(cells), tuple(masks))
+    for a, end in zip(starts, starts[1:]):
+        lo, hi = grid[a // 2], grid[end // 2]
+        cells.append(_grid_cell(point[lo], point[hi], a % 2 == 1, end % 2 == 0, lo, hi))
+        masks.append((inside[a] & by_bit[0], inside[a] & by_bit[1]))
+    return ForecastPartition(tuple(point[a] for a in grid), tuple(cells), tuple(masks), q)
+
+
+def _grid_cell(lo: Fraction, hi: Fraction, lo_open: bool, hi_open: bool, grid_lo: int, grid_hi: int) -> Cell:
+    """A cell with its integer ends, refused as ``Cell.__post_init__`` refuses it, comparing the ints."""
+    if grid_lo > grid_hi or (grid_lo == grid_hi and (lo_open or hi_open)):
+        raise InputError("malformed cell")
+    cell = object.__new__(Cell)
+    set_field = object.__setattr__  # the frozen class's own refuses
+    set_field(cell, "lo", lo)
+    set_field(cell, "hi", hi)
+    set_field(cell, "lo_open", lo_open)
+    set_field(cell, "hi_open", hi_open)
+    set_field(cell, "grid_lo", grid_lo)
+    set_field(cell, "grid_hi", grid_hi)
+    return cell
 
 
 def per_distinct_step(event: EventUnion, build) -> tuple:
@@ -350,9 +398,12 @@ def event_to_json(event: EventUnion) -> str:
 def event_from_json(text: str) -> EventUnion:
     """Parse an event document; identical raw steps share one ``StepConstraint``.
 
-    Only steps whose bounds are both strings are shared: a key must not let a
-    float such as 1.0, which ``as_fraction`` refuses, match the key of 1.
+    Each distinct endpoint string is parsed once, into one Fraction that
+    every step giving that string shares.  Only strings share a parse, and
+    only steps whose bounds are both strings are shared: a key must not let
+    a float such as 1.0, which ``as_fraction`` refuses, match the key of 1.
     """
+    number = parse_once_per_string(as_fraction)
     shared: dict = {}  # (lo, hi, y) as written -> the step built from them
     with reading("event"):
         doc = json.loads(text)
@@ -369,7 +420,7 @@ def event_from_json(text: str) -> EventUnion:
                 step = shared.get(key)
                 if step is None:
                     y = WILDCARD if y_raw == "*" else as_int(y_raw, "outcome y")  # StepConstraint checks it
-                    step = StepConstraint(as_fraction(p[0]), as_fraction(p[1]), y)
+                    step = StepConstraint(number(p[0]), number(p[1]), y)
                     if key is not None:
                         shared[key] = step
                 steps.append(step)

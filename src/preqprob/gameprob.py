@@ -33,7 +33,14 @@ the count can double with every box; a horizon past the budget is refused
 the same way before any step is set up, since every depth holds a level even
 when no box is live.  Cells that lead to the same
 two children share one linear objective, so each such group is evaluated
-once, at its outermost endpoints.  The empty live-set has value zero.  All
+once, at its outermost endpoints.  The empty live-set has value zero.
+
+The backward pass runs on integers.  A value at depth d is a numerator over
+D_d = q_d * D_{d+1}, where q_d is the partition's ``scale``, the lcm of step
+d's endpoint denominators, and each cell carries its ends as the integers
+a = p * q_d.  A group then scores q_d * n0 + a * (n1 - n0), and the pass
+neither builds nor hashes a Fraction.  A value becomes a Fraction when it is
+read, and the engine interns them, so equal values are one object.  All
 operations are pure and the exact arithmetic makes results independent of
 evaluation order.
 
@@ -55,11 +62,11 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import chain, product
 
 from .core import (ONE, ZERO, InputError, PrequentialPrefix, as_fraction, as_int, check_outcome, check_walk,
-                   digits_beyond_limit, reading)
+                   digits_beyond_limit, parse_once_per_string, reading)
 from .events import ArityError, Cell, EventUnion, ForecastPartition, event_partitions
 
 CellPath = tuple[tuple[int, int], ...]
@@ -302,12 +309,7 @@ class ValueFunction:
         Fraction that every node or cell giving that string shares, so nodes
         with equal values and equal children are one state.
         """
-        fraction = cache(as_fraction)
-
-        def number(v) -> Fraction:
-            # Only strings share the cache: as_fraction refuses 1.0, which equals 1 as a key.
-            return fraction(v) if isinstance(v, str) else as_fraction(v)
-
+        number = parse_once_per_string(as_fraction)
         with reading("value-function"):
             doc = json.loads(text)
             partitions = []
@@ -325,7 +327,7 @@ class ValueFunction:
             given = doc["values"]
             raw = [given[key] for key in _node_keys(partitions)]
             # One parse per distinct value string; any other value goes through as_fraction.
-            parsed = {v: fraction(v) for v in {v for v in raw if type(v) is str}}
+            parsed = {v: number(v) for v in {v for v in raw if type(v) is str}}
             nodes = [parsed[v] if type(v) is str else as_fraction(v) for v in raw]
             if len(given) != len(nodes):
                 raise InputError(f"value function has {len(given) - len(nodes)} keys that are not tree nodes")
@@ -370,7 +372,9 @@ class _GameEngine:
     step accepts every forecast in the cell together with outcome 0 and 1
     respectively, so the survivors of a node are ``live & m0`` and
     ``live & m1``.  ``_values[depth]`` maps each live-set reachable at that
-    depth, and the empty one, to its node value.
+    depth, and the empty one, to its node value's numerator over
+    ``_denominators[depth]``; ``value`` reads it as a Fraction, interned
+    per engine, so equal values are one object.
     """
 
     def __init__(self, event: EventUnion):
@@ -384,10 +388,11 @@ class _GameEngine:
         self.event = event
         self.partitions = event_partitions(event)
         self.masks = tuple(partition.masks for partition in self.partitions)
-        self._values = self._solve()
+        self._values, self._denominators = self._solve()
+        self._interned: dict = {}  # (numerator, denominator) -> the one Fraction handed out
 
-    def _solve(self) -> list:
-        """Collect the reachable live-sets going forward, then fill in values going back."""
+    def _solve(self) -> tuple[list, list]:
+        """Collect the reachable live-sets going forward, then fill in numerators going back."""
         horizon = self.event.horizon
         levels = [{self.all_live()} - {0}]
         count = len(levels[0])
@@ -405,41 +410,38 @@ class _GameEngine:
             reached.discard(0)
             count += len(reached)
             levels.append(reached)
-        below = dict.fromkeys(levels[horizon], ONE)
-        below[0] = ZERO
-        values = [below]
+        # below[live]: the value at the depth below, a numerator over that depth's denominator.
+        below = dict.fromkeys(levels[horizon], 1)
+        below[0] = 0
+        values, denominators = [below], [1]
         for depth in reversed(range(horizon)):
-            cells = [
-                (m0, m1, cell.lo, cell.hi)
-                for (m0, m1), cell in zip(self.masks[depth], self.partitions[depth].cells)
-            ]
-            here = {0: ZERO}
+            partition = self.partitions[depth]
+            q = partition.scale
+            cells = [(m0, m1, c.grid_lo, c.grid_hi) for (m0, m1), c in zip(partition.masks, partition.cells)]
+            here = {0: 0}
             for live in levels[depth]:
-                # Cells with the same two children share the objective v0 + p*(v1 - v0),
-                # linear in p, so only their smallest lo and largest hi matter; cells
+                # Cells with the same two children share the objective q*n0 + a*(n1 - n0),
+                # linear in a = p*q, so only their smallest lo and largest hi matter; cells
                 # are in ascending order, so those are the first lo and the last hi.
                 ends: dict = {}
                 for m0, m1, lo, hi in cells:
                     children = (live & m0, live & m1)
                     ends[children] = (ends.get(children, (lo,))[0], hi)
                 # Every candidate is a convex combination of values in [0, 1],
-                # so the largest one is the node value.
-                candidates = []
+                # so the largest one, never below 0, is the node value.
+                value = 0
                 for (c0, c1), (lo, hi) in ends.items():
-                    v0, v1 = below[c0], below[c1]
-                    if v1 is v0:  # among others, every group whose two children coincide
-                        candidates.append(v0)
-                    elif v1 > v0:
-                        candidates.append(v0 + hi * (v1 - v0))
-                    elif v1 < v0:
-                        candidates.append(v0 + lo * (v1 - v0))
-                    else:
-                        candidates.append(v0)
-                here[live] = max(candidates)
+                    n0, n1 = below[c0], below[c1]
+                    candidate = q * n0 + (hi if n1 > n0 else lo) * (n1 - n0)
+                    if candidate > value:
+                        value = candidate
+                here[live] = value
             values.append(here)
+            denominators.append(q * denominators[-1])
             below = here
         values.reverse()
-        return values
+        denominators.reverse()
+        return values, denominators
 
     def all_live(self) -> int:
         return (1 << len(self.event.boxes)) - 1
@@ -455,7 +457,9 @@ class _GameEngine:
         return live
 
     def value(self, depth: int, live: int) -> Fraction:
-        return self._values[depth][live]
+        """The node value as a Fraction, built when read; equal values are one object."""
+        value = Fraction(self._values[depth][live], self._denominators[depth])
+        return self._interned.setdefault((value.numerator, value.denominator), value)
 
 
 @lru_cache(maxsize=256)

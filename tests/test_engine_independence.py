@@ -2,9 +2,9 @@
 
 ``measureprob`` must not import the game engine, directly or through
 ``strategies``, which builds on it; ``gameprob`` must not import the measure
-engine.  Both may use ``core`` and ``events``, but the box masks that
-``events.forecast_partition`` builds are the game engine's: the measure
-engine derives its own.
+engine.  Both may use ``core`` and ``events``, but the box masks and the
+integer grid that ``events.forecast_partition`` builds are the game
+engine's: the measure engine derives its own.
 """
 
 import ast
@@ -56,12 +56,14 @@ def test_absolute_and_relative_imports_are_both_seen(tmp_path):
     assert imported_modules(probe) == {"gameprob", "strategies", "measureprob", "cli", "events"}
 
 
-# What the game engine takes from ``events`` and the measure engine must not.
+# What the game engine takes from ``events`` and the measure engine must not:
+# the partitions, their masks and their integer grid.
 GAME_PARTITIONS = {"forecast_partition", "event_partitions"}
+GAME_ATTRIBUTES = {".masks", ".scale", ".grid_lo", ".grid_hi"}
 
 
 def partition_uses(path: Path) -> set[str]:
-    """The names of ``GAME_PARTITIONS`` a source file uses, and ``.masks`` if it reads that attribute."""
+    """The names of ``GAME_PARTITIONS`` a source file uses, and each attribute of ``GAME_ATTRIBUTES`` it reads."""
     used = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name):
@@ -69,8 +71,8 @@ def partition_uses(path: Path) -> set[str]:
         elif isinstance(node, ast.alias):
             used.add(node.name.rpartition(".")[2])
         elif isinstance(node, ast.Attribute):
-            used.add(".masks" if node.attr == "masks" else node.attr)
-    return used & (GAME_PARTITIONS | {".masks"})
+            used.add("." + node.attr if "." + node.attr in GAME_ATTRIBUTES else node.attr)
+    return used & (GAME_PARTITIONS | GAME_ATTRIBUTES)
 
 
 def test_measure_engine_derives_its_own_masks():
@@ -87,3 +89,9 @@ def test_every_way_to_use_the_game_partitions_is_seen(tmp_path):
         "masks = 0\n"
     )
     assert partition_uses(probe) == {"forecast_partition", "event_partitions", ".masks"}
+
+
+def test_reading_the_integer_grid_is_seen(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("q = partition.scale\nends = [(cell.grid_lo, cell.grid_hi) for cell in partition.cells]\n")
+    assert partition_uses(probe) == {".scale", ".grid_lo", ".grid_hi"}
