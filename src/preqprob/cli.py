@@ -347,14 +347,18 @@ def cmd_levy_trace(args) -> int:
         if value == 0:
             raise InputError("event has upper probability 0; no member to sample")
         report.seed = seed
-        for attempt in range(1000):
+        draws = 1000
+        for attempt in range(draws):
             omega = sample_outcomes(witness, event.horizon, seed + attempt)
             candidate = induced_path(witness, omega)
             if contains(event, candidate):
                 stream = list(candidate)
                 break
         else:
-            raise InputError("failed to sample an event member")
+            raise InputError(
+                f"no event member in {draws} draws from the witness system (upper probability "
+                f"{_render(value, 'the upper probability')}); give a member with --stream"
+            )
     state = gameprob.LevyStrategy.start(event, threshold)
     trajectory = [state.capital]
     for p, y in stream:

@@ -278,10 +278,11 @@ class ForecastingSystem:
 
     @classmethod
     def from_json(cls, text: str) -> "ForecastingSystem":
+        number = parse_once_per_string(as_fraction)
         # Every ValueError here is the document's: a key that is not a bit string, say.
         with reading("forecasting-system", ValueError):
             doc = json.loads(text)
-            table = {tuple(map(int, key)): as_fraction(value) for key, value in doc["table"].items()}
+            table = {tuple(map(int, key)): number(value) for key, value in doc["table"].items()}
             horizon = as_int(doc["horizon"], "horizon")
         return cls.from_table(table, horizon)
 

@@ -19,13 +19,11 @@ Long events repeat steps: ``event_from_json`` parses each distinct endpoint
 string once, builds one ``StepConstraint`` per distinct raw step and shares
 it, and ``per_distinct_step`` sets up a step (its partition, the measure
 engine's candidates) once per distinct column of box steps, keyed on the
-identity of those shared objects.  An event hashes each distinct step object
-once and keeps its hash.
+identity of those shared objects.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -105,24 +103,6 @@ class EventUnion:
                 raise ArityError(
                     f"box horizon {box.horizon} != event horizon {self.horizon}"
                 )
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        # A function of the step values, so equal events hash equal; each
-        # distinct step object is hashed once, since boxes share the
-        # constraint of identical steps (see event_from_json), and through
-        # its bounds' integer ratios, which hash without Fraction's modular inverse.
-        steps = {id(step): step for box in self.boxes for step in box.steps}
-        hashes = {
-            key: hash((step.p_lo.as_integer_ratio(), step.p_hi.as_integer_ratio(), step.y))
-            for key, step in steps.items()
-        }
-        rows = tuple(tuple(hashes[id(step)] for step in box.steps) for box in self.boxes)
-        return hash((self.horizon, rows))
-
-    def __hash__(self) -> int:
-        # Computed once per event: the game engine's cache hashes it on every call.
-        return self._hash
 
     @classmethod
     def from_points(cls, horizon: int, points) -> "EventUnion":

@@ -44,6 +44,10 @@ read, and the engine interns them, so equal values are one object.  All
 operations are pure and the exact arithmetic makes results independent of
 evaluation order.
 
+One slot keeps the engine of the last event object asked for, compared by
+identity, so ``value --table-out`` solves its event once; any other object
+is solved again, and no other engine is kept between calls.
+
 A value table is held as levels of states, a ``StateGraph``.  A witness
 table and a strategy table are reached from the root by ``StateGraph.reach``,
 the equal states of a depth being one; any other table is hash-consed from
@@ -62,7 +66,6 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, product
 
 from .core import (ONE, ZERO, InputError, PrequentialPrefix, as_fraction, as_int, check_outcome, check_walk,
@@ -462,9 +465,20 @@ class _GameEngine:
         return self._interned.setdefault((value.numerator, value.denominator), value)
 
 
-@lru_cache(maxsize=256)
+_solved: _GameEngine | None = None  # the engine of the event object asked for last
+
+
 def _engine(event: EventUnion) -> _GameEngine:
-    return _GameEngine(event)
+    """``event``'s engine, solved again unless ``event`` is the very object asked for last.
+
+    An equal but distinct object is solved again, and a caller that
+    alternates between two events solves each every time.
+    """
+    global _solved
+    if _solved is None or _solved.event is not event:
+        _solved = None  # dropped before the solve, so two engines are never kept
+        _solved = _GameEngine(event)
+    return _solved
 
 
 def upper_game_probability(event: EventUnion) -> Fraction:

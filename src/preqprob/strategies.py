@@ -73,6 +73,7 @@ from .core import (
     history_at,
     induced_path,
     outcome_tree_nodes,
+    parse_once_per_string,
     reading,
     sample_outcomes,
 )
@@ -463,7 +464,7 @@ def parse_stream_csv(text: str) -> list[tuple[Fraction, int]]:
         rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows or [field.strip() for field in rows[0]] != ["p", "y"]:
         raise StreamFormatError('stream must start with the header "p,y"')
-    forecast = functools.cache(check_forecast)  # streams repeat a few forecast strings
+    forecast = parse_once_per_string(check_forecast)  # streams repeat a few forecast strings
     stream = []
     for index, row in enumerate(rows[1:], start=1):
         if len(row) != 2:

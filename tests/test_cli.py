@@ -400,6 +400,23 @@ class TestLevyTrace:
         assert (code, out) == (2, "")
         assert err == "error: event has upper probability 0; no member to sample\n"
 
+    @pytest.mark.parametrize("seed", ["0", "500", "1000"])
+    def test_a_rare_event_names_its_value_and_points_to_stream(self, capsys, tmp_path, seed):
+        """Ten steps of outcome 1 with p <= 1/2: upper probability 1/1024, so 1000 witness draws miss it."""
+        event = tmp_path / "rare.json"
+        steps = [{"p": ["0", "1/2"], "y": 1}] * 10
+        event.write_text(json.dumps({"horizon": 10, "boxes": [{"steps": steps}]}))
+        code, out, err = run(capsys, "levy-trace", "--event", str(event), "--seed", seed)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: no event member in 1000 draws from the witness system "
+            "(upper probability 1/1024); give a member with --stream\n"
+        )
+        stream = tmp_path / "member.csv"
+        stream.write_text("p,y\n" + "1/2,1\n" * 10)
+        code, out, _ = run(capsys, "levy-trace", "--event", str(event), "--stream", str(stream), "--json")
+        assert code == 0 and json.loads(out)["results"]["final_conditional"] == "1"
+
     def test_trace_along_stream(self, capsys, event_file, tmp_path):
         stream = tmp_path / "member.csv"
         stream.write_text("p,y\n0,0\n1/2,0\n")
@@ -452,6 +469,19 @@ class TestVerify:
         assert code == 0, err
         assert "nodes = 1" in out
         assert "super_farthingale: PASS" in out
+
+    def test_table_out_round_trip_on_the_committed_event(self, capsys, tmp_path):
+        """The round trip the python-floor CI job compares across interpreters."""
+        table = tmp_path / "table.json"
+        code, out, err = run(capsys, "value", "--event", str(DATA / "three_box_event.json"), "--engine", "both",
+                             "--table-out", str(table), "--json")
+        assert code == 0, err
+        assert json.loads(out)["results"]["upper_game"] == "6/7"
+        code, out, err = run(capsys, "verify", "--value-function", str(table), "--json")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["results"] == {"nodes": 585, "violations": 0}
+        assert [c["status"] for c in doc["checks"]] == ["PASS"]
 
 
 def test_successive_calls_match_separate_runs(capsys, event_file, tmp_path):

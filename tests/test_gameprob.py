@@ -1,12 +1,15 @@
 """Game-theoretic engine: exact values, witnesses, conditional tables, betting."""
 
+import gc
 import hashlib
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from preqprob import gameprob
 from preqprob.events import (
     ArityError,
     Box,
@@ -375,3 +378,47 @@ class TestLevyStrategy:
             assert state.capital >= goal
             assert state.conditional == ONE
             checked += 1
+
+
+class TestEngineReuse:
+    """The engine of the event object asked for last is kept, and no other."""
+
+    @pytest.fixture()
+    def solved(self, monkeypatch):
+        """The events given to ``_GameEngine``, one per solve, starting from an empty slot."""
+        events = []
+
+        class Counting(gameprob._GameEngine):
+            def __init__(self, event):
+                events.append(event)
+                super().__init__(event)
+
+        monkeypatch.setattr(gameprob, "_GameEngine", Counting)
+        monkeypatch.setattr(gameprob, "_solved", None)
+        return events
+
+    def test_one_event_object_is_solved_once(self, solved):
+        a, _ = counterexample_pair()
+        assert upper_game_probability(a) == HALF
+        table = witness_superfarthingale(a)
+        for x in [(), prefix((0, 0)), prefix((HALF, 0)), prefix((0, 0), (HALF, 0)), prefix((HALF, 1), (0, 0))]:
+            assert conditional_upper_probability(a, x) in set(table.values.levels[len(x)])
+        assert optimal_forecast_at(a, ()) == ZERO
+        assert LevyStrategy.start(a, Fraction(3, 4)).conditional == HALF
+        assert solved == [a]
+
+    def test_an_equal_but_distinct_event_is_solved_again(self, solved):
+        a, _ = counterexample_pair()
+        twin, _ = counterexample_pair()
+        assert twin == a and twin is not a
+        assert upper_game_probability(a) == upper_game_probability(twin) == upper_game_probability(a)
+        assert [id(event) for event in solved] == [id(a), id(twin), id(a)]
+
+    def test_no_earlier_engine_is_kept(self):
+        a, b = counterexample_pair()
+        first = weakref.ref(gameprob._engine(a))
+        assert first().event is a
+        assert upper_game_probability(b) == HALF
+        gc.collect()
+        assert first() is None
+        assert gameprob._engine(b) is gameprob._engine(b)

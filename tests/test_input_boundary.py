@@ -419,3 +419,35 @@ def test_contains_coerces_a_prefix_once_for_every_box():
 def test_library_refusals_raise_their_input_error(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.fixture()
+def parsed_strings(monkeypatch):
+    """The strings ``core.as_fraction`` parses, wherever the package calls it."""
+    parsed = []
+    parse = core.as_fraction
+
+    def counting(value):
+        if isinstance(value, str):
+            parsed.append(value)
+        return parse(value)
+
+    monkeypatch.setattr(core, "as_fraction", counting)
+    return parsed
+
+
+def test_a_phi_document_parses_each_distinct_forecast_string_once(capsys, tmp_path, parsed_strings):
+    phi = tmp_path / "phi.json"
+    table = {"": "1/2", "0": "1/2", "1": "0.5", "00": "1/3", "01": "1/2", "10": "1/3", "11": "0.5"}
+    phi.write_text(json.dumps({"horizon": 3, "table": table}))
+    code, _, err = run(capsys, "ville", "--phi", str(phi), "--strategy", "doubling", "--samples", "50", "--json")
+    assert code == 0, err
+    assert sorted(parsed_strings) == ["0.5", "1/2", "1/3"]
+    system = ForecastingSystem.from_json(phi.read_text())
+    assert system.forecast(()) is system.forecast((0,))  # one Fraction for every entry giving "1/2"
+
+
+def test_a_stream_parses_each_distinct_forecast_string_once(parsed_strings):
+    stream = parse_stream_csv("p,y\n1/2,1\n0.5,0\n1/2,0\n1/3,1\n 1/3 ,0\n")
+    assert sorted(parsed_strings) == ["0.5", "1/2", "1/3"]
+    assert stream[0][0] is stream[2][0] and stream[3][0] is stream[4][0]

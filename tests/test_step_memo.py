@@ -129,7 +129,7 @@ def test_live_set_budget_counts_the_forward_pass(monkeypatch):
     value = upper_game_probability(event)
     assert value == measure_upper_probability(event)[0]
     reached = sum(len(level) - (0 in level) for level in gameprob._engine(event)._values)
-    gameprob._engine.cache_clear()
+    event = event_from_json(nested_event(4, 10))
     monkeypatch.setattr(gameprob, "LIVE_SET_BUDGET", reached - 1)
     with pytest.raises(LiveSetBudgetError):
         upper_game_probability(event)
