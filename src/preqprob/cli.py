@@ -207,10 +207,14 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_test_stream(args) -> int:
+    if args.horizon is not None and args.horizon < 1:
+        raise InputError(f"-N must be a positive integer, got {args.horizon}")
     text, digest = _read(args.stream)
     stream = strategies.parse_stream_csv(text)
+    if not stream:
+        raise InputError("stream has no rows")
     horizon = len(stream) if args.horizon is None else args.horizon
-    if horizon < 1 or len(stream) < horizon:
+    if len(stream) < horizon:
         raise InputError(f"stream has {len(stream)} rows, need {horizon}")
     threshold_c = as_fraction(args.threshold_c)
     start = strategies.CalibrationState(horizon, threshold_c)

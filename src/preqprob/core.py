@@ -279,10 +279,15 @@ class ForecastingSystem:
     @classmethod
     def from_json(cls, text: str) -> "ForecastingSystem":
         number = parse_once_per_string(as_fraction)
-        # Every ValueError here is the document's: a key that is not a bit string, say.
+        # Every ValueError here is the document's: a forecast that is not a rational, say.
         with reading("forecasting-system", ValueError):
             doc = json.loads(text)
-            table = {tuple(map(int, key)): number(value) for key, value in doc["table"].items()}
+            table = {}
+            for key, value in doc["table"].items():
+                # Only "0" and "1" are bits: int() reads any Unicode digit, so "\u0660" would alias "0".
+                if key.strip("01"):
+                    raise InputError(f"table key {key!r} is not a bit string")
+                table[tuple(map(int, key))] = number(value)
             horizon = as_int(doc["horizon"], "horizon")
         return cls.from_table(table, horizon)
 

@@ -40,9 +40,8 @@ D_d = q_d * D_{d+1}, where q_d is the partition's ``scale``, the lcm of step
 d's endpoint denominators, and each cell carries its ends as the integers
 a = p * q_d.  A group then scores q_d * n0 + a * (n1 - n0), and the pass
 neither builds nor hashes a Fraction.  A value becomes a Fraction when it is
-read, and the engine interns them, so equal values are one object.  All
-operations are pure and the exact arithmetic makes results independent of
-evaluation order.
+read.  All operations are pure and the exact arithmetic makes results
+independent of evaluation order.
 
 One slot keeps the engine of the last event object asked for, compared by
 identity, so ``value --table-out`` solves its event once; any other object
@@ -269,18 +268,15 @@ class ValueFunction:
     def to_json(self) -> str:
         """The table document, keys in sorted order.
 
-        A table holds few distinct value objects (a witness table one per
-        reachable depth and live-set), so each distinct object is formatted
-        once and its text shared by every node that holds it.  A value too
-        long for ``str`` is an ``InputError``, raised before any is formatted.
+        Each state of ``state_graph`` is formatted once and its text shared
+        by every node that holds it.  A value too long for ``str`` is an
+        ``InputError``, raised before any is formatted.
         """
-        graph = self.state_graph()  # it holds every value for the whole call, so no id is reused
-        objects = {id(v): v for level in graph.levels for v in level}
+        graph = self.state_graph()
         limit = sys.get_int_max_str_digits()
-        if any(digits_beyond_limit(v, limit) for v in objects.values()):
+        if any(digits_beyond_limit(v, limit) for level in graph.levels for v in level):
             raise InputError(f"a table value has more than {limit} digits, the interpreter's integer digit limit")
-        text = {i: str(v) for i, v in objects.items()}  # once per object
-        texts = [[text[id(v)] for v in level] for level in graph.levels]
+        texts = [list(map(str, level)) for level in graph.levels]
         states = cell_levels(self.partitions, 0, lambda state, depth: graph.children[depth][state])
         node_texts = (map(level.__getitem__, level_states) for level, level_states in zip(texts, states))
         doc = {
@@ -328,10 +324,7 @@ class ValueFunction:
             if horizon != len(partitions):
                 raise InputError(f"horizon {horizon} but {len(partitions)} partitions")
             given = doc["values"]
-            raw = [given[key] for key in _node_keys(partitions)]
-            # One parse per distinct value string; any other value goes through as_fraction.
-            parsed = {v: number(v) for v in {v for v in raw if type(v) is str}}
-            nodes = [parsed[v] if type(v) is str else as_fraction(v) for v in raw]
+            nodes = list(map(number, [given[key] for key in _node_keys(partitions)]))
             if len(given) != len(nodes):
                 raise InputError(f"value function has {len(given) - len(nodes)} keys that are not tree nodes")
         return cls(horizon, tuple(partitions), StateGraph.from_nodes(partitions, nodes))
@@ -376,8 +369,7 @@ class _GameEngine:
     respectively, so the survivors of a node are ``live & m0`` and
     ``live & m1``.  ``_values[depth]`` maps each live-set reachable at that
     depth, and the empty one, to its node value's numerator over
-    ``_denominators[depth]``; ``value`` reads it as a Fraction, interned
-    per engine, so equal values are one object.
+    ``_denominators[depth]``; ``value`` reads it as a Fraction.
     """
 
     def __init__(self, event: EventUnion):
@@ -392,7 +384,6 @@ class _GameEngine:
         self.partitions = event_partitions(event)
         self.masks = tuple(partition.masks for partition in self.partitions)
         self._values, self._denominators = self._solve()
-        self._interned: dict = {}  # (numerator, denominator) -> the one Fraction handed out
 
     def _solve(self) -> tuple[list, list]:
         """Collect the reachable live-sets going forward, then fill in numerators going back."""
@@ -460,9 +451,8 @@ class _GameEngine:
         return live
 
     def value(self, depth: int, live: int) -> Fraction:
-        """The node value as a Fraction, built when read; equal values are one object."""
-        value = Fraction(self._values[depth][live], self._denominators[depth])
-        return self._interned.setdefault((value.numerator, value.denominator), value)
+        """The node value as a Fraction, built when read."""
+        return Fraction(self._values[depth][live], self._denominators[depth])
 
 
 _solved: _GameEngine | None = None  # the engine of the event object asked for last

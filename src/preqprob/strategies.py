@@ -188,18 +188,19 @@ class CalibrationState:
     def capital(self) -> Fraction:
         """(bias^2 - spread + N/4) / (C^2 N + N/4), computed once per state.
 
-        The numerator is formed on integers over the common denominator
-        4 b_d^2 s_d (bias = b_n/b_d, spread = s_n/s_d) and divided by the
-        scale in the one Fraction constructed.  The value is kept in the
-        instance dict, outside the dataclass fields, so ==, hash and repr
-        do not see it.
+        With bias = b_n/b_d, spread = s_n/s_d and C = c_n/c_d, the numerator
+        is top / (4 b_d^2 s_d) and the scale N (4 c_n^2 + c_d^2) / (4 c_d^2),
+        so the capital is the integer quotient
+        top c_d^2 / (b_d^2 s_d N (4 c_n^2 + c_d^2)), the one Fraction
+        constructed.  The value is kept in the instance dict, outside the
+        dataclass fields, so ==, hash and repr do not see it.
         """
-        scale = _capital_scale(self.horizon, self.threshold_c)
         bn, bd = self.bias.numerator, self.bias.denominator
         sn, sd = self.spread.numerator, self.spread.denominator
-        bd2 = bd * bd
+        cn, cd = self.threshold_c.numerator, self.threshold_c.denominator
+        bd2, cd2 = bd * bd, cd * cd
         top = 4 * bn * bn * sd - 4 * sn * bd2 + self.horizon * bd2 * sd
-        return Fraction(top * scale.denominator, 4 * bd2 * sd * scale.numerator)
+        return Fraction(top * cd2, bd2 * sd * self.horizon * (4 * cn * cn + cd2))
 
     def step(self, p: Fraction, y: int) -> "CalibrationState":
         """The state after one checked pair (a Fraction forecast and a bit; ``calibration_step`` checks)."""
@@ -227,12 +228,6 @@ class CalibrationState:
 
 
 CalibrationStrategy = CalibrationState
-
-
-@functools.lru_cache(maxsize=64)
-def _capital_scale(horizon: int, threshold_c: Fraction) -> Fraction:
-    """The capital scale C^2 N + N/4, the same at every step of a test."""
-    return threshold_c**2 * horizon + Fraction(horizon, 4)
 
 
 def calibration_step(state: CalibrationState, step) -> tuple[CalibrationState, Fraction]:

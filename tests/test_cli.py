@@ -276,6 +276,19 @@ class TestTestStream:
         code, _, _ = run(capsys, "test-stream", "--stream", str(path), "-N", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_a_horizon_below_one_is_refused_before_the_stream_is_read(self, capsys, tmp_path, horizon):
+        for stream in (DATA / "fair_coin_stream.csv", tmp_path / "missing.csv"):
+            code, out, err = run(capsys, "test-stream", "--stream", str(stream), "-N", horizon)
+            assert (code, out, err) == (2, "", f"error: -N must be a positive integer, got {horizon}\n")
+
+    @pytest.mark.parametrize("argv", [[], ["-N", "1"]])
+    def test_a_stream_of_no_rows_is_named(self, capsys, tmp_path, argv):
+        path = tmp_path / "header.csv"
+        path.write_text("p,y\n")
+        code, out, err = run(capsys, "test-stream", "--stream", str(path), *argv)
+        assert (code, out, err) == (2, "", "error: stream has no rows\n")
+
 
 class TestVille:
     def test_doubling_passes(self, capsys):
@@ -469,6 +482,24 @@ class TestVerify:
         assert code == 0, err
         assert "nodes = 1" in out
         assert "super_farthingale: PASS" in out
+
+    def test_the_first_bad_value_in_level_order_is_named_under_any_hash_seed(self, tmp_path):
+        """Hash seeds 0 and 3 once named 'bad4' and 'bad2', from a set of the value strings."""
+        cells = [{"lo": "0", "hi": "1/2", "lo_open": False, "hi_open": False},
+                 {"lo": "1/2", "hi": "1", "lo_open": True, "hi_open": False}]
+        values = {"": "1/2", "0:0": "bad1", "0:1": "bad2", "1:0": "bad3", "1:1": "bad4"}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"horizon": 1, "partitions": [cells], "values": values}))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for seed in ("0", "3"):
+            done = subprocess.run(
+                [sys.executable, "-m", "preqprob.cli", "verify", "--value-function", str(path)],
+                capture_output=True, text=True, env=dict(env, PYTHONHASHSEED=seed), timeout=60, check=False,
+            )
+            assert (done.returncode, done.stdout, done.stderr) == (
+                2, "", "error: cannot interpret 'bad1' as an exact rational\n"
+            )
 
     def test_table_out_round_trip_on_the_committed_event(self, capsys, tmp_path):
         """The round trip the python-floor CI job compares across interpreters."""

@@ -152,22 +152,6 @@ def test_the_integer_program_equals_the_fraction_one(text):
         assert witness_superfarthingale(event).to_json() == reference.witness_json()
 
 
-def test_a_value_is_one_object_per_distinct_value():
-    free = {"p": ["0", "1"], "y": "*"}
-    event = event_from_json(doc(3, [{"p": ["1/2", "1"], "y": 1}, free, {"p": ["1/3", "1/2"], "y": 1}],
-                                [free, {"p": ["1/2", "1"], "y": 1}, {"p": ["1/3", "1/2"], "y": 1}]))
-    engine = gameprob._engine(event)
-    objects, depths = {}, {}
-    for depth, level in enumerate(engine._values):
-        for live in level:
-            value = engine.value(depth, live)
-            assert engine.value(depth, live) is value
-            objects.setdefault(value, set()).add(id(value))
-            depths.setdefault(value, set()).add(depth)
-    assert all(len(ids) == 1 for ids in objects.values())
-    assert depths[Fraction(1, 2)] == {0, 1, 2}  # one object at three depths
-
-
 def test_a_horizon_400_root_equals_the_fraction_program():
     event = event_from_json(LONG_EVENT.read_text())
     assert event.horizon == 400

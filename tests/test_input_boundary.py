@@ -99,6 +99,10 @@ CASES = {
     "phi-invalid-json": (["ville", "--phi", "{file}"], "not json"),
     "phi-missing-table": (["ville", "--phi", "{file}"], '{"horizon": 1}'),
     "phi-key-not-bits": (["ville", "--phi", "{file}"], '{"horizon": 1, "table": {"": "1/2", "x": "1/2"}}'),
+    "phi-key-aliases-a-bit": (
+        ["ville", "--strategy", "constant", "--samples", "50", "--phi", "{file}"],
+        '{"horizon": 2, "table": {"": "1/2", "0": "1/4", "1": "3/4", "\\u0660": "1"}}',
+    ),
     "phi-horizon-zero": (["ville", "--phi", "{file}"], '{"horizon": 0, "table": {}}'),
     "phi-forecast-boolean": (["ville", "--phi", "{file}"], '{"horizon": 1, "table": {"": true}}'),
     "phi-forecast-not-a-rational": (["ville", "--phi", "{file}"], '{"horizon": 1, "table": {"": "half"}}'),

@@ -149,7 +149,7 @@ class TestCalibrationSums:
 
     def test_capital_matches_its_formula_along_a_stream(self):
         rng = random.Random(9)
-        for horizon, c in [(1, ONE), (7, Fraction(1, 2)), (40, Fraction(3))]:
+        for horizon, c in [(1, ONE), (7, Fraction(1, 2)), (40, Fraction(3)), (5, Fraction(7, 3))]:
             state = CalibrationState(horizon, c)
             for _ in range(horizon):
                 state, capital = calibration_step(state, (random_rational(rng, 10), rng.randint(0, 1)))
