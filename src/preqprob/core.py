@@ -87,9 +87,13 @@ def history_at(k: int) -> BinaryHistory:
 
 
 def as_int(value, what: str) -> int:
-    """An integer field of a document: an int, or a string ``int`` reads; floats and booleans are refused."""
+    """An integer field of a document: an int, or an ASCII string ``int`` reads; floats and booleans are refused.
+
+    ``int`` reads any Unicode digit, so a string with a character outside
+    ASCII is refused before it is read.
+    """
     try:
-        if not isinstance(value, bool) and isinstance(value, (int, str)):
+        if isinstance(value, int) and not isinstance(value, bool) or isinstance(value, str) and value.isascii():
             return int(value)
     except ValueError:
         pass
@@ -123,6 +127,8 @@ def digits_beyond_limit(value: Fraction, limit: int) -> bool:
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions and strings like "1/2" or "0.25" to Fraction; refuse floats and booleans.
 
+    ``Fraction`` reads any Unicode digit, so a string with a character
+    outside ASCII is refused first, before its exponent is looked at.
     ``int`` refuses a digit string longer than ``sys.get_int_max_str_digits()``,
     and so does the parse of a numerator or denominator.  An exponent's
     magnitude is held to the same limit before the parse: "1e-30000000"
@@ -132,6 +138,8 @@ def as_fraction(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str) and not value.isascii():
+        raise InputError(f"cannot interpret {value!r} as an exact rational: it has a character outside ASCII")
     limit = sys.get_int_max_str_digits()
     if isinstance(value, str) and _exponent_beyond_limit(value):
         raise InputError(

@@ -26,7 +26,8 @@ box constraints repeat an earlier step's share its partition.  The live-sets
 of a node's children are then ``live & mask``, with no rational comparison.
 The induction runs level by level, without recursion: a forward pass collects
 the live-sets reachable at each depth, and a backward pass fills in their
-values, so long horizons need no deep stack.  The forward pass counts the
+values, so long horizons need no deep stack.  A step no box constrains
+shares its neighbour's level in both passes.  The forward pass counts the
 (depth, live-set) pairs it reaches and refuses an event past
 ``LIVE_SET_BUDGET`` with ``LiveSetBudgetError`` (an input error), because
 the count can double with every box; a horizon past the budget is refused
@@ -80,6 +81,13 @@ LIVE_SET_BUDGET = 300_000
 
 class LiveSetBudgetError(InputError):
     """An event's game tree reaches more live-sets than ``LIVE_SET_BUDGET``."""
+
+
+def _over_budget(depth: int, horizon: int) -> LiveSetBudgetError:
+    return LiveSetBudgetError(
+        f"the game engine reaches more than {LIVE_SET_BUDGET} (depth, live-set) "
+        f"pairs by step {depth + 1} of {horizon}; too many overlapping boxes"
+    )
 
 
 def tree_nodes(partitions) -> int:
@@ -370,6 +378,13 @@ class _GameEngine:
     ``live & m1``.  ``_values[depth]`` maps each live-set reachable at that
     depth, and the empty one, to its node value's numerator over
     ``_denominators[depth]``; ``value`` reads it as a Fraction.
+
+    A free step, one that no box constrains, has masks ``((full, full),)``:
+    one cell [0, 1], scale 1, and every box accepting either outcome.  It
+    maps each live-set to itself and passes each value up unchanged, so the
+    forward pass appends the level above again and the backward pass the
+    value dict and denominator below; the level's live-sets still count
+    toward ``LIVE_SET_BUDGET``.
     """
 
     def __init__(self, event: EventUnion):
@@ -388,20 +403,25 @@ class _GameEngine:
     def _solve(self) -> tuple[list, list]:
         """Collect the reachable live-sets going forward, then fill in numerators going back."""
         horizon = self.event.horizon
-        levels = [{self.all_live()} - {0}]
+        full = self.all_live()
+        free = [masks == ((full, full),) for masks in self.masks]
+        levels = [{full} - {0}]
         count = len(levels[0])
         for depth in range(horizon):
-            step = [m for pair in self.masks[depth] for m in pair]
-            # Holding 0 from the start, len(reached) - 1 counts the non-empty live-sets.
-            reached = {0}
-            for live in levels[depth]:
-                reached.update([live & m for m in step])
-                if count + len(reached) - 1 > LIVE_SET_BUDGET:
-                    raise LiveSetBudgetError(
-                        f"the game engine reaches more than {LIVE_SET_BUDGET} (depth, live-set) "
-                        f"pairs by step {depth + 1} of {horizon}; too many overlapping boxes"
-                    )
-            reached.discard(0)
+            if free[depth]:
+                # The same live-sets again, counted again: a refusal comes at the same step.
+                reached = levels[depth]
+                if count + len(reached) > LIVE_SET_BUDGET:
+                    raise _over_budget(depth, horizon)
+            else:
+                step = [m for pair in self.masks[depth] for m in pair]
+                # Holding 0 from the start, len(reached) - 1 counts the non-empty live-sets.
+                reached = {0}
+                for live in levels[depth]:
+                    reached.update([live & m for m in step])
+                    if count + len(reached) - 1 > LIVE_SET_BUDGET:
+                        raise _over_budget(depth, horizon)
+                reached.discard(0)
             count += len(reached)
             levels.append(reached)
         # below[live]: the value at the depth below, a numerator over that depth's denominator.
@@ -409,6 +429,11 @@ class _GameEngine:
         below[0] = 0
         values, denominators = [below], [1]
         for depth in reversed(range(horizon)):
+            if free[depth]:
+                # Each node's one group has children (live, live): its value passes up unchanged.
+                values.append(below)
+                denominators.append(denominators[-1])
+                continue
             partition = self.partitions[depth]
             q = partition.scale
             cells = [(m0, m1, c.grid_lo, c.grid_hi) for (m0, m1), c in zip(partition.masks, partition.cells)]

@@ -67,6 +67,7 @@ from .core import (
     HorizonError,
     InputError,
     as_fraction,
+    as_int,
     check_forecast,
     check_outcome,
     check_walk,
@@ -459,14 +460,16 @@ def parse_stream_csv(text: str) -> list[tuple[Fraction, int]]:
         rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows or [field.strip() for field in rows[0]] != ["p", "y"]:
         raise StreamFormatError('stream must start with the header "p,y"')
-    forecast = parse_once_per_string(check_forecast)  # streams repeat a few forecast strings
+    # Streams repeat a few forecast strings and two outcome strings.
+    forecast = parse_once_per_string(check_forecast)
+    outcome = parse_once_per_string(lambda text: check_outcome(as_int(text, "outcome")))
     stream = []
     for index, row in enumerate(rows[1:], start=1):
         if len(row) != 2:
             raise StreamFormatError(f"row {index}: expected two fields, got {len(row)}")
         try:
             p = forecast(row[0].strip())
-            y = check_outcome(int(row[1].strip()))
+            y = outcome(row[1].strip())
         except ValueError as exc:
             raise StreamFormatError(f"row {index}: {exc}") from exc
         stream.append((p, y))

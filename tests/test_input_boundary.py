@@ -79,6 +79,10 @@ UNPRINTABLE_FORECAST = f"1e-{sys.get_int_max_str_digits()}"
 UNPRINTABLE_SQUARE = f"1e-{sys.get_int_max_str_digits() // 2 + 50}"
 # Two steps that each ask p = 10^-2200 and outcome 1: the event's upper probability is 10^-4400.
 UNPRINTABLE_VALUE = json.dumps({"horizon": 2, "boxes": [{"steps": [{"p": [UNPRINTABLE_SQUARE] * 2, "y": 1}] * 2}]})
+# Arabic-Indic digits, which ``int`` and ``Fraction`` would read as 0, 1, 2 and 3.
+AR0, AR1, AR2, AR3 = "\u0660", "\u0661", "\u0662", "\u0663"
+# 10^300000 if the exponent were read; the exponent guard only knows ASCII digits.
+UNICODE_EXPONENT = f"1e{AR3}{AR0 * 5}"
 
 
 CASES = {
@@ -150,6 +154,13 @@ CASES = {
     "value-table-too-long-to-print": (
         ["value", "--event", "{file}", "--engine", "game", "--table-out", "{file}.table"], UNPRINTABLE_VALUE
     ),
+    "stream-unicode-digits": (["test-stream", "--stream", "{file}", "-N", "1"], f"p,y\n{AR1}/{AR2},{AR1}\n"),
+    "event-unicode-digits": (
+        ["value", "--event", "{file}"],
+        json.dumps({"horizon": AR2, "boxes": [{"steps": [{"p": [AR0, "1"], "y": "*"}] * 2}]}),
+    ),
+    "event-bound-unicode-digit": (["value", "--event", "{file}"], event_steps({"p": [AR0, "1"], "y": "*"})),
+    "ville-threshold-unicode-exponent": (["ville", "-C", UNICODE_EXPONENT], None),
     "value-table-out-with-measure-engine": (
         ["value", "--event", "{file}", "--engine", "measure", "--table-out", "{file}.table"], GOOD_EVENT
     ),
@@ -232,6 +243,24 @@ def test_exponents_within_the_digit_limit_still_parse():
     for refused in (f"1e-{limit}", f"1e{limit}", f"10e{limit - 1}", f"0.1e-{limit - 1}"):
         with pytest.raises(InputError, match=f"more than {limit} digits"):
             core.as_fraction(refused)
+
+
+def test_a_unicode_exponent_is_refused_before_fraction_reads_it(monkeypatch):
+    parsed = []
+
+    class Recording(Fraction):
+        def __new__(cls, *args):
+            parsed.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(core, "Fraction", Recording)
+    with pytest.raises(InputError, match="outside ASCII"):
+        core.as_fraction(UNICODE_EXPONENT)
+    with pytest.raises(InputError, match="must be an integer"):
+        core.as_int(AR2, "horizon")
+    assert parsed == []
+    assert (core.as_fraction(" 1_0/4 "), core.as_fraction("2.5e-1"), core.as_int(" +7 ", "n")) == (
+        Fraction(5, 2), Fraction(1, 4), 7)
 
 
 def test_unparsable_seed_variable_exits_2(capsys, monkeypatch):

@@ -8,21 +8,30 @@ engine, and again after a map the paper's game leaves unchanged:
 * a cylinder lift, which pads every box with free steps: forecasts anywhere
   in [0, 1] and either outcome, so the event is the same set of prefixes.
 
-Every value must equal the unmapped game value.
+Every value must equal the unmapped game value.  Free steps inserted
+anywhere, in runs, keep the value too; there the game engine, which shares
+one level across a free step, must also agree at every (depth, live-set)
+and in its witness bytes with the Fraction program of ``test_game_levels``,
+which values each (depth, live-set) on its own.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from preqprob import gameprob
 from preqprob.events import WILDCARD, Box, EventUnion, StepConstraint
-from preqprob.gameprob import upper_game_probability
+from preqprob.gameprob import upper_game_probability, witness_superfarthingale
 from preqprob.measureprob import measure_upper_probability
 from preqprob.randgen import random_event
+from test_game_levels import Reference, unbudgeted_tree_nodes
 
+ZERO = Fraction(0)
 ONE = Fraction(1)
-FREE = StepConstraint(Fraction(0), ONE, WILDCARD)
+FREE = StepConstraint(ZERO, ONE, WILDCARD)
 EVENTS = 300
 
 
@@ -57,3 +66,46 @@ def test_the_maps_change_the_events():
     event = random_event(random.Random(20), allow_empty=True)
     assert mirror(event) != event and mirror(mirror(event)) == event
     assert lift(event).horizon == event.horizon + 3
+
+
+def insert_free(event: EventUnion, gaps) -> EventUnion:
+    """``event`` with a free step inserted before step g + 1 of every box for each g in ``gaps``."""
+
+    def pad(steps):
+        return sum(((FREE,) * gaps.count(g) + steps[g : g + 1] for g in range(event.horizon + 1)), ())
+
+    return EventUnion(event.horizon + len(gaps), tuple(Box(pad(box.steps)) for box in event.boxes))
+
+
+# Most tree nodes for which the property also compares witness bytes.
+WITNESS_NODES = 5000
+
+
+@st.composite
+def events_with_free_runs(draw):
+    horizon = draw(st.integers(1, 6))
+    event = random_event(random.Random(draw(st.integers(0, 2**32 - 1))), horizon=horizon, allow_empty=True)
+    return event, sorted(draw(st.lists(st.integers(0, horizon), max_size=12 - horizon)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(events_with_free_runs())
+@example((random_event(random.Random(3), horizon=3), [0, 0, 1, 3, 3, 3]))
+@example((EventUnion(2, ()), [0, 1, 2]))
+# Step 1 is one cell [0, 1] but not free: the two boxes ask different outcomes there.
+@example((EventUnion(2, (Box((StepConstraint(ZERO, ONE, 1), StepConstraint(ZERO, ONE / 2, 1))),
+                         Box((StepConstraint(ZERO, ONE, 0), StepConstraint(ONE / 2, ONE, 0))))), [1, 2]))
+def test_free_runs_keep_both_values_and_every_level(case):
+    event, gaps = case
+    lifted = insert_free(event, gaps)
+    value = upper_game_probability(event)
+    assert upper_game_probability(lifted) == value
+    assert measure_upper_probability(lifted)[0] == value
+    engine = gameprob._engine(lifted)
+    reference = Reference(lifted)  # memoized per (depth, live-set): no level is shared
+    assert [set(level) | {0} for level in engine._values] == [set(level) | {0} for _, level in reference.prefixes()]
+    for depth, level in enumerate(engine._values):
+        for live in level:
+            assert engine.value(depth, live) == reference.value(depth, live)
+    if unbudgeted_tree_nodes(engine.partitions) <= WITNESS_NODES:
+        assert witness_superfarthingale(lifted).to_json() == reference.witness_json()

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,8 @@ from preqprob.strategies import CalibrationState, calibration_step
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# nested_event(10, 300), one line: steps 11 to 300 are free.
+NESTED_UNION = Path(__file__).parent / "data" / "nested_union_300.json"
 
 
 def random_step(rng):
@@ -122,6 +125,48 @@ def test_nested_boxes_past_the_live_set_budget_are_one_line_input_error(capsys, 
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(gameprob.LIVE_SET_BUDGET) in err
+
+
+def test_the_live_set_budget_refusal_names_its_step(capsys, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text(nested_event(20, 300))
+    assert run(capsys, "value", "--engine", "game", "--event", str(path)) == (2, "", (
+        "error: the game engine reaches more than 300000 (depth, live-set) pairs by step 16 of 300; "
+        "too many overlapping boxes\n"
+    ))
+
+
+def test_a_free_step_counts_its_live_sets_toward_the_budget(monkeypatch):
+    """Steps 5 to 10 of the nested event are free; a budget one short of the count at each is refused there."""
+    event = event_from_json(nested_event(4, 10))
+    engine = _GameEngine(event)
+    full = engine.all_live()
+    levels = [{full}]
+    for masks in engine.masks:
+        levels.append({live & m for live in levels[-1] for pair in masks for m in pair} - {0})
+    for step in range(5, 11):
+        assert engine.masks[step - 1] == ((full, full),)
+        monkeypatch.setattr(gameprob, "LIVE_SET_BUDGET", sum(map(len, levels[: step + 1])) - 1)
+        with pytest.raises(LiveSetBudgetError, match=f"pairs by step {step} of 10;"):
+            _GameEngine(event)
+
+
+def test_a_long_free_run_has_the_value_of_its_truncation(capsys, tmp_path):
+    """No box constrains a step past step 10, so horizon 300 has the value of horizon 11."""
+    text = NESTED_UNION.read_text()
+    assert text == nested_event(10, 300) + "\n"
+    doc = json.loads(text)
+    doc["horizon"] = 11
+    for box in doc["boxes"]:
+        box["steps"] = box["steps"][:11]
+    truncated = tmp_path / "nested_11.json"
+    truncated.write_text(json.dumps(doc))
+    results = []
+    for path in (NESTED_UNION, truncated):
+        code, out, err = run(capsys, "value", "--engine", "game", "--event", str(path), "--json")
+        assert (code, err) == (0, "")
+        results.append(json.loads(out)["results"])
+    assert results[0] == results[1] == {"upper_game": str(Fraction(10**10, 11**10))}
 
 
 def test_live_set_budget_counts_the_forward_pass(monkeypatch):
