@@ -1,14 +1,19 @@
 """Command-line surface: exact values, theorem verification, stream testing.
 
-Exit codes: 0 success, 1 invariant violation (a bug, e.g. the two engines
-disagree), 2 input error (an ``InputError`` or ``OSError``, on one ``error:``
-line), 3 statistical rejection (a finding about the forecasts, not a tool
-failure); any other exception is a tool fault: a traceback and exit 1.
-Reports are deterministic given flags and seed; --json is byte-stable, with
-rationals as "num/den" strings and floats at 12 significant digits.  A
-report is rendered whole before its first byte is printed, and a computed
-rational too long for ``str`` (``core.digits_beyond_limit``) is an
-``InputError`` naming it, so the command prints nothing and exits 2.
+Each ``cmd_*`` maps parsed arguments to a ``Report``; ``main`` alone prints
+it and returns ``Report.exit_code``: 1 if any check failed (an invariant
+violation or a failed certificate, e.g. the engines disagree or ``verify``
+reads a negative value), else 3 for a statistical rejection (a finding about
+the forecasts, not a tool failure), else 0.  Exit 2 is an input error on one
+``error:`` line: an ``InputError`` or ``OSError``, or a command line argparse
+refuses.  Integer options are read by ``as_int``'s rule (ASCII digits only),
+and ``ville`` refuses ``-N`` together with ``--phi``.  Any other exception
+is a tool fault: a traceback and exit 1.  Reports are deterministic given
+flags and seed; --json is byte-stable, with rationals as "num/den" strings
+and floats at 12 significant digits.  ``main`` renders a report whole before
+its first byte is printed, and a computed rational too long for ``str``
+(``core.digits_beyond_limit``) is an ``InputError`` naming it, so the
+command prints nothing and exits 2.
 """
 
 from __future__ import annotations
@@ -77,16 +82,16 @@ class Report:
     results: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
     seed: int | None = None
+    rejected: bool = False  # a statistical rejection of the forecasts
 
-    def add_check(self, name: str, passed: bool, detail: str = ""):
-        status = "PASS" if passed else "FAIL"
-        if not passed and not detail:
-            detail = "check failed"
-        self.checks.append({"name": name, "status": status, "detail": detail})
+    def add_check(self, name: str, passed: bool, detail: str):
+        self.checks.append({"name": name, "status": "PASS" if passed else "FAIL", "detail": detail})
 
     @property
-    def all_passed(self) -> bool:
-        return all(c["status"] == "PASS" for c in self.checks)
+    def exit_code(self) -> int:
+        if any(c["status"] == "FAIL" for c in self.checks):
+            return EXIT_VIOLATION
+        return EXIT_REJECT if self.rejected else EXIT_OK
 
     def to_json(self) -> str:
         doc = {
@@ -110,10 +115,6 @@ class Report:
             lines.append(f"check {check['name']}: {check['status']}{detail}")
         return "\n".join(lines) + "\n"
 
-    def emit(self, as_json: bool):
-        """Print the report, rendered whole first, so a value that cannot be printed prints nothing."""
-        sys.stdout.write(self.to_json() if as_json else self.to_text())
-
 
 def _read(path: str) -> tuple[str, str]:
     """An input file's text, line ends read as in text mode, and the SHA-256 of its bytes, read once.
@@ -126,13 +127,32 @@ def _read(path: str) -> tuple[str, str]:
     return text.replace("\r\n", "\n").replace("\r", "\n"), hashlib.sha256(data).hexdigest()
 
 
+def _int_option(text: str) -> int:
+    """An integer option, read by ``as_int``'s rule: ``int``'s spellings in ASCII only.
+
+    A refusal is an ``InputError``, a ``ValueError``, which argparse reports
+    as ``argument -N: invalid int value: ...``.
+    """
+    return as_int(text, "option")
+
+
+_int_option.__name__ = "int"  # the type name in argparse's refusal
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose refusal is one ``error:`` line and exit 2, as any input error's is."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
 def _default_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     return as_int(os.environ.get("PREQ_SEED", "0"), "$PREQ_SEED")
 
 
-def cmd_value(args) -> int:
+def cmd_value(args) -> Report:
     if args.table_out and args.engine == "measure":
         raise InputError("--table-out needs the game engine: use --engine game or both")
     if args.witness_out and args.engine == "game":
@@ -140,7 +160,6 @@ def cmd_value(args) -> int:
     text, digest = _read(args.event)
     event = event_from_json(text)
     report = Report("value", inputs={"event": args.event, "digest": digest, "engine": args.engine})
-    exit_code = EXIT_OK
     if args.engine in ("game", "both"):
         report.results["upper_game"] = gameprob.upper_game_probability(event)
         if args.table_out:
@@ -164,13 +183,10 @@ def cmd_value(args) -> int:
             "engines agree exactly" if equal else
             f"game {report.results['upper_game']} != measure {report.results['upper_measure']}",
         )
-        if not equal:
-            exit_code = EXIT_VIOLATION
-    report.emit(args.json)
-    return exit_code
+    return report
 
 
-def cmd_counterexample(args) -> int:
+def cmd_counterexample(args) -> Report:
     a, b = counterexample_pair()
     if args.measure:
         def up(event):
@@ -202,11 +218,10 @@ def cmd_counterexample(args) -> int:
     report.add_check(
         "strong_subadditivity_violated", lhs > rhs, f"{lhs} > {rhs}"
     )
-    report.emit(args.json)
-    return EXIT_OK if report.all_passed else EXIT_VIOLATION
+    return report
 
 
-def cmd_test_stream(args) -> int:
+def cmd_test_stream(args) -> Report:
     if args.horizon is not None and args.horizon < 1:
         raise InputError(f"-N must be a positive integer, got {args.horizon}")
     text, digest = _read(args.stream)
@@ -228,14 +243,14 @@ def cmd_test_stream(args) -> int:
             "N": horizon,
             "C": threshold_c,
         },
+        rejected=verdict.reject,
     )
     report.results["bias_sum"] = verdict.bias
     report.results["initial_capital"] = start.capital
     report.results["final_capital"] = state.capital
     report.results["capital_ratio"] = verdict.ratio
     report.results["verdict"] = "reject" if verdict.reject else "no_reject"
-    report.emit(args.json)
-    return EXIT_REJECT if verdict.reject else EXIT_OK
+    return report
 
 
 # Strategy name -> its start value at a horizon.
@@ -246,12 +261,14 @@ _STRATEGIES = {
 }
 
 
-def cmd_ville(args) -> int:
+def cmd_ville(args) -> Report:
     seed = _default_seed(args)
     if args.phi:
+        if args.horizon is not None:
+            raise InputError("-N sets the default system's horizon; a --phi system has its own")
         phi = ForecastingSystem.from_json(_read(args.phi)[0])
     else:
-        phi = ForecastingSystem.constant(Fraction(1, 2), args.horizon)
+        phi = ForecastingSystem.constant(Fraction(1, 2), 10 if args.horizon is None else args.horizon)
     threshold = as_fraction(args.threshold_c)
     start = _STRATEGIES[args.strategy](phi.horizon)
     result = strategies.ville_check(phi, lambda: start, threshold, args.samples, seed)
@@ -272,11 +289,10 @@ def cmd_ville(args) -> int:
         result.passed,
         f"frequency {result.frequency:.6g} vs bound {result.bound:.6g} plus sampling slack",
     )
-    report.emit(args.json)
-    return EXIT_OK if result.passed else EXIT_VIOLATION
+    return report
 
 
-def cmd_duality_sweep(args) -> int:
+def cmd_duality_sweep(args) -> Report:
     if args.count < 1:
         raise InputError(f"--count must be a positive integer, got {args.count}")
     if args.grid is not None and args.grid < 1:
@@ -326,11 +342,10 @@ def cmd_duality_sweep(args) -> int:
             grid_violations == 0,
             f"{grid_violations} violations, {grid_skipped} skipped",
         )
-    report.emit(args.json)
-    return EXIT_OK if report.all_passed else EXIT_VIOLATION
+    return report
 
 
-def cmd_levy_trace(args) -> int:
+def cmd_levy_trace(args) -> Report:
     text, digest = _read(args.event)
     event = event_from_json(text)
     threshold = as_fraction(args.threshold)
@@ -372,14 +387,13 @@ def cmd_levy_trace(args) -> int:
     report.results["final_capital"] = state.capital
     report.results["milestones"] = list(state.milestones)
     report.results["final_conditional"] = state.conditional
-    report.emit(args.json)
-    return EXIT_OK
+    return report
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Report:
     text, digest = _read(args.value_function)
     vf = gameprob.ValueFunction.from_json(text)
-    ok, violations = strategies.check_farthingale(vf, args.mode)
+    _, violations = strategies.check_farthingale(vf, args.mode)
     report = Report(
         "verify",
         inputs={
@@ -390,13 +404,19 @@ def cmd_verify(args) -> int:
     )
     report.results["nodes"] = len(vf.values)
     report.results["violations"] = len(violations)
-    detail = "" if ok else (
-        f"first violation at node '{gameprob.encode_cell_path(violations[0][0])}' "
-        f"p={violations[0][1]}"
-    )
-    report.add_check(f"{args.mode}_farthingale", ok, detail)
-    report.emit(args.json)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    details = []
+    if violations:
+        path, p = violations[0]
+        details.append(f"first violation at node '{gameprob.encode_cell_path(path)}' p={p}")
+    # A table certifies an upper probability only as a non-negative (super)farthingale.
+    graph = vf.state_graph()
+    negative = [{state: v for state, v in enumerate(level) if v < 0} for level in graph.levels]
+    depth = next((d for d, marked in enumerate(negative) if marked), None)
+    if depth is not None:
+        path, value = graph.marked_nodes(negative[: depth + 1])[0]
+        details.append(f"negative value {value} at node '{gameprob.encode_cell_path(path)}'")
+    report.add_check(f"{args.mode}_farthingale", not details, "; ".join(details))
+    return report
 
 
 @functools.cache
@@ -406,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     ``parse_args`` returns a fresh namespace per call, so no option carries
     over from one ``main`` call to the next.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="preq",
         description="Exact finite-horizon prequential probability toolkit",
     )
@@ -415,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed=False):
         p.add_argument("--json", action="store_true", help="emit a machine-readable report")
         if seed:
-            p.add_argument("--seed", type=int, default=None, help="RNG seed (default: $PREQ_SEED or 0)")
+            p.add_argument("--seed", type=_int_option, default=None, help="RNG seed (default: $PREQ_SEED or 0)")
 
     p = sub.add_parser("value", help="upper probability of an event file")
     p.add_argument("--event", required=True, help="event JSON file")
@@ -432,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test-stream", help="calibration test of a forecast stream")
     p.add_argument("--stream", required=True, help="CSV stream file with header p,y")
-    p.add_argument("-N", dest="horizon", type=int, default=None, help="test horizon (default: stream length)")
+    p.add_argument("-N", dest="horizon", type=_int_option, default=None, help="test horizon (default: stream length)")
     p.add_argument("-C", dest="threshold_c", default="1", help="bias threshold C (rational, default 1)")
     common(p)
     p.set_defaults(func=cmd_test_stream)
@@ -441,14 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", default=None, help="forecasting system JSON (default: constant 1/2)")
     p.add_argument("--strategy", choices=sorted(_STRATEGIES), default="doubling")
     p.add_argument("-C", dest="threshold_c", default="4", help="capital threshold (rational, default 4)")
-    p.add_argument("-N", dest="horizon", type=int, default=10, help="default system's horizon (default 10)")
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("-N", dest="horizon", type=_int_option, default=None, help="default system's horizon (default 10)")
+    p.add_argument("--samples", type=_int_option, default=10000)
     common(p, seed=True)
     p.set_defaults(func=cmd_ville)
 
     p = sub.add_parser("duality-sweep", help="game vs measure equality on random events")
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--grid", type=int, default=None, help="also bound-check the grid oracle with this k")
+    p.add_argument("--count", type=_int_option, default=200)
+    p.add_argument("--grid", type=_int_option, default=None, help="also bound-check the grid oracle with this k")
     common(p, seed=True)
     p.set_defaults(func=cmd_duality_sweep)
 
@@ -469,13 +489,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
+        # Rendered whole before the write, so a value that cannot be printed prints nothing.
+        sys.stdout.write(report.to_json() if args.json else report.to_text())
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return report.exit_code
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from preqprob import cli, gameprob, measureprob
+from preqprob.core import ForecastingSystem
 from preqprob.events import EventUnion, counterexample_pair, event_to_json
 from preqprob.gameprob import witness_superfarthingale
 
@@ -336,6 +337,17 @@ class TestVille:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "first violation at history ()" in err
 
+    def test_N_with_phi_is_refused(self, capsys, tmp_path):
+        """-N gives only the default system's horizon; with --phi it was once ignored."""
+        phi = tmp_path / "phi.json"
+        phi.write_text(ForecastingSystem.constant(Fraction(1, 2), 3).to_json())
+        code, out, err = run(capsys, "ville", "--phi", str(phi), "-N", "9", "--samples", "10")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: -N ") and err.count("\n") == 1
+        code, out, err = run(capsys, "ville", "--phi", str(phi), "--samples", "10", "--json")
+        assert code == 0, err
+        assert json.loads(out)["inputs"]["horizon"] == 3
+
     def test_seed_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("PREQ_SEED", "17")
         code, out, _ = run(
@@ -501,6 +513,30 @@ class TestVerify:
                 2, "", "error: cannot interpret 'bad1' as an exact rational\n"
             )
 
+    @pytest.mark.parametrize("mode", ["exact", "super"])
+    def test_a_negative_table_fails_in_either_mode(self, capsys, mode):
+        """Every value -5 is an exact farthingale, but no certificate of an upper probability."""
+        path = str(DATA / "negative_table.json")
+        code, out, err = run(capsys, "verify", "--value-function", path, "--mode", mode, "--json")
+        assert code == 1, err
+        doc = json.loads(out)
+        assert doc["results"] == {"nodes": 3, "violations": 0}
+        assert doc["checks"] == [
+            {"name": f"{mode}_farthingale", "status": "FAIL", "detail": "negative value -5 at node ''"}
+        ]
+
+    def test_the_negative_node_is_named_after_the_first_violation(self, capsys, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({
+            "horizon": 1,
+            "partitions": [[{"lo": "0", "hi": "1", "lo_open": False, "hi_open": False}]],
+            "values": {"": "1", "0:0": "0", "0:1": "-1/2"},
+        }))
+        code, out, _ = run(capsys, "verify", "--value-function", str(path), "--mode", "exact")
+        assert code == 1
+        assert "check exact_farthingale: FAIL (first violation at node '' p=0; " \
+               "negative value -1/2 at node '0:1')" in out
+
     def test_table_out_round_trip_on_the_committed_event(self, capsys, tmp_path):
         """The round trip the python-floor CI job compares across interpreters."""
         table = tmp_path / "table.json"
@@ -663,3 +699,28 @@ def test_ville_past_the_certification_limit_is_one_line_input_error(capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "2147483647" in err
+
+
+def test_the_committed_biased_stream_is_rejected_with_exit_three(capsys):
+    code, out, err = run(capsys, "test-stream", "--stream", str(DATA / "biased_stream.csv"), "--json")
+    assert code == 3, err
+    assert json.loads(out)["results"]["verdict"] == "reject"
+
+
+def test_commands_return_their_report_and_main_alone_prints_it(capsys):
+    args = cli.build_parser().parse_args(["counterexample"])
+    report = args.func(args)
+    assert isinstance(report, cli.Report)
+    assert capsys.readouterr().out == ""
+    assert report.exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "statuses, rejected, code",
+    [((), False, 0), (("PASS",), False, 0), ((), True, 3), (("PASS", "FAIL"), False, 1), (("FAIL",), True, 1)],
+)
+def test_the_exit_code_is_read_off_the_report(statuses, rejected, code):
+    report = cli.Report("test", rejected=rejected)
+    for index, status in enumerate(statuses):
+        report.add_check(f"check_{index}", status == "PASS", "detail")
+    assert report.exit_code == code

@@ -484,3 +484,54 @@ def test_a_stream_parses_each_distinct_forecast_string_once(parsed_strings):
     stream = parse_stream_csv("p,y\n1/2,1\n0.5,0\n1/2,0\n1/3,1\n 1/3 ,0\n")
     assert sorted(parsed_strings) == ["0.5", "1/2", "1/3"]
     assert stream[0][0] is stream[2][0] and stream[3][0] is stream[4][0]
+
+
+def parser_refusal(capsys, *argv):
+    """The exit status and the stdout and stderr text of an argv that argparse refuses."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["ville", "-N", "٣", "--samples", "٥", "--json"], "-N"),
+        (["duality-sweep", "--count", "٢"], "--count"),
+        (["test-stream", "--stream", "s.csv", "-N", "٣"], "-N"),
+        (["ville", "--samples", "٥"], "--samples"),
+        (["duality-sweep", "--grid", "٢"], "--grid"),
+        (["ville", "--seed", "١"], "--seed"),
+    ],
+)
+def test_an_integer_option_of_unicode_digits_is_one_line_naming_it(capsys, argv, option):
+    """Documents and streams refuse digits outside ASCII, and so do the integer options."""
+    code, out, err = parser_refusal(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: argument {option}: invalid int value: {argv[argv.index(option) + 1]!r}\n"
+
+
+@pytest.mark.parametrize("spelling, horizon", [("3", 3), ("+3", 3), (" 3 ", 3), ("0_3", 3)])
+def test_integer_options_still_read_every_ascii_spelling_of_int(capsys, spelling, horizon):
+    code, out, err = run(capsys, "ville", "-N", spelling, "--samples", "5", "--json")
+    assert code == 0, err
+    assert json.loads(out)["inputs"]["horizon"] == horizon
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["value"],
+        ["value", "--event", "e.json", "--engine", "neither"],
+        ["ville", "-N", "abc"],
+        ["no-such-command"],
+        [],
+    ],
+    ids=["missing-required-option", "bad-engine-choice", "non-integer-N", "bad-subcommand", "no-subcommand"],
+)
+def test_an_argparse_refusal_is_one_error_line_and_exit_2(capsys, argv):
+    code, out, err = parser_refusal(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "usage:" not in err
