@@ -245,7 +245,7 @@ def cmd_test_stream(args) -> Report:
         },
         rejected=verdict.reject,
     )
-    report.results["bias_sum"] = verdict.bias
+    report.results["bias_sum"] = state.bias
     report.results["initial_capital"] = start.capital
     report.results["final_capital"] = state.capital
     report.results["capital_ratio"] = verdict.ratio

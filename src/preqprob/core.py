@@ -6,10 +6,10 @@ a binary outcome.  Finite forecast/outcome sequences are tuples of
 empty tuple is the root of both trees.
 
 A forecasting system is held in a stepping form: a start state for the
-empty history and ``expand(state) -> (forecast, state after 0, state after
-1)``.  Sampling, induced paths, cylinder weights and tables step that form
-from the root, one expand per node they visit, instead of computing each
-history's forecast anew.
+empty history and its own function ``expand(state) -> (forecast, state after
+0, state after 1)``.  Forecasts, sampling, induced paths, cylinder weights
+and tables step that form from the root, one expand per node they visit,
+instead of computing each history's forecast anew.
 
 The outcome tree is indexed in level order (``history_at``): the children of
 k are 2k+1 and 2k+2.  ``check_walk`` holds every tree walked node by node to
@@ -189,25 +189,27 @@ def check_outcome(y) -> int:
 class ForecastingSystem:
     """A rule assigning a forecast to every outcome history shorter than the horizon.
 
-    Every system is held in one stepping form ``(start, expand)``.  A state
-    stands for an outcome history, ``start`` for the empty one, and
-    ``expand(state)`` returns the forecast after that history together with
-    the states after outcome 0 and after outcome 1.  The constructor wraps a
-    history rule into this form, with the history itself as the state;
-    ``stepping`` takes the form directly.  ``from_table`` keeps its forecasts
-    in level order, with the index as the state, and ``constant`` has one
-    state.  Walkers step from ``start`` and never replay a history from the
-    root: a path of length n costs n expands and a table of all histories
-    2^N - 1.  ``expand`` is the raw step: the history rule and ``stepping``,
-    which take caller code, check each forecast it returns to lie in [0, 1],
-    and ``constant`` and ``from_table`` check theirs once, when built.
+    Every system is held in one stepping form, its attributes ``start`` and
+    ``expand``.  A state stands for an outcome history, ``start`` for the
+    empty one, and ``expand(state)`` returns the forecast after that history
+    together with the states after outcome 0 and after outcome 1.  The
+    constructor wraps a history rule into this form, with the history itself
+    as the state; ``stepping`` takes the form directly.  ``from_table`` keeps
+    its forecasts in level order, with the index as the state, and
+    ``constant`` has one state.  Walkers, ``forecast`` among them, step from
+    ``start`` through ``expand`` and never replay a history from the root: a
+    path of length n costs n expands and a table of all histories 2^N - 1.
+    ``expand`` is the system's own function, called as it is: the history
+    rule and ``stepping``, which take caller code, check each forecast it
+    returns to lie in [0, 1], and ``constant`` and ``from_table`` check
+    theirs once, when built.
     """
 
     def __init__(self, horizon: int, rule: Callable[[BinaryHistory], Fraction]):
         if horizon < 1:
             raise InputError("horizon must be a positive integer")
         self.horizon, self.start = horizon, ()
-        self._expand = lambda history: (check_forecast(rule(history)), history + (0,), history + (1,))
+        self.expand = lambda history: (check_forecast(rule(history)), history + (0,), history + (1,))
 
     @classmethod
     def stepping(cls, horizon: int, start, expand: Callable) -> "ForecastingSystem":
@@ -223,22 +225,18 @@ class ForecastingSystem:
     def _trusted(cls, horizon: int, start, expand: Callable) -> "ForecastingSystem":
         """A system whose ``expand`` hands out checked forecasts only, such as the measure witness."""
         system = cls(horizon, None)
-        system.start, system._expand = start, expand
+        system.start, system.expand = start, expand
         return system
 
-    def expand(self, state) -> tuple:
-        """The forecast at ``state`` and the states after outcome 0 and outcome 1."""
-        return self._expand(state)
-
     def forecast(self, history: BinaryHistory) -> Fraction:
-        """Forecast for the outcome following ``history``, stepped from the start."""
+        """Forecast for the outcome following ``history``: len(history) + 1 expands from the start."""
         if len(history) >= self.horizon:
             raise HorizonError(
                 f"history of length {len(history)} needs a forecast beyond horizon {self.horizon}"
             )
         state = self.start
         for bit in history:
-            state = self._expand(state)[1 + check_outcome(bit)]
+            state = self.expand(state)[1 + check_outcome(bit)]
         return self.expand(state)[0]
 
     @classmethod

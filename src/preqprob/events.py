@@ -229,11 +229,10 @@ class ForecastPartition:
 
     ``masks`` holds, per cell, the bitmasks (m0, m1) of the boxes accepting
     it with outcome 0 and with outcome 1, and ``scale`` the lcm of the
-    breakpoints' denominators.  Only ``forecast_partition`` sets them:
+    cell ends' denominators.  Only ``forecast_partition`` sets them:
     ``point_partition`` grids and partitions read from a table have none.
     """
 
-    breakpoints: tuple[Fraction, ...]
     cells: tuple[Cell, ...]
     masks: tuple[tuple[int, int], ...] = ()
     scale: int | None = None
@@ -249,8 +248,8 @@ class ForecastPartition:
 def point_partition(points) -> ForecastPartition:
     """Partition of [0, 1] with a degenerate cell at each given forecast, a Fraction in [0, 1].
 
-    The breakpoints are the points plus 0 and 1; between consecutive
-    breakpoints lies one open cell.
+    The cell ends are the points plus 0 and 1; between consecutive ends
+    lies one open cell.
     """
     pts = sorted({ZERO, ONE, *points})
     cells: list[Cell] = []
@@ -258,13 +257,13 @@ def point_partition(points) -> ForecastPartition:
         cells.append(Cell(b, b))
         if i + 1 < len(pts):
             cells.append(Cell(b, pts[i + 1], lo_open=True, hi_open=True))
-    return ForecastPartition(tuple(pts), tuple(cells))
+    return ForecastPartition(tuple(cells))
 
 
 def forecast_partition(event: EventUnion, step: int) -> ForecastPartition:
     """Partition of the forecast axis at a step (1-based) of the event, with its box masks.
 
-    Breakpoints are the box interval endpoints at that step plus 0 and 1;
+    The cell ends are the box interval endpoints at that step plus 0 and 1;
     cells are the maximal intervals on which every box's interval test is
     constant (an unconstrained axis is the single cell [0, 1]).  Each cell's
     pair (m0, m1) in ``masks`` holds bit i when box i's step accepts the
@@ -278,7 +277,7 @@ def forecast_partition(event: EventUnion, step: int) -> ForecastPartition:
     ratios = [p.as_integer_ratio() for p in endpoints]
     q = math.lcm(*[d for _, d in ratios])
     ends = [n * (q // d) for n, d in ratios]  # box i's interval is [ends[2i], ends[2i+1]]
-    point = {0: ZERO, q: ONE}  # each integer's breakpoint, the first Fraction given for it
+    point = {0: ZERO, q: ONE}  # each integer's cell end, the first Fraction given for it
     for a, p in zip(ends, endpoints):
         point.setdefault(a, p)
     grid = sorted(point)
@@ -305,7 +304,7 @@ def forecast_partition(event: EventUnion, step: int) -> ForecastPartition:
         lo, hi = grid[a // 2], grid[end // 2]
         cells.append(_grid_cell(point[lo], point[hi], a % 2 == 1, end % 2 == 0, lo, hi))
         masks.append((inside[a] & by_bit[0], inside[a] & by_bit[1]))
-    return ForecastPartition(tuple(point[a] for a in grid), tuple(cells), tuple(masks), q)
+    return ForecastPartition(tuple(cells), tuple(masks), q)
 
 
 def _grid_cell(lo: Fraction, hi: Fraction, lo_open: bool, hi_open: bool, grid_lo: int, grid_hi: int) -> Cell:

@@ -326,8 +326,7 @@ class ValueFunction:
                     raise InputError(
                         f"partition {step}: cells must ascend, be disjoint and cover [0, 1]"
                     )
-                breakpoints = tuple(sorted({c.lo for c in cells} | {c.hi for c in cells}))
-                partitions.append(ForecastPartition(breakpoints, cells))
+                partitions.append(ForecastPartition(cells))
             horizon = as_int(doc["horizon"], "horizon")
             if horizon != len(partitions):
                 raise InputError(f"horizon {horizon} but {len(partitions)} partitions")

@@ -269,7 +269,6 @@ def calibration_fold(state: CalibrationState, pairs) -> CalibrationState:
 class CalibrationVerdict:
     reject: bool
     ratio: Fraction
-    bias: Fraction
 
 
 def calibration_verdict(state: CalibrationState) -> CalibrationVerdict:
@@ -282,7 +281,7 @@ def calibration_verdict(state: CalibrationState) -> CalibrationVerdict:
         raise InputError(f"verdict needs all {state.horizon} steps, have {state.n}")
     reject = state.bias**2 >= state.threshold_c**2 * state.horizon
     ratio = state.capital / CalibrationState(state.horizon, state.threshold_c).capital
-    return CalibrationVerdict(reject=reject, ratio=ratio, bias=state.bias)
+    return CalibrationVerdict(reject=reject, ratio=ratio)
 
 
 @dataclass(frozen=True)
@@ -393,8 +392,6 @@ class VilleResult:
     frequency: float
     bound: float
     passed: bool
-    samples: int
-    threshold: Fraction
 
 
 def ville_check(
@@ -405,7 +402,9 @@ def ville_check(
     The strategy must pass exact certification under ``phi`` first; sampled
     streams then estimate the frequency of sup_n V >= C, reported against the
     bound V(initial)/C with the slack 4 sqrt(bound / samples).  A walk over
-    ``check_walk``'s budget raises HorizonError before the factory is called.
+    ``check_walk``'s budget raises HorizonError before the factory is called,
+    and a threshold whose bound is too large for a float raises InputError
+    before the certification walk.
 
     Each outcome-tree node is stepped at most once per call.  Nodes are
     indexed as in ``history_at`` (the children of k are 2k+1 and 2k+2), and
@@ -420,6 +419,10 @@ def ville_check(
         raise InputError("threshold must be positive")
     check_walk(outcome_tree_nodes(phi.horizon), f"the certification walk at horizon {phi.horizon}")
     start = strategy_factory()
+    try:
+        bound = float(start.capital / threshold)
+    except OverflowError:
+        raise InputError("threshold too small: the bound V(initial)/C is too large for a float") from None
     ok, violations = certify_strategy(lambda: start, phi)
     if not ok:
         raise CertificationError(
@@ -442,16 +445,9 @@ def ville_check(
             value = child
         if value is _REACHED:
             hits += 1
-    bound = start.capital / threshold
     frequency = hits / samples
-    passed = frequency <= float(bound) + 4.0 * math.sqrt(float(bound) / samples)
-    return VilleResult(
-        frequency=frequency,
-        bound=float(bound),
-        passed=passed,
-        samples=samples,
-        threshold=threshold,
-    )
+    passed = frequency <= bound + 4.0 * math.sqrt(bound / samples)
+    return VilleResult(frequency=frequency, bound=bound, passed=passed)
 
 
 def parse_stream_csv(text: str) -> list[tuple[Fraction, int]]:

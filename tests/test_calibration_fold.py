@@ -91,7 +91,7 @@ def test_verdict_follows_its_definition(pairs, c):
     start = CalibrationState(n, c)
     for state in (calibration_fold(start, pairs), stepped(start, pairs)):
         verdict = calibration_verdict(state)
-        assert (verdict.reject, verdict.ratio, verdict.bias) == expected
+        assert (verdict.reject, verdict.ratio, state.bias) == expected
 
 
 def test_fold_of_nothing_is_the_state():

@@ -67,7 +67,7 @@ class Reference:
 
     def __init__(self, event: EventUnion):
         self.event = event
-        self.points, self.cuts = zip(*[reference_cut(event, depth) for depth in range(event.horizon)])
+        self.cuts = [reference_cut(event, depth)[1] for depth in range(event.horizon)]
         self.memo: dict = {}
 
     def value(self, depth: int, live: int) -> Fraction:
@@ -109,8 +109,7 @@ class Reference:
 
     def witness_json(self) -> str:
         """The witness table over the reference cut, node by node, in the table format."""
-        parts = [events.ForecastPartition(tuple(points), tuple(c for c, _ in cut))
-                 for points, cut in zip(self.points, self.cuts)]
+        parts = [events.ForecastPartition(tuple(c for c, _ in cut)) for cut in self.cuts]
         values = {}
         for path in node_paths(parts):
             live = (1 << len(self.event.boxes)) - 1
@@ -133,7 +132,7 @@ def test_the_integer_program_equals_the_fraction_one(text):
     for depth in range(event.horizon):
         partition = forecast_partition(event, depth + 1)
         points, cells = reference_cut(event, depth)
-        assert partition.breakpoints == tuple(points)
+        assert sorted({c.lo for c in partition.cells} | {c.hi for c in partition.cells}) == points
         assert [str(c) for c in partition.cells] == [str(c) for c, _ in cells]
         assert [(c.lo_open, c.hi_open) for c in partition.cells] == [(c.lo_open, c.hi_open) for c, _ in cells]
         assert list(partition.masks) == [masks for _, masks in cells]

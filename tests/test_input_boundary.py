@@ -32,9 +32,11 @@ from preqprob.randgen import random_event, random_forecasting_system
 from preqprob.strategies import (
     CalibrationState,
     CertificationError,
+    DoublingStrategy,
     IncompleteTableError,
     StreamFormatError,
     parse_stream_csv,
+    ville_check,
 )
 
 HALF = Fraction(1, 2)
@@ -161,6 +163,7 @@ CASES = {
     ),
     "event-bound-unicode-digit": (["value", "--event", "{file}"], event_steps({"p": [AR0, "1"], "y": "*"})),
     "ville-threshold-unicode-exponent": (["ville", "-C", UNICODE_EXPONENT], None),
+    "ville-bound-overflows-a-float": (["ville", "-C", "1e-400", "--samples", "10"], None),
     "value-table-out-with-measure-engine": (
         ["value", "--event", "{file}", "--engine", "measure", "--table-out", "{file}.table"], GOOD_EVENT
     ),
@@ -446,8 +449,12 @@ def test_contains_coerces_a_prefix_once_for_every_box():
             ForecastingSystem.constant(HALF, 1), counterexample_pair()[0], 10, 0), ArityError, "system horizon 1"),
         (lambda: CalibrationState(0, Fraction(1)), InputError, "positive integer"),
         (lambda: intersection(EventUnion.full(1), EventUnion.full(2)), ArityError, "horizon mismatch: 1 != 2"),
+        # Doubling is no martingale under forecasts 1/4: the bound is refused before certification.
+        (lambda: ville_check(ForecastingSystem.constant(Fraction(1, 4), 3), DoublingStrategy, Fraction(1, 10**400),
+                             10, 0), InputError, "too large for a float"),
     ],
-    ids=["grid-below-one", "no-samples", "short-system", "calibration-horizon-0", "intersection-horizons"],
+    ids=["grid-below-one", "no-samples", "short-system", "calibration-horizon-0", "intersection-horizons",
+         "ville-bound-overflows-a-float"],
 )
 def test_library_refusals_raise_their_input_error(call, error, message):
     with pytest.raises(error, match=message):

@@ -6,13 +6,18 @@ engine, and again after a map the paper's game leaves unchanged:
 * the mirror map y -> 1 - y with [lo, hi] -> [1 - hi, 1 - lo], which swaps
   the roles of the two outcomes and of forecasts p and 1 - p;
 * a cylinder lift, which pads every box with free steps: forecasts anywhere
-  in [0, 1] and either outcome, so the event is the same set of prefixes.
+  in [0, 1] and either outcome, so the event is the same set of prefixes;
+* a permutation and a duplication of the boxes, which keep the union.
 
 Every value must equal the unmapped game value.  Free steps inserted
 anywhere, in runs, keep the value too; there the game engine, which shares
 one level across a free step, must also agree at every (depth, live-set)
 and in its witness bytes with the Fraction program of ``test_game_levels``,
 which values each (depth, live-set) on its own.
+
+Both engines must also keep the union bounds v(a) <= v(a u b) <= v(a) +
+v(b), and give a single box the product over its steps of hi (outcome 1),
+1 - lo (outcome 0) or 1 (either outcome).
 """
 
 import random
@@ -46,7 +51,19 @@ def lift(event: EventUnion, free: int = 3) -> EventUnion:
     return EventUnion(event.horizon + free, tuple(Box(box.steps + (FREE,) * free) for box in event.boxes))
 
 
-@pytest.mark.parametrize("transform", [mirror, lift])
+def permute(event: EventUnion) -> EventUnion:
+    """The boxes in an order drawn by a generator seeded with the event's box count and horizon."""
+    boxes = list(event.boxes)
+    random.Random(len(boxes) * 100 + event.horizon).shuffle(boxes)
+    return EventUnion(event.horizon, tuple(boxes))
+
+
+def duplicate(event: EventUnion) -> EventUnion:
+    """Every box twice, the copy next to the box."""
+    return EventUnion(event.horizon, tuple(box for box in event.boxes for _ in range(2)))
+
+
+@pytest.mark.parametrize("transform", [mirror, lift, permute, duplicate])
 def test_both_engines_keep_the_value_under(transform):
     rng = random.Random(20)
     failures = []
@@ -66,6 +83,34 @@ def test_the_maps_change_the_events():
     event = random_event(random.Random(20), allow_empty=True)
     assert mirror(event) != event and mirror(mirror(event)) == event
     assert lift(event).horizon == event.horizon + 3
+    assert len(duplicate(event).boxes) == 2 * len(event.boxes)
+    rng = random.Random(20)
+    events = [random_event(rng, allow_empty=True) for _ in range(EVENTS)]
+    assert any(permute(event) != event for event in events)
+
+
+def both_values(event: EventUnion) -> tuple:
+    return upper_game_probability(event), measure_upper_probability(event)[0]
+
+
+def test_both_engines_keep_the_union_bounds():
+    rng = random.Random(24)
+    for _ in range(100):
+        horizon = rng.randint(1, 3)
+        a, b = random_event(rng, horizon=horizon), random_event(rng, horizon=horizon)
+        whole = EventUnion(horizon, a.boxes + b.boxes)
+        for va, vb, vab in zip(both_values(a), both_values(b), both_values(whole)):
+            assert va <= vab <= va + vb
+
+
+def test_both_engines_give_a_box_the_product_of_its_steps():
+    rng = random.Random(25)
+    for _ in range(100):
+        box = random_event(rng, max_boxes=1).boxes[0]
+        expected = ONE
+        for step in box.steps:
+            expected *= step.p_hi if step.y == 1 else ONE - step.p_lo if step.y == 0 else ONE
+        assert both_values(EventUnion(box.horizon, (box,))) == (expected, expected)
 
 
 def insert_free(event: EventUnion, gaps) -> EventUnion:

@@ -28,15 +28,22 @@ BAD = Fraction(3, 2)
 
 @pytest.fixture()
 def expand_calls(monkeypatch):
-    """Count calls of ``ForecastingSystem.expand``, the one step every walker takes."""
+    """Count the steps of systems built by ``ForecastingSystem._trusted``, the measure witness among them.
+
+    The ``expand`` each such system is given is wrapped, so every walker's
+    steps are counted, ``forecast``'s included.
+    """
     calls = []
-    expand = ForecastingSystem.expand
+    trusted = ForecastingSystem._trusted.__func__
 
-    def counting(self, state):
-        calls.append(state)
-        return expand(self, state)
+    def counting(cls, horizon, start, expand):
+        def step(state):
+            calls.append(state)
+            return expand(state)
 
-    monkeypatch.setattr(ForecastingSystem, "expand", counting)
+        return trusted(cls, horizon, start, step)
+
+    monkeypatch.setattr(ForecastingSystem, "_trusted", classmethod(counting))
     return calls
 
 
@@ -82,6 +89,17 @@ def test_paths_of_a_horizon_16_witness_expand_once_per_step(expand_calls):
         path = induced_path(witness, omega)
         assert len(expand_calls) == 16
         assert [p for p, _ in path] == [witness.forecast(omega[:i]) for i in range(16)]
+
+
+def test_forecast_steps_once_per_bit_and_once_for_its_answer(expand_calls):
+    event = random_event(random.Random(16), horizon=16, max_boxes=3)
+    witness = measure_upper_probability(event)[1]
+    for seed in range(5):
+        omega = sample_outcomes(witness, 16, seed)
+        for n in (0, 1, seed + 5, 15):
+            expand_calls.clear()
+            witness.forecast(omega[:n])
+            assert len(expand_calls) == n + 1
 
 
 def test_tabled_and_constant_systems_step_without_histories():

@@ -123,7 +123,6 @@ def reference_check(vf, mode):
 QUARTER = Fraction(1, 4)
 # Open, half-open, closed and point cells.
 MIXED = ForecastPartition(
-    (ZERO, QUARTER, Fraction(3, 4), ONE),
     (
         Cell(ZERO, QUARTER, hi_open=True),
         Cell(QUARTER, Fraction(3, 4)),
@@ -131,7 +130,7 @@ MIXED = ForecastPartition(
     ),
 )
 POINTS = point_partition([QUARTER, HALF])
-WHOLE = ForecastPartition((ZERO, ONE), (Cell(ZERO, ONE),))
+WHOLE = ForecastPartition((Cell(ZERO, ONE),))
 
 
 def one_step_table(partition, parent, children):

@@ -53,7 +53,7 @@ def partitions(draw):
         cells.append(Cell(lo, hi, kinds[i] in ("point", "left"), kinds[i + 1] in ("point", "right")))
     if kinds[-1] == "point":
         cells.append(Cell(ONE, ONE))
-    return ForecastPartition(tuple(bounds), tuple(cells))
+    return ForecastPartition(tuple(cells))
 
 
 def node_paths(parts):
@@ -139,7 +139,8 @@ def test_every_path_sharing_a_failing_triple_is_reported_in_level_order(mode):
     ends = (ONE,) if mode == "super" else (ZERO, ONE)
     below = [(path, p) for path in depth1 for p in ends]
     # The root (value 1 over children 1/4) dominates, so only "exact" fails there, at every breakpoint.
-    root = [((), p) for p in POINTS.breakpoints] if mode == "exact" else []
+    cell_ends = sorted({c.lo for c in POINTS.cells} | {c.hi for c in POINTS.cells})
+    root = [((), p) for p in cell_ends] if mode == "exact" else []
     assert violations == root + below
 
 
@@ -208,7 +209,7 @@ def test_from_json_parses_each_distinct_string_once(monkeypatch):
         {"lo": "1/2", "hi": "1", "lo_open": True, "hi_open": False},
     ]
     half = Fraction(1, 2)
-    parts = (ForecastPartition((ZERO, half, ONE), (Cell(ZERO, half), Cell(half, ONE, lo_open=True))),) * 2
+    parts = (ForecastPartition((Cell(ZERO, half), Cell(half, ONE, lo_open=True))),) * 2
     values = {encode_cell_path(path): "1/2" for path in node_paths(parts)}
     doc = {"horizon": 2, "partitions": [cells, cells], "values": values}
     monkeypatch.setattr(gameprob, "as_fraction", counting)
