@@ -172,6 +172,8 @@ def cmd_value(args) -> Report:
         report.results["upper_measure"] = value
         witness_doc = report.results["witness_system"] = witness.to_doc()
         if args.witness_out:
+            for key, result in report.results.items():  # rendered before the file is opened
+                _render(result, key)
             with open(args.witness_out, "w", encoding="utf-8") as handle:
                 handle.write(json.dumps(witness_doc, sort_keys=True))
             report.results["witness_out"] = args.witness_out

@@ -28,8 +28,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from operator import xor
 
 from .core import (
     ONE,
@@ -282,21 +280,19 @@ def forecast_partition(event: EventUnion, step: int) -> ForecastPartition:
         point.setdefault(a, p)
     grid = sorted(point)
     # Piece 2k is the point grid[k] and piece 2k+1 the open gap after it, so
-    # the interval [grid[a], grid[b]] holds exactly the pieces 2a..2b.  Box
-    # i's bit toggles on at its first piece and off after its last, so a
-    # running xor gives each piece the boxes whose interval holds it.
+    # the interval [grid[a], grid[b]] holds exactly the pieces 2a..2b: box
+    # i's bit goes into each piece of its interval.
     position = {a: 2 * k for k, a in enumerate(grid)}
-    toggles = [0] * (2 * len(grid))
+    inside = [0] * (2 * len(grid) - 1)
     by_bit = [0, 0]  # bit i: box i's step allows the outcome
     for i, s in enumerate(steps):
         bit = 1 << i
-        toggles[position[ends[2 * i]]] ^= bit
-        toggles[position[ends[2 * i + 1]] + 1] ^= bit
+        for piece in range(position[ends[2 * i]], position[ends[2 * i + 1]] + 1):
+            inside[piece] |= bit
         if s.y != 1:  # a wildcard or 0
             by_bit[0] |= bit
         if s.y != 0:
             by_bit[1] |= bit
-    inside = list(accumulate(toggles[:-1], xor))
     # The cells are the runs of equal masks: run k spans the pieces starts[k] .. starts[k + 1] - 1.
     starts = [0, *[b for b in range(1, len(inside)) if inside[b] != inside[b - 1]], len(inside)]
     cells, masks = [], []

@@ -32,17 +32,15 @@ shares its neighbour's level in both passes.  The forward pass counts the
 ``LIVE_SET_BUDGET`` with ``LiveSetBudgetError`` (an input error), because
 the count can double with every box; a horizon past the budget is refused
 the same way before any step is set up, since every depth holds a level even
-when no box is live.  Cells that lead to the same
-two children share one linear objective, so each such group is evaluated
-once, at its outermost endpoints.  The empty live-set has value zero.
+when no box is live.  The empty live-set has value zero.
 
 The backward pass runs on integers.  A value at depth d is a numerator over
 D_d = q_d * D_{d+1}, where q_d is the partition's ``scale``, the lcm of step
 d's endpoint denominators, and each cell carries its ends as the integers
-a = p * q_d.  A group then scores q_d * n0 + a * (n1 - n0), and the pass
-neither builds nor hashes a Fraction.  A value becomes a Fraction when it is
-read.  All operations are pure and the exact arithmetic makes results
-independent of evaluation order.
+a = p * q_d.  A cell then scores q_d * n0 + a * (n1 - n0) at its better end,
+and the pass neither builds nor hashes a Fraction.  A value becomes a
+Fraction when it is read.  All operations are pure and the exact arithmetic
+makes results independent of evaluation order.
 
 One slot keeps the engine of the last event object asked for, compared by
 identity, so ``value --table-out`` solves its event once; any other object
@@ -429,7 +427,7 @@ class _GameEngine:
         values, denominators = [below], [1]
         for depth in reversed(range(horizon)):
             if free[depth]:
-                # Each node's one group has children (live, live): its value passes up unchanged.
+                # The one cell's children are (live, live): each value passes up unchanged.
                 values.append(below)
                 denominators.append(denominators[-1])
                 continue
@@ -438,18 +436,13 @@ class _GameEngine:
             cells = [(m0, m1, c.grid_lo, c.grid_hi) for (m0, m1), c in zip(partition.masks, partition.cells)]
             here = {0: 0}
             for live in levels[depth]:
-                # Cells with the same two children share the objective q*n0 + a*(n1 - n0),
-                # linear in a = p*q, so only their smallest lo and largest hi matter; cells
-                # are in ascending order, so those are the first lo and the last hi.
-                ends: dict = {}
-                for m0, m1, lo, hi in cells:
-                    children = (live & m0, live & m1)
-                    ends[children] = (ends.get(children, (lo,))[0], hi)
-                # Every candidate is a convex combination of values in [0, 1],
-                # so the largest one, never below 0, is the node value.
+                # Each cell's objective q*n0 + a*(n1 - n0) is linear in a = p*q, so it
+                # peaks at the cell's hi when it rises and at its lo otherwise.  Every
+                # score is a convex combination of values in [0, 1], so the largest
+                # one, never below 0, is the node value.
                 value = 0
-                for (c0, c1), (lo, hi) in ends.items():
-                    n0, n1 = below[c0], below[c1]
+                for m0, m1, lo, hi in cells:
+                    n0, n1 = below[live & m0], below[live & m1]
                     candidate = q * n0 + (hi if n1 > n0 else lo) * (n1 - n0)
                     if candidate > value:
                         value = candidate

@@ -177,22 +177,16 @@ def measure_upper_probability(event: EventUnion) -> tuple[Fraction, ForecastingS
     winners = [None] * horizon  # per depth, the index of the smallest maximizing candidate
     for depth in reversed(range(horizon)):
         q, ints, _, pairs = steps[depth]
-        positions = range(len(pairs))
         denominator *= q
         here, won = {0: 0}, {0: 0}
         for live in levels[depth]:
-            children = [(live & m0, live & m1) for m0, m1 in pairs]
-            # Candidates with the same two children share the objective
-            # q*n0 + a*(n1 - n0), linear in a, so each group is scored once: at
-            # its last candidate when it rises, at its first otherwise.
+            # Each candidate scores q*n0 + a*(n1 - n0).  The strict > keeps the
+            # smallest index among the largest scores, and 0 when that score is 0.
             value = winner = 0
-            for key, j in dict(zip(children, positions)).items():
-                n0, n1 = below[key[0]], below[key[1]]
-                if n1 <= n0:
-                    j = children.index(key)
-                candidate = q * n0 + ints[j] * (n1 - n0)
-                # The smallest index among the largest values; a largest value of 0 gives 0.
-                if candidate > value or (candidate == value and j < winner):
+            for j, (a, (m0, m1)) in enumerate(zip(ints, pairs)):
+                n0 = below[live & m0]
+                candidate = q * n0 + a * (below[live & m1] - n0)
+                if candidate > value:
                     value, winner = candidate, j
             here[live], won[live] = value, winner
         winners[depth] = won

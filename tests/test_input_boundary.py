@@ -190,6 +190,15 @@ def test_a_table_too_long_to_print_leaves_no_file(capsys, tmp_path):
     assert err.startswith("error: a table value has more than") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("engine", ["measure", "both"])
+def test_a_value_too_long_to_print_leaves_no_witness_file(capsys, tmp_path, engine):
+    event, witness = tmp_path / "event.json", tmp_path / "witness.json"
+    event.write_text(UNPRINTABLE_VALUE)
+    code, out, err = run(capsys, "value", "--event", str(event), "--engine", engine, "--witness-out", str(witness))
+    assert (code, out, witness.exists()) == (2, "", False)
+    assert err.startswith("error: upper_") and "cannot be printed" in err and err.count("\n") == 1
+
+
 NOT_UTF8 = {
     "value-event": ["value", "--event", "{bad}"],
     "verify-value-function": ["verify", "--value-function", "{bad}"],

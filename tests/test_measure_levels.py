@@ -2,7 +2,7 @@
 
 ``measure_upper_probability`` collects the reachable (depth, live-set) pairs
 going forward and values them going back, on integer numerators, scoring
-each group of candidates with the same two children once.  The property
+every candidate of a step once.  The property
 below compares it with the recursive program on ``Fraction`` values and an
 ascending strict-``>`` scan over every candidate, value and witness bytes
 alike, so the smallest maximizer may not move.
@@ -107,7 +107,7 @@ def doc(horizon, *boxes):
 @PROPERTY
 @given(event_docs())
 @example(doc(3))  # the empty event
-# Outcome 0 with p <= 1/4 or outcome 1 with p >= 3/4: two groups tie, at the forecasts 0 and 1.
+# Outcome 0 with p <= 1/4 or outcome 1 with p >= 3/4: the candidates 0 and 1 tie.
 @example(doc(1, [{"p": ["0", "1/4"], "y": 0}], [{"p": ["3/4", "1"], "y": 1}]))
 @example(doc(2, [{"p": ["1/2", "1/2"], "y": 1}] * 2, [{"p": ["2/4", "0.5"], "y": "*"}] * 2))
 def test_the_level_order_program_equals_the_recursive_one(text):

@@ -16,8 +16,10 @@ and in its witness bytes with the Fraction program of ``test_game_levels``,
 which values each (depth, live-set) on its own.
 
 Both engines must also keep the union bounds v(a) <= v(a u b) <= v(a) +
-v(b), and give a single box the product over its steps of hi (outcome 1),
-1 - lo (outcome 0) or 1 (either outcome).
+v(b), give a single box the product over its steps of hi (outcome 1),
+1 - lo (outcome 0) or 1 (either outcome), and pick the same forecast at
+every node: the measure witness's forecast after a history is the game
+engine's smallest maximizer at that history's induced path.
 """
 
 import random
@@ -28,8 +30,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from preqprob import gameprob
+from preqprob.core import all_histories_below, induced_path
 from preqprob.events import WILDCARD, Box, EventUnion, StepConstraint
-from preqprob.gameprob import upper_game_probability, witness_superfarthingale
+from preqprob.gameprob import optimal_forecast_at, upper_game_probability, witness_superfarthingale
 from preqprob.measureprob import measure_upper_probability
 from preqprob.randgen import random_event
 from test_game_levels import Reference, unbudgeted_tree_nodes
@@ -111,6 +114,15 @@ def test_both_engines_give_a_box_the_product_of_its_steps():
         for step in box.steps:
             expected *= step.p_hi if step.y == 1 else ONE - step.p_lo if step.y == 0 else ONE
         assert both_values(EventUnion(box.horizon, (box,))) == (expected, expected)
+
+
+def test_both_engines_pick_the_smallest_maximizer():
+    rng = random.Random(0)
+    for _ in range(400):
+        event = random_event(rng, max_horizon=4, max_boxes=4)
+        _, witness = measure_upper_probability(event)
+        for history in all_histories_below(event.horizon):
+            assert optimal_forecast_at(event, induced_path(witness, history)) == witness.forecast(history)
 
 
 def insert_free(event: EventUnion, gaps) -> EventUnion:
