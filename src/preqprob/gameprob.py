@@ -52,9 +52,9 @@ the equal states of a depth being one; any other table is hash-consed from
 its node values in level order.  The tree order lives here alone:
 ``cell_levels`` fixes it (level by level, children in (cell, bit) order) and
 sizes the tree with ``tree_nodes``, against ``core.check_walk``'s node
-budget, before it starts.  No walk builds a cell-path: the JSON keys are
-paired by position with the node states reached, and
-``StateGraph.marked_nodes`` decodes only the paths of the nodes it reports.
+budget, before it starts.  No walk builds a cell-path: ``to_json`` writes
+each state's subtree once, ``from_json`` builds the keys a level at a time,
+and ``StateGraph.marked_nodes`` decodes only the paths of the nodes it reports.
 """
 
 from __future__ import annotations
@@ -272,20 +272,31 @@ class ValueFunction:
         return StateGraph.from_nodes(self.partitions, nodes)
 
     def to_json(self) -> str:
-        """The table document, keys in sorted order.
+        """The table document, keys in sorted order, written once per state.
 
-        Each state of ``state_graph`` is formatted once and its text shared
-        by every node that holds it.  A value too long for ``str`` is an
-        ``InputError``, raised before any is formatted.
+        ``sort_keys`` puts a node before its subtree, and sibling subtrees in
+        their tokens' string order (no token is a prefix of another), so one
+        text serves every node of a state: its own item, then each child's
+        text with its keys extended by the child's token.  After ``tree_nodes``
+        sizes the tree, a value too long for ``str`` is an ``InputError``,
+        raised before any is formatted.
         """
+        tree_nodes(self.partitions)
         graph = self.state_graph()
         limit = sys.get_int_max_str_digits()
         if any(digits_beyond_limit(v, limit) for level in graph.levels for v in level):
             raise InputError(f"a table value has more than {limit} digits, the interpreter's integer digit limit")
-        texts = [list(map(str, level)) for level in graph.levels]
-        states = cell_levels(self.partitions, 0, lambda state, depth: graph.children[depth][state])
-        node_texts = (map(level.__getitem__, level_states) for level, level_states in zip(texts, states))
-        doc = {
+        mark = "\x00"  # in no value's text, which is digits, "-" and "/"
+        items = [[f'"{mark}": "{v!s}"' for v in level] for level in graph.levels]
+        texts = items[-1]
+        for depth in reversed(range(len(self.partitions))):
+            lead = f"{mark}," if depth else ""
+            order = sorted((f"{lead}{i // 2}:{i % 2}", i) for i in range(2 * len(self.partitions[depth].cells)))
+            texts = [
+                ", ".join([item, *(texts[kids[i]].replace(mark, key) for key, i in order)])
+                for item, kids in zip(items[depth], graph.children[depth])
+            ]
+        head = {
             "horizon": self.horizon,
             "partitions": [
                 [
@@ -299,9 +310,9 @@ class ValueFunction:
                 ]
                 for partition in self.partitions
             ],
-            "values": dict(zip(_node_keys(self.partitions), chain.from_iterable(node_texts))),
+            "values": {},  # the last key: its items are the root's text
         }
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps(head, sort_keys=True)[:-2] + texts[0].replace(mark, "") + "}}"
 
     @classmethod
     def from_json(cls, text: str) -> "ValueFunction":
@@ -351,14 +362,18 @@ def _covers_unit_interval(cells: tuple[Cell, ...]) -> bool:
     return all(a.hi == b.lo and a.hi_open != b.lo_open for a, b in zip(cells, cells[1:]))
 
 
-def _node_keys(partitions):
-    """Every node's canonical key string, in ``cell_levels`` order, built level by level."""
-    tokens = [[f"{ci}:{bit}" for ci in range(len(p.cells)) for bit in (0, 1)] for p in partitions]
+def _node_keys(partitions) -> list:
+    """Every node's key string in ``cell_levels`` order, after ``tree_nodes`` sizes the tree.
 
-    def children(key: str, depth: int) -> list:
-        return [f"{key},{token}" for token in tokens[depth]] if key else tokens[depth]
-
-    return chain.from_iterable(cell_levels(partitions, "", children))
+    A level is one comprehension, parent key plus token; below the root a token leads with its comma.
+    """
+    tree_nodes(partitions)
+    keys, level = [""], [""]
+    for depth, p in enumerate(partitions):
+        tokens = [f"{',' if depth else ''}{ci}:{bit}" for ci in range(len(p.cells)) for bit in (0, 1)]
+        level = [key + token for key in level for token in tokens]
+        keys.extend(level)
+    return keys
 
 
 def encode_cell_path(path: CellPath) -> str:

@@ -2,11 +2,10 @@
 
 Tables the library builds hold a read-only ``StateGraph``: per depth, the
 values of its distinct states and each state's child-state indices.  A
-path is followed along the child indices.  ``to_json`` pairs the states that
-the level-order walk reaches with the key strings by position and never
-looks a value up by path, so a slip in the hash-consing would mislabel nodes
-in silence; the property below compares the view with a dict built in
-``cell_levels`` order.
+path is followed along the child indices.  ``to_json`` writes each state's
+subtree text once and never looks a value up by path, so a slip in the
+hash-consing would mislabel nodes in silence; the property below compares
+the view with a dict built in ``cell_levels`` order.
 """
 
 import hashlib

@@ -2,10 +2,10 @@
 
 ``check_farthingale`` decides each (depth, state, cell) check once, nodes
 holding the same value object over the same children being one state, and
-``ValueFunction.to_json`` formats each state once.  Results stay those
-of the plain per-node loop ``reference_check``, and the table bytes and
-``verify`` reports are pinned to the values they had before tables were
-shared.
+``ValueFunction.to_json`` formats and writes each state once.  Results
+stay those of the plain per-node loop ``reference_check``, the table bytes
+those of a node-by-node writer, and the table bytes and ``verify`` reports
+are pinned to the values they had before tables were shared.
 """
 
 import collections
@@ -14,6 +14,7 @@ import json
 import random
 from collections.abc import Mapping
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from preqprob import cli, gameprob
 from preqprob.events import Cell, ForecastPartition
 from preqprob.gameprob import StateGraph, ValueFunction, cell_levels, encode_cell_path, witness_superfarthingale
 from preqprob.randgen import random_event
-from preqprob.strategies import check_farthingale
+from preqprob.strategies import CalibrationState, DoublingStrategy, check_farthingale, strategy_value_table
 from test_strategies import MIXED, POINTS, WHOLE, reference_check
 
 ZERO = Fraction(0)
@@ -286,3 +287,120 @@ def test_tampered_table_report_is_pinned(capsys, monkeypatch, tmp_path, mode):
     _, violations = check_farthingale(ValueFunction.from_json(tampered_table()), mode)
     text = "\n".join(f"{encode_cell_path(path)} {p}" for path, p in violations)
     assert hashlib.sha256(text.encode()).hexdigest() == TAMPERED_VIOLATIONS[mode]
+
+
+def even_partition(cells: int) -> ForecastPartition:
+    """[0, 1] cut into ``cells`` half-open cells of equal width, the last one closed."""
+    return ForecastPartition(
+        tuple(Cell(Fraction(i, cells), Fraction(i + 1, cells), False, i < cells - 1) for i in range(cells))
+    )
+
+
+def reference_json(vf) -> str:
+    """The table document written node by node: every cell-path's key, then one sorted dump."""
+    doc = {
+        "horizon": vf.horizon,
+        "partitions": [
+            [{"lo": str(c.lo), "hi": str(c.hi), "lo_open": c.lo_open, "hi_open": c.hi_open} for c in p.cells]
+            for p in vf.partitions
+        ],
+        "values": {encode_cell_path(path): str(vf.values[path]) for path in node_paths(vf.partitions)},
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+@st.composite
+def wide_tables(draw):
+    """A 0- to 2-step table whose steps may have 10 or more cells, so "10:0" sorts before "2:0"."""
+    step = st.one_of(st.sampled_from([1, 2, 10, 11, 12]).map(even_partition), partitions())
+    parts = tuple(draw(step) for _ in range(draw(st.sampled_from([0, 1, 2, 2]))))
+    paths = node_paths(parts)
+    picks = draw(st.lists(st.integers(0, 2), min_size=len(paths), max_size=len(paths)))
+    return ValueFunction(len(parts), parts, {path: POOL[i] for path, i in zip(paths, picks)})
+
+
+@settings(PROPERTY, max_examples=60)
+@given(wide_tables())
+@pytest.mark.parametrize("form", [lambda vf: vf, state_graph], ids=["dict", "state-graph"])
+def test_to_json_matches_the_node_by_node_writer(form, vf):
+    table = form(vf)
+    assert table.to_json() == reference_json(vf)
+
+
+@pytest.mark.parametrize(
+    "factory, horizon, grid",
+    [
+        (DoublingStrategy, 1, [Fraction(1, 2)]),
+        (lambda: CalibrationState(3, Fraction(1)), 3, [Fraction(1, 3), Fraction(2, 3)]),
+        (DoublingStrategy, 2, [Fraction(k, 14) for k in range(1, 14)]),  # 27 cells a step
+    ],
+    ids=["doubling-1", "calibration-3", "doubling-27-cells"],
+)
+def test_strategy_tables_match_the_node_by_node_writer(factory, horizon, grid):
+    table = strategy_value_table(factory, horizon, grid)
+    assert table.to_json() == reference_json(table)
+
+
+def test_to_json_walks_no_node(monkeypatch):
+    """The seed-5 witness is written from its states alone: neither the level walk nor the key list runs."""
+
+    def refuse(*args):
+        raise AssertionError("to_json walked the tree node by node")
+
+    vf = witness_superfarthingale(random_event(random.Random(5)))
+    monkeypatch.setattr(gameprob, "cell_levels", refuse)
+    monkeypatch.setattr(gameprob, "_node_keys", refuse)
+    text = vf.to_json()
+    assert (hashlib.sha256(text.encode()).hexdigest(), len(text)) == WITNESS_PINS[5]
+
+
+def test_a_table_with_two_digit_cell_indices_round_trips(capsys, tmp_path):
+    """The round trip the python-floor CI job compares: step 1 has 11 cells, so "10:0" sorts before "2:0"."""
+    event = Path(__file__).parent / "data" / "many_cells_event.json"
+    table = tmp_path / "table.json"
+    assert cli.main(["value", "--event", str(event), "--engine", "game", "--table-out", str(table), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["upper_game"] == "3/4"
+    assert cli.main(["verify", "--value-function", str(table), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"] == {"nodes": 243, "violations": 0}
+    assert report["inputs"]["digest"] == "706bbd1d59e9e5ba31a806543365141c607d6464c299f8f0c48558fc30ca8343"
+
+
+def halves_table(change) -> str:
+    """A horizon-2 table over two half cells a step, every value "0" until ``change`` edits the values."""
+    cells = [{"lo": "0", "hi": "1/2", "lo_open": False, "hi_open": False},
+             {"lo": "1/2", "hi": "1", "lo_open": True, "hi_open": False}]
+    keys = [encode_cell_path(path) for path in node_paths((even_partition(2),) * 2)]
+    values = dict.fromkeys(keys, "0")
+    change(values)
+    return json.dumps({"horizon": 2, "partitions": [cells, cells], "values": values})
+
+
+INT_REPORT = (
+    '{"checks":[{"detail":"","name":"super_farthingale","status":"PASS"}],"command":"verify","inputs":{"digest":'
+    '"62dc536d33ce4e72de38c66b37c293e8a52b7e595ab59ecfcd53f9582663797d","mode":"super","value_function":'
+    '"table.json"},"results":{"nodes":21,"violations":0}}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "change, code, out, err",
+    [
+        (lambda values: values.update(dict.fromkeys(values, 0)), 0, INT_REPORT, ""),
+        (lambda values: values.update({"0:1": [1]}), 2, "", "error: cannot interpret [1] as an exact rational\n"),
+        # "0:0,0:0" sorts first, but "1:1" comes first in level order, a level higher.
+        (lambda values: values.update({"0:0,0:0": "bad1", "1:1": "bad2"}), 2, "",
+         "error: cannot interpret 'bad2' as an exact rational\n"),
+        # Every key is looked up before any value is parsed, so the bad "0:1" is not named.
+        (lambda values: values.update({"0:1": "bad"}) or values.pop("1:0,0:1"), 2, "",
+         "error: malformed value-function document: missing '1:0,0:1'\n"),
+        (lambda values: values.update({"1:0,0:1,0:0": "0"}), 2, "",
+         "error: value function has 1 keys that are not tree nodes\n"),
+    ],
+    ids=["int-values", "list-value", "first-bad-in-level-order", "missing-key", "extra-key"],
+)
+def test_verify_reads_tables_as_it_did_node_by_node(capsys, monkeypatch, tmp_path, change, code, out, err):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table.json").write_text(halves_table(change))
+    assert cli.main(["verify", "--value-function", "table.json", "--json"]) == code
+    assert capsys.readouterr() == (out, err)
