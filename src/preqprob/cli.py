@@ -1,19 +1,20 @@
 """Command-line surface: exact values, theorem verification, stream testing.
 
-Each ``cmd_*`` maps parsed arguments to a ``Report``; ``main`` alone prints
-it and returns ``Report.exit_code``: 1 if any check failed (an invariant
-violation or a failed certificate, e.g. the engines disagree or ``verify``
-reads a negative value), else 3 for a statistical rejection (a finding about
-the forecasts, not a tool failure), else 0.  Exit 2 is an input error on one
+Each ``cmd_*`` maps parsed arguments to a ``Report`` and writes nothing;
+``main`` alone prints it, writes its ``files`` (``value``'s witnesses) and
+returns ``Report.exit_code``: 1 if any check failed (an invariant violation
+or a failed certificate, e.g. the engines disagree or ``verify`` reads a
+negative value), else 3 for a statistical rejection (a finding about the
+forecasts, not a tool failure), else 0.  Exit 2 is an input error on one
 ``error:`` line: an ``InputError`` or ``OSError``, or a command line argparse
 refuses.  Integer options are read by ``as_int``'s rule (ASCII digits only),
 and ``ville`` refuses ``-N`` together with ``--phi``.  Any other exception
 is a tool fault: a traceback and exit 1.  Reports are deterministic given
 flags and seed; --json is byte-stable, with rationals as "num/den" strings
 and floats at 12 significant digits.  ``main`` renders a report whole before
-its first byte is printed, and a computed rational too long for ``str``
-(``core.digits_beyond_limit``) is an ``InputError`` naming it, so the
-command prints nothing and exits 2.
+it writes a file or prints a byte, and a computed rational too long for
+``str`` (``core.digits_beyond_limit``) is an ``InputError`` naming it, so
+the command writes and prints nothing and exits 2.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ class Report:
     checks: list = field(default_factory=list)
     seed: int | None = None
     rejected: bool = False  # a statistical rejection of the forecasts
+    files: dict = field(default_factory=dict)  # path -> text, written by ``main``
 
     def add_check(self, name: str, passed: bool, detail: str):
         self.checks.append({"name": name, "status": "PASS" if passed else "FAIL", "detail": detail})
@@ -119,11 +121,11 @@ class Report:
 def _read(path: str) -> tuple[str, str]:
     """An input file's text, line ends read as in text mode, and the SHA-256 of its bytes, read once.
 
-    Bytes that are not UTF-8 are an ``InputError`` naming the file."""
+    A leading byte-order mark is not text; bytes that are not UTF-8 are an ``InputError`` naming the file."""
     with open(path, "rb") as handle:
         data = handle.read()
     with reading(path, UnicodeDecodeError):
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     return text.replace("\r\n", "\n").replace("\r", "\n"), hashlib.sha256(data).hexdigest()
 
 
@@ -163,19 +165,14 @@ def cmd_value(args) -> Report:
     if args.engine in ("game", "both"):
         report.results["upper_game"] = gameprob.upper_game_probability(event)
         if args.table_out:
-            table = gameprob.witness_superfarthingale(event).to_json()  # before the file is opened
-            with open(args.table_out, "w", encoding="utf-8") as handle:
-                handle.write(table)
+            report.files[args.table_out] = gameprob.witness_superfarthingale(event).to_json()
             report.results["table_out"] = args.table_out
     if args.engine in ("measure", "both"):
         value, witness = measureprob.measure_upper_probability(event)
         report.results["upper_measure"] = value
         witness_doc = report.results["witness_system"] = witness.to_doc()
         if args.witness_out:
-            for key, result in report.results.items():  # rendered before the file is opened
-                _render(result, key)
-            with open(args.witness_out, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(witness_doc, sort_keys=True))
+            report.files[args.witness_out] = json.dumps(witness_doc, sort_keys=True)
             report.results["witness_out"] = args.witness_out
     if args.engine == "both":
         equal = report.results["upper_game"] == report.results["upper_measure"]
@@ -494,8 +491,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
-        # Rendered whole before the write, so a value that cannot be printed prints nothing.
-        sys.stdout.write(report.to_json() if args.json else report.to_text())
+        # Rendered whole first, so a value that cannot be printed writes and prints nothing.
+        text = report.to_json() if args.json else report.to_text()
+        for path, contents in report.files.items():
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(contents)
+        sys.stdout.write(text)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

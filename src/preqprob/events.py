@@ -51,19 +51,20 @@ class ArityError(InputError):
 
 @dataclass(frozen=True)
 class StepConstraint:
-    """One step of a box: closed forecast interval [p_lo, p_hi], outcome bit or wildcard."""
+    """One step of a box: closed forecast interval [p_lo, p_hi], outcome bit or wildcard, kept as checked."""
 
     p_lo: Fraction
     p_hi: Fraction
     y: int | None = WILDCARD
 
     def __post_init__(self):
-        check_forecast(self.p_lo)
-        check_forecast(self.p_hi)
+        set_field = object.__setattr__  # the frozen class's own refuses
+        set_field(self, "p_lo", check_forecast(self.p_lo))
+        set_field(self, "p_hi", check_forecast(self.p_hi))
         if self.p_lo > self.p_hi:
             raise InputError(f"empty interval [{self.p_lo}, {self.p_hi}]")
         if self.y is not WILDCARD:
-            check_outcome(self.y)
+            set_field(self, "y", check_outcome(self.y))
 
     def accepts(self, p: Fraction, y: int) -> bool:
         return self.p_lo <= p <= self.p_hi and (self.y is WILDCARD or self.y == y)
@@ -80,8 +81,7 @@ class Box:
     @classmethod
     def from_point(cls, prefix: PrequentialPrefix) -> "Box":
         """Degenerate box containing exactly one prequential prefix."""
-        points = ((as_fraction(p), y) for p, y in prefix)  # StepConstraint checks p and y
-        return cls(tuple(StepConstraint(p, p, y) for p, y in points))
+        return cls(tuple(StepConstraint(p, p, y) for p, y in prefix))
 
     def accepts(self, prefix: PrequentialPrefix) -> bool:
         """Membership of a prefix of Fraction forecasts and bits, as ``contains`` passes it."""

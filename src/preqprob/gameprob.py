@@ -252,13 +252,6 @@ class ValueFunction:
     partitions: tuple[ForecastPartition, ...]
     values: Mapping
 
-    def value(self, path: CellPath) -> Fraction:
-        return self.values[path]
-
-    @property
-    def root_value(self) -> Fraction:
-        return self.values[()]
-
     def state_graph(self) -> StateGraph:
         """The table as levels of states: ``values`` itself if it is one.
 
@@ -585,7 +578,6 @@ class LevyStrategy:
     depth: int
     live: int  # bitmask of the boxes still consistent with the prefix
     capital: Fraction
-    milestone: Fraction
     ride_base: Fraction | None
     conditional: Fraction
     engine: _GameEngine = field(compare=False, repr=False)  # the event's, solved once
@@ -604,8 +596,8 @@ class LevyStrategy:
         live = eng.all_live()
         w0 = eng.value(0, live)
         ride_base = w0 if ZERO < w0 < threshold else None  # capital is 1
-        return cls(event=event, threshold=threshold, depth=0, live=live, capital=ONE, milestone=ONE,
-                   ride_base=ride_base, conditional=w0, engine=eng)
+        return cls(event=event, threshold=threshold, depth=0, live=live, capital=ONE, ride_base=ride_base,
+                   conditional=w0, engine=eng)
 
     def step(self, p, y) -> "LevyStrategy":
         return levy_strategy_step(self, (p, y))
@@ -614,23 +606,24 @@ class LevyStrategy:
 def levy_strategy_step(state: LevyStrategy, step) -> LevyStrategy:
     """Advance the strategy by one (forecast, outcome) step.
 
-    A ride that reaches the milestone times 1/threshold ends there; a state
-    not riding starts a ride when the new conditional value is positive and
-    below the threshold and capital is positive.  Steps past the horizon
-    leave the state terminal with capital frozen.
+    A ride starts from the last milestone (1 before the first), as capital
+    is frozen while waiting, and ends once it reaches that times 1/threshold;
+    a state not riding starts a ride when the new conditional value is
+    positive and below the threshold and capital is positive.  Steps past
+    the horizon leave the state terminal with capital frozen.
     """
     if state.depth >= state.event.horizon:
         return state
     p, y = step
     live = state.engine.survivors_at(state.live, state.depth, p, check_outcome(y))  # survivors_at checks p
     w = state.engine.value(state.depth + 1, live)
-    capital, milestone, ride_base = state.capital, state.milestone, state.ride_base
-    milestones = state.milestones
+    capital, ride_base, milestones = state.capital, state.ride_base, state.milestones
     if ride_base is not None:
+        milestone = milestones[-1] if milestones else ONE
         capital = milestone * w / ride_base
         if capital >= milestone / state.threshold:
-            milestone, ride_base, milestones = capital, None, milestones + (capital,)
+            ride_base, milestones = None, milestones + (capital,)
     if ride_base is None and ZERO < w < state.threshold and capital > ZERO:
-        milestone, ride_base = capital, w
-    return replace(state, depth=state.depth + 1, live=live, capital=capital, milestone=milestone,
-                   ride_base=ride_base, conditional=w, milestones=milestones)
+        ride_base = w
+    return replace(state, depth=state.depth + 1, live=live, capital=capital, ride_base=ride_base,
+                   conditional=w, milestones=milestones)

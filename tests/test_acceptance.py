@@ -197,7 +197,7 @@ def test_criterion_7_calibration_witness():
         matches = True
         for i, (p, y) in enumerate(stream):
             path = path + ((partition.cell_index_of(p), y),)
-            matches = matches and vf.value(path) == process.trajectory[i]
+            matches = matches and vf.values[path] == process.trajectory[i]
         if not (ok and matches):
             failures += 1
 

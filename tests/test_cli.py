@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit-code contract, byte-stable reports."""
 
+import hashlib
 import json
 import os
 import re
@@ -549,6 +550,25 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["results"] == {"nodes": 585, "violations": 0}
         assert [c["status"] for c in doc["checks"]] == ["PASS"]
+
+
+# SHA-256 of the witness table and witness system that value --engine both writes for three_box_event.json.
+THREE_BOX_TABLE_SHA256 = "83c3aa20a92e7a0269e030d5a3f0583392f531926bb3f37d79493ef8e3640010"
+THREE_BOX_WITNESS_SHA256 = "e07cdc3b917dde88450936c1b7e4dc5082026920e8087f1b84a7a8402129365a"
+
+
+def test_a_command_writes_no_file_and_main_writes_those_its_report_names(capsys, tmp_path):
+    table, witness = tmp_path / "table.json", tmp_path / "witness.json"
+    argv = ["value", "--event", str(DATA / "three_box_event.json"), "--engine", "both",
+            "--table-out", str(table), "--witness-out", str(witness)]
+    report = cli.cmd_value(cli.build_parser().parse_args(argv))
+    assert list(report.files) == [str(table), str(witness)]
+    assert not table.exists() and not witness.exists()
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert [table.read_text(encoding="utf-8"), witness.read_text(encoding="utf-8")] == list(report.files.values())
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (table, witness)]
+    assert digests == [THREE_BOX_TABLE_SHA256, THREE_BOX_WITNESS_SHA256]
 
 
 def test_successive_calls_match_separate_runs(capsys, event_file, tmp_path):

@@ -20,6 +20,8 @@ from preqprob.events import (
     point_partition,
     union,
 )
+from preqprob.gameprob import upper_game_probability
+from preqprob.measureprob import measure_upper_probability
 from preqprob.randgen import random_event
 
 ZERO = Fraction(0)
@@ -200,6 +202,28 @@ class TestStructure:
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError):
             StepConstraint(HALF, ZERO, WILDCARD)
+
+    def test_string_bounds_are_kept_as_the_fractions_they_name(self):
+        """Both engines read a step built from strings, which used to reach them as str."""
+        step = StepConstraint("0", "1", 1)
+        assert (type(step.p_lo), type(step.p_hi)) == (Fraction, Fraction)
+        event = EventUnion(1, (Box((step,)),))
+        assert upper_game_probability(event) == measure_upper_probability(event)[0] == ONE
+
+    def test_string_bounds_are_compared_as_rationals(self):
+        """"1/2" > "1" as strings; as rationals [1/2, 1] is not empty."""
+        assert StepConstraint("1/2", "1") == StepConstraint(HALF, ONE)
+
+    def test_a_boolean_outcome_is_kept_as_a_bit(self):
+        event = EventUnion(1, (Box((StepConstraint(ZERO, ONE, True),)),))
+        assert type(event.boxes[0].steps[0].y) is int
+        assert event_from_json(event_to_json(event)) == event
+
+    def test_a_fraction_bound_is_kept_as_the_same_object(self):
+        """``per_distinct_step`` and the witness writers key on the identity of the bounds."""
+        lo, hi = Fraction(1, 3), Fraction(2, 3)
+        step = StepConstraint(lo, hi, 0)
+        assert step.p_lo is lo and step.p_hi is hi
 
     def test_box_horizon_must_match(self):
         box = Box((StepConstraint(ZERO, ONE, WILDCARD),))

@@ -189,14 +189,14 @@ class TestConditionalUpperProbability:
 class TestWitnessSuperfarthingale:
     def test_root_value(self):
         a, _ = counterexample_pair()
-        assert witness_superfarthingale(a).root_value == HALF
+        assert witness_superfarthingale(a).values[()] == HALF
 
     def test_level_one_value_on_winning_cell(self):
         """After (p1 in [1/2,1/2], y1 = 0) the second point of A is certain."""
         a, _ = counterexample_pair()
         vf = witness_superfarthingale(a)
         half_cell = [str(c) for c in vf.partitions[0].cells].index("[1/2, 1/2]")
-        assert vf.value(((half_cell, 0),)) == ONE
+        assert vf.values[((half_cell, 0),)] == ONE
 
     def test_empty_event_is_identically_zero(self):
         vf = witness_superfarthingale(EventUnion.empty(2))

@@ -246,6 +246,31 @@ def test_line_ends_do_not_change_a_report_but_its_digest(capsys, tmp_path, name,
     assert reports[0] == reports[1]
 
 
+# Every file the CLI reads, each with a command that reads it.
+READ = {
+    **LINED,
+    "verify": (json.dumps(GOOD_TABLE), ["verify", "--value-function", "{path}", "--json"]),
+    "ville-phi": ('{"horizon": 1, "table": {"": "1/2"}}', ["ville", "--phi", "{path}", "--samples", "5", "--json"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ))
+def test_a_byte_order_mark_does_not_change_a_report_but_its_digest(capsys, tmp_path, name):
+    text, argv = READ[name]
+    reports = []
+    for twin, head in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        path = tmp_path / twin
+        path.write_bytes(head + text.encode())
+        code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        digest = None if name == "ville-phi" else hashlib.sha256(path.read_bytes()).hexdigest()  # of the raw bytes
+        assert doc["inputs"].pop("digest", None) == digest
+        doc["inputs"] = {key: value for key, value in doc["inputs"].items() if value != str(path)}
+        reports.append(doc)
+    assert reports[0] == reports[1]
+
+
 def test_exponents_within_the_digit_limit_still_parse():
     assert core.as_fraction("1e-3") == Fraction(1, 1000)
     assert core.as_fraction("2.5E2") == 250

@@ -19,7 +19,10 @@ Both engines must also keep the union bounds v(a) <= v(a u b) <= v(a) +
 v(b), give a single box the product over its steps of hi (outcome 1),
 1 - lo (outcome 0) or 1 (either outcome), and pick the same forecast at
 every node: the measure witness's forecast after a history is the game
-engine's smallest maximizer at that history's induced path.
+engine's smallest maximizer at that history's induced path.  Along a
+decreasing sequence of events, each interval [a, b] cut to
+[a, a + (b - a)/2^k], both values fall toward the value of the limit event
+[a, a], the capacity's continuity along decreasing compact sets.
 """
 
 import random
@@ -123,6 +126,38 @@ def test_both_engines_pick_the_smallest_maximizer():
         _, witness = measure_upper_probability(event)
         for history in all_histories_below(event.horizon):
             assert optimal_forecast_at(event, induced_path(witness, history)) == witness.forecast(history)
+
+
+def shrink(event: EventUnion, k) -> EventUnion:
+    """Every interval [a, b] of ``event`` cut to [a, a + (b - a)/2^k]; ``k=None`` gives the limit [a, a]."""
+
+    def cut(step: StepConstraint) -> StepConstraint:
+        hi = step.p_lo if k is None else step.p_lo + (step.p_hi - step.p_lo) / 2**k
+        return StepConstraint(step.p_lo, hi, step.y)
+
+    return EventUnion(event.horizon, tuple(Box(tuple(map(cut, box.steps))) for box in event.boxes))
+
+
+SHRINKS = 4
+
+
+@st.composite
+def random_events(draw):
+    return random_event(random.Random(draw(st.integers(0, 2**32 - 1))), max_boxes=draw(st.integers(1, 3)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(random_events())
+@example(EventUnion(1, (Box((StepConstraint(ZERO, ONE, 1),)),)))  # the gap bound holds with equality
+def test_values_fall_to_the_limit_along_shrinking_intervals(event):
+    values = [both_values(shrink(event, k)) for k in [*range(SHRINKS + 1), None]]
+    assert all(game == measure for game, measure in values)
+    *terms, limit = [game for game, _ in values]
+    assert all(a >= b for a, b in zip(terms, terms[1:])) and terms[-1] >= limit
+    if len(event.boxes) == 1:
+        # A box's value is a product of factors in [0, 1], so it moves by at most the factors' total change.
+        width = max(step.p_hi - step.p_lo for step in event.boxes[0].steps)
+        assert all(value - limit <= event.horizon * width / 2**k for k, value in enumerate(terms))
 
 
 def insert_free(event: EventUnion, gaps) -> EventUnion:

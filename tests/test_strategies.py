@@ -350,7 +350,7 @@ class TestStrategyValueTable:
             path = ()
             for i, (p, y) in enumerate(stream):
                 path = path + ((partition.cell_index_of(p), y),)
-                assert vf.value(path) == process.trajectory[i]
+                assert vf.values[path] == process.trajectory[i]
 
     def test_doubling_table_is_exact_under_no_bet_gaps(self):
         vf = strategy_value_table(DoublingStrategy, 2, [HALF])

@@ -216,7 +216,7 @@ def test_from_json_parses_each_distinct_string_once(monkeypatch):
     monkeypatch.setattr(gameprob, "as_fraction", counting)
     vf = ValueFunction.from_json(json.dumps(doc))
     assert sorted(parsed) == ["0", "1", "1/2"]
-    assert vf.partitions[0].cells[0].hi is vf.partitions[1].cells[1].lo is vf.root_value
+    assert vf.partitions[0].cells[0].hi is vf.partitions[1].cells[1].lo is vf.values[()]
 
 
 def test_a_float_endpoint_is_refused_after_an_equal_int():
