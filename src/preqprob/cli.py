@@ -57,7 +57,7 @@ EXIT_REJECT = 3
 
 def _render(value, name: str):
     """``value`` as a report prints it; a rational too long to print is an ``InputError`` naming ``name``."""
-    if isinstance(value, str):  # most values, e.g. every entry of a witness table
+    if isinstance(value, str):
         return value
     if isinstance(value, Fraction):
         limit = sys.get_int_max_str_digits()
@@ -72,7 +72,8 @@ def _render(value, name: str):
     if isinstance(value, (list, tuple)):
         return [_render(v, name) for v in value]
     if isinstance(value, dict):
-        return {k: _render(v, name) for k, v in value.items()}
+        # A str entry, such as every entry of a witness table, is passed through without a call.
+        return {k: v if isinstance(v, str) else _render(v, name) for k, v in value.items()}
     return value
 
 

@@ -198,7 +198,9 @@ class ForecastingSystem:
     its forecasts in level order, with the index as the state, and
     ``constant`` has one state.  Walkers, ``forecast`` among them, step from
     ``start`` through ``expand`` and never replay a history from the root: a
-    path of length n costs n expands and a table of all histories 2^N - 1.
+    path of length n costs n expands, and ``forecasts`` and ``table`` 2^N - 1.
+    ``to_doc`` expands each distinct state of a depth once, so states must be
+    hashable: histories whose states are equal share one subtree of forecasts.
     ``expand`` is the system's own function, called as it is: the history
     rule and ``stepping``, which take caller code, check each forecast it
     returns to lie in [0, 1], and ``constant`` and ``from_table`` check
@@ -272,12 +274,28 @@ class ForecastingSystem:
         return {history_at(k): p for k, p in enumerate(self.forecasts())}
 
     def to_doc(self) -> dict:
-        """The JSON document of the table, its bit-string keys in sorted order."""
-        forecasts = self.forecasts()
-        text = {key: str(p) for key, p in {id(p): p for p in forecasts}.items()}  # once per object
+        """The JSON document of the table, its bit-string keys in sorted order.
+
+        Each distinct state of a depth is expanded once: histories that reach
+        equal states share that state's subtree of forecasts, so the states
+        are compared by equality and must be hashable.
+        """
+        check_walk(outcome_tree_nodes(self.horizon), f"the outcome tree at horizon {self.horizon}")
+        levels, states = [], [self.start]
+        for _ in range(self.horizon):
+            levels.append({state: self.expand(state) for state in states})
+            states = dict.fromkeys(child for _, after0, after1 in levels[-1].values() for child in (after0, after1))
+        forecasts = {id(p): p for level in levels for p, _, _ in level.values()}
+        text = {key: str(p) for key, p in forecasts.items()}  # once per object
+        # below[state]: the texts of the state's subtree in sorted-key order, which is preorder.
+        below = dict.fromkeys(states, [])
+        for level in reversed(levels):
+            below = {
+                state: [text[id(p)]] + below[after0] + below[after1] for state, (p, after0, after1) in level.items()
+            }
         # The key of history_at(k) is its bit string, the binary form of k+1 after the leading 1.
-        table = sorted((bin(k)[3:], text[id(p)]) for k, p in enumerate(forecasts, start=1))
-        return {"horizon": self.horizon, "table": dict(table)}
+        keys = sorted(bin(k)[3:] for k in range(1, 2**self.horizon))
+        return {"horizon": self.horizon, "table": dict(zip(keys, below[self.start]))}
 
     def to_json(self) -> str:
         return json.dumps(self.to_doc(), sort_keys=True)

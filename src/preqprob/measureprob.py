@@ -28,8 +28,10 @@ the q of steps d..N-1, so the pass compares integers and builds no Fraction
 but the root value.  The maximizers the backward pass keeps per (depth,
 live-set) are the witness: a forecasting system in stepping form whose state
 is (depth, live-set), where one step reads the maximizer and its two masks.
-A path of n steps costs n lookups, the table of all histories 2^N - 1, and it
-is a table only when written.  The masks come from this module's own
+A path of n steps costs n lookups, and it is a table only when written:
+``to_doc`` expands each distinct (depth, live-set) state once, not each of
+the 2^N - 1 histories, comparing the states, which are hashable tuples, by
+equality.  The masks come from this module's own
 interval tests, and the engine shares no code with the game-theoretic engine
 in ``gameprob``; the equality of the two roots on every box union is the
 coincidence theorem the test suite verifies rather than assumes.

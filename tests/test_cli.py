@@ -571,6 +571,31 @@ def test_a_command_writes_no_file_and_main_writes_those_its_report_names(capsys,
     assert digests == [THREE_BOX_TABLE_SHA256, THREE_BOX_WITNESS_SHA256]
 
 
+# SHA-256 of value --engine both's report on horizon_10_event.json, in text form and with --json,
+# and of the witness system that value --engine measure --witness-out writes for it.
+HORIZON_10_REPORT_SHA256 = {
+    (): "7d14a322e9b37c16d06e6c2b7c099084880cb33a52670f2b6c73773ee9eed342",
+    ("--json",): "4e7a951ce3fd106bf381662683eb99b0b984580705955451c4929bb0d6927801",
+}
+HORIZON_10_WITNESS_SHA256 = "84cf5861cb841c80068cdd9976a28e0884040e0b020de74c7499bd5a4c7b7728"
+
+
+def test_horizon_10_reports_and_witness_file_are_pinned(capsys, tmp_path, monkeypatch):
+    """Both report forms print the 1,023-entry witness table; the witness file holds it too."""
+    monkeypatch.chdir(DATA.parent.parent)  # a report echoes the event path as given
+    event = "tests/data/horizon_10_event.json"
+    for extra, digest in HORIZON_10_REPORT_SHA256.items():
+        code, out, err = run(capsys, "value", "--event", event, "--engine", "both", *extra)
+        assert (code, err) == (0, "")
+        assert "17/64" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    witness = tmp_path / "phi.json"
+    code, _, err = run(capsys, "value", "--event", event, "--engine", "measure", "--witness-out", str(witness),
+                       "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(witness.read_bytes()).hexdigest() == HORIZON_10_WITNESS_SHA256
+
+
 def test_successive_calls_match_separate_runs(capsys, event_file, tmp_path):
     """``main`` reuses one parser, and no option carries over from one call to the next."""
     table = str(tmp_path / "table.json")

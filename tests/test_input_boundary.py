@@ -434,9 +434,11 @@ BUILT_CHECKED = {
     "from_table": lambda: random_forecasting_system(random.Random(3), 10),
     "measure-witness": witness_at_10,
 }
+# Each caller-code system with the checks its to_doc makes, one per expand of a distinct state of
+# a depth: the history rule's state is the history, the stepping system's its depth.
 CALLER_CODE = {
-    "history-rule": lambda: ForecastingSystem(10, lambda h: Fraction(1 + sum(h), 2 + len(h))),
-    "stepping": lambda: ForecastingSystem.stepping(10, 0, lambda n: (HALF, n + 1, n + 1)),
+    "history-rule": (lambda: ForecastingSystem(10, lambda h: Fraction(1 + sum(h), 2 + len(h))), 2**10 - 1),
+    "stepping": (lambda: ForecastingSystem.stepping(10, 0, lambda n: (HALF, n + 1, n + 1)), 10),
 }
 
 
@@ -450,10 +452,11 @@ def test_systems_checked_when_built_are_trusted_downstream(check_calls, kind):
 
 @pytest.mark.parametrize("kind", sorted(CALLER_CODE))
 def test_caller_code_has_each_forecast_checked(check_calls, kind):
-    phi = CALLER_CODE[kind]()
+    make, checks = CALLER_CODE[kind]
+    phi = make()
     check_calls.clear()
     phi.to_doc()
-    assert len(check_calls) == 2**10 - 1
+    assert len(check_calls) == checks
 
 
 def test_box_from_point_coerces_and_checks():

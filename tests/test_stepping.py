@@ -19,7 +19,7 @@ from preqprob.measureprob import (
     measure_upper_probability,
     monte_carlo_probability,
 )
-from preqprob.randgen import random_event, random_forecasting_system
+from preqprob.randgen import random_event, random_forecasting_system, random_rational
 from preqprob.strategies import ConstantStrategy, certify_strategy, ville_check
 
 HALF = Fraction(1, 2)
@@ -65,17 +65,79 @@ def test_witness_doc_equals_the_per_history_reference():
         assert list(doc["table"]) == sorted(doc["table"])
 
 
+def merging_system(rng, horizon, with_depth):
+    """A stepping system whose state is the count of ones mod k, with the depth or without it.
+
+    Many histories of a depth share a state, and without the depth equal
+    states recur at every depth.
+    """
+    k = rng.randint(1, 3)
+    forecasts = {(d, r): random_rational(rng) for d in range(horizon) for r in range(k)}
+    if with_depth:
+        return ForecastingSystem.stepping(
+            horizon, (0, 0), lambda s: (forecasts[s], (s[0] + 1, s[1]), (s[0] + 1, (s[1] + 1) % k))
+        )
+    return ForecastingSystem.stepping(horizon, 0, lambda r: (forecasts[0, r], r, (r + 1) % k))
+
+
+def random_rule(rng, horizon):
+    """A history rule: every history is its own state."""
+    table = {h: random_rational(rng) for h in all_histories_below(horizon)}
+    return ForecastingSystem(horizon, table.__getitem__)
+
+
+SYSTEMS = {
+    "history-rule": random_rule,
+    "merging-with-depth": lambda rng, horizon: merging_system(rng, horizon, True),
+    "merging-without-depth": lambda rng, horizon: merging_system(rng, horizon, False),
+    "from_table": random_forecasting_system,
+    "constant": lambda rng, horizon: ForecastingSystem.constant(random_rational(rng), horizon),
+    "measure-witness": lambda rng, horizon: measure_upper_probability(
+        random_event(rng, horizon=horizon, max_boxes=4)
+    )[1],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SYSTEMS))
+def test_doc_equals_the_per_history_reference(kind):
+    rng = random.Random(kind)
+    for horizon in (1, 2, 3, 5, 8, 10):
+        phi = SYSTEMS[kind](rng, horizon)
+        doc = phi.to_doc()
+        assert doc == reference_doc(phi)
+        assert list(doc["table"]) == sorted(doc["table"])
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_witness_table_expands_each_history_once(expand_calls, seed):
+    """``table`` expands every history; ``to_doc`` each distinct (depth, live-set) state once."""
     rng = random.Random(seed)
     event = random_event(rng, horizon=rng.randint(1, 10), max_boxes=4)
     witness = measure_upper_probability(event)[1]
     expand_calls.clear()
     witness.to_doc()
-    assert len(expand_calls) == 2**event.horizon - 1
+    per_state = sorted(expand_calls)
     expand_calls.clear()
     assert len(witness.table()) == 2**event.horizon - 1
     assert len(expand_calls) == 2**event.horizon - 1
+    assert per_state == sorted(set(expand_calls))
+
+
+def test_a_depth_counter_writes_its_horizon_16_table_in_16_expands():
+    calls = []
+
+    def expand(depth):
+        calls.append(depth)
+        return Fraction(depth, 16), depth + 1, depth + 1
+
+    doc = ForecastingSystem.stepping(16, 0, expand).to_doc()
+    assert calls == list(range(16))
+    # Every bit string of each length n < 16, sorted.
+    keys = sorted(format(k, f"0{n}b") if n else "" for n in range(16) for k in range(2**n))
+    assert len(keys) == 2**16 - 1
+    texts = [str(Fraction(depth, 16)) for depth in range(16)]
+    assert doc["table"] == {key: texts[len(key)] for key in keys}
+    assert list(doc["table"]) == keys
 
 
 def test_paths_of_a_horizon_16_witness_expand_once_per_step(expand_calls):
