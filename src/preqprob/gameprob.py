@@ -46,15 +46,18 @@ One slot keeps the engine of the last event object asked for, compared by
 identity, so ``value --table-out`` solves its event once; any other object
 is solved again, and no other engine is kept between calls.
 
-A value table is held as levels of states, a ``StateGraph``.  A witness
+A value table is held as levels of states, a ``StateGraph``, which holds
+only each depth's state values and each interior state's child-state
+indices; its shape and its length come from those children.  A witness
 table and a strategy table are reached from the root by ``StateGraph.reach``,
 the equal states of a depth being one; any other table is hash-consed from
-its node values in level order.  The tree order lives here alone:
-``cell_levels`` fixes it (level by level, children in (cell, bit) order) and
-sizes the tree with ``tree_nodes``, against ``core.check_walk``'s node
-budget, before it starts.  No walk builds a cell-path: ``to_json`` writes
-each state's subtree once, ``from_json`` builds the keys a level at a time,
-and ``StateGraph.marked_nodes`` decodes only the paths of the nodes it reports.
+its node values in level order by ``StateGraph.from_nodes``.  The builder
+sizes the tree, ``reach`` with ``tree_nodes`` against ``core.check_walk``'s
+node budget before it starts.  The tree order lives here alone: level by
+level, children in (cell, bit) order, as ``_level_order`` lists it.  No walk
+builds a cell-path: ``to_json`` writes each state's subtree once,
+``from_json`` builds the keys a level at a time, and
+``StateGraph.marked_nodes`` decodes only the paths of the nodes it reports.
 """
 
 from __future__ import annotations
@@ -64,7 +67,8 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain, product
+from itertools import accumulate, chain, product
+from operator import mul
 
 from .core import (ONE, ZERO, InputError, PrequentialPrefix, as_fraction, as_int, check_outcome, check_walk,
                    digits_beyond_limit, parse_once_per_string, reading)
@@ -93,43 +97,14 @@ def tree_nodes(partitions) -> int:
 
     The count is 1 + sum over d of prod over k <= d of 2 * cells(k).
     """
-    nodes = width = 1
-    for partition in partitions:
-        width *= 2 * len(partition.cells)
-        nodes += width
+    nodes = sum(accumulate((2 * len(partition.cells) for partition in partitions), mul, initial=1))
     check_walk(nodes, f"the cell-path tree at horizon {len(partitions)}")
     return nodes
 
 
-def cell_levels(partitions, root, children):
-    """Yield the states of the partition-refined tree one level at a time, each level a list.
-
-    Level 0 is ``[root]``.  A node at depth d has one child per cell of
-    ``partitions[d]`` and outcome bit, in the order (0, 0), (0, 1), (1, 0), ...;
-    ``children(state, d)``, called once per node at depth d, returns them in
-    that order, and level d + 1 lists them parent by parent.  The tree is
-    sized with ``tree_nodes`` before the root level is yielded.
-    """
-    tree_nodes(partitions)
-    level = [root]
-    yield level
-    for depth in range(len(partitions)):
-        level = [state for parent in level for state in children(parent, depth)]
-        yield level
-
-
-def cell_path_at(partitions, depth: int, index: int) -> CellPath:
-    """The cell-path of node ``index`` of depth ``depth``, by mixed radix 2 * cells(k)."""
-    path = []
-    for partition in reversed(partitions[:depth]):
-        index, step = divmod(index, 2 * len(partition.cells))
-        path.append(divmod(step, 2))
-    return tuple(reversed(path))
-
-
-def _level_order(partitions):
-    """Every node's cell-path in ``cell_levels`` order: per depth, the product of the steps so far."""
-    steps = [[(ci, bit) for ci in range(len(p.cells)) for bit in (0, 1)] for p in partitions]
+def _level_order(counts):
+    """Every node's cell-path in level order, given each step's child count: per depth, the product of the steps."""
+    steps = [[divmod(i, 2) for i in range(count)] for count in counts]
     return chain.from_iterable(product(*steps[:depth]) for depth in range(len(steps) + 1))
 
 
@@ -138,27 +113,28 @@ class StateGraph(Mapping):
 
     ``levels[d]`` lists the values of depth d's states, and state 0 of depth
     0 is the root.  At an interior depth, ``children[d][s]`` holds state s's
-    child-state indices at depth d + 1, one per (cell, bit) in ``cell_levels``
-    order.  A node is a state reached from the root; nodes that hold the same
+    child-state indices at depth d + 1, one per (cell, bit) in level order,
+    (0, 0), (0, 1), (1, 0), ...; the graph holds nothing else.  Every state
+    of a depth has the same number of children, so the tree's shape comes
+    from ``children``, and its builder, ``reach`` or ``from_nodes``, sizes
+    it.  A node is a state reached from the root; nodes that hold the same
     value with the same children share one state.  A path is followed along
     the child indices in O(depth), and any key that is not a node of the
     tree raises ``KeyError``.  ``len`` is the tree's node count and iteration
     yields every node's cell-path in level order.
     """
 
-    __slots__ = ("levels", "children", "_partitions", "_size")
+    __slots__ = ("levels", "children")
 
-    def __init__(self, partitions, levels: list, children: list):
+    def __init__(self, levels: list, children: list):
         self.levels, self.children = levels, children
-        self._partitions = tuple(partitions)
-        self._size = tree_nodes(partitions)
 
     @classmethod
     def reach(cls, partitions, root, children, value) -> "StateGraph":
         """The states reached from ``root``, the equal ones of a depth numbered once, as first reached.
 
-        ``children(state, d)`` lists a depth-d state's children in ``cell_levels`` order and
-        ``value(state, d)`` its value, each called once per state after ``tree_nodes`` sizes the tree.
+        ``children(state, d)`` lists a depth-d state's children in level order and ``value(state, d)``
+        its value, each called once per state after ``tree_nodes`` sizes the tree.
         """
         tree_nodes(partitions)
         states, levels, kids = [root], [], []
@@ -168,18 +144,16 @@ class StateGraph(Mapping):
             kids.append([tuple(index.setdefault(c, len(index)) for c in children(s, depth)) for s in states])
             states = list(index)
         levels.append([value(state, len(partitions)) for state in states])
-        return cls(partitions, levels, kids)
+        return cls(levels, kids)
 
     @classmethod
     def from_nodes(cls, partitions, nodes: list) -> "StateGraph":
-        """Hash-cons node values given in ``cell_levels`` order into states, bottom-up.
+        """Hash-cons node values given in level order into states, bottom-up, one value per node.
 
         A leaf's key is its value's ``id``, an interior node's adds its child
         states; the list keeps every value alive, so no id is reused.
         """
-        widths = [1]
-        for partition in partitions:
-            widths.append(widths[-1] * 2 * len(partition.cells))
+        widths = list(accumulate((2 * len(partition.cells) for partition in partitions), mul, initial=1))
         if len(nodes) != sum(widths):
             raise ValueError(f"{len(nodes)} values for a tree of {sum(widths)} nodes")
         levels, children = [], []
@@ -196,42 +170,54 @@ class StateGraph(Mapping):
             levels.append(list(dict(zip(below, level)).values()))
             children.append([key[1] for key in index] if depth < len(partitions) else None)
         # Both lists run from the leaves up, and the leaves have no children.
-        return cls(partitions, levels[::-1], children[1:][::-1])
+        return cls(levels[::-1], children[1:][::-1])
+
+    def _counts(self) -> list:
+        """Each interior depth's child count per node, 2 * cells(d)."""
+        return [len(kids[0]) for kids in self.children]
 
     def marked_nodes(self, marks: list) -> list:
         """(cell-path, mark) of each node whose state s of depth d has a mark ``marks[d][s]``, in level order.
 
-        Depths 0 .. len(marks) - 1 are walked only if some state is marked.
+        Depths 0 .. len(marks) - 1 are walked only if some state is marked,
+        and a reported node's path is decoded from its place in its level by
+        mixed radix over the child counts.
         """
         if not any(marks):
             return []
-        nodes = cell_levels(self._partitions[: len(marks) - 1], 0, lambda state, d: self.children[d][state])
-        return [
-            (cell_path_at(self._partitions, depth, index), marked[state])
-            for depth, (level, marked) in enumerate(zip(nodes, marks))
-            for index, state in enumerate(level)
-            if state in marked
-        ]
+        counts, level, found = self._counts(), [0], []
+        for depth, marked in enumerate(marks):
+            if depth:
+                level = [state for parent in level for state in self.children[depth - 1][parent]]
+            for index, state in enumerate(level):
+                if state in marked:
+                    path, rest = (), index
+                    for count in reversed(counts[:depth]):
+                        rest, step = divmod(rest, count)
+                        path = (divmod(step, 2), *path)
+                    found.append((path, marked[state]))
+        return found
 
     def __getitem__(self, path) -> Fraction:
         if not isinstance(path, tuple) or len(path) > len(self.children):
             raise KeyError(path)
         state = 0
-        for step, partition, below in zip(path, self._partitions, self.children):
+        for step, below in zip(path, self.children):
             if not (isinstance(step, tuple) and len(step) == 2):
                 raise KeyError(path)
             ci, bit = step
-            cells = len(partition.cells)
-            if not (isinstance(ci, int) and isinstance(bit, int) and 0 <= ci < cells and 0 <= bit <= 1):
+            kids = below[state]
+            # With bit 0 or 1, 2 * ci + bit is negative exactly when ci is.
+            if not (isinstance(ci, int) and isinstance(bit, int) and 0 <= bit <= 1 and 0 <= 2 * ci + bit < len(kids)):
                 raise KeyError(path)
-            state = below[state][2 * ci + bit]
+            state = kids[2 * ci + bit]
         return self.levels[len(path)][state]
 
     def __len__(self) -> int:
-        return self._size
+        return sum(accumulate(self._counts(), mul, initial=1))
 
     def __iter__(self):
-        return _level_order(self._partitions)
+        return _level_order(self._counts())
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,11 +227,13 @@ class ValueFunction:
     A node is addressed by its cell-path: per step, the index of the chosen
     forecast cell and the outcome bit.  Canonical string encoding of a path
     joins "cell-index:bit" items with commas; the root is the empty string.
-    ``cell_levels`` fixes the nodes and their order.
+    The nodes come level by level, children in (cell, bit) order.
 
     ``values`` maps cell-paths to values.  Tables the library builds hold a
-    ``StateGraph``; any other mapping (a dict, say) works as well, and
-    ``state_graph`` reads it once into one.
+    ``StateGraph``, which holds only levels and children and takes its
+    shape and length from its children, sized by the builder that made it;
+    any other mapping (a dict, say) works as well, and ``state_graph``
+    reads it once into one.
     """
 
     horizon: int
@@ -261,7 +249,7 @@ class ValueFunction:
         if isinstance(self.values, StateGraph):
             return self.values
         tree_nodes(self.partitions)
-        nodes = [self.values[path] for path in _level_order(self.partitions)]
+        nodes = [self.values[path] for path in _level_order([2 * len(p.cells) for p in self.partitions])]
         return StateGraph.from_nodes(self.partitions, nodes)
 
     def to_json(self) -> str:
@@ -356,8 +344,9 @@ def _covers_unit_interval(cells: tuple[Cell, ...]) -> bool:
 
 
 def _node_keys(partitions) -> list:
-    """Every node's key string in ``cell_levels`` order, after ``tree_nodes`` sizes the tree.
+    """Every node's key string in level order, after ``tree_nodes`` sizes the tree.
 
+    ``from_json`` reads its values at these keys, so this sizes the table that ``StateGraph.from_nodes`` builds.
     A level is one comprehension, parent key plus token; below the root a token leads with its comma.
     """
     tree_nodes(partitions)

@@ -489,9 +489,11 @@ def test_contains_coerces_a_prefix_once_for_every_box():
         # Doubling is no martingale under forecasts 1/4: the bound is refused before certification.
         (lambda: ville_check(ForecastingSystem.constant(Fraction(1, 4), 3), DoublingStrategy, Fraction(1, 10**400),
                              10, 0), InputError, "too large for a float"),
+        (lambda: core.sample_outcomes(ForecastingSystem.constant(HALF, 2), -2, 0), core.HorizonError,
+         "cannot sample -2 outcomes at horizon 2"),
     ],
     ids=["grid-below-one", "no-samples", "short-system", "calibration-horizon-0", "intersection-horizons",
-         "ville-bound-overflows-a-float"],
+         "ville-bound-overflows-a-float", "sample-a-negative-length"],
 )
 def test_library_refusals_raise_their_input_error(call, error, message):
     with pytest.raises(error, match=message):

@@ -5,7 +5,7 @@ values of its distinct states and each state's child-state indices.  A
 path is followed along the child indices.  ``to_json`` writes each state's
 subtree text once and never looks a value up by path, so a slip in the
 hash-consing would mislabel nodes in silence; the property below compares
-the view with a dict built in ``cell_levels`` order.
+the view with a dict built in level order.
 """
 
 import hashlib
@@ -35,6 +35,7 @@ from test_value_memo import (
     PROPERTY,
     TAMPERED_VIOLATIONS,
     WITNESS_PINS,
+    even_partition,
     node_paths,
     partitions,
     tampered_table,
@@ -61,7 +62,7 @@ def level_tables(draw):
 @given(level_tables())
 def test_the_view_agrees_with_the_path_dict(table):
     parts, nodes, view = table
-    paths = node_paths(parts)  # along cell_levels
+    paths = node_paths(parts)  # in level order
     by_path = dict(zip(paths, nodes))
     assert len(by_path) == len(view) == len(paths)
     assert list(view) == list(by_path)
@@ -86,6 +87,53 @@ def test_a_key_that_is_not_a_node_raises_key_error(table, data):
         with pytest.raises(KeyError):
             view[key]
         assert key not in view
+
+
+@st.composite
+def small_graphs(draw):
+    """Horizon 0 to 3 over partitions of 1 to 4 cells, values from ``POOL``: the graph and its per-node dict.
+
+    The graph reads only each step's cell count, so equal-width cells serve.
+    """
+    parts = tuple(draw(st.lists(st.integers(1, 4).map(even_partition), max_size=3)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    paths = node_paths(parts)
+    nodes = [rng.choice(POOL[:3]) for _ in paths]
+    return parts, dict(zip(paths, nodes)), StateGraph.from_nodes(parts, nodes)
+
+
+@PROPERTY
+@given(small_graphs(), st.data())
+def test_the_graph_reads_its_shape_from_its_children(table, data):
+    parts, by_path, graph = table
+    assert len(graph) == len(by_path)
+    assert list(graph) == list(by_path)
+    assert all(graph[path] is value for path, value in by_path.items())
+    # A key that is not a node raises KeyError, which ``in`` turns into False; any other error escapes.
+    for path in by_path:
+        if len(path) == len(parts):
+            assert path + ((0, 0),) not in graph
+        if path:
+            ci, bit = path[-1]
+            cells = len(parts[len(path) - 1].cells)
+            assert all(path[:-1] + (bad,) not in graph for bad in ((cells, bit), (ci, 2), (-1, bit)))
+
+    def state_of(path):
+        state = 0
+        for (ci, bit), below in zip(path, graph.children):
+            state = below[state][2 * ci + bit]
+        return state
+
+    depths = data.draw(st.integers(1, len(parts) + 1))
+    marks = [
+        {s: f"{depth}:{s}" for s in data.draw(st.sets(st.integers(0, len(graph.levels[depth]) - 1)))}
+        for depth in range(depths)
+    ]
+    brute = [(path, marks[len(path)][state_of(path)]) for path in by_path
+             if len(path) < depths and state_of(path) in marks[len(path)]]
+    assert graph.marked_nodes(marks) == brute
+    everything = [dict.fromkeys(range(len(level)), depth) for depth, level in enumerate(graph.levels)]
+    assert graph.marked_nodes(everything) == [(path, len(path)) for path in by_path]
 
 
 def test_the_builder_needs_one_value_per_node():
@@ -151,7 +199,7 @@ def test_the_witness_is_built_without_walking_the_tree(monkeypatch):
     def refuse(*args):
         raise AssertionError("the witness walked the cell tree")
 
-    monkeypatch.setattr(gameprob, "cell_levels", refuse)
+    monkeypatch.setattr(gameprob, "_level_order", refuse)
     event = random_event(random.Random(5))
     vf = witness_superfarthingale(event)
     monkeypatch.undo()
@@ -165,8 +213,7 @@ def test_each_state_and_cell_is_checked_once(monkeypatch, document):
     vf = ValueFunction.from_json(text if document == "witness" else tampered_table())
     graph = vf.values
     bound = sum(len(graph.levels[d]) * len(p.cells) for d, p in enumerate(vf.partitions))
-    nodes = gameprob.cell_levels(vf.partitions[:-1], 0, lambda state, depth: graph.children[depth][state])
-    interior_cells = sum(len(level) * len(p.cells) for level, p in zip(nodes, vf.partitions))
+    interior_cells = sum(len(vf.partitions[len(path)].cells) for path in node_paths(vf.partitions[:-1]))
     calls = []
     failing_endpoints = strategies._failing_endpoints
 

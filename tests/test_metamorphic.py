@@ -7,7 +7,9 @@ engine, and again after a map the paper's game leaves unchanged:
   the roles of the two outcomes and of forecasts p and 1 - p;
 * a cylinder lift, which pads every box with free steps: forecasts anywhere
   in [0, 1] and either outcome, so the event is the same set of prefixes;
-* a permutation and a duplication of the boxes, which keep the union.
+* a permutation and a duplication of the boxes, which keep the union;
+* a box inside one of the boxes appended, which leaves the union the same
+  set of prefixes.
 
 Every value must equal the unmapped game value.  Free steps inserted
 anywhere, in runs, keep the value too; there the game engine, which shares
@@ -57,10 +59,15 @@ def lift(event: EventUnion, free: int = 3) -> EventUnion:
     return EventUnion(event.horizon + free, tuple(Box(box.steps + (FREE,) * free) for box in event.boxes))
 
 
+def seeded(event: EventUnion) -> random.Random:
+    """A generator seeded with the event's box count and horizon."""
+    return random.Random(len(event.boxes) * 100 + event.horizon)
+
+
 def permute(event: EventUnion) -> EventUnion:
-    """The boxes in an order drawn by a generator seeded with the event's box count and horizon."""
+    """The boxes in an order drawn by ``seeded(event)``."""
     boxes = list(event.boxes)
-    random.Random(len(boxes) * 100 + event.horizon).shuffle(boxes)
+    seeded(event).shuffle(boxes)
     return EventUnion(event.horizon, tuple(boxes))
 
 
@@ -69,7 +76,33 @@ def duplicate(event: EventUnion) -> EventUnion:
     return EventUnion(event.horizon, tuple(box for box in event.boxes for _ in range(2)))
 
 
-@pytest.mark.parametrize("transform", [mirror, lift, permute, duplicate])
+def contained(event: EventUnion) -> EventUnion:
+    """A box inside one of the boxes appended, drawn by ``seeded(event)``, whose first draw picks that box.
+
+    Each step's interval is cut to a sub-interval whose ends are at quarters
+    of it, and a wildcard outcome is fixed to a drawn bit.
+    """
+    if not event.boxes:
+        return event
+    rng = seeded(event)
+
+    def inside(step: StepConstraint) -> StepConstraint:
+        a, b = sorted(rng.randint(0, 4) for _ in range(2))
+        width = step.p_hi - step.p_lo
+        y = rng.randint(0, 1) if step.y is WILDCARD else step.y
+        return StepConstraint(step.p_lo + width * a / 4, step.p_lo + width * b / 4, y)
+
+    source = rng.choice(event.boxes)
+    return EventUnion(event.horizon, event.boxes + (Box(tuple(map(inside, source.steps))),))
+
+
+def lies_inside(inner: Box, outer: Box) -> bool:
+    return all(
+        o.p_lo <= i.p_lo <= i.p_hi <= o.p_hi and o.y in (WILDCARD, i.y) for i, o in zip(inner.steps, outer.steps)
+    )
+
+
+@pytest.mark.parametrize("transform", [mirror, lift, permute, duplicate, contained])
 def test_both_engines_keep_the_value_under(transform):
     rng = random.Random(20)
     failures = []
@@ -93,6 +126,11 @@ def test_the_maps_change_the_events():
     rng = random.Random(20)
     events = [random_event(rng, allow_empty=True) for _ in range(EVENTS)]
     assert any(permute(event) != event for event in events)
+    for event in events:
+        if event.boxes:
+            *boxes, new = contained(event).boxes
+            assert tuple(boxes) == event.boxes and lies_inside(new, seeded(event).choice(event.boxes))
+    assert any(event.boxes and contained(event).boxes[-1] not in event.boxes for event in events)
 
 
 def both_values(event: EventUnion) -> tuple:

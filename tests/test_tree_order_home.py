@@ -1,9 +1,10 @@
 """The order of the partition-refined tree lives in ``gameprob`` alone.
 
-``cell_levels`` fixes the node order, ``cell_path_at`` decodes a node's
-position by its mixed radix and ``_level_order`` lists every cell-path.
-``strategies`` builds and checks tables through ``StateGraph`` and must
-name none of them, so a second copy of the order cannot grow there.
+``_level_order`` lists every cell-path in the node order, and
+``StateGraph`` follows that order in its children and decodes a reported
+node's path by mixed radix.  ``strategies`` builds and checks tables
+through ``StateGraph`` and must not name ``_level_order``, so a second copy
+of the order cannot grow there.
 """
 
 import ast
@@ -12,7 +13,7 @@ from pathlib import Path
 import preqprob
 
 PACKAGE = Path(preqprob.__file__).resolve().parent
-TREE_ORDER = {"cell_levels", "cell_path_at", "_level_order"}
+TREE_ORDER = {"_level_order"}
 
 
 def names_used(path: Path) -> set[str]:
@@ -39,14 +40,15 @@ def test_gameprob_holds_the_tree_order():
 
 
 def test_every_way_to_name_the_tree_order_is_seen(tmp_path):
+    """An import under another name, an attribute of the module and a bare name: each one alone is seen."""
     probe = tmp_path / "probe.py"
-    probe.write_text(
-        "from .gameprob import cell_levels as walk\n"
-        "from . import gameprob\n"
-        "path = gameprob.cell_path_at(parts, 1, 0)\n"
-        "order = _level_order\n"
-    )
-    assert names_used(probe) & TREE_ORDER == TREE_ORDER
+    for source in (
+        "from .gameprob import _level_order as walk\n",
+        "from . import gameprob\npaths = gameprob._level_order([2, 4])\n",
+        "order = _level_order\n",
+    ):
+        probe.write_text(source)
+        assert names_used(probe) & TREE_ORDER == TREE_ORDER
 
 
 def test_strategy_tables_are_reached_not_hash_consed_from_nodes():

@@ -10,6 +10,7 @@ are pinned to the values they had before tables were shared.
 
 import collections
 import hashlib
+import itertools
 import json
 import random
 from collections.abc import Mapping
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from preqprob import cli, gameprob
 from preqprob.events import Cell, ForecastPartition
-from preqprob.gameprob import StateGraph, ValueFunction, cell_levels, encode_cell_path, witness_superfarthingale
+from preqprob.gameprob import StateGraph, ValueFunction, encode_cell_path, witness_superfarthingale
 from preqprob.randgen import random_event
 from preqprob.strategies import CalibrationState, DoublingStrategy, check_farthingale, strategy_value_table
 from test_strategies import MIXED, POINTS, WHOLE, reference_check
@@ -58,10 +59,9 @@ def partitions(draw):
 
 
 def node_paths(parts):
-    """Every node of the tree over ``parts``, in ``cell_levels`` order."""
+    """Every node of the tree over ``parts``, in level order: per depth, children in (cell, bit) order."""
     steps = [[(ci, bit) for ci in range(len(p.cells)) for bit in (0, 1)] for p in parts]
-    levels = cell_levels(parts, (), lambda path, depth: [path + (step,) for step in steps[depth]])
-    return [path for level in levels for path in level]
+    return [path for depth in range(len(parts) + 1) for path in itertools.product(*steps[:depth])]
 
 
 @st.composite
@@ -289,6 +289,11 @@ def test_tampered_table_report_is_pinned(capsys, monkeypatch, tmp_path, mode):
     assert hashlib.sha256(text.encode()).hexdigest() == TAMPERED_VIOLATIONS[mode]
 
 
+def test_the_committed_tampered_table_is_the_generated_one():
+    """The python-floor CI job verifies ``tests/data/tampered_table.json``: it must be this module's table."""
+    assert (Path(__file__).parent / "data" / "tampered_table.json").read_bytes() == tampered_table().encode()
+
+
 def even_partition(cells: int) -> ForecastPartition:
     """[0, 1] cut into ``cells`` half-open cells of equal width, the last one closed."""
     return ForecastPartition(
@@ -348,7 +353,7 @@ def test_to_json_walks_no_node(monkeypatch):
         raise AssertionError("to_json walked the tree node by node")
 
     vf = witness_superfarthingale(random_event(random.Random(5)))
-    monkeypatch.setattr(gameprob, "cell_levels", refuse)
+    monkeypatch.setattr(gameprob, "_level_order", refuse)
     monkeypatch.setattr(gameprob, "_node_keys", refuse)
     text = vf.to_json()
     assert (hashlib.sha256(text.encode()).hexdigest(), len(text)) == WITNESS_PINS[5]

@@ -19,8 +19,8 @@ from preqprob.core import (
     history_at,
     outcome_tree_nodes,
 )
-from preqprob.events import EventUnion, event_partitions, point_partition
-from preqprob.gameprob import ValueFunction, cell_levels, witness_superfarthingale
+from preqprob.events import EventUnion, event_partitions
+from preqprob.gameprob import ValueFunction, witness_superfarthingale
 from preqprob.measureprob import exact_event_probability, measure_upper_probability
 from preqprob.strategies import (
     DoublingStrategy,
@@ -159,27 +159,6 @@ class TestOutcomeTree:
 
 
 class TestCellPathTree:
-    @pytest.mark.parametrize(
-        "partitions",
-        [one_cell(2), (point_partition([]),)],
-        ids=["two-steps-of-one-cell", "one-step-of-three-cells"],
-    )
-    def test_a_tree_of_exactly_the_budget_passes(self, budget_7, partitions):
-        tree = cell_levels(partitions, "root", lambda state, depth: ["child"] * 2 * len(partitions[depth].cells))
-        assert sum(map(len, tree)) == 7
-
-    def test_a_larger_tree_yields_nothing(self, budget_7):
-        """One step of five cells is the root and ten children: 11 nodes."""
-        partition = point_partition([Fraction(1, 3)])
-        assert len(partition.cells) == 5
-
-        def children(state, depth):
-            raise AssertionError("node expanded past the size check")
-
-        tree = cell_levels((partition,), "root", children)
-        with pytest.raises(HorizonError, match="the cell-path tree at horizon 1 has 11 nodes"):
-            next(tree)
-
     def test_witness_table(self, budget_7):
         assert len(witness_superfarthingale(EventUnion.full(2)).values) == 7
         with pytest.raises(HorizonError, match="has 15 nodes"):
