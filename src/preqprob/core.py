@@ -363,7 +363,7 @@ def cylinder_probability(phi: ForecastingSystem, x: BinaryHistory) -> Fraction:
 
 
 def sample_outcomes(phi: ForecastingSystem, n: int, seed: int) -> BinaryHistory:
-    """Draw an outcome history of length n, 0 <= n <= horizon, from the system's measure.
+    """Draw an outcome history of length n, an ``int`` with 0 <= n <= horizon, from the system's measure.
 
     Deterministic: a Mersenne Twister generator is seeded with ``seed`` and one
     uniform variate x is drawn per step; the outcome is 1 iff x is strictly
@@ -376,7 +376,7 @@ def sample_outcomes(phi: ForecastingSystem, n: int, seed: int) -> BinaryHistory:
     The system is stepped along the drawn bits, one expand per step.
     Identical (phi, n, seed) give identical output.
     """
-    if not 0 <= n <= phi.horizon:
+    if type(n) is not int or not 0 <= n <= phi.horizon:  # refuses a bool as well
         raise HorizonError(f"cannot sample {n} outcomes at horizon {phi.horizon}")
     rng = random.Random(seed)
     state = phi.start

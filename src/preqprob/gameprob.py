@@ -51,13 +51,17 @@ only each depth's state values and each interior state's child-state
 indices; its shape and its length come from those children.  A witness
 table and a strategy table are reached from the root by ``StateGraph.reach``,
 the equal states of a depth being one; any other table is hash-consed from
-its node values in level order by ``StateGraph.from_nodes``.  The builder
+its node values in level order by ``StateGraph.from_nodes``, nodes with
+equal keys over the same child states being one state.  ``from_json`` keys
+a node on its JSON value as written, and ``ValueFunction.state_graph``,
+which reads any other mapping, on its value object's ``id``.  The builder
 sizes the tree, ``reach`` with ``tree_nodes`` against ``core.check_walk``'s
 node budget before it starts.  The tree order lives here alone: level by
 level, children in (cell, bit) order, as ``_level_order`` lists it.  No walk
 builds a cell-path: ``to_json`` writes each state's subtree once,
-``from_json`` builds the keys a level at a time, and
-``StateGraph.marked_nodes`` decodes only the paths of the nodes it reports.
+``from_json`` builds the keys a level at a time and parses each state's
+string once, and ``StateGraph.marked_nodes`` decodes only the paths of the
+nodes it reports.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, chain, product
-from operator import mul
+from operator import itemgetter, mul
 
 from .core import (ONE, ZERO, InputError, PrequentialPrefix, as_fraction, as_int, check_outcome, check_walk,
                    digits_beyond_limit, parse_once_per_string, reading)
@@ -148,10 +152,13 @@ class StateGraph(Mapping):
 
     @classmethod
     def from_nodes(cls, partitions, nodes: list) -> "StateGraph":
-        """Hash-cons node values given in level order into states, bottom-up, one value per node.
+        """Hash-cons node values given in level order into states, bottom-up.
 
-        A leaf's key is its value's ``id``, an interior node's adds its child
-        states; the list keeps every value alive, so no id is reused.
+        Nodes of a depth whose values are equal (as ``dict`` keys) and whose
+        children are the same states are one state, which holds the first of
+        those values.  A depth's states are numbered in order of first
+        appearance.  Each depth is a few ``dict.fromkeys`` and ``map`` passes,
+        with no Python call per node.
         """
         widths = list(accumulate((2 * len(partition.cells) for partition in partitions), mul, initial=1))
         if len(nodes) != sum(widths):
@@ -159,18 +166,20 @@ class StateGraph(Mapping):
         levels, children = [], []
         end, below = len(nodes), None
         for depth in reversed(range(len(widths))):
-            level = nodes[end - widths[depth] : end]
+            keys = nodes[end - widths[depth] : end]
             end -= widths[depth]
-            keys = map(id, level)
             if below is not None:
-                keys = zip(keys, zip(*[iter(below)] * (2 * len(partitions[depth].cells))))
-            index: dict = {}
-            below = [index.setdefault(key, len(index)) for key in keys]
-            # States are numbered in order of first appearance, and so are these keys.
-            levels.append(list(dict(zip(below, level)).values()))
-            children.append([key[1] for key in index] if depth < len(partitions) else None)
-        # Both lists run from the leaves up, and the leaves have no children.
-        return cls(levels[::-1], children[1:][::-1])
+                keys = list(zip(keys, zip(*[iter(below)] * (2 * len(partitions[depth].cells)))))
+            index = dict.fromkeys(keys)
+            index = dict(zip(index, range(len(index))))
+            below = list(map(index.__getitem__, keys))
+            if depth < len(partitions):
+                levels.append(list(map(itemgetter(0), index)))
+                children.append(list(map(itemgetter(1), index)))
+            else:
+                levels.append(list(index))
+        # Both lists run from the leaves up.
+        return cls(levels[::-1], children[::-1])
 
     def _counts(self) -> list:
         """Each interior depth's child count per node, 2 * cells(d)."""
@@ -232,25 +241,43 @@ class ValueFunction:
     ``values`` maps cell-paths to values.  Tables the library builds hold a
     ``StateGraph``, which holds only levels and children and takes its
     shape and length from its children, sized by the builder that made it;
-    any other mapping (a dict, say) works as well, and ``state_graph``
-    reads it once into one.
+    a graph that does not fit the partitions, with other than horizon + 1
+    levels or 2 * cells(d) children per state of an interior depth d, is
+    refused.  Any other mapping (a dict, say) works as well, and
+    ``state_graph`` reads it once into one.
     """
 
     horizon: int
     partitions: tuple[ForecastPartition, ...]
     values: Mapping
 
+    def __post_init__(self):
+        graph = self.values
+        if isinstance(graph, StateGraph) and (
+            len(graph.levels) != self.horizon + 1
+            or len(graph.children) != len(self.partitions)
+            or any(set(map(len, kids)) != {2 * len(p.cells)} for kids, p in zip(graph.children, self.partitions))
+        ):
+            raise InputError(
+                f"the state graph does not fit a horizon-{self.horizon} table over these partitions: it needs "
+                f"{self.horizon + 1} levels and 2 * cells(d) children per state of each interior depth d"
+            )
+
     def state_graph(self) -> StateGraph:
         """The table as levels of states: ``values`` itself if it is one.
 
         Any other mapping is sized with ``tree_nodes`` and read once in level
-        order, and a missing node raises ``KeyError``.
+        order, and a missing node raises ``KeyError``.  Its nodes are
+        hash-consed on their values' ids, so equal values held by distinct
+        objects stay distinct states, and each state holds its node's object.
         """
         if isinstance(self.values, StateGraph):
             return self.values
         tree_nodes(self.partitions)
         nodes = [self.values[path] for path in _level_order([2 * len(p.cells) for p in self.partitions])]
-        return StateGraph.from_nodes(self.partitions, nodes)
+        graph = StateGraph.from_nodes(self.partitions, list(map(id, nodes)))
+        objects = dict(zip(map(id, nodes), nodes))
+        return StateGraph([list(map(objects.__getitem__, level)) for level in graph.levels], graph.children)
 
     def to_json(self) -> str:
         """The table document, keys in sorted order, written once per state.
@@ -300,11 +327,18 @@ class ValueFunction:
         """Parse and validate a table; ``verify`` trusts what this accepts.
 
         Every partition must be ascending, disjoint cells covering [0, 1], one
-        per step of the horizon, and the values are read at exactly the nodes
-        of their tree, level by level, and hash-consed into a ``StateGraph``.
-        Each distinct value or cell-endpoint string is parsed once, into one
-        Fraction that every node or cell giving that string shares, so nodes
-        with equal values and equal children are one state.
+        per step of the horizon, and the values are looked up at exactly the
+        nodes of their tree, level by level, a missing key raising
+        ``KeyError`` with its name.  The nodes are hash-consed on the value
+        strings themselves: an equal string over the same child states is one
+        state, so "1/2" and "2/4" are two.  Then each state's string is
+        parsed, depth by depth from the root, which names the first
+        unparsable value in level order.  Each distinct value or
+        cell-endpoint string is parsed once, into one Fraction that every
+        state or cell giving that string shares.  A document with any value
+        that is not a string has every node's value parsed first, in level
+        order, so a value such as ``1.0`` is refused even after an equal ``1``;
+        its states are then keyed on the JSON values the same way.
         """
         number = parse_once_per_string(as_fraction)
         with reading("value-function"):
@@ -321,10 +355,16 @@ class ValueFunction:
             if horizon != len(partitions):
                 raise InputError(f"horizon {horizon} but {len(partitions)} partitions")
             given = doc["values"]
-            nodes = list(map(number, [given[key] for key in _node_keys(partitions)]))
+            nodes = list(map(given.__getitem__, _node_keys(partitions)))
+            if set(map(type, nodes)) != {str}:
+                # Node by node: the int 1 and the float 1.0 would be one key.
+                for value in nodes:
+                    number(value)
+            states = StateGraph.from_nodes(partitions, nodes)
+            graph = StateGraph([list(map(number, level)) for level in states.levels], states.children)
             if len(given) != len(nodes):
                 raise InputError(f"value function has {len(given) - len(nodes)} keys that are not tree nodes")
-        return cls(horizon, tuple(partitions), StateGraph.from_nodes(partitions, nodes))
+        return cls(horizon, tuple(partitions), graph)
 
 
 def _cell_from_json(step: int, doc, number) -> Cell:

@@ -119,7 +119,8 @@ def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
     one endpoint decides a cell: the right-hand side v0 + p*(v1 - v0) is
     linear in p, so the node dominates it on the whole cell iff it does at hi
     when v1 > v0, at lo when v1 < v0, and anywhere when they are equal; both
-    endpoints are scanned only when that test fails.
+    endpoints are scanned only when that test fails.  A cell whose two
+    children are one state is decided by one compare against its value.
 
     The check reads ``vf.state_graph()``, after sizing the interior tree with
     ``tree_nodes``, and decides each (depth, state, cell) once.  Every node
@@ -141,7 +142,11 @@ def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
         for state, (parent, kids) in enumerate(zip(parents, children)):
             failed = ()
             for cell, c0, c1 in zip(partition.cells, kids[0::2], kids[1::2]):
-                failed += _failing_endpoints(cell, parent, below[c0], below[c1], exact)
+                if c0 != c1:
+                    failed += _failing_endpoints(cell, parent, below[c0], below[c1], exact)
+                elif parent != below[c0] if exact else parent < below[c0]:
+                    # One child state: the right-hand side is its value at every p.
+                    failed += cell.endpoints()
             if failed:
                 failing[-1][state] = tuple(dict.fromkeys(failed))
     violations = [(path, p) for path, failed in graph.marked_nodes(failing) for p in failed]

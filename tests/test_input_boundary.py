@@ -491,9 +491,14 @@ def test_contains_coerces_a_prefix_once_for_every_box():
                              10, 0), InputError, "too large for a float"),
         (lambda: core.sample_outcomes(ForecastingSystem.constant(HALF, 2), -2, 0), core.HorizonError,
          "cannot sample -2 outcomes at horizon 2"),
+        (lambda: core.sample_outcomes(ForecastingSystem.constant(HALF, 2), 1.5, 0), core.HorizonError,
+         "cannot sample 1.5 outcomes at horizon 2"),
+        (lambda: core.sample_outcomes(ForecastingSystem.constant(HALF, 2), True, 0), core.HorizonError,
+         "cannot sample True outcomes at horizon 2"),
     ],
     ids=["grid-below-one", "no-samples", "short-system", "calibration-horizon-0", "intersection-horizons",
-         "ville-bound-overflows-a-float", "sample-a-negative-length"],
+         "ville-bound-overflows-a-float", "sample-a-negative-length", "sample-a-fractional-length",
+         "sample-a-boolean-length"],
 )
 def test_library_refusals_raise_their_input_error(call, error, message):
     with pytest.raises(error, match=message):

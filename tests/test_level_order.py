@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from preqprob import cli, gameprob, strategies
 from preqprob.core import InputError
-from preqprob.events import point_partition
+from preqprob.events import EventUnion, event_partitions, point_partition
 from preqprob.gameprob import StateGraph, ValueFunction, encode_cell_path, witness_superfarthingale
 from preqprob.randgen import random_event
 from preqprob.strategies import (
@@ -140,6 +140,24 @@ def test_the_builder_needs_one_value_per_node():
     parts = (point_partition([]),)
     with pytest.raises(ValueError, match="2 values for a tree of 7 nodes"):
         StateGraph.from_nodes(parts, [Fraction(0)] * 2)
+
+
+@pytest.mark.parametrize(
+    "horizon, parts, graph_parts",
+    [
+        # The three cells of step 1 give each state 6 children; a one-cell step needs 2.
+        (1, event_partitions(EventUnion.full(1)), (point_partition([]),)),
+        # Two levels for a horizon-2 table, and three for a table over one partition.
+        (2, (even_partition(1),) * 2, (even_partition(1),)),
+        (1, (even_partition(1),), (even_partition(1),) * 2),
+    ],
+    ids=["children-per-state", "too-few-levels", "too-many-levels"],
+)
+def test_a_state_graph_that_does_not_fit_the_partitions_is_refused(horizon, parts, graph_parts):
+    graph = StateGraph.from_nodes(graph_parts, [Fraction(k, 7) for k in range(len(node_paths(graph_parts)))])
+    with pytest.raises(InputError, match="does not fit a horizon"):
+        ValueFunction(horizon, parts, graph)
+    assert len(ValueFunction(len(graph_parts), graph_parts, graph).values) == len(node_paths(graph_parts))
 
 
 def test_a_negative_horizon_is_refused_before_the_factory_is_called():

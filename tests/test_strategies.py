@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from preqprob import strategies
 from preqprob.core import ForecastingSystem, HorizonError
 from preqprob.events import Cell, ForecastPartition, counterexample_pair
 from preqprob.gameprob import ValueFunction, witness_superfarthingale
@@ -204,6 +205,43 @@ class TestCheckFarthingaleAgainstReference:
             vf = witness_superfarthingale(random_event(rng, max_horizon=3, max_boxes=3))
             for mode in ("super", "exact"):
                 assert check_farthingale(vf, mode) == reference_check(vf, mode)
+
+    @pytest.mark.parametrize("partition", [WHOLE, POINTS, MIXED], ids=["whole", "points", "mixed"])
+    @pytest.mark.parametrize("parent", [Fraction(3, 4), HALF, QUARTER], ids=["above", "equal", "below"])
+    def test_a_cell_whose_children_are_one_state_is_one_compare(self, monkeypatch, partition, parent):
+        """Each cell's children are one object, so one state: the cell fails at every endpoint or at none."""
+        values = {(): parent}
+        for ci in range(len(partition.cells)):
+            values[((ci, 0),)] = values[((ci, 1),)] = HALF
+        vf = ValueFunction(1, (partition,), values)
+        ends = list(dict.fromkeys(p for cell in partition.cells for p in cell.endpoints()))
+        expected = {"super": ends if parent < HALF else [], "exact": ends if parent != HALF else []}
+
+        def scan(*args):
+            raise AssertionError("a cell with one child state had its endpoints scanned")
+
+        monkeypatch.setattr(strategies, "_failing_endpoints", scan)
+        for mode in ("super", "exact"):
+            want = [((), p) for p in expected[mode]]
+            assert check_farthingale(vf, mode) == (not want, want) == reference_check(vf, mode)
+
+    @pytest.mark.parametrize("parent", [Fraction(3, 4), HALF, QUARTER], ids=["above", "equal", "below"])
+    def test_cells_with_one_child_state_mix_with_cells_with_two(self, parent):
+        """Two steps over ``POINTS``: an odd cell's children are 0 and 1, an even cell's are one object.
+
+        That object is the parent itself under the root, and 1/2 under every depth-1 node.
+        """
+        values = {(): parent}
+        level = [()]
+        for shared in (parent, HALF):
+            for path in level:
+                for ci in range(len(POINTS.cells)):
+                    for bit in (0, 1):
+                        values[path + ((ci, bit),)] = (ZERO, ONE)[bit] if ci % 2 else shared
+            level = [path + ((ci, bit),) for path in level for ci in range(len(POINTS.cells)) for bit in (0, 1)]
+        vf = ValueFunction(2, (POINTS, POINTS), values)
+        for mode in ("super", "exact"):
+            assert check_farthingale(vf, mode) == reference_check(vf, mode)
 
 
 class TestCalibration:

@@ -381,6 +381,15 @@ def halves_table(change) -> str:
     return json.dumps({"horizon": 2, "partitions": [cells, cells], "values": values})
 
 
+def integer_values(values):
+    values.update(dict.fromkeys(values, 0))
+
+
+def bad_values_at_two_depths(values):
+    # "0:0,0:0" sorts first, but "1:1" comes first in level order, a level higher.
+    values.update({"0:0,0:0": "bad1", "1:1": "bad2"})
+
+
 INT_REPORT = (
     '{"checks":[{"detail":"","name":"super_farthingale","status":"PASS"}],"command":"verify","inputs":{"digest":'
     '"62dc536d33ce4e72de38c66b37c293e8a52b7e595ab59ecfcd53f9582663797d","mode":"super","value_function":'
@@ -391,11 +400,9 @@ INT_REPORT = (
 @pytest.mark.parametrize(
     "change, code, out, err",
     [
-        (lambda values: values.update(dict.fromkeys(values, 0)), 0, INT_REPORT, ""),
+        (integer_values, 0, INT_REPORT, ""),
         (lambda values: values.update({"0:1": [1]}), 2, "", "error: cannot interpret [1] as an exact rational\n"),
-        # "0:0,0:0" sorts first, but "1:1" comes first in level order, a level higher.
-        (lambda values: values.update({"0:0,0:0": "bad1", "1:1": "bad2"}), 2, "",
-         "error: cannot interpret 'bad2' as an exact rational\n"),
+        (bad_values_at_two_depths, 2, "", "error: cannot interpret 'bad2' as an exact rational\n"),
         # Every key is looked up before any value is parsed, so the bad "0:1" is not named.
         (lambda values: values.update({"0:1": "bad"}) or values.pop("1:0,0:1"), 2, "",
          "error: malformed value-function document: missing '1:0,0:1'\n"),
@@ -409,3 +416,11 @@ def test_verify_reads_tables_as_it_did_node_by_node(capsys, monkeypatch, tmp_pat
     (tmp_path / "table.json").write_text(halves_table(change))
     assert cli.main(["verify", "--value-function", "table.json", "--json"]) == code
     assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize(
+    "name, change", [("integer_table.json", integer_values), ("unparsable_table.json", bad_values_at_two_depths)]
+)
+def test_the_committed_reader_tables_are_the_generated_ones(name, change):
+    """The python-floor CI job verifies these two tables: they must be ``halves_table``'s, checked above."""
+    assert (Path(__file__).parent / "data" / name).read_bytes() == halves_table(change).encode()
