@@ -12,8 +12,10 @@ and tables step that form from the root, one expand per node they visit,
 instead of computing each history's forecast anew.
 
 The outcome tree is indexed in level order (``history_at``): the children of
-k are 2k+1 and 2k+2.  ``check_walk`` holds every tree walked node by node to
-one budget, checked first: 131,071 nodes, the outcome tree at horizon 16.
+k are 2k+1 and 2k+2.  Every whole-tree walk of a stepping form is one
+``level_graph``, each distinct state of a depth expanded once and the states
+kept counted against ``check_walk``'s budget, 131,071 nodes, the outcome tree
+at horizon 16; a tree written node by node is sized against it first.
 
 Everything here is exact: forecasts and probabilities are
 ``fractions.Fraction`` values, and all operations are pure.  Floating point
@@ -74,6 +76,59 @@ def check_walk(nodes: int, what: str) -> None:
     if nodes > 2 ** (MAX_TABLE_HORIZON + 1) - 1:
         count = nodes if nodes.bit_length() <= 64 else f"more than 2^{nodes.bit_length() - 1}"
         raise HorizonError(f"{what} has {count} nodes; table form limited to horizon {MAX_TABLE_HORIZON}")
+
+
+def level_graph(start, expand: Callable, horizon: int, what: str) -> tuple[list, list, list]:
+    """Step a form from ``start`` for ``horizon`` steps, each distinct (depth, state) expanded once, in level order.
+
+    ``expand(state, depth)`` returns ``(item, children)``, the children being
+    hashable states.  Returns ``(states, items, links)``: depth d's states, in
+    the order first reached, and each interior state's item and child indices;
+    a depth with no state ends the lists.  The states kept are counted against
+    ``check_walk``'s budget a level at a time, before the next is expanded, the
+    refusal naming ``what`` and the step.
+    """
+    states, items, links, kept = [[start]], [], [], 1
+    for depth in range(horizon):
+        index, here, kids = {}, [], []
+        for state in states[depth]:
+            item, children = expand(state, depth)
+            here.append(item)
+            row = []
+            for child in children:
+                row.append(index.setdefault(child, len(index)))
+            kids.append(row)
+        states.append(list(index))
+        items.append(here)
+        links.append(kids)
+        if not index:
+            break
+        kept += len(index)
+        check_walk(kept, f"{what} to step {depth + 1} of {horizon}")
+    return states, items, links
+
+
+def marked_paths(links: list, marks: list) -> list:
+    """(path, mark) of each node whose state s of depth d has a mark ``marks[d][s]``, in level order.
+
+    ``links`` is ``level_graph``'s, with as many children for every state of a
+    depth, and a path lists the child taken at each step.  The tree is walked
+    to the deepest marked depth, and a reported node's path is decoded from its
+    place in its level by mixed radix over the child counts.
+    """
+    counts, level, found = [len(kids[0]) for kids in links], [0], []
+    deepest = max((depth for depth, marked in enumerate(marks) if marked), default=-1)
+    for depth, marked in enumerate(marks[: deepest + 1]):
+        if depth:
+            level = [state for parent in level for state in links[depth - 1][parent]]
+        for index, state in enumerate(level):
+            if state in marked:
+                path = ()
+                for count in reversed(counts[:depth]):
+                    index, step = divmod(index, count)
+                    path = (step, *path)
+                found.append((path, marked[state]))
+    return found
 
 
 def outcome_tree_nodes(horizon: int) -> int:
@@ -198,9 +253,9 @@ class ForecastingSystem:
     its forecasts in level order, with the index as the state, and
     ``constant`` has one state.  Walkers, ``forecast`` among them, step from
     ``start`` through ``expand`` and never replay a history from the root: a
-    path of length n costs n expands, and ``forecasts`` and ``table`` 2^N - 1.
-    ``to_doc`` expands each distinct state of a depth once, so states must be
-    hashable: histories whose states are equal share one subtree of forecasts.
+    path of length n costs n expands.  Whole-tree walks expand each distinct
+    state of a depth once, through ``level_graph``, so states must be hashable:
+    histories whose states are equal share one subtree of forecasts.
     ``expand`` is the system's own function, called as it is: the history
     rule and ``stepping``, which take caller code, check each forecast it
     returns to lie in [0, 1], and ``constant`` and ``from_table`` check
@@ -233,13 +288,9 @@ class ForecastingSystem:
     def forecast(self, history: BinaryHistory) -> Fraction:
         """Forecast for the outcome following ``history``: len(history) + 1 expands from the start."""
         if len(history) >= self.horizon:
-            raise HorizonError(
-                f"history of length {len(history)} needs a forecast beyond horizon {self.horizon}"
-            )
-        state = self.start
-        for bit in history:
-            state = self.expand(state)[1 + check_outcome(bit)]
-        return self.expand(state)[0]
+            raise HorizonError(f"history of length {len(history)} needs a forecast beyond horizon {self.horizon}")
+        # Stepped along the history and one more bit, the last forecast is the one after the history.
+        return _forecasts_along(self, (*history, 0))[1][-1]
 
     @classmethod
     def constant(cls, p, horizon: int) -> "ForecastingSystem":
@@ -259,43 +310,28 @@ class ForecastingSystem:
             raise InputError(f"table has {len(table) - len(forecasts)} keys that are not histories")
         return cls._trusted(horizon, 0, lambda k: (forecasts[k], 2 * k + 1, 2 * k + 2))
 
-    def forecasts(self) -> list:
-        """Every history's forecast, in ``history_at`` order: 2^N - 1 expands, one per history."""
-        check_walk(outcome_tree_nodes(self.horizon), f"the outcome tree at horizon {self.horizon}")
-        states, forecasts = [self.start], []
-        for k in range(2**self.horizon - 1):
-            p, after0, after1 = self.expand(states[k])
-            forecasts.append(p)
-            states += (after0, after1)
-        return forecasts
-
-    def table(self) -> dict:
-        """Materialize the total table."""
-        return {history_at(k): p for k, p in enumerate(self.forecasts())}
-
     def to_doc(self) -> dict:
         """The JSON document of the table, its bit-string keys in sorted order.
 
-        Each distinct state of a depth is expanded once: histories that reach
-        equal states share that state's subtree of forecasts, so the states
-        are compared by equality and must be hashable.
+        ``level_graph`` expands each distinct state of a depth once: histories
+        that reach equal states share that state's subtree of forecasts.
         """
         check_walk(outcome_tree_nodes(self.horizon), f"the outcome tree at horizon {self.horizon}")
-        levels, states = [], [self.start]
-        for _ in range(self.horizon):
-            levels.append({state: self.expand(state) for state in states})
-            states = dict.fromkeys(child for _, after0, after1 in levels[-1].values() for child in (after0, after1))
-        forecasts = {id(p): p for level in levels for p, _, _ in level.values()}
-        text = {key: str(p) for key, p in forecasts.items()}  # once per object
-        # below[state]: the texts of the state's subtree in sorted-key order, which is preorder.
-        below = dict.fromkeys(states, [])
-        for level in reversed(levels):
-            below = {
-                state: [text[id(p)]] + below[after0] + below[after1] for state, (p, after0, after1) in level.items()
-            }
-        # The key of history_at(k) is its bit string, the binary form of k+1 after the leading 1.
+
+        def step(state, depth) -> tuple:
+            p, after0, after1 = self.expand(state)
+            return p, (after0, after1)
+
+        states, forecasts, links = level_graph(self.start, step, self.horizon, "the table")
+        objects = {id(p): p for level in forecasts for p in level}
+        text = {key: str(p) for key, p in objects.items()}  # once per object
+        # below[s]: the texts of state s's subtree in sorted-key order, which is preorder.
+        below = [[]] * len(states[-1])
+        for level, kids in zip(reversed(forecasts), reversed(links)):
+            below = [[text[id(p)]] + below[after0] + below[after1] for p, (after0, after1) in zip(level, kids)]
+        # The key of the history at index k is its bit string, the binary form of k+1 after the leading 1.
         keys = sorted(bin(k)[3:] for k in range(1, 2**self.horizon))
-        return {"horizon": self.horizon, "table": dict(zip(keys, below[self.start]))}
+        return {"horizon": self.horizon, "table": dict(zip(keys, below[0]))}
 
     def to_json(self) -> str:
         return json.dumps(self.to_doc(), sort_keys=True)

@@ -49,10 +49,11 @@ is solved again, and no other engine is kept between calls.
 A value table is held as levels of states, a ``StateGraph``, which holds
 only each depth's state values and each interior state's child-state
 indices; its shape and its length come from those children.  A witness
-table and a strategy table are reached from the root by ``StateGraph.reach``,
-the equal states of a depth being one; any other table is hash-consed from
-its node values in level order by ``StateGraph.from_nodes``, nodes with
-equal keys over the same child states being one state.  ``from_json`` keys
+table and a strategy table are reached from the root by ``StateGraph.reach``
+through ``core.level_graph``, the equal states of a depth being one; any
+other table is hash-consed from its node values in level order by
+``StateGraph.from_nodes``, nodes with equal keys over the same child states
+being one state.  ``from_json`` keys
 a node on its JSON value as written, and ``ValueFunction.state_graph``,
 which reads any other mapping, on its value object's ``id``.  The builder
 sizes the tree, ``reach`` with ``tree_nodes`` against ``core.check_walk``'s
@@ -60,8 +61,8 @@ node budget before it starts.  The tree order lives here alone: level by
 level, children in (cell, bit) order, as ``_level_order`` lists it.  No walk
 builds a cell-path: ``to_json`` writes each state's subtree once,
 ``from_json`` builds the keys a level at a time and parses each state's
-string once, and ``StateGraph.marked_nodes`` decodes only the paths of the
-nodes it reports.
+string once, and ``StateGraph.marked_nodes`` decodes, by ``core.marked_paths``,
+only the paths of the nodes it reports.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from itertools import accumulate, chain, product
 from operator import itemgetter, mul
 
 from .core import (ONE, ZERO, InputError, PrequentialPrefix, as_fraction, as_int, check_outcome, check_walk,
-                   digits_beyond_limit, parse_once_per_string, reading)
+                   digits_beyond_limit, level_graph, marked_paths, parse_once_per_string, reading)
 from .events import ArityError, Cell, EventUnion, ForecastPartition, event_partitions
 
 CellPath = tuple[tuple[int, int], ...]
@@ -135,19 +136,17 @@ class StateGraph(Mapping):
 
     @classmethod
     def reach(cls, partitions, root, children, value) -> "StateGraph":
-        """The states reached from ``root``, the equal ones of a depth numbered once, as first reached.
+        """The states reached from ``root`` by ``core.level_graph``, the equal ones of a depth numbered once.
 
         ``children(state, d)`` lists a depth-d state's children in level order and ``value(state, d)``
         its value, each called once per state after ``tree_nodes`` sizes the tree.
         """
         tree_nodes(partitions)
-        states, levels, kids = [root], [], []
-        for depth in range(len(partitions)):
-            levels.append([value(state, depth) for state in states])
-            index: dict = {}
-            kids.append([tuple(index.setdefault(c, len(index)) for c in children(s, depth)) for s in states])
-            states = list(index)
-        levels.append([value(state, len(partitions)) for state in states])
+        horizon = len(partitions)
+        states, levels, kids = level_graph(
+            root, lambda state, depth: (value(state, depth), children(state, depth)), horizon, "the state graph"
+        )
+        levels.append([value(state, horizon) for state in states[horizon]])
         return cls(levels, kids)
 
     @classmethod
@@ -186,26 +185,8 @@ class StateGraph(Mapping):
         return [len(kids[0]) for kids in self.children]
 
     def marked_nodes(self, marks: list) -> list:
-        """(cell-path, mark) of each node whose state s of depth d has a mark ``marks[d][s]``, in level order.
-
-        Depths 0 .. len(marks) - 1 are walked only if some state is marked,
-        and a reported node's path is decoded from its place in its level by
-        mixed radix over the child counts.
-        """
-        if not any(marks):
-            return []
-        counts, level, found = self._counts(), [0], []
-        for depth, marked in enumerate(marks):
-            if depth:
-                level = [state for parent in level for state in self.children[depth - 1][parent]]
-            for index, state in enumerate(level):
-                if state in marked:
-                    path, rest = (), index
-                    for count in reversed(counts[:depth]):
-                        rest, step = divmod(rest, count)
-                        path = (divmod(step, 2), *path)
-                    found.append((path, marked[state]))
-        return found
+        """(cell-path, mark) of each node whose state s of depth d has a mark ``marks[d][s]``, in level order."""
+        return [(tuple(divmod(step, 2) for step in path), mark) for path, mark in marked_paths(self.children, marks)]
 
     def __getitem__(self, path) -> Fraction:
         if not isinstance(path, tuple) or len(path) > len(self.children):

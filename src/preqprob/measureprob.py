@@ -7,7 +7,8 @@ measure-theoretic probability is the supremum of that quantity over all
 forecasting systems.
 
 For box unions both quantities are exact.  ``exact_event_probability`` sums
-cylinder weights down the binary outcome tree, level by level.
+cylinder weights over the distinct (system state, surviving boxes) pairs of
+each depth of the outcome tree, level by level.
 ``measure_upper_probability`` runs a dynamic program over the same tree: at
 each outcome history the candidate forecasts are the box interval endpoints
 of the next step together with 0 and 1 (between consecutive endpoints the
@@ -28,13 +29,11 @@ the q of steps d..N-1, so the pass compares integers and builds no Fraction
 but the root value.  The maximizers the backward pass keeps per (depth,
 live-set) are the witness: a forecasting system in stepping form whose state
 is (depth, live-set), where one step reads the maximizer and its two masks.
-A path of n steps costs n lookups, and it is a table only when written:
-``to_doc`` expands each distinct (depth, live-set) state once, not each of
-the 2^N - 1 histories, comparing the states, which are hashable tuples, by
-equality.  The masks come from this module's own
-interval tests, and the engine shares no code with the game-theoretic engine
-in ``gameprob``; the equality of the two roots on every box union is the
-coincidence theorem the test suite verifies rather than assumes.
+A path of n steps costs n lookups, and a whole-tree walk, such as ``to_doc``,
+one per distinct (depth, live-set) state.  The masks come from this module's
+own interval tests, and the engine shares no code with the game-theoretic
+engine in ``gameprob``; the equality of the two roots on every box union is
+the coincidence theorem the test suite verifies rather than assumes.
 
 Box-union events induce finite unions of outcome cylinders, so no outer
 measure subtleties arise: everything here is plainly measurable.
@@ -46,18 +45,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .core import (
-    ONE,
-    ZERO,
-    ForecastingSystem,
-    InputError,
-    all_histories_below,
-    check_walk,
-    cylinder_probability,
-    induced_path,
-    outcome_tree_nodes,
-    sample_outcomes,
-)
+from .core import (ONE, ZERO, ForecastingSystem, InputError, all_histories_below, check_walk, cylinder_probability,
+                   induced_path, level_graph, outcome_tree_nodes, sample_outcomes)
 from .events import WILDCARD, ArityError, EventUnion, contains, per_distinct_step
 
 # Refuse grid enumerations beyond this many forecasting systems.
@@ -78,33 +67,38 @@ class MeasureBudgetError(InputError):
 def exact_event_probability(phi: ForecastingSystem, event: EventUnion) -> Fraction:
     """Exact probability that the induced path lies in the event.
 
-    A level walk over outcome histories, stepping the system into each
-    child; branches no box can accept, or of weight 0, are pruned with their
-    whole cylinder.  The nodes kept are counted against ``check_walk``'s
-    budget level by level, so a walk too large to finish is refused.
+    ``level_graph`` walks (system state, surviving boxes) pairs, equal pairs
+    of a depth being one, and counts them against ``check_walk``'s budget;
+    branches no box can accept, or of weight 0, are pruned with their whole
+    cylinder.  The cylinder weights then go forward over the links in one pass.
     """
     if phi.horizon < event.horizon:
-        raise ArityError(
-            f"system horizon {phi.horizon} below event horizon {event.horizon}"
-        )
-    boxes = event.boxes
-    # A node is (system state, cylinder weight, indices of the live boxes).
-    level = [(phi.start, ONE, tuple(range(len(boxes))))] if boxes else []
-    visited = len(level)
-    for depth in range(event.horizon):
-        below = []
-        for state, weight, live in level:
-            p, after0, after1 = phi.expand(state)
-            for y, w, after in ((0, ONE - p, after0), (1, p, after1)):
-                if w == ZERO:
-                    continue
-                surviving = tuple(i for i in live if boxes[i].steps[depth].accepts(p, y))
-                if surviving:
-                    below.append((after, weight * w, surviving))
-        visited += len(below)
-        check_walk(visited, f"the outcome walk of the event to step {depth + 1} of {event.horizon}")
-        level = below
-    return sum((weight for _, weight, _ in level), ZERO)
+        raise ArityError(f"system horizon {phi.horizon} below event horizon {event.horizon}")
+    boxes, expand = event.boxes, phi.expand
+    if not boxes:
+        return ZERO
+
+    def step(pair, depth) -> tuple:
+        state, live = pair
+        p, after0, after1 = expand(state)
+        weights, children = [], []
+        for y, w, after in ((0, ONE - p, after0), (1, p, after1)):
+            surviving = tuple(i for i in live if boxes[i].steps[depth].accepts(p, y)) if w else ()
+            if surviving:
+                weights.append(w)
+                children.append((after, surviving))
+        return weights, children
+
+    start = (phi.start, tuple(range(len(boxes))))
+    pairs, weights, links = level_graph(start, step, event.horizon, "the outcome walk of the event")
+    mass = [ONE]
+    for states, level, kids in zip(pairs[1:], weights, links):
+        below = [ZERO] * len(states)
+        for m, ws, children in zip(mass, level, kids):
+            for w, child in zip(ws, children):
+                below[child] += m * w
+        mass = below
+    return sum(mass, ZERO)
 
 
 def _forecast_candidates(event: EventUnion, depth: int) -> tuple:

@@ -34,8 +34,10 @@ non-negative martingale starting at v reaches C with probability at most v/C
 under the measure of the forecasting system being tested.  Strategies are
 certified before sampling by walking them over the system's whole outcome
 tree and checking the martingale identity exactly, so ad hoc capital inflation
-is refused rather than sampled.  That walk visits 2^(N+1) - 1 nodes, so both
-size it with ``check_walk`` and refuse it before any strategy is built.
+is refused rather than sampled.  That walk steps each distinct (system state,
+strategy value) pair of a depth once, by ``level_graph``, but its violations
+can name all 2^(N+1) - 1 histories, so both size the outcome tree with
+``check_walk`` and refuse it before any strategy is built.
 Sampling then steps each outcome-tree node at most once per call: the value
 reached at a node is kept and shared by every later sample through it.
 
@@ -60,24 +62,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (
-    ONE,
-    ZERO,
-    ForecastingSystem,
-    HorizonError,
-    InputError,
-    as_fraction,
-    as_int,
-    check_forecast,
-    check_outcome,
-    check_walk,
-    history_at,
-    induced_path,
-    outcome_tree_nodes,
-    parse_once_per_string,
-    reading,
-    sample_outcomes,
-)
+from .core import (ONE, ZERO, ForecastingSystem, HorizonError, InputError, as_fraction, as_int, check_forecast,
+                   check_outcome, check_walk, induced_path, level_graph, marked_paths, outcome_tree_nodes,
+                   parse_once_per_string, reading, sample_outcomes)
 from .events import point_partition
 from .gameprob import StateGraph, ValueFunction, tree_nodes
 
@@ -364,27 +351,28 @@ def strategy_value_table(strategy_factory, horizon: int, grid) -> ValueFunction:
 def certify_strategy(strategy_factory, phi: ForecastingSystem) -> tuple[bool, list]:
     """Exact martingale certification of a strategy under a forecasting system.
 
-    Steps each node's strategy value into its two children under
-    ``phi.forecasts()``, in ``history_at`` order, and checks
+    Walks (system state, strategy value) pairs with ``level_graph``, equal
+    pairs of a depth being one, and checks each pair once:
     capital(x) == (1-phi(x)) capital(x0) + phi(x) capital(x1) together with
-    non-negativity.  Returns (ok, violating histories), shortest first.
-    ``check_walk`` refuses a tree over the node budget with HorizonError
-    before the factory is called.
+    non-negativity, at the leaves too.  Returns (ok, the histories that reach
+    a failing pair, in ``history_at`` order).  The list can name every node,
+    so ``check_walk`` refuses an outcome tree over its budget with
+    HorizonError before the factory is called.
     """
-    forecasts = phi.forecasts()
-    violations = []
-    # values[k] is the strategy at node k; the loop appends its children at 2k+1 and 2k+2.
-    values = [strategy_factory()]
-    for k, strategy in enumerate(values):
+    horizon, expand = phi.horizon, phi.expand
+    check_walk(outcome_tree_nodes(horizon), f"the outcome tree at horizon {horizon}")
+
+    def step(pair, depth) -> tuple:
+        state, strategy = pair
+        p, after0, after1 = expand(state)
+        s0, s1 = strategy.step(p, 0), strategy.step(p, 1)
         value = strategy.capital
-        bad = value < ZERO
-        if k < len(forecasts):
-            p = forecasts[k]
-            s0, s1 = strategy.step(p, 0), strategy.step(p, 1)
-            values += (s0, s1)
-            bad = bad or value != (ONE - p) * s0.capital + p * s1.capital
-        if bad:
-            violations.append(history_at(k))
+        return value < ZERO or value != (ONE - p) * s0.capital + p * s1.capital, ((after0, s0), (after1, s1))
+
+    pairs, failed, links = level_graph((phi.start, strategy_factory()), step, horizon, "the certification walk")
+    failed.append([strategy.capital < ZERO for _, strategy in pairs[horizon]])
+    marks = [{index: True for index, bad in enumerate(level) if bad} for level in failed]
+    violations = [history for history, _ in marked_paths(links, marks)]
     return not violations, violations
 
 
@@ -475,10 +463,3 @@ def parse_stream_csv(text: str) -> list[tuple[Fraction, int]]:
             raise StreamFormatError(f"row {index}: {exc}") from exc
         stream.append((p, y))
     return stream
-
-
-def format_stream_csv(stream) -> str:
-    lines = ["p,y"]
-    for p, y in stream:
-        lines.append(f"{p},{y}")
-    return "\n".join(lines) + "\n"

@@ -338,6 +338,14 @@ class TestVille:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "first violation at history ()" in err
 
+    def test_a_deep_violation_names_its_history(self, capsys):
+        """Doubling fails only after history 11, where the committed system forecasts 1/4."""
+        phi = str(DATA / "doubling_breaks_phi.json")
+        code, out, err = run(capsys, "ville", "--phi", phi, "--strategy", "doubling", "--json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "first violation at history (1, 1))" in err
+
     def test_N_with_phi_is_refused(self, capsys, tmp_path):
         """-N gives only the default system's horizon; with --phi it was once ignored."""
         phi = tmp_path / "phi.json"

@@ -142,7 +142,8 @@ class TestForecastingSystem:
         rng = random.Random(3)
         phi = random_forecasting_system(rng, horizon=3)
         again = ForecastingSystem.from_json(phi.to_json())
-        assert again.table() == phi.table()
+        histories = list(all_histories_below(3))
+        assert [again.forecast(h) for h in histories] == [phi.forecast(h) for h in histories]
 
     def test_json_keys_are_bitstrings(self):
         phi = table_system({(): "1/2", (0,): "1/4", (1,): "3/4"}, 2)
@@ -158,4 +159,4 @@ class TestForecastingSystem:
         phi = ForecastingSystem.constant(HALF, 100)
         assert len(sample_outcomes(phi, 100, 7)) == 100
         with pytest.raises(HorizonError):
-            phi.table()
+            phi.to_doc()

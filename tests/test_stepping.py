@@ -110,7 +110,7 @@ def test_doc_equals_the_per_history_reference(kind):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_witness_table_expands_each_history_once(expand_calls, seed):
-    """``table`` expands every history; ``to_doc`` each distinct (depth, live-set) state once."""
+    """A walk of every history expands each; ``to_doc`` each distinct (depth, live-set) state once."""
     rng = random.Random(seed)
     event = random_event(rng, horizon=rng.randint(1, 10), max_boxes=4)
     witness = measure_upper_probability(event)[1]
@@ -118,7 +118,10 @@ def test_witness_table_expands_each_history_once(expand_calls, seed):
     witness.to_doc()
     per_state = sorted(expand_calls)
     expand_calls.clear()
-    assert len(witness.table()) == 2**event.horizon - 1
+    # Every history's state, in level order: the children of k are 2k+1 and 2k+2.
+    states = [witness.start]
+    for k in range(2**event.horizon - 1):
+        states += witness.expand(states[k])[1:]
     assert len(expand_calls) == 2**event.horizon - 1
     assert per_state == sorted(set(expand_calls))
 
@@ -166,8 +169,7 @@ def test_forecast_steps_once_per_bit_and_once_for_its_answer(expand_calls):
 
 def test_tabled_and_constant_systems_step_without_histories():
     phi = random_forecasting_system(random.Random(5), 4)
-    table = phi.table()
-    assert list(table) == list(all_histories_below(4))
+    table = {h: phi.forecast(h) for h in all_histories_below(4)}
     rebuilt = ForecastingSystem.from_table(table, 4)
     for h in all_histories_below(4):
         assert rebuilt.forecast(h) == table[h]
@@ -184,7 +186,8 @@ def test_stepping_constructor_matches_the_history_rule():
     stepped = ForecastingSystem.stepping(
         5, (0, 0), lambda s: (Fraction(1 + s[0], 2 + s[1]), (s[0], s[1] + 1), (s[0] + 1, s[1] + 1))
     )
-    assert stepped.table() == by_history.table()
+    histories = list(all_histories_below(5))
+    assert [stepped.forecast(h) for h in histories] == [by_history.forecast(h) for h in histories]
     assert stepped.to_json() == by_history.to_json()
     for seed in range(20):
         omega = sample_outcomes(stepped, 5, seed)
@@ -202,7 +205,6 @@ def stepped_rule(depth):
 
 WALKERS = {
     "forecast": lambda phi: [phi.forecast(h) for h in ((), (1,), (1, 0))],
-    "table": lambda phi: phi.table(),
     "to_doc": lambda phi: phi.to_doc(),
     "sample_outcomes": lambda phi: sample_outcomes(phi, 3, 0),
     "induced_path": lambda phi: induced_path(phi, (0, 1, 1)),

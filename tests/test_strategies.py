@@ -23,7 +23,6 @@ from preqprob.strategies import (
     calibration_verdict,
     certify_strategy,
     check_farthingale,
-    format_stream_csv,
     parse_stream_csv,
     point_partition,
     run_stream,
@@ -459,7 +458,7 @@ class TestVilleCheck:
 class TestStreamCsv:
     def test_round_trip(self):
         stream = [(HALF, 1), (Fraction(1, 4), 0), (ZERO, 1)]
-        assert parse_stream_csv(format_stream_csv(stream)) == stream
+        assert parse_stream_csv("p,y\n1/2,1\n1/4,0\n0,1\n") == stream
 
     def test_decimal_forecasts(self):
         stream = parse_stream_csv("p,y\n0.5,1\n0.25,0\n")

@@ -7,6 +7,7 @@ constant, as ``test_step_memo`` does for the live-set budget.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +20,8 @@ from preqprob.core import (
     history_at,
     outcome_tree_nodes,
 )
-from preqprob.events import EventUnion, event_partitions
-from preqprob.gameprob import ValueFunction, witness_superfarthingale
+from preqprob.events import EventUnion, event_from_json, event_partitions
+from preqprob.gameprob import ValueFunction, upper_game_probability, witness_superfarthingale
 from preqprob.measureprob import exact_event_probability, measure_upper_probability
 from preqprob.strategies import (
     DoublingStrategy,
@@ -31,6 +32,7 @@ from preqprob.strategies import (
 )
 
 HALF = Fraction(1, 2)
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture()
@@ -94,26 +96,19 @@ class TestHistoryAt:
 
 
 class TestOutcomeTree:
-    def test_forecasts_expand_each_history_once_in_level_order(self):
-        calls = []
-        phi = ForecastingSystem(3, lambda h: Fraction(len(h), 4) + Fraction(sum(h), 16))
-        forecasts = phi.forecasts()
-        assert forecasts == [phi.forecast(history_at(k)) for k in range(7)]
-        counting_system(3, calls).forecasts()
-        assert len(calls) == 7
-
     def test_table_and_document_read_the_one_walk(self):
         phi = ForecastingSystem(2, lambda h: Fraction(1 + len(h) + sum(h), 5))
-        assert phi.table() == {(): Fraction(1, 5), (0,): Fraction(2, 5), (1,): Fraction(3, 5)}
         assert phi.to_doc() == {"horizon": 2, "table": {"": "1/5", "0": "2/5", "1": "3/5"}}
 
     def test_walks_at_the_budget_pass(self, budget_7):
         calls = []
-        assert len(counting_system(2, calls).table()) == 3
+        assert len(counting_system(2, calls).to_doc()["table"]) == 3
         table = {h: HALF for h in all_histories_below(2)}
-        assert ForecastingSystem.from_table(table, 2).table() == table
+        rebuilt = ForecastingSystem.from_table(table, 2)
+        assert {h: rebuilt.forecast(h) for h in all_histories_below(2)} == table
+        assert rebuilt.to_doc()["table"] == {"": "1/2", "0": "1/2", "1": "1/2"}
 
-    @pytest.mark.parametrize("walk", ["forecasts", "table", "to_doc", "to_json"])
+    @pytest.mark.parametrize("walk", ["to_doc", "to_json"])
     def test_walks_past_the_budget_expand_nothing(self, budget_7, walk):
         calls = []
         with pytest.raises(HorizonError, match="has 15 nodes"):
@@ -151,11 +146,19 @@ class TestOutcomeTree:
         with pytest.raises(HorizonError, match="has 15 nodes"):
             measure_upper_probability(EventUnion.full(3))
 
-    def test_exact_probability_counts_the_nodes_it_walks(self, budget_7):
-        phi = ForecastingSystem.constant(HALF, 3)
+    def test_exact_probability_counts_the_pairs_it_keeps(self, budget_7):
+        """Equal (system state, surviving boxes) pairs of a depth are one; a history rule's never merge."""
+        assert exact_event_probability(ForecastingSystem.constant(HALF, 3), EventUnion.full(3)) == 1
+        phi = ForecastingSystem(3, lambda h: HALF)
         assert exact_event_probability(phi, EventUnion.full(2)) == 1
         with pytest.raises(HorizonError, match="to step 3 of 3 has 15 nodes"):
             exact_event_probability(phi, EventUnion.full(3))
+
+    def test_exact_probability_of_a_nested_union_at_horizon_300(self):
+        event = event_from_json((DATA / "nested_union_300.json").read_text())
+        value = exact_event_probability(ForecastingSystem.constant(HALF, event.horizon), event)
+        assert value == Fraction(1, 64)
+        assert value <= upper_game_probability(event)
 
 
 class TestCellPathTree:
