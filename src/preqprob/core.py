@@ -71,11 +71,16 @@ def reading(document: str, *also: type):
         raise InputError(f"malformed {document} document: {what}") from exc
 
 
-def check_walk(nodes: int, what: str) -> None:
-    """Refuse, before any work, a walk of more nodes than the outcome tree at MAX_TABLE_HORIZON."""
-    if nodes > 2 ** (MAX_TABLE_HORIZON + 1) - 1:
+def check_walk(nodes: int, what: str) -> int:
+    """Refuse, before any work, a walk of more nodes than the outcome tree at MAX_TABLE_HORIZON.
+
+    Returns that budget, read when called, so a walk that grows can count against it.
+    """
+    budget = 2 ** (MAX_TABLE_HORIZON + 1) - 1
+    if nodes > budget:
         count = nodes if nodes.bit_length() <= 64 else f"more than 2^{nodes.bit_length() - 1}"
         raise HorizonError(f"{what} has {count} nodes; table form limited to horizon {MAX_TABLE_HORIZON}")
+    return budget
 
 
 def level_graph(start, expand: Callable, horizon: int, what: str) -> tuple[list, list, list]:
@@ -85,10 +90,11 @@ def level_graph(start, expand: Callable, horizon: int, what: str) -> tuple[list,
     hashable states.  Returns ``(states, items, links)``: depth d's states, in
     the order first reached, and each interior state's item and child indices;
     a depth with no state ends the lists.  The states kept are counted against
-    ``check_walk``'s budget a level at a time, before the next is expanded, the
-    refusal naming ``what`` and the step.
+    ``check_walk``'s budget, read once per call, a level at a time, before the
+    next is expanded, the refusal naming ``what`` and the step.
     """
     states, items, links, kept = [[start]], [], [], 1
+    budget = check_walk(0, what)  # refuses nothing: it reads the budget
     for depth in range(horizon):
         index, here, kids = {}, [], []
         for state in states[depth]:
@@ -104,7 +110,8 @@ def level_graph(start, expand: Callable, horizon: int, what: str) -> tuple[list,
         if not index:
             break
         kept += len(index)
-        check_walk(kept, f"{what} to step {depth + 1} of {horizon}")
+        if kept > budget:
+            check_walk(kept, f"{what} to step {depth + 1} of {horizon}")
     return states, items, links
 
 

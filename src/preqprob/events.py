@@ -11,19 +11,22 @@ which every box's interval test is constant.  Those cells are the columns of
 the partition-refined game tree used by the backward-induction engines.
 ``forecast_partition`` cuts a step on integers: each endpoint p becomes
 a = p*q over the lcm q of the step's endpoint denominators, the partition's
-``scale``, so the endpoints are sorted and located as ints.  It gives each
-cell its integer ends and the bitmasks of the boxes accepting it, which the
-game engine reads as they are.
+``scale``, so the endpoints are sorted and located as ints.  It keeps each
+cell as an integer row, the bitmasks of the boxes accepting it and its
+integer ends, which the game engine reads as they are; the ``Cell`` objects
+are built from the rows only when something reads the partition's cells.
 
-Long events repeat steps: ``event_from_json`` parses each distinct endpoint
-string once, builds one ``StepConstraint`` per distinct raw step and shares
-it, and ``per_distinct_step`` sets up a step (its partition, the measure
-engine's candidates) once per distinct column of box steps, keyed on the
-identity of those shared objects.
+Long events repeat steps: ``event_from_json`` reads and checks each
+distinct endpoint string once as a forecast, builds one ``StepConstraint``
+per distinct raw step from those checked bounds and shares it, and
+``per_distinct_step`` sets up a step (its partition, the measure engine's
+candidates) once per distinct column of box steps, keyed on the identity of
+those shared objects.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -65,6 +68,18 @@ class StepConstraint:
             raise InputError(f"empty interval [{self.p_lo}, {self.p_hi}]")
         if self.y is not WILDCARD:
             set_field(self, "y", check_outcome(self.y))
+
+    @classmethod
+    def _of_forecasts(cls, p_lo: Fraction, p_hi: Fraction, y: int | None) -> "StepConstraint":
+        """A step whose bounds are checked forecasts: only ``p_lo <= p_hi`` and ``y`` are checked, as above."""
+        if p_lo.numerator * p_hi.denominator > p_hi.numerator * p_lo.denominator:
+            raise InputError(f"empty interval [{p_lo}, {p_hi}]")
+        step = object.__new__(cls)
+        set_field = object.__setattr__  # the frozen class's own refuses
+        set_field(step, "p_lo", p_lo)
+        set_field(step, "p_hi", p_hi)
+        set_field(step, "y", y if y is WILDCARD else check_outcome(y))
+        return step
 
     def accepts(self, p: Fraction, y: int) -> bool:
         return self.p_lo <= p <= self.p_hi and (self.y is WILDCARD or self.y == y)
@@ -180,7 +195,9 @@ class Cell:
     grid_hi: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.lo > self.hi or (self.lo == self.hi and (self.lo_open or self.hi_open)):
+        # lo <= hi compared on integers: the ends times the product of their denominators.
+        lo, hi = self.lo.numerator * self.hi.denominator, self.hi.numerator * self.lo.denominator
+        if lo > hi or (lo == hi and (self.lo_open or self.hi_open)):
             raise InputError("malformed cell")
 
     def __str__(self):
@@ -221,19 +238,49 @@ class Cell:
         return (self.lo + self.hi) / 2
 
 
-@dataclass(frozen=True)
 class ForecastPartition:
     """Ordered, disjoint cells covering [0, 1] exactly.
 
-    ``masks`` holds, per cell, the bitmasks (m0, m1) of the boxes accepting
-    it with outcome 0 and with outcome 1, and ``scale`` the lcm of the
-    cell ends' denominators.  Only ``forecast_partition`` sets them:
-    ``point_partition`` grids and partitions read from a table have none.
+    ``forecast_partition`` keeps each cell as an integer row (m0, m1,
+    grid_lo, grid_hi) in ``rows``: the bitmasks of the boxes accepting the
+    cell with outcome 0 and with outcome 1, and the cell's ends times
+    ``scale``, the lcm of the ends' denominators; ``masks`` holds each row's
+    (m0, m1).  Its ``cells`` are built from the rows when first read, and
+    kept.  ``point_partition`` grids and partitions read from a table are
+    given their cells and have no rows, masks or scale.  Two partitions are
+    equal when their cells, masks and scales are.
     """
 
-    cells: tuple[Cell, ...]
-    masks: tuple[tuple[int, int], ...] = ()
-    scale: int | None = None
+    __slots__ = ("_cells", "_cut", "rows", "masks", "scale")
+
+    def __init__(self, cells: tuple[Cell, ...]):
+        self._cells, self._cut, self.rows, self.masks, self.scale = cells, None, (), (), None
+
+    @classmethod
+    def _on_grid(cls, rows: tuple, scale: int, cut) -> "ForecastPartition":
+        """A partition held as its rows; ``cut()`` builds its cells."""
+        partition = cls(None)
+        partition._cut, partition.rows, partition.scale = cut, rows, scale
+        partition.masks = tuple((m0, m1) for m0, m1, _, _ in rows)
+        return partition
+
+    @property
+    def cells(self) -> tuple[Cell, ...]:
+        if self._cells is None:
+            self._cells, self._cut = self._cut(), None
+        return self._cells
+
+    def _key(self) -> tuple:
+        return self.cells, self.masks, self.scale
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, ForecastPartition) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"ForecastPartition(cells={self.cells!r}, masks={self.masks!r}, scale={self.scale!r})"
 
     def cell_index_of(self, p: Fraction) -> int:
         p = check_forecast(p)
@@ -264,9 +311,10 @@ def forecast_partition(event: EventUnion, step: int) -> ForecastPartition:
     The cell ends are the box interval endpoints at that step plus 0 and 1;
     cells are the maximal intervals on which every box's interval test is
     constant (an unconstrained axis is the single cell [0, 1]).  Each cell's
-    pair (m0, m1) in ``masks`` holds bit i when box i's step accepts the
-    cell's forecasts together with outcome 0 and outcome 1 respectively.
-    The cut runs on the integers a = p*q, q the partition's ``scale``.
+    row (m0, m1, grid_lo, grid_hi) holds bit i in m0 and m1 when box i's
+    step accepts the cell's forecasts together with outcome 0 and outcome 1
+    respectively.  The cut runs on the integers a = p*q, q the partition's
+    ``scale``, and builds no cell: ``cells`` does, when first read.
     """
     if not 1 <= step <= event.horizon:
         raise ArityError(f"step {step} outside 1..{event.horizon}")
@@ -275,10 +323,7 @@ def forecast_partition(event: EventUnion, step: int) -> ForecastPartition:
     ratios = [p.as_integer_ratio() for p in endpoints]
     q = math.lcm(*[d for _, d in ratios])
     ends = [n * (q // d) for n, d in ratios]  # box i's interval is [ends[2i], ends[2i+1]]
-    point = {0: ZERO, q: ONE}  # each integer's cell end, the first Fraction given for it
-    for a, p in zip(ends, endpoints):
-        point.setdefault(a, p)
-    grid = sorted(point)
+    grid = sorted({0, q, *ends})
     # Piece 2k is the point grid[k] and piece 2k+1 the open gap after it, so
     # the interval [grid[a], grid[b]] holds exactly the pieces 2a..2b: box
     # i's bit goes into each piece of its interval.
@@ -295,12 +340,21 @@ def forecast_partition(event: EventUnion, step: int) -> ForecastPartition:
             by_bit[1] |= bit
     # The cells are the runs of equal masks: run k spans the pieces starts[k] .. starts[k + 1] - 1.
     starts = [0, *[b for b in range(1, len(inside)) if inside[b] != inside[b - 1]], len(inside)]
-    cells, masks = [], []
-    for a, end in zip(starts, starts[1:]):
-        lo, hi = grid[a // 2], grid[end // 2]
-        cells.append(_grid_cell(point[lo], point[hi], a % 2 == 1, end % 2 == 0, lo, hi))
-        masks.append((inside[a] & by_bit[0], inside[a] & by_bit[1]))
-    return ForecastPartition(tuple(cells), tuple(masks), q)
+    rows = tuple(
+        (inside[a] & by_bit[0], inside[a] & by_bit[1], grid[a // 2], grid[end // 2])
+        for a, end in zip(starts, starts[1:])
+    )
+
+    def cut() -> tuple[Cell, ...]:
+        point = {0: ZERO, q: ONE}  # each integer's cell end, the first Fraction given for it
+        for a, p in zip(ends, endpoints):
+            point.setdefault(a, p)
+        return tuple(
+            _grid_cell(point[lo], point[hi], a % 2 == 1, end % 2 == 0, lo, hi)
+            for (_, _, lo, hi), a, end in zip(rows, starts, starts[1:])
+        )
+
+    return ForecastPartition._on_grid(rows, q, cut)
 
 
 def _grid_cell(lo: Fraction, hi: Fraction, lo_open: bool, hi_open: bool, grid_lo: int, grid_hi: int) -> Cell:
@@ -328,8 +382,9 @@ def per_distinct_step(event: EventUnion, build) -> tuple:
     """
     first: dict = {}
     built: list = []
-    for depth in range(event.horizon):
-        j = first.setdefault(tuple(id(box.steps[depth]) for box in event.boxes), depth)
+    columns = zip(*[box.steps for box in event.boxes]) if event.boxes else itertools.repeat((), event.horizon)
+    for depth, column in enumerate(columns):
+        j = first.setdefault(tuple(map(id, column)), depth)
         built.append(built[j] if j < depth else build(depth))
     return tuple(built)
 
@@ -370,15 +425,24 @@ def event_to_json(event: EventUnion) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _endpoint(value) -> tuple[Fraction, bool]:
+    """An endpoint as ``as_fraction`` reads it, and whether it lies in [0, 1], as ``check_forecast`` asks."""
+    p = as_fraction(value)
+    return p, 0 <= p.numerator <= p.denominator
+
+
 def event_from_json(text: str) -> EventUnion:
     """Parse an event document; identical raw steps share one ``StepConstraint``.
 
-    Each distinct endpoint string is parsed once, into one Fraction that
-    every step giving that string shares.  Only strings share a parse, and
-    only steps whose bounds are both strings are shared: a key must not let
-    a float such as 1.0, which ``as_fraction`` refuses, match the key of 1.
+    Each distinct endpoint string is read and checked as a forecast once,
+    into one Fraction that every step giving that string shares.  Only
+    strings share a parse, and only steps whose bounds are both strings are
+    shared: a key must not let a float such as 1.0, which ``as_fraction``
+    refuses, match the key of 1.  A new step is built from its checked
+    bounds, which leaves only their order and the outcome to check; the
+    refusals come in the order, and with the messages, of ``StepConstraint``.
     """
-    number = parse_once_per_string(as_fraction)
+    endpoint = parse_once_per_string(_endpoint)
     shared: dict = {}  # (lo, hi, y) as written -> the step built from them
     with reading("event"):
         doc = json.loads(text)
@@ -394,8 +458,11 @@ def event_from_json(text: str) -> EventUnion:
                 key = (p[0], p[1], y_raw) if plain else None
                 step = shared.get(key)
                 if step is None:
-                    y = WILDCARD if y_raw == "*" else as_int(y_raw, "outcome y")  # StepConstraint checks it
-                    step = StepConstraint(number(p[0]), number(p[1]), y)
+                    y = WILDCARD if y_raw == "*" else as_int(y_raw, "outcome y")  # the step checks it
+                    (lo, lo_in), (hi, hi_in) = endpoint(p[0]), endpoint(p[1])
+                    if not (lo_in and hi_in):
+                        raise InputError(f"forecast {hi if lo_in else lo} outside [0, 1]")
+                    step = StepConstraint._of_forecasts(lo, hi, y)
                     if key is not None:
                         shared[key] = step
                 steps.append(step)

@@ -36,9 +36,10 @@ when no box is live.  The empty live-set has value zero.
 
 The backward pass runs on integers.  A value at depth d is a numerator over
 D_d = q_d * D_{d+1}, where q_d is the partition's ``scale``, the lcm of step
-d's endpoint denominators, and each cell carries its ends as the integers
-a = p * q_d.  A cell then scores q_d * n0 + a * (n1 - n0) at its better end,
-and the pass neither builds nor hashes a Fraction.  A value becomes a
+d's endpoint denominators, and each cell's row in the partition's ``rows``
+carries its masks and its ends as the integers a = p * q_d.  A cell then
+scores q_d * n0 + a * (n1 - n0) at its better end, and the pass neither
+builds nor hashes a Fraction, nor builds a ``Cell``.  A value becomes a
 Fraction when it is read.  All operations are pure and the exact arithmetic
 makes results independent of evaluation order.
 
@@ -355,13 +356,20 @@ def _cell_from_json(step: int, doc, number) -> Cell:
 
 
 def _covers_unit_interval(cells: tuple[Cell, ...]) -> bool:
-    """Whether the cells ascend and cover [0, 1], each point exactly once."""
-    if not cells or cells[0].lo != ZERO or cells[0].lo_open:
+    """Whether the cells, each with lo <= hi, ascend and cover [0, 1], each point exactly once.
+
+    The ends are compared on integers: a Fraction is in lowest terms, so two
+    are equal exactly when their numerators and denominators are.
+    """
+    if not cells or cells[0].lo.numerator != 0 or cells[0].lo_open:
         return False
-    if cells[-1].hi != ONE or cells[-1].hi_open:
+    if cells[-1].hi.numerator != cells[-1].hi.denominator or cells[-1].hi_open:
         return False
     # Neighbours meet at one point, which exactly one of them contains.
-    return all(a.hi == b.lo and a.hi_open != b.lo_open for a, b in zip(cells, cells[1:]))
+    return all(
+        a.hi.numerator == b.lo.numerator and a.hi.denominator == b.lo.denominator and a.hi_open != b.lo_open
+        for a, b in zip(cells, cells[1:])
+    )
 
 
 def _node_keys(partitions) -> list:
@@ -390,9 +398,10 @@ class _GameEngine:
     of step ``depth``'s partition: per cell, the pair (m0, m1) of boxes whose
     step accepts every forecast in the cell together with outcome 0 and 1
     respectively, so the survivors of a node are ``live & m0`` and
-    ``live & m1``.  ``_values[depth]`` maps each live-set reachable at that
-    depth, and the empty one, to its node value's numerator over
-    ``_denominators[depth]``; ``value`` reads it as a Fraction.
+    ``live & m1``; the backward pass reads each pair with the cell's integer
+    ends from the partition's ``rows``.  ``_values[depth]`` maps each
+    live-set reachable at that depth, and the empty one, to its node value's
+    numerator over ``_denominators[depth]``; ``value`` reads it as a Fraction.
 
     A free step, one that no box constrains, has masks ``((full, full),)``:
     one cell [0, 1], scale 1, and every box accepting either outcome.  It
@@ -450,8 +459,7 @@ class _GameEngine:
                 denominators.append(denominators[-1])
                 continue
             partition = self.partitions[depth]
-            q = partition.scale
-            cells = [(m0, m1, c.grid_lo, c.grid_hi) for (m0, m1), c in zip(partition.masks, partition.cells)]
+            q, rows = partition.scale, partition.rows
             here = {0: 0}
             for live in levels[depth]:
                 # Each cell's objective q*n0 + a*(n1 - n0) is linear in a = p*q, so it
@@ -459,7 +467,7 @@ class _GameEngine:
                 # score is a convex combination of values in [0, 1], so the largest
                 # one, never below 0, is the node value.
                 value = 0
-                for m0, m1, lo, hi in cells:
+                for m0, m1, lo, hi in rows:
                     n0, n1 = below[live & m0], below[live & m1]
                     candidate = q * n0 + (hi if n1 > n0 else lo) * (n1 - n0)
                     if candidate > value:

@@ -45,8 +45,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .core import (ONE, ZERO, ForecastingSystem, InputError, all_histories_below, check_walk, cylinder_probability,
-                   induced_path, level_graph, outcome_tree_nodes, sample_outcomes)
+from .core import (ONE, ZERO, ForecastingSystem, InputError, all_histories_below, check_walk, induced_path, level_graph,
+                   outcome_tree_nodes, sample_outcomes)
 from .events import WILDCARD, ArityError, EventUnion, contains, per_distinct_step
 
 # Refuse grid enumerations beyond this many forecasting systems.
@@ -203,11 +203,16 @@ def measure_upper_probability(event: EventUnion) -> tuple[Fraction, ForecastingS
 def grid_bruteforce(event: EventUnion, k: int) -> Fraction:
     """Maximum event probability over all forecasting systems on the grid {0, 1/k, ..., 1}.
 
-    Exhaustive enumeration straight from the definitions (cylinder weights of
-    outcomes whose induced path the event contains), kept independent of the
-    dynamic programs so it can serve as their oracle.  Equals the true upper
-    measure-theoretic probability whenever every box endpoint is a multiple of
-    1/k; in general it is a lower bound, nondecreasing under grid refinement.
+    Exhaustive enumeration straight from the definitions, kept independent
+    of the dynamic programs so it can serve as their oracle.  Each grid
+    system, a table of one forecast per history, has its outcome tree walked
+    once in level order: a node carries its history, its cylinder weight and
+    the boxes whose steps accept its induced path so far, and the event's
+    probability is the weight of the leaves some box accepts.  A node no box
+    accepts, or of weight 0, is dropped with its subtree.  Equals the true
+    upper measure-theoretic probability whenever every box endpoint is a
+    multiple of 1/k; in general it is a lower bound, nondecreasing under
+    grid refinement.
     """
     if k < 1:
         raise InputError("grid parameter k must be a positive integer")
@@ -220,14 +225,20 @@ def grid_bruteforce(event: EventUnion, k: int) -> Fraction:
             f"(limit {GRID_ENUMERATION_LIMIT}); shrink the horizon or the grid"
         )
     grid = [Fraction(j, k) for j in range(k + 1)]
-    outcomes = list(itertools.product((0, 1), repeat=horizon))
     best = ZERO
     for assignment in itertools.product(grid, repeat=len(positions)):
-        phi = ForecastingSystem.from_table(dict(zip(positions, assignment)), horizon)
-        prob = ZERO
-        for omega in outcomes:
-            if contains(event, induced_path(phi, omega)):
-                prob += cylinder_probability(phi, omega)
+        table = dict(zip(positions, assignment))
+        level = [((), ONE, event.boxes)]  # (history, cylinder weight, boxes accepting its path)
+        for depth in range(horizon):
+            below = []
+            for history, weight, alive in level:
+                p = table[history]
+                for y, w in ((0, weight * (ONE - p)), (1, weight * p)):
+                    accepting = [box for box in alive if box.steps[depth].accepts(p, y)]
+                    if w and accepting:
+                        below.append((history + (y,), w, accepting))
+            level = below
+        prob = sum((weight for _, weight, _ in level), ZERO)
         if prob > best:
             best = prob
     return best

@@ -170,7 +170,7 @@ def test_cells_of_the_cut_are_refused_on_their_integer_ends():
     with pytest.raises(InputError, match="malformed cell"):
         events._grid_cell(ONE, ONE, True, False, 4, 4)
     with pytest.raises(InputError, match="malformed cell"):
-        Cell(ONE, ZERO)  # every other constructor still compares Fractions
+        Cell(ONE, ZERO)  # every other constructor refuses it too
     point = events._grid_cell(ONE, ONE, False, False, 4, 4)
     assert point == Cell(ONE, ONE) and (point.grid_lo, point.grid_hi) == (4, 4)
 

@@ -7,11 +7,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preqprob import measureprob
 from preqprob.core import (
     ForecastingSystem,
     HorizonError,
+    all_histories_below,
     cylinder_probability,
     induced_path,
     sample_outcomes,
@@ -265,3 +268,21 @@ class TestMonteCarlo:
         first = monte_carlo_probability(witness, a, 1000, seed=9)
         second = monte_carlo_probability(witness, a, 1000, seed=9)
         assert first == second
+
+
+def grid_bruteforce_by_sequences(event, k):
+    """The grid oracle as first written: a table system per grid assignment, every outcome sequence weighed."""
+    positions = list(all_histories_below(event.horizon))
+    grid = [Fraction(j, k) for j in range(k + 1)]
+    return max(
+        enumerate_probability(ForecastingSystem.from_table(dict(zip(positions, assignment)), event.horizon), event)
+        for assignment in itertools.product(grid, repeat=len(positions))
+    )
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.sampled_from([(1, 1), (1, 2), (1, 4), (2, 1), (2, 2), (2, 3), (3, 1)]), st.integers(0, 2**32))
+def test_the_level_order_grid_oracle_equals_the_sequence_by_sequence_one(size, seed):
+    horizon, k = size
+    event = random_event(random.Random(seed), horizon=horizon, max_boxes=3, max_denominator=4, allow_empty=True)
+    assert grid_bruteforce(event, k) == grid_bruteforce_by_sequences(event, k)

@@ -68,6 +68,17 @@ def test_boundary(budget_7):
         check_walk(8, "a walk")
 
 
+def test_a_level_walk_refuses_one_state_past_the_budget(budget_7):
+    def expand(state, depth):
+        # Two new states a state for two steps, then all into one: 1 + 2 + 4 + 1 = 8 states kept.
+        return None, ([(state, 0), (state, 1)] if depth < 2 else [0])
+
+    with pytest.raises(HorizonError, match=r"^the walk to step 3 of 3 has 8 nodes; table form limited to horizon 2$"):
+        core.level_graph((), expand, 3, "the walk")
+    states, _, _ = core.level_graph((), expand, 2, "the walk")  # 7 states: at the budget
+    assert list(map(len, states)) == [1, 2, 4]
+
+
 def test_huge_counts_are_named_by_their_size():
     with pytest.raises(HorizonError, match=r"has more than 2\^20000 nodes"):
         check_walk(2**20001 - 1, "a walk")
