@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -183,16 +183,12 @@ class Cell:
     Ends may be open after merging (e.g. the cell (1/2, 1] next to the point
     cell [1/2, 1/2]).  ``endpoints`` are the evaluation points for the
     piecewise-linear maximization: values at open ends are one-sided limits.
-    ``grid_lo`` and ``grid_hi`` are lo and hi times the partition's
-    ``scale``; only ``forecast_partition`` sets them.
     """
 
     lo: Fraction
     hi: Fraction
     lo_open: bool = False
     hi_open: bool = False
-    grid_lo: int | None = field(default=None, compare=False, repr=False)
-    grid_hi: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         # lo <= hi compared on integers: the ends times the product of their denominators.
@@ -228,14 +224,6 @@ class Cell:
         if not self.hi_open and self.hi != self.lo:
             pts.append(self.hi)
         return tuple(pts)
-
-    def representative(self) -> Fraction:
-        """Any point of the cell: a forecast at which every test constant on the cell can be read."""
-        if not self.lo_open:
-            return self.lo
-        if not self.hi_open:
-            return self.hi
-        return (self.lo + self.hi) / 2
 
 
 class ForecastPartition:
@@ -350,26 +338,11 @@ def forecast_partition(event: EventUnion, step: int) -> ForecastPartition:
         for a, p in zip(ends, endpoints):
             point.setdefault(a, p)
         return tuple(
-            _grid_cell(point[lo], point[hi], a % 2 == 1, end % 2 == 0, lo, hi)
+            Cell(point[lo], point[hi], a % 2 == 1, end % 2 == 0)
             for (_, _, lo, hi), a, end in zip(rows, starts, starts[1:])
         )
 
     return ForecastPartition._on_grid(rows, q, cut)
-
-
-def _grid_cell(lo: Fraction, hi: Fraction, lo_open: bool, hi_open: bool, grid_lo: int, grid_hi: int) -> Cell:
-    """A cell with its integer ends, refused as ``Cell.__post_init__`` refuses it, comparing the ints."""
-    if grid_lo > grid_hi or (grid_lo == grid_hi and (lo_open or hi_open)):
-        raise InputError("malformed cell")
-    cell = object.__new__(Cell)
-    set_field = object.__setattr__  # the frozen class's own refuses
-    set_field(cell, "lo", lo)
-    set_field(cell, "hi", hi)
-    set_field(cell, "lo_open", lo_open)
-    set_field(cell, "hi_open", hi_open)
-    set_field(cell, "grid_lo", grid_lo)
-    set_field(cell, "grid_hi", grid_hi)
-    return cell
 
 
 def per_distinct_step(event: EventUnion, build) -> tuple:

@@ -220,6 +220,7 @@ class ValueFunction:
     joins "cell-index:bit" items with commas; the root is the empty string.
     The nodes come level by level, children in (cell, bit) order.
 
+    A horizon other than the count of partitions, one per step, is refused.
     ``values`` maps cell-paths to values.  Tables the library builds hold a
     ``StateGraph``, which holds only levels and children and takes its
     shape and length from its children, sized by the builder that made it;
@@ -234,6 +235,8 @@ class ValueFunction:
     values: Mapping
 
     def __post_init__(self):
+        if self.horizon != len(self.partitions):
+            raise InputError(f"horizon {self.horizon} but {len(self.partitions)} partitions")
         graph = self.values
         if isinstance(graph, StateGraph) and (
             len(graph.levels) != self.horizon + 1

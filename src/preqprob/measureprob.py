@@ -45,8 +45,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .core import (ONE, ZERO, ForecastingSystem, InputError, all_histories_below, check_walk, induced_path, level_graph,
-                   outcome_tree_nodes, sample_outcomes)
+from .core import (ONE, ZERO, ForecastingSystem, InputError, check_walk, induced_path, level_graph, outcome_tree_nodes,
+                   sample_outcomes)
 from .events import WILDCARD, ArityError, EventUnion, contains, per_distinct_step
 
 # Refuse grid enumerations beyond this many forecasting systems.
@@ -204,39 +204,44 @@ def grid_bruteforce(event: EventUnion, k: int) -> Fraction:
     """Maximum event probability over all forecasting systems on the grid {0, 1/k, ..., 1}.
 
     Exhaustive enumeration straight from the definitions, kept independent
-    of the dynamic programs so it can serve as their oracle.  Each grid
-    system, a table of one forecast per history, has its outcome tree walked
-    once in level order: a node carries its history, its cylinder weight and
-    the boxes whose steps accept its induced path so far, and the event's
-    probability is the weight of the leaves some box accepts.  A node no box
-    accepts, or of weight 0, is dropped with its subtree.  Equals the true
-    upper measure-theoretic probability whenever every box endpoint is a
-    multiple of 1/k; in general it is a lower bound, nondecreasing under
-    grid refinement.
+    of the dynamic programs so it can serve as their oracle.  Its
+    (k+1)^(2^N - 1) systems are counted from the horizon before anything is
+    built.  A system, one forecast per history read by the history's
+    level-order position (node j's children are 2j+1 and 2j+2, as in
+    ``history_at``), has its outcome tree walked once in level order: a node
+    carries its position, its cylinder weight and the boxes whose steps
+    accept its induced path so far, and the event's probability is the
+    weight of the leaves some box accepts.  A node no box accepts, or of
+    weight 0, is dropped with its subtree.  Equals the true upper
+    measure-theoretic probability whenever every box endpoint is a multiple
+    of 1/k; in general it is a lower bound, nondecreasing under grid
+    refinement.
     """
     if k < 1:
         raise InputError("grid parameter k must be a positive integer")
     horizon = event.horizon
-    positions = list(all_histories_below(horizon))
-    system_count = (k + 1) ** len(positions)
-    if system_count > GRID_ENUMERATION_LIMIT:
+    fits = 0  # the most positions whose (k+1)^positions systems stay within the limit
+    while (k + 1) ** (fits + 1) <= GRID_ENUMERATION_LIMIT:
+        fits += 1
+    if horizon >= (fits + 1).bit_length():  # 2^N - 1 > fits, read off bit lengths so 2^N is never formed
+        # A grid too large for ``str``, as ``--grid`` may give, is named by its bit length.
+        count = f"{k + 1}^(2^{horizon} - 1)" if k.bit_length() <= 64 else f"more than 2^{k.bit_length() - 1}"
         raise EnumerationLimitError(
-            f"grid enumeration needs {system_count} systems "
+            f"grid enumeration needs {count} systems "
             f"(limit {GRID_ENUMERATION_LIMIT}); shrink the horizon or the grid"
         )
     grid = [Fraction(j, k) for j in range(k + 1)]
     best = ZERO
-    for assignment in itertools.product(grid, repeat=len(positions)):
-        table = dict(zip(positions, assignment))
-        level = [((), ONE, event.boxes)]  # (history, cylinder weight, boxes accepting its path)
+    for forecasts in itertools.product(grid, repeat=2**horizon - 1):
+        level = [(0, ONE, event.boxes)]  # (position, cylinder weight, boxes accepting its path)
         for depth in range(horizon):
             below = []
-            for history, weight, alive in level:
-                p = table[history]
+            for node, weight, alive in level:
+                p = forecasts[node]
                 for y, w in ((0, weight * (ONE - p)), (1, weight * p)):
                     accepting = [box for box in alive if box.steps[depth].accepts(p, y)]
                     if w and accepting:
-                        below.append((history + (y,), w, accepting))
+                        below.append((2 * node + 1 + y, w, accepting))
             level = below
         prob = sum((weight for _, weight, _ in level), ZERO)
         if prob > best:

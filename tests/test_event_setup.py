@@ -21,7 +21,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from preqprob import cli, events
 from preqprob.core import InputError, as_fraction, as_int, parse_once_per_string, reading
 from preqprob.events import WILDCARD, Box, Cell, EventUnion, StepConstraint, event_from_json, forecast_partition
 from preqprob.randgen import random_event
@@ -144,23 +143,22 @@ def test_the_public_constructor_still_checks_and_normalises():
 def test_cells_built_when_read_equal_the_cut_from_the_definitions(monkeypatch, seed):
     event = random_event(random.Random(seed))
     built = []
-    grid_cell = events._grid_cell
-    monkeypatch.setattr(events, "_grid_cell", lambda *args: built.append(args) or grid_cell(*args))
+    post_init = Cell.__post_init__
+    monkeypatch.setattr(Cell, "__post_init__", lambda cell: built.append(cell) or post_init(cell))
     for depth in range(event.horizon):
-        partition = forecast_partition(event, depth + 1)
-        assert built == []  # the cut builds no cell
         points, cut = reference_cut(event, depth)
         expected = [cell for cell, _ in cut]
+        built.clear()  # the reference cut's own cells
+        partition = forecast_partition(event, depth + 1)
+        assert built == []  # the cut builds no cell
         assert list(partition.cells) == expected
         assert partition.cells is partition.cells and len(built) == len(expected)  # built once
         scale = partition.scale
         assert scale == math.lcm(*(p.denominator for p in points))
         assert list(partition.masks) == [masks for _, masks in cut]
         assert list(partition.rows) == [(m0, m1, c.lo * scale, c.hi * scale) for c, (m0, m1) in cut]
-        assert [(c.grid_lo, c.grid_hi) for c in partition.cells] == [row[2:] for row in partition.rows]
         again = forecast_partition(event, depth + 1)
         assert again == partition and hash(again) == hash(partition)
-        built.clear()
 
 
 def refuse(*args, **kwargs):
@@ -171,7 +169,6 @@ def refuse(*args, **kwargs):
     "name", ["three_box_event.json", "many_cells_event.json", "horizon_400_event.json", "mixed_forms_event.json"]
 )
 def test_the_game_engine_builds_no_cell(capsys, monkeypatch, name):
-    monkeypatch.setattr(events, "_grid_cell", refuse)
     monkeypatch.setattr(Cell, "__post_init__", refuse)
     code, out, err = run(capsys, "value", "--event", str(DATA / name), "--engine", "game", "--json")
     assert code == 0 and err == ""

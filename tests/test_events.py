@@ -112,9 +112,7 @@ class TestForecastPartition:
                 part = forecast_partition(event, step)
                 for cell in part.cells:
                     samples = set(cell.closed_endpoints())
-                    samples.add(cell.representative())
-                    if cell.lo != cell.hi:
-                        samples.add((cell.lo + cell.hi) / 2)
+                    samples.add(cell.lo if cell.is_point else (cell.lo + cell.hi) / 2)
                     for box in event.boxes:
                         step_c = box.steps[step - 1]
                         answers = {
@@ -131,7 +129,7 @@ class TestForecastPartition:
                 part = forecast_partition(event, step)
                 assert len(part.masks) == len(part.cells)
                 for cell, pair in zip(part.cells, part.masks):
-                    for p in {*cell.closed_endpoints(), cell.representative()}:
+                    for p in {*cell.closed_endpoints(), cell.lo if cell.is_point else (cell.lo + cell.hi) / 2}:
                         for bit in (0, 1):
                             accepting = [box.steps[step - 1].accepts(p, bit) for box in event.boxes]
                             assert accepting == [bool(pair[bit] >> i & 1) for i in range(len(event.boxes))]

@@ -103,8 +103,9 @@ class Reference:
             below: dict = {}
             for live, prefix in level.items():
                 for cell, masks in self.cuts[depth]:
+                    p = cell.lo if cell.is_point else (cell.lo + cell.hi) / 2  # a point of the cell
                     for y, mask in enumerate(masks):
-                        below.setdefault(live & mask, prefix + ((cell.representative(), y),))
+                        below.setdefault(live & mask, prefix + ((p, y),))
             level = below
 
     def witness_json(self) -> str:
@@ -136,8 +137,6 @@ def test_the_integer_program_equals_the_fraction_one(text):
         assert [str(c) for c in partition.cells] == [str(c) for c, _ in cells]
         assert [(c.lo_open, c.hi_open) for c in partition.cells] == [(c.lo_open, c.hi_open) for c, _ in cells]
         assert list(partition.masks) == [masks for _, masks in cells]
-        scale = partition.scale
-        assert [(c.grid_lo, c.grid_hi) for c in partition.cells] == [(c.lo * scale, c.hi * scale) for c, _ in cells]
     engine = gameprob._engine(event)
     for depth, level in enumerate(engine._values):
         for live in level:
@@ -166,13 +165,10 @@ def test_a_horizon_400_root_equals_the_fraction_program():
 
 def test_cells_of_the_cut_are_refused_on_their_integer_ends():
     with pytest.raises(InputError, match="malformed cell"):
-        events._grid_cell(ONE, ZERO, False, False, 1, 0)
+        Cell(ONE, ZERO)
     with pytest.raises(InputError, match="malformed cell"):
-        events._grid_cell(ONE, ONE, True, False, 4, 4)
-    with pytest.raises(InputError, match="malformed cell"):
-        Cell(ONE, ZERO)  # every other constructor refuses it too
-    point = events._grid_cell(ONE, ONE, False, False, 4, 4)
-    assert point == Cell(ONE, ONE) and (point.grid_lo, point.grid_hi) == (4, 4)
+        Cell(ONE, ONE, True, False)
+    assert Cell(ONE, ONE).is_point
 
 
 def test_each_distinct_endpoint_string_is_parsed_once(monkeypatch):

@@ -224,9 +224,10 @@ class TestWitnessSuperfarthingale:
             for path, value in vf.values.items():
                 if len(path) != event.horizon:
                     continue
+                cells = [vf.partitions[i].cells[ci] for i, (ci, _) in enumerate(path)]
                 pfx = tuple(
-                    (vf.partitions[i].cells[ci].representative(), bit)
-                    for i, (ci, bit) in enumerate(path)
+                    (cell.lo if cell.is_point else (cell.lo + cell.hi) / 2, bit)
+                    for cell, (_, bit) in zip(cells, path)
                 )
                 want = ONE if contains(event, pfx) else ZERO
                 assert value == want

@@ -160,6 +160,17 @@ def test_a_state_graph_that_does_not_fit_the_partitions_is_refused(horizon, part
     assert len(ValueFunction(len(graph_parts), graph_parts, graph).values) == len(node_paths(graph_parts))
 
 
+def test_a_horizon_other_than_the_partition_count_is_refused():
+    """Whatever holds the values: ``from_json`` would refuse the table such a horizon writes."""
+    parts = (point_partition([]),)
+    paths = node_paths(parts)
+    values = dict(zip(paths, [Fraction(k, len(paths)) for k in range(len(paths))]))
+    for table in (values, StateGraph.from_nodes(parts, list(values.values()))):
+        with pytest.raises(InputError, match=r"^horizon 2 but 1 partitions$"):
+            ValueFunction(2, parts, table)
+        assert ValueFunction.from_json(ValueFunction(1, parts, table).to_json()).horizon == 1
+
+
 def test_a_negative_horizon_is_refused_before_the_factory_is_called():
     def factory():
         raise AssertionError("strategy built for a negative horizon")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preqprob import measureprob
+from preqprob import core, measureprob
 from preqprob.core import (
     ForecastingSystem,
     HorizonError,
@@ -176,7 +176,7 @@ class TestMeasureUpperProbability:
         def refuse(*args):
             raise AssertionError("walked every history")
 
-        monkeypatch.setattr(measureprob, "all_histories_below", refuse)
+        monkeypatch.setattr(core, "all_histories_below", refuse)
         value, witness = measure_upper_probability(EventUnion.full(16))
         assert value == ONE
         assert len(sample_outcomes(witness, 16, 0)) == 16
@@ -224,6 +224,30 @@ class TestGridBruteforce:
         event = EventUnion.full(3)
         with pytest.raises(EnumerationLimitError):
             grid_bruteforce(event, 10)  # 11^7 systems > 10^7
+
+
+    @pytest.mark.parametrize(
+        "event, k, count",
+        [
+            (EventUnion.full(5), 1, "2^(2^5 - 1)"),
+            (EventUnion.full(14), 1, "2^(2^14 - 1)"),
+            (EventUnion.full(18), 1, "2^(2^18 - 1)"),
+            (EventUnion(10**12, ()), 1, "2^(2^1000000000000 - 1)"),
+            (EventUnion.full(4), 2, "3^(2^4 - 1)"),  # 3^15 > 10^7
+            (EventUnion.full(1), 2**20000, "more than 2^20000"),  # k + 1 has more digits than str allows
+        ],
+        ids=["h5", "h14", "h18", "h10^12", "h4-k2", "k-past-str"],
+    )
+    def test_the_size_is_refused_from_the_horizon_as_a_power(self, event, k, count):
+        """Sized before any history is listed or 2^N formed; the message names the count, not its digits."""
+        with pytest.raises(EnumerationLimitError) as caught:
+            grid_bruteforce(event, k)
+        assert str(caught.value) == (
+            f"grid enumeration needs {count} systems (limit 10000000); shrink the horizon or the grid"
+        )
+
+    def test_the_largest_grid_within_the_limit_still_runs(self):
+        assert grid_bruteforce(EventUnion.full(3), 2) == ONE  # 3^7 systems
 
 
 class TestMonteCarlo:
