@@ -197,12 +197,22 @@ def as_fraction(value) -> Fraction:
     would otherwise build 10^30000000.  The parsed numerator and denominator
     are held to it after the parse: "1e4300" is 10^4300, one digit too long
     to print.
+
+    An ASCII string "n" or "n/d" of digits alone, d not 0, and no longer
+    than that limit (any length when it is 0) is read as ``int`` reads its
+    parts, without the regular expressions; any other string takes the
+    general path.
     """
     if isinstance(value, Fraction):
         return value
+    limit = sys.get_int_max_str_digits()
+    if isinstance(value, str) and value.isascii() and (len(value) <= limit or not limit):
+        top, slash, bottom = value.partition("/")
+        bottom = bottom if slash else "1"
+        if top.isdigit() and bottom.isdigit() and (denominator := int(bottom)):
+            return Fraction(int(top), denominator)
     if isinstance(value, str) and not value.isascii():
         raise InputError(f"cannot interpret {value!r} as an exact rational: it has a character outside ASCII")
-    limit = sys.get_int_max_str_digits()
     if isinstance(value, str) and _exponent_beyond_limit(value):
         raise InputError(
             f"cannot interpret {value!r} as an exact rational: its exponent's magnitude is over "

@@ -11,10 +11,14 @@ which every box's interval test is constant.  Those cells are the columns of
 the partition-refined game tree used by the backward-induction engines.
 ``forecast_partition`` cuts a step on integers: each endpoint p becomes
 a = p*q over the lcm q of the step's endpoint denominators, the partition's
-``scale``, so the endpoints are sorted and located as ints.  It keeps each
-cell as an integer row, the bitmasks of the boxes accepting it and its
-integer ends, which the game engine reads as they are; the ``Cell`` objects
-are built from the rows only when something reads the partition's cells.
+``scale``, so the endpoints are sorted and located as ints.  The masks
+come from one sweep: each box's bit flips on where its interval starts and
+off just after it ends, and a running XOR of the flips gives every piece's
+mask.  It keeps each cell as an integer row, the bitmasks of the boxes
+accepting it and its integer ends, and each box's whole interval as one row
+for the live-set of that box alone; the game engine reads the rows as they
+are.  The ``Cell`` objects are built from the rows only when something
+reads the partition's cells.
 
 Long events repeat steps: ``event_from_json`` reads and checks each
 distinct endpoint string once as a forecast, builds one ``StepConstraint``
@@ -29,6 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -233,22 +238,26 @@ class ForecastPartition:
     grid_lo, grid_hi) in ``rows``: the bitmasks of the boxes accepting the
     cell with outcome 0 and with outcome 1, and the cell's ends times
     ``scale``, the lcm of the ends' denominators; ``masks`` holds each row's
-    (m0, m1).  Its ``cells`` are built from the rows when first read, and
-    kept.  ``point_partition`` grids and partitions read from a table are
-    given their cells and have no rows, masks or scale.  Two partitions are
-    equal when their cells, masks and scales are.
+    (m0, m1).  ``own`` maps the live-set {i} of each box i to one row
+    (m0, m1, lo, hi) over its whole interval, m0 and m1 holding only bit i
+    under box i's outcome rule: every cell outside the interval rejects box
+    i, and every cell inside it has these masks for {i}.  Its ``cells`` are
+    built from the rows when first read, and kept.  ``point_partition``
+    grids and partitions read from a table are given their cells and have
+    no rows, own rows, masks or scale.  Two partitions are equal when their
+    cells, masks and scales are.
     """
 
-    __slots__ = ("_cells", "_cut", "rows", "masks", "scale")
+    __slots__ = ("_cells", "_cut", "rows", "own", "masks", "scale")
 
     def __init__(self, cells: tuple[Cell, ...]):
-        self._cells, self._cut, self.rows, self.masks, self.scale = cells, None, (), (), None
+        self._cells, self._cut, self.rows, self.own, self.masks, self.scale = cells, None, (), {}, (), None
 
     @classmethod
-    def _on_grid(cls, rows: tuple, scale: int, cut) -> "ForecastPartition":
-        """A partition held as its rows; ``cut()`` builds its cells."""
+    def _on_grid(cls, rows: tuple, own: dict, scale: int, cut) -> "ForecastPartition":
+        """A partition held as its rows and one-box rows; ``cut()`` builds its cells."""
         partition = cls(None)
-        partition._cut, partition.rows, partition.scale = cut, rows, scale
+        partition._cut, partition.rows, partition.own, partition.scale = cut, rows, own, scale
         partition.masks = tuple((m0, m1) for m0, m1, _, _ in rows)
         return partition
 
@@ -301,8 +310,11 @@ def forecast_partition(event: EventUnion, step: int) -> ForecastPartition:
     constant (an unconstrained axis is the single cell [0, 1]).  Each cell's
     row (m0, m1, grid_lo, grid_hi) holds bit i in m0 and m1 when box i's
     step accepts the cell's forecasts together with outcome 0 and outcome 1
-    respectively.  The cut runs on the integers a = p*q, q the partition's
-    ``scale``, and builds no cell: ``cells`` does, when first read.
+    respectively, and ``own[1 << i]`` is box i's one row (m0, m1, lo, hi)
+    over its whole interval, with only bit i in m0 and m1.  The cut runs on
+    the integers a = p*q, q the partition's ``scale``, sets every piece's
+    mask in one XOR sweep, and builds no cell: ``cells`` does, when first
+    read.
     """
     if not 1 <= step <= event.horizon:
         raise ArityError(f"step {step} outside 1..{event.horizon}")
@@ -313,19 +325,22 @@ def forecast_partition(event: EventUnion, step: int) -> ForecastPartition:
     ends = [n * (q // d) for n, d in ratios]  # box i's interval is [ends[2i], ends[2i+1]]
     grid = sorted({0, q, *ends})
     # Piece 2k is the point grid[k] and piece 2k+1 the open gap after it, so
-    # the interval [grid[a], grid[b]] holds exactly the pieces 2a..2b: box
-    # i's bit goes into each piece of its interval.
+    # the interval [grid[a], grid[b]] holds exactly the pieces 2a..2b.  Box
+    # i's bit flips on at its interval's first piece and off after its last,
+    # and the running XOR of the flips is each piece's mask.
     position = {a: 2 * k for k, a in enumerate(grid)}
-    inside = [0] * (2 * len(grid) - 1)
+    flips = [0] * (2 * len(grid))
     by_bit = [0, 0]  # bit i: box i's step allows the outcome
+    own = {}  # box i's live-set {i} -> the one row of its interval
     for i, s in enumerate(steps):
-        bit = 1 << i
-        for piece in range(position[ends[2 * i]], position[ends[2 * i + 1]] + 1):
-            inside[piece] |= bit
-        if s.y != 1:  # a wildcard or 0
-            by_bit[0] |= bit
-        if s.y != 0:
-            by_bit[1] |= bit
+        bit, lo, hi = 1 << i, ends[2 * i], ends[2 * i + 1]
+        flips[position[lo]] ^= bit
+        flips[position[hi] + 1] ^= bit
+        m0, m1 = bit if s.y != 1 else 0, bit if s.y != 0 else 0  # a wildcard allows both
+        by_bit[0] |= m0
+        by_bit[1] |= m1
+        own[bit] = ((m0, m1, lo, hi),)
+    inside = list(itertools.accumulate(flips[:-1], operator.xor))
     # The cells are the runs of equal masks: run k spans the pieces starts[k] .. starts[k + 1] - 1.
     starts = [0, *[b for b in range(1, len(inside)) if inside[b] != inside[b - 1]], len(inside)]
     rows = tuple(
@@ -342,7 +357,7 @@ def forecast_partition(event: EventUnion, step: int) -> ForecastPartition:
             for (_, _, lo, hi), a, end in zip(rows, starts, starts[1:])
         )
 
-    return ForecastPartition._on_grid(rows, q, cut)
+    return ForecastPartition._on_grid(rows, own, q, cut)
 
 
 def per_distinct_step(event: EventUnion, build) -> tuple:

@@ -39,9 +39,11 @@ D_d = q_d * D_{d+1}, where q_d is the partition's ``scale``, the lcm of step
 d's endpoint denominators, and each cell's row in the partition's ``rows``
 carries its masks and its ends as the integers a = p * q_d.  A cell then
 scores q_d * n0 + a * (n1 - n0) at its better end, and the pass neither
-builds nor hashes a Fraction, nor builds a ``Cell``.  A value becomes a
-Fraction when it is read.  All operations are pure and the exact arithmetic
-makes results independent of evaluation order.
+builds nor hashes a Fraction, nor builds a ``Cell``.  A live-set of one
+box reads the partition's ``own`` row for that box instead, one row over
+the box's whole interval, since every cell outside it scores 0.  A value
+becomes a Fraction when it is read.  All operations are pure and the exact
+arithmetic makes results independent of evaluation order.
 
 One slot keeps the engine of the last event object asked for, compared by
 identity, so ``value --table-out`` solves its event once; any other object
@@ -402,9 +404,16 @@ class _GameEngine:
     step accepts every forecast in the cell together with outcome 0 and 1
     respectively, so the survivors of a node are ``live & m0`` and
     ``live & m1``; the backward pass reads each pair with the cell's integer
-    ends from the partition's ``rows``.  ``_values[depth]`` maps each
-    live-set reachable at that depth, and the empty one, to its node value's
-    numerator over ``_denominators[depth]``; ``value`` reads it as a Fraction.
+    ends from the partition's ``rows``.  A live-set {i} of one box reads
+    the partition's ``own[1 << i]`` instead: one row (m0, m1, lo, hi) over
+    box i's whole interval, with only bit i in m0 and m1.  Outside that
+    interval every cell scores 0, which never wins the strict ``>``; inside
+    it the masks are the same for {i}, so the score is linear in a and the
+    interval's ends decide the value.  Going forward, such a live-set
+    reaches only itself, as its interval holds a cell with an outcome the
+    box allows.  ``_values[depth]`` maps each live-set reachable at that
+    depth, and the empty one, to its node value's numerator over
+    ``_denominators[depth]``; ``value`` reads it as a Fraction.
 
     A free step, one that no box constrains, has masks ``((full, full),)``:
     one cell [0, 1], scale 1, and every box accepting either outcome.  It
@@ -441,11 +450,14 @@ class _GameEngine:
                 if count + len(reached) > LIVE_SET_BUDGET:
                     raise _over_budget(depth, horizon)
             else:
-                step = [m for pair in self.masks[depth] for m in pair]
+                step, own = [m for pair in self.masks[depth] for m in pair], self.partitions[depth].own
                 # Holding 0 from the start, len(reached) - 1 counts the non-empty live-sets.
                 reached = {0}
                 for live in levels[depth]:
-                    reached.update([live & m for m in step])
+                    if live in own:  # a box alone: its interval holds a cell with an outcome it allows
+                        reached.add(live)
+                    else:
+                        reached.update([live & m for m in step])
                     if count + len(reached) - 1 > LIVE_SET_BUDGET:
                         raise _over_budget(depth, horizon)
                 reached.discard(0)
@@ -462,15 +474,16 @@ class _GameEngine:
                 denominators.append(denominators[-1])
                 continue
             partition = self.partitions[depth]
-            q, rows = partition.scale, partition.rows
+            q, rows, own = partition.scale, partition.rows, partition.own
             here = {0: 0}
             for live in levels[depth]:
                 # Each cell's objective q*n0 + a*(n1 - n0) is linear in a = p*q, so it
                 # peaks at the cell's hi when it rises and at its lo otherwise.  Every
                 # score is a convex combination of values in [0, 1], so the largest
-                # one, never below 0, is the node value.
+                # one, never below 0, is the node value.  A live-set of one box reads
+                # its interval as one row: every other cell scores 0.
                 value = 0
-                for m0, m1, lo, hi in rows:
+                for m0, m1, lo, hi in own.get(live, rows):
                     n0, n1 = below[live & m0], below[live & m1]
                     candidate = q * n0 + (hi if n1 > n0 else lo) * (n1 - n0)
                     if candidate > value:

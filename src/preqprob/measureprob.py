@@ -19,7 +19,13 @@ supremum).  The boxes still consistent with a history form its live-set, an
 (depth, live-set).  Once per distinct step the engine puts the candidates
 on integers, a = p*q over the lcm q of the step's endpoint denominators, and
 gives each the masks of the boxes accepting it with outcome 0 and with
-outcome 1, so the live-sets after a step are ``live & mask``.
+outcome 1, so the live-sets after a step are ``live & mask``.  The masks
+come from one sweep over the candidates: each box's bit flips on at its
+interval's first candidate and off after its last, and a running XOR
+gives every candidate's mask.  A live-set of one box scores 0 outside its
+box's interval and linearly in a inside it, so the engine reads only the
+interval's first and last candidates for it, and the box alone reaches
+only itself.
 
 The program runs in level order, without recursion.  A forward pass collects
 the live-sets reachable through candidates with a survivor, counted against
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .core import (ONE, ZERO, ForecastingSystem, InputError, check_walk, induced_path, level_graph, outcome_tree_nodes,
@@ -104,12 +111,17 @@ def exact_event_probability(phi: ForecastingSystem, event: EventUnion) -> Fracti
 def _forecast_candidates(event: EventUnion, depth: int) -> tuple:
     """A step's candidate forecasts on integers, each with its two box masks.
 
-    Returns ``(q, ints, forecasts, pairs)``.  ``q`` is the lcm of the step's
-    endpoint denominators, so each endpoint p is the integer a = p*q.
-    ``ints`` holds the distinct such integers in ascending order, 0 and q
-    among them; ``forecasts[j]`` is one Fraction equal to ``ints[j] / q``,
-    for the witness; ``pairs[j]`` is (m0, m1), with bit i set when box i
-    accepts that forecast together with outcome 0 and outcome 1 respectively.
+    Returns ``(q, forecasts, rows, own)``.  ``q`` is the lcm of the step's
+    endpoint denominators, so each endpoint p is the integer a = p*q, and
+    the candidates are the distinct such integers in ascending order, 0 and
+    q among them.  Candidate j is the Fraction ``forecasts[j]``, for the
+    witness, and the row ``rows[j]``, (j, a, q - a, m0, m1), with bit i of m0
+    and m1 set when box i accepts the forecast together with outcome 0 and
+    outcome 1 respectively.  Box i's bit flips on at its interval's first
+    candidate and off after its last, and the running XOR of the flips is
+    each candidate's mask.  ``own`` maps the live-set {i} of each box i to
+    the rows of its interval's first and last candidates, one row for a
+    point interval.
     """
     steps = [box.steps[depth] for box in event.boxes]
     endpoints = [p for step in steps for p in (step.p_lo, step.p_hi)]
@@ -121,16 +133,22 @@ def _forecast_candidates(event: EventUnion, depth: int) -> tuple:
         forecast.setdefault(a, p)
     ints = sorted(forecast)
     index = {a: j for j, a in enumerate(ints)}
-    inside = [0] * len(ints)  # bit i: box i's interval holds the candidate
+    flips = [0] * (len(ints) + 1)
     by_bit = [0, 0]  # bit i: box i's step allows the outcome
+    spans = {}  # {i} -> the indices of box i's interval's first and last candidates
     for i, step in enumerate(steps):
-        for j in range(index[ends[2 * i]], index[ends[2 * i + 1]] + 1):
-            inside[j] |= 1 << i
-        for y in (0, 1):
-            if step.y is WILDCARD or step.y == y:
-                by_bit[y] |= 1 << i
-    pairs = [(m & by_bit[0], m & by_bit[1]) for m in inside]
-    return q, ints, [forecast[a] for a in ints], pairs
+        bit, first, last = 1 << i, index[ends[2 * i]], index[ends[2 * i + 1]]
+        flips[first] ^= bit
+        flips[last + 1] ^= bit
+        if step.y is WILDCARD or step.y == 0:
+            by_bit[0] |= bit
+        if step.y is WILDCARD or step.y == 1:
+            by_bit[1] |= bit
+        spans[bit] = first, last
+    inside = itertools.accumulate(flips[:-1], operator.xor)  # bit i: box i's interval holds the candidate
+    rows = [(j, a, q - a, m & by_bit[0], m & by_bit[1]) for j, (a, m) in enumerate(zip(ints, inside))]
+    own = {bit: (rows[j], rows[k]) if j < k else (rows[j],) for bit, (j, k) in spans.items()}
+    return q, [forecast[a] for a in ints], rows, own
 
 
 def measure_upper_probability(event: EventUnion) -> tuple[Fraction, ForecastingSystem]:
@@ -152,11 +170,15 @@ def measure_upper_probability(event: EventUnion) -> tuple[Fraction, ForecastingS
     levels = [{root} - {0}]
     count = len(levels[0])
     for depth in range(horizon):
-        masks = [m for pair in steps[depth][3] for m in pair]
+        _, _, rows, own = steps[depth]
+        masks = [m for row in rows for m in row[3:]]
         # Holding 0 from the start, len(reached) - 1 counts the non-empty live-sets.
         reached = {0}
         for live in levels[depth]:
-            reached.update([live & m for m in masks])
+            if live in own:  # a box alone: its interval holds a candidate with an outcome it allows
+                reached.add(live)
+            else:
+                reached.update([live & m for m in masks])
             if count + len(reached) - 1 > MEASURE_BUDGET:
                 raise MeasureBudgetError(
                     f"the measure engine reaches more than {MEASURE_BUDGET} (depth, live-set) "
@@ -172,16 +194,18 @@ def measure_upper_probability(event: EventUnion) -> tuple[Fraction, ForecastingS
     denominator = 1
     winners = [None] * horizon  # per depth, the index of the smallest maximizing candidate
     for depth in reversed(range(horizon)):
-        q, ints, _, pairs = steps[depth]
+        q, _, rows, own = steps[depth]
         denominator *= q
         here, won = {0: 0}, {0: 0}
         for live in levels[depth]:
-            # Each candidate scores q*n0 + a*(n1 - n0).  The strict > keeps the
-            # smallest index among the largest scores, and 0 when that score is 0.
+            # Candidate j scores (q - a)*n0 + a*n1.  The strict > keeps the smallest
+            # index among the largest scores, and 0 when that score is 0.  A live-set
+            # of one box scores 0 outside its interval and linearly in a inside it,
+            # so its interval's first and last candidates, in that order, pick the
+            # same winner: the first on a tie or a falling score, the last on a rising one.
             value = winner = 0
-            for j, (a, (m0, m1)) in enumerate(zip(ints, pairs)):
-                n0 = below[live & m0]
-                candidate = q * n0 + a * (below[live & m1] - n0)
+            for j, a, b, m0, m1 in own.get(live, rows):
+                candidate = b * below[live & m0] + a * below[live & m1]
                 if candidate > value:
                     value, winner = candidate, j
             here[live], won[live] = value, winner
@@ -193,8 +217,8 @@ def measure_upper_probability(event: EventUnion) -> tuple[Fraction, ForecastingS
         # The children of every maximizer were valued, so stepping only reads ``winners``.
         depth, live = state
         j = winners[depth][live]
-        _, _, forecasts, pairs = steps[depth]
-        m0, m1 = pairs[j]
+        _, forecasts, rows, _ = steps[depth]
+        m0, m1 = rows[j][3:]
         return forecasts[j], (depth + 1, live & m0), (depth + 1, live & m1)
 
     return value, ForecastingSystem._trusted(horizon, (0, root), expand)

@@ -3,8 +3,9 @@
 ``measureprob`` must not import the game engine, directly or through
 ``strategies``, which builds on it; ``gameprob`` must not import the measure
 engine.  Both may use ``core`` and ``events``, but the box masks, the
-integer rows and the grid that ``events.forecast_partition`` builds are
-the game engine's: the measure engine derives its own.
+integer rows, the one-box rows and the grid that
+``events.forecast_partition`` builds are the game engine's: the measure
+engine derives its own.
 """
 
 import ast
@@ -57,9 +58,9 @@ def test_absolute_and_relative_imports_are_both_seen(tmp_path):
 
 
 # What the game engine takes from ``events`` and the measure engine must not:
-# the partitions, their masks and their integer rows and grid.
+# the partitions, their masks, their integer rows, one-box rows and grid.
 GAME_PARTITIONS = {"forecast_partition", "event_partitions"}
-GAME_ATTRIBUTES = {".masks", ".rows", ".scale", ".grid_lo", ".grid_hi"}
+GAME_ATTRIBUTES = {".masks", ".rows", ".own", ".scale", ".grid_lo", ".grid_hi"}
 
 
 def partition_uses(path: Path) -> set[str]:
@@ -95,5 +96,6 @@ def test_reading_the_integer_grid_is_seen(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(
         "q = partition.scale\nends = [(cell.grid_lo, cell.grid_hi) for cell in partition.cells]\nrows = partition.rows\n"
+        "own = partition.own\n"
     )
-    assert partition_uses(probe) == {".scale", ".grid_lo", ".grid_hi", ".rows"}
+    assert partition_uses(probe) == {".scale", ".grid_lo", ".grid_hi", ".rows", ".own"}

@@ -21,10 +21,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from preqprob import gameprob
 from preqprob.core import InputError, as_fraction, as_int, parse_once_per_string, reading
 from preqprob.events import WILDCARD, Box, Cell, EventUnion, StepConstraint, event_from_json, forecast_partition
 from preqprob.randgen import random_event
-from test_game_levels import reference_cut
+from test_game_levels import equals_the_reference, reference_cut
+from test_measure_levels import reference_measure
 from test_step_memo import run
 from test_value_memo import PROPERTY
 
@@ -166,7 +168,9 @@ def refuse(*args, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "name", ["three_box_event.json", "many_cells_event.json", "horizon_400_event.json", "mixed_forms_event.json"]
+    "name",
+    ["three_box_event.json", "many_cells_event.json", "horizon_400_event.json", "mixed_forms_event.json",
+     "one_box_edges_event.json"],
 )
 def test_the_game_engine_builds_no_cell(capsys, monkeypatch, name):
     monkeypatch.setattr(Cell, "__post_init__", refuse)
@@ -213,3 +217,16 @@ def test_the_mixed_forms_event_shares_its_repeated_step(capsys):
     code, out, _ = run(capsys, "value", "--event", str(DATA / "mixed_forms_event.json"), "--engine", "both", "--json")
     results = json.loads(out)["results"]
     assert code == 0 and results["upper_game"] == results["upper_measure"] == "1/4"
+
+
+def test_the_one_box_edges_event_equals_both_references(capsys):
+    """The event the python-floor CI job runs: one-box edges, endpoints written "0", "007/014", "12/12", "0.5" and 1."""
+    event = event_from_json((DATA / "one_box_edges_event.json").read_text())
+    assert {b for box in event.boxes for s in box.steps for b in (s.p_lo, s.p_hi)} == {0, Fraction(1, 2), 1}
+    code, out, _ = run(capsys, "value", "--event", str(DATA / "one_box_edges_event.json"), "--engine", "both", "--json")
+    results = json.loads(out)["results"]
+    assert code == 0 and results["upper_game"] == results["upper_measure"] == "3/4"
+    assert results["witness_system"] == reference_measure(event)[1].to_doc()
+    equals_the_reference(event)
+    one_box = {live for level in gameprob._engine(event)._values for live in level if live.bit_count() == 1}
+    assert one_box == {1, 2, 4, 8}

@@ -6,7 +6,9 @@ numerators, building a Fraction only when a value is read.  The property
 below compares both with a program on ``Fraction`` values: a cut that tests
 one point inside each piece, and a recursion that scores every cell at both
 of its endpoints with (1 - p)*v0 + p*v1.  Values, smallest maximizers and
-witness bytes must all be equal.
+witness bytes must all be equal.  A second property holds the program to
+the same reference on events built from the edges of a live-set of one
+box, which the pass reads as one row over the box's whole interval.
 """
 
 import math
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 from preqprob import events, gameprob
 from preqprob.core import InputError
@@ -26,7 +29,7 @@ from preqprob.gameprob import (
     upper_game_probability,
     witness_superfarthingale,
 )
-from test_measure_levels import doc, event_docs
+from test_measure_levels import ONE_BOX_EDGES, doc, event_docs
 from test_step_memo import run
 from test_value_memo import PROPERTY, node_paths
 
@@ -128,7 +131,29 @@ class Reference:
              [{"p": ["0", "0.5"], "y": "*"}] * 2))
 @example(doc(1, [{"p": ["0", "1/4"], "y": 0}], [{"p": ["3/4", "1"], "y": 1}]))
 def test_the_integer_program_equals_the_fraction_one(text):
+    equals_the_reference(event_from_json(text))
+
+
+@PROPERTY
+@given(event_docs(st.sampled_from(ONE_BOX_EDGES), max_boxes=3))
+@example(doc(2, [{"p": ["0", "0"], "y": 1}] * 2, [{"p": ["1", "1"], "y": 0}] * 2))
+@example(doc(3, [{"p": ["0", "1"], "y": "*"}, {"p": ["1/3", "1/3"], "y": 0}, {"p": ["0", "1"], "y": 1}]))
+@example(doc(2, [{"p": ["1/2", "0.5"], "y": 1}, {"p": ["0", "1/2"], "y": 0}],
+             [{"p": ["0", "1"], "y": "*"}, {"p": ["2/3", "2/3"], "y": "*"}]))
+def test_a_live_set_of_one_box_reads_its_interval_as_one_row(text):
     event = event_from_json(text)
+    for depth in range(event.horizon):
+        partition = forecast_partition(event, depth + 1)
+        for i, box in enumerate(event.boxes):
+            step, bit = box.steps[depth], 1 << i
+            m0, m1 = (bit if step.y in (WILDCARD, y) else 0 for y in (0, 1))
+            ends = (int(step.p_lo * partition.scale), int(step.p_hi * partition.scale))
+            assert partition.own[bit] == ((m0, m1, *ends),)
+    equals_the_reference(event)
+
+
+def equals_the_reference(event: EventUnion):
+    """The partitions, values, conditional values, optimal forecasts and witness bytes of the Fraction program."""
     reference = Reference(event)
     for depth in range(event.horizon):
         partition = forecast_partition(event, depth + 1)

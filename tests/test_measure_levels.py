@@ -1,11 +1,13 @@
 """The measure engine in level order: equal to the recursive program it replaced, with its own budget.
 
 ``measure_upper_probability`` collects the reachable (depth, live-set) pairs
-going forward and values them going back, on integer numerators, scoring
-every candidate of a step once.  The property
-below compares it with the recursive program on ``Fraction`` values and an
-ascending strict-``>`` scan over every candidate, value and witness bytes
-alike, so the smallest maximizer may not move.
+going forward and values them going back, on integer numerators, scoring a
+step's candidates once per live-set.  The property below compares it with
+the recursive program on ``Fraction`` values and an ascending strict-``>``
+scan over every candidate, value and witness bytes alike, so the smallest
+maximizer may not move.  A second property does the same on events built
+from the edges of a live-set of one box, which the pass scores at its
+interval's first and last candidates only.
 """
 
 import json
@@ -90,11 +92,29 @@ def steps(draw):
     return {"p": [lo, hi], "y": draw(st.sampled_from([0, 1, "*"]))}
 
 
+# Steps at the edges of a live-set of one box: the outcome a point interval at 0
+# or 1 cannot give, point intervals, each holding one candidate, two spellings
+# of 1/2 among them, and [0, 1] under each outcome rule.
+ONE_BOX_EDGES = [
+    *NULL_STEPS,
+    {"p": ["0", "0"], "y": "*"},
+    {"p": ["1", "1"], "y": 1},
+    {"p": ["1/3", "1/3"], "y": 0},
+    {"p": ["1/2", "0.5"], "y": 1},
+    {"p": ["2/3", "2/3"], "y": "*"},
+    {"p": ["0", "1"], "y": "*"},
+    {"p": ["0", 1], "y": 0},
+    {"p": [0, "1"], "y": 1},
+    {"p": ["1/3", "2/3"], "y": 1},
+    {"p": ["0", "1/2"], "y": 0},
+]
+
+
 @st.composite
-def event_docs(draw):
+def event_docs(draw, step=steps(), max_boxes=4):
     """Up to four boxes over up to four steps; each step is one of at most three columns, so steps repeat."""
-    horizon, n_boxes = draw(st.integers(1, 4)), draw(st.integers(0, 4))
-    columns = draw(st.lists(st.lists(steps(), min_size=n_boxes, max_size=n_boxes), min_size=1, max_size=3))
+    horizon, n_boxes = draw(st.integers(1, 4)), draw(st.integers(0, max_boxes))
+    columns = draw(st.lists(st.lists(step, min_size=n_boxes, max_size=n_boxes), min_size=1, max_size=3))
     order = draw(st.lists(st.integers(0, len(columns) - 1), min_size=horizon, max_size=horizon))
     boxes = [{"steps": [columns[c][i] for c in order]} for i in range(n_boxes)]
     return json.dumps({"horizon": horizon, "boxes": boxes})
@@ -118,6 +138,27 @@ def test_the_level_order_program_equals_the_recursive_one(text):
     assert witness.to_json() == expected_witness.to_json()
 
 
+@PROPERTY
+@given(event_docs(st.sampled_from(ONE_BOX_EDGES), max_boxes=3))
+@example(doc(2, [{"p": ["0", "0"], "y": 1}] * 2, [{"p": ["1", "1"], "y": 0}] * 2))
+# One box at a time: a wildcard [0, 1] ties at every candidate, so the first wins.
+@example(doc(3, [{"p": ["0", "1"], "y": "*"}, {"p": ["1/3", "1/3"], "y": 0}, {"p": ["0", "1"], "y": 1}]))
+@example(doc(2, [{"p": ["1/2", "0.5"], "y": 1}, {"p": ["0", "1/2"], "y": 0}],
+             [{"p": ["0", "1"], "y": "*"}, {"p": ["2/3", "2/3"], "y": "*"}]))
+def test_a_live_set_of_one_box_reads_its_interval_ends(text):
+    event = event_from_json(text)
+    for depth in range(event.horizon):
+        _, forecasts, rows, own = measureprob._forecast_candidates(event, depth)
+        for i, box in enumerate(event.boxes):
+            step = box.steps[depth]
+            inside = [row for p, row in zip(forecasts, rows) if step.p_lo <= p <= step.p_hi]
+            assert own[1 << i] == ((inside[0], inside[-1]) if len(inside) > 1 else (inside[0],))
+    value, witness = measure_upper_probability(event)
+    expected_value, expected_witness = reference_measure(event)
+    assert value == expected_value
+    assert witness.to_doc() == expected_witness.to_doc()
+
+
 class _Tripwire(int):
     """A step's denominator q that refuses to be multiplied, as only the backward pass does."""
 
@@ -132,8 +173,8 @@ def tripwire(monkeypatch):
     build = measureprob._forecast_candidates
 
     def wired(event, depth):
-        q, ints, forecasts, pairs = build(event, depth)
-        return _Tripwire(q), ints, forecasts, pairs
+        q, *rest = build(event, depth)
+        return _Tripwire(q), *rest
 
     monkeypatch.setattr(measureprob, "_forecast_candidates", wired)
 
