@@ -55,8 +55,23 @@ EXIT_INPUT = 2
 EXIT_REJECT = 3
 
 
+class Written(str):
+    """A result already written as compact JSON text: ``to_json`` splices it in, ``to_text`` prints it parsed."""
+
+
+# Built once: json.dumps given keywords builds an encoder per call.
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _object(texts: dict) -> str:
+    """The compact JSON object of keys and their values' written texts, the keys sorted as ``_compact`` sorts them."""
+    return "{" + ",".join(f"{_compact(key)}:{text}" for key, text in sorted(texts.items())) + "}"
+
+
 def _render(value, name: str):
     """``value`` as a report prints it; a rational too long to print is an ``InputError`` naming ``name``."""
+    if isinstance(value, Written):
+        return json.loads(value)
     if isinstance(value, str):
         return value
     if isinstance(value, Fraction):
@@ -72,8 +87,7 @@ def _render(value, name: str):
     if isinstance(value, (list, tuple)):
         return [_render(v, name) for v in value]
     if isinstance(value, dict):
-        # A str entry, such as every entry of a witness table, is passed through without a call.
-        return {k: v if isinstance(v, str) else _render(v, name) for k, v in value.items()}
+        return {k: _render(v, name) for k, v in value.items()}
     return value
 
 
@@ -97,15 +111,20 @@ class Report:
         return EXIT_REJECT if self.rejected else EXIT_OK
 
     def to_json(self) -> str:
+        """The report as compact JSON, keys sorted, a ``Written`` result's text spliced in as it stands."""
         doc = {
             "command": self.command,
             "inputs": {key: _render(value, f"input {key}") for key, value in self.inputs.items()},
-            "results": {key: _render(value, key) for key, value in self.results.items()},
             "checks": self.checks,
         }
         if self.seed is not None:
             doc["seed"] = self.seed
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        texts = {key: _compact(value) for key, value in doc.items()}
+        texts["results"] = _object({
+            key: value if isinstance(value, Written) else _compact(_render(value, key))
+            for key, value in self.results.items()
+        })
+        return _object(texts) + "\n"
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
@@ -160,6 +179,8 @@ def cmd_value(args) -> Report:
         raise InputError("--table-out needs the game engine: use --engine game or both")
     if args.witness_out and args.engine == "game":
         raise InputError("--witness-out needs the measure engine: use --engine measure or both")
+    if args.table_out and args.witness_out and os.path.realpath(args.table_out) == os.path.realpath(args.witness_out):
+        raise InputError(f"--table-out and --witness-out name one file, {args.witness_out}: give each its own")
     text, digest = _read(args.event)
     event = event_from_json(text)
     report = Report("value", inputs={"event": args.event, "digest": digest, "engine": args.engine})
@@ -171,9 +192,9 @@ def cmd_value(args) -> Report:
     if args.engine in ("measure", "both"):
         value, witness = measureprob.measure_upper_probability(event)
         report.results["upper_measure"] = value
-        witness_doc = report.results["witness_system"] = witness.to_doc()
+        report.results["witness_system"] = Written(witness.to_json(separators=(",", ":")))
         if args.witness_out:
-            report.files[args.witness_out] = json.dumps(witness_doc, sort_keys=True)
+            report.files[args.witness_out] = witness.to_json()
             report.results["witness_out"] = args.witness_out
     if args.engine == "both":
         equal = report.results["upper_game"] == report.results["upper_measure"]

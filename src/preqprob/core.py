@@ -272,7 +272,9 @@ class ForecastingSystem:
     ``start`` through ``expand`` and never replay a history from the root: a
     path of length n costs n expands.  Whole-tree walks expand each distinct
     state of a depth once, through ``level_graph``, so states must be hashable:
-    histories whose states are equal share one subtree of forecasts.
+    histories whose states are equal share one subtree of forecasts.  The
+    table document is written by one walker, ``to_json``, once per distinct
+    state, and ``to_doc`` parses that text.
     ``expand`` is the system's own function, called as it is: the history
     rule and ``stepping``, which take caller code, check each forecast it
     returns to lie in [0, 1], and ``constant`` and ``from_table`` check
@@ -328,10 +330,18 @@ class ForecastingSystem:
         return cls._trusted(horizon, 0, lambda k: (forecasts[k], 2 * k + 1, 2 * k + 2))
 
     def to_doc(self) -> dict:
-        """The JSON document of the table, its bit-string keys in sorted order.
+        """The table document, ``{"horizon": N, "table": {bit string: forecast}}``, parsed from ``to_json``."""
+        return json.loads(self.to_json())
 
-        ``level_graph`` expands each distinct state of a depth once: histories
-        that reach equal states share that state's subtree of forecasts.
+    def to_json(self, separators: tuple[str, str] = (", ", ": ")) -> str:
+        """The table document as ``json.dumps(doc, sort_keys=True, separators=separators)`` writes it, once per state.
+
+        Sorted bit-string keys put a history before its subtree, and the
+        subtree after 0 before the one after 1: the keys are in preorder.  So
+        ``level_graph`` expands each distinct state of a depth once, and from
+        the deepest level up one text serves every history reaching a state:
+        its own item, then each child's text with its keys extended by the
+        child's bit.  Histories that reach equal states share that text.
         """
         check_walk(outcome_tree_nodes(self.horizon), f"the outcome tree at horizon {self.horizon}")
 
@@ -339,19 +349,19 @@ class ForecastingSystem:
             p, after0, after1 = self.expand(state)
             return p, (after0, after1)
 
-        states, forecasts, links = level_graph(self.start, step, self.horizon, "the table")
-        objects = {id(p): p for level in forecasts for p in level}
-        text = {key: str(p) for key, p in objects.items()}  # once per object
-        # below[s]: the texts of state s's subtree in sorted-key order, which is preorder.
-        below = [[]] * len(states[-1])
-        for level, kids in zip(reversed(forecasts), reversed(links)):
-            below = [[text[id(p)]] + below[after0] + below[after1] for p, (after0, after1) in zip(level, kids)]
-        # The key of the history at index k is its bit string, the binary form of k+1 after the leading 1.
-        keys = sorted(bin(k)[3:] for k in range(1, 2**self.horizon))
-        return {"horizon": self.horizon, "table": dict(zip(keys, below[0]))}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), sort_keys=True)
+        _, forecasts, links = level_graph(self.start, step, self.horizon, "the table")
+        comma, colon = separators
+        mark = "\x00"  # the key's prefix, in no forecast's text, which is digits and "/"
+        item = {id(p): f'"{mark}"{colon}"{p!s}"' for level in forecasts for p in level}  # once per object
+        *upper, deepest = forecasts
+        texts = [item[id(p)] for p in deepest]
+        for level, kids in zip(reversed(upper), reversed(links[:-1])):
+            texts = [
+                comma.join((item[id(p)], texts[zero].replace(mark, mark + "0"), texts[one].replace(mark, mark + "1")))
+                for p, (zero, one) in zip(level, kids)
+            ]
+        head = json.dumps({"horizon": self.horizon, "table": {}}, sort_keys=True, separators=separators)
+        return head[:-2] + texts[0].replace(mark, "") + "}}"
 
     @classmethod
     def from_json(cls, text: str) -> "ForecastingSystem":

@@ -35,7 +35,7 @@ the q of steps d..N-1, so the pass compares integers and builds no Fraction
 but the root value.  The maximizers the backward pass keeps per (depth,
 live-set) are the witness: a forecasting system in stepping form whose state
 is (depth, live-set), where one step reads the maximizer and its two masks.
-A path of n steps costs n lookups, and a whole-tree walk, such as ``to_doc``,
+A path of n steps costs n lookups, and a whole-tree walk, such as ``to_json``,
 one per distinct (depth, live-set) state.  The masks come from this module's
 own interval tests, and the engine shares no code with the game-theoretic
 engine in ``gameprob``; the equality of the two roots on every box union is

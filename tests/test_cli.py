@@ -129,6 +129,19 @@ class TestValue:
         assert err == "error: --witness-out needs the measure engine: use --engine measure or both\n"
         assert not witness.exists()
 
+    @pytest.mark.parametrize("second", ["./out.json", "sub/../out.json"])
+    def test_one_path_for_both_witnesses_is_refused_before_reading_the_event(self, capsys, tmp_path, monkeypatch,
+                                                                            second):
+        """Each output file holds one witness, so a path named twice, however spelled, is an input error."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        code, out, err = run(
+            capsys, "value", "--event", "no-such-event.json", "--table-out", "out.json", "--witness-out", second
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --table-out and --witness-out name one file, {second}: give each its own\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["sub"]
+
     def test_engines_that_disagree_exit_one_with_the_report(self, capsys, event_file, monkeypatch):
         monkeypatch.setattr(gameprob, "upper_game_probability", lambda event: Fraction(1, 3))
         code, out, _ = run(capsys, "value", "--event", event_file, "--engine", "both", "--json")
@@ -703,6 +716,7 @@ def table_document(cells, horizon=1):
         (["ville", "--phi", "{file}"], '{"horizon": 1.9, "table": {"": "1/2"}}'),
         (["verify", "--value-function", "{file}"], table_document([("0", "1", False, False)], horizon=1.5)),
         (["verify", "--value-function", "{file}"], table_document([("0", "1", False, False)], horizon=True)),
+        (["value", "--event", "{file}", "--table-out", "{file}.out", "--witness-out", "{file}.out"], GOOD_EVENT),
     ],
     ids=[
         "stream-threshold-zero-denominator",
@@ -733,6 +747,7 @@ def table_document(cells, horizon=1):
         "phi-horizon-float",
         "value-function-horizon-float",
         "value-function-horizon-boolean",
+        "value-table-and-witness-one-path",
     ],
 )
 def test_malformed_input_is_one_line_input_error(capsys, tmp_path, argv, document):
