@@ -181,6 +181,10 @@ def cmd_value(args) -> Report:
         raise InputError("--witness-out needs the measure engine: use --engine measure or both")
     if args.table_out and args.witness_out and os.path.realpath(args.table_out) == os.path.realpath(args.witness_out):
         raise InputError(f"--table-out and --witness-out name one file, {args.witness_out}: give each its own")
+    for flag, out in (("--table-out", args.table_out), ("--witness-out", args.witness_out)):
+        # An output not there yet is not the event, which is read: one stat instead of two realpath walks.
+        if out and os.path.exists(out) and os.path.realpath(out) == os.path.realpath(args.event):
+            raise InputError(f"{flag} names the event file, {out}: write it elsewhere")
     text, digest = _read(args.event)
     event = event_from_json(text)
     report = Report("value", inputs={"event": args.event, "digest": digest, "engine": args.engine})

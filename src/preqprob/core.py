@@ -138,6 +138,32 @@ def marked_paths(links: list, marks: list) -> list:
     return found
 
 
+def tree_json(head: dict, values: list, links: list, tokens: list, separators: tuple[str, str] = (", ", ": ")) -> str:
+    """``json.dumps(head, sort_keys=True, separators=separators)`` with a tree's items in its last key's ``{}``.
+
+    ``values[d]`` lists depth d's state values and ``links[d][s]`` state s's
+    child indices at depth d + 1, as ``level_graph`` gives them; ``tokens[d]``
+    lists depth d's (token, child index) pairs in sorted-token order, no token
+    a prefix of another.  A node's key is the tokens along its path, and its
+    item's text is ``str`` of its value.  Sorted keys put a node before its
+    subtree and sibling subtrees in their tokens' order, so from the deepest
+    level up one text serves every node reaching a state: its own item, then
+    each child's text with its keys extended by the child's token.
+    """
+    comma, colon = separators
+    mark = "\x00"  # where a key's tokens go: in no item's text, which is digits, "-" and "/"
+    items = [[f'"{mark}"{colon}"{value!s}"' for value in level] for level in values]
+    texts = items[-1]
+    for depth in reversed(range(len(links))):
+        # The root's children take their tokens without the mark: only the root's own item keeps one.
+        keys = [(mark + token if depth else token, child) for token, child in tokens[depth]]
+        texts = [
+            comma.join([item, *(texts[kids[child]].replace(mark, key) for key, child in keys)])
+            for item, kids in zip(items[depth], links[depth])
+        ]
+    return json.dumps(head, sort_keys=True, separators=separators)[:-2] + texts[0].replace(mark, "", 1) + "}}"
+
+
 def outcome_tree_nodes(horizon: int) -> int:
     """2^(horizon+1) - 1, capped where ``check_walk`` stops naming counts exactly."""
     return 2 ** (min(horizon, 64) + 1) - 1
@@ -274,7 +300,8 @@ class ForecastingSystem:
     state of a depth once, through ``level_graph``, so states must be hashable:
     histories whose states are equal share one subtree of forecasts.  The
     table document is written by one walker, ``to_json``, once per distinct
-    state, and ``to_doc`` parses that text.
+    state, by ``tree_json``, which writes the game engine's tables too; a
+    reader wanting the dict parses that text.
     ``expand`` is the system's own function, called as it is: the history
     rule and ``stepping``, which take caller code, check each forecast it
     returns to lie in [0, 1], and ``constant`` and ``from_table`` check
@@ -329,19 +356,12 @@ class ForecastingSystem:
             raise InputError(f"table has {len(table) - len(forecasts)} keys that are not histories")
         return cls._trusted(horizon, 0, lambda k: (forecasts[k], 2 * k + 1, 2 * k + 2))
 
-    def to_doc(self) -> dict:
-        """The table document, ``{"horizon": N, "table": {bit string: forecast}}``, parsed from ``to_json``."""
-        return json.loads(self.to_json())
-
     def to_json(self, separators: tuple[str, str] = (", ", ": ")) -> str:
         """The table document as ``json.dumps(doc, sort_keys=True, separators=separators)`` writes it, once per state.
 
-        Sorted bit-string keys put a history before its subtree, and the
-        subtree after 0 before the one after 1: the keys are in preorder.  So
-        ``level_graph`` expands each distinct state of a depth once, and from
-        the deepest level up one text serves every history reaching a state:
-        its own item, then each child's text with its keys extended by the
-        child's bit.  Histories that reach equal states share that text.
+        ``level_graph`` expands each distinct state of a depth once, and
+        ``tree_json`` writes one text per state, the keys extended by the bit
+        of each step; histories that reach equal states share that text.
         """
         check_walk(outcome_tree_nodes(self.horizon), f"the outcome tree at horizon {self.horizon}")
 
@@ -350,18 +370,8 @@ class ForecastingSystem:
             return p, (after0, after1)
 
         _, forecasts, links = level_graph(self.start, step, self.horizon, "the table")
-        comma, colon = separators
-        mark = "\x00"  # the key's prefix, in no forecast's text, which is digits and "/"
-        item = {id(p): f'"{mark}"{colon}"{p!s}"' for level in forecasts for p in level}  # once per object
-        *upper, deepest = forecasts
-        texts = [item[id(p)] for p in deepest]
-        for level, kids in zip(reversed(upper), reversed(links[:-1])):
-            texts = [
-                comma.join((item[id(p)], texts[zero].replace(mark, mark + "0"), texts[one].replace(mark, mark + "1")))
-                for p, (zero, one) in zip(level, kids)
-            ]
-        head = json.dumps({"horizon": self.horizon, "table": {}}, sort_keys=True, separators=separators)
-        return head[:-2] + texts[0].replace(mark, "") + "}}"
+        bits = [(("0", 0), ("1", 1))] * (self.horizon - 1)
+        return tree_json({"horizon": self.horizon, "table": {}}, forecasts, links[:-1], bits, separators)
 
     @classmethod
     def from_json(cls, text: str) -> "ForecastingSystem":

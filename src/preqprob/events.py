@@ -436,7 +436,7 @@ def event_from_json(text: str) -> EventUnion:
         doc = json.loads(text)
         horizon = as_int(doc["horizon"], "horizon")
         boxes = []
-        for box_doc in doc.get("boxes", []):
+        for box_doc in doc["boxes"]:
             steps = []
             for step_doc in box_doc["steps"]:
                 p, y_raw = step_doc["p"], step_doc.get("y", "*")

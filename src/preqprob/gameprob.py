@@ -61,11 +61,13 @@ a node on its JSON value as written, and ``ValueFunction.state_graph``,
 which reads any other mapping, on its value object's ``id``.  The builder
 sizes the tree, ``reach`` with ``tree_nodes`` against ``core.check_walk``'s
 node budget before it starts.  The tree order lives here alone: level by
-level, children in (cell, bit) order, as ``_level_order`` lists it.  No walk
-builds a cell-path: ``to_json`` writes each state's subtree once,
-``from_json`` builds the keys a level at a time and parses each state's
-string once, and ``StateGraph.marked_nodes`` decodes, by ``core.marked_paths``,
-only the paths of the nodes it reports.
+level, children in (cell, bit) order, as ``_level_order`` lists it, and a
+node's key string is the ``_token``s along its cell-path.  No walk builds a
+cell-path: ``to_json`` writes each state's subtree once, by
+``core.tree_json``, the writer of the measure witness as well, ``from_json``
+builds the keys a level at a time and parses each state's string once, and
+``StateGraph.marked_nodes`` decodes, by ``core.marked_paths``, only the paths
+of the nodes it reports.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ from itertools import accumulate, chain, product
 from operator import itemgetter, mul
 
 from .core import (ONE, ZERO, InputError, PrequentialPrefix, as_fraction, as_int, check_outcome, check_walk,
-                   digits_beyond_limit, level_graph, marked_paths, parse_once_per_string, reading)
+                   digits_beyond_limit, level_graph, marked_paths, parse_once_per_string, reading, tree_json)
 from .events import ArityError, Cell, EventUnion, ForecastPartition, event_partitions
 
 CellPath = tuple[tuple[int, int], ...]
@@ -267,30 +269,17 @@ class ValueFunction:
         return StateGraph([list(map(objects.__getitem__, level)) for level in graph.levels], graph.children)
 
     def to_json(self) -> str:
-        """The table document, keys in sorted order, written once per state.
+        """The table document, keys in sorted order, written once per state by ``core.tree_json``.
 
-        ``sort_keys`` puts a node before its subtree, and sibling subtrees in
-        their tokens' string order (no token is a prefix of another), so one
-        text serves every node of a state: its own item, then each child's
-        text with its keys extended by the child's token.  After ``tree_nodes``
-        sizes the tree, a value too long for ``str`` is an ``InputError``,
-        raised before any is formatted.
+        The keys are the ``_token``s along each node's cell-path.  After
+        ``tree_nodes`` sizes the tree, a value too long for ``str`` is an
+        ``InputError``, raised before any is formatted.
         """
         tree_nodes(self.partitions)
         graph = self.state_graph()
         limit = sys.get_int_max_str_digits()
         if any(digits_beyond_limit(v, limit) for level in graph.levels for v in level):
             raise InputError(f"a table value has more than {limit} digits, the interpreter's integer digit limit")
-        mark = "\x00"  # in no value's text, which is digits, "-" and "/"
-        items = [[f'"{mark}": "{v!s}"' for v in level] for level in graph.levels]
-        texts = items[-1]
-        for depth in reversed(range(len(self.partitions))):
-            lead = f"{mark}," if depth else ""
-            order = sorted((f"{lead}{i // 2}:{i % 2}", i) for i in range(2 * len(self.partitions[depth].cells)))
-            texts = [
-                ", ".join([item, *(texts[kids[i]].replace(mark, key) for key, i in order)])
-                for item, kids in zip(items[depth], graph.children[depth])
-            ]
         head = {
             "horizon": self.horizon,
             "partitions": [
@@ -305,9 +294,10 @@ class ValueFunction:
                 ]
                 for partition in self.partitions
             ],
-            "values": {},  # the last key: its items are the root's text
+            "values": {},  # the last key: ``tree_json`` writes the tree into it
         }
-        return json.dumps(head, sort_keys=True)[:-2] + texts[0].replace(mark, "") + "}}"
+        tokens = [sorted(zip(level, range(len(level)))) for level in _tokens(self.partitions)]
+        return tree_json(head, graph.levels, graph.children, tokens)
 
     @classmethod
     def from_json(cls, text: str) -> "ValueFunction":
@@ -377,23 +367,32 @@ def _covers_unit_interval(cells: tuple[Cell, ...]) -> bool:
     )
 
 
+def _token(depth: int, ci: int, bit: int) -> str:
+    """Step ``depth``'s key token for cell ``ci`` and outcome ``bit``: "ci:bit", led by a comma below the root."""
+    return f"{',' if depth else ''}{ci}:{bit}"
+
+
+def _tokens(partitions) -> list:
+    """Each depth's child tokens in level order, none a prefix of another."""
+    return [[_token(d, ci, bit) for ci in range(len(p.cells)) for bit in (0, 1)] for d, p in enumerate(partitions)]
+
+
 def _node_keys(partitions) -> list:
     """Every node's key string in level order, after ``tree_nodes`` sizes the tree.
 
     ``from_json`` reads its values at these keys, so this sizes the table that ``StateGraph.from_nodes`` builds.
-    A level is one comprehension, parent key plus token; below the root a token leads with its comma.
+    A level is one comprehension, parent key plus token.
     """
     tree_nodes(partitions)
     keys, level = [""], [""]
-    for depth, p in enumerate(partitions):
-        tokens = [f"{',' if depth else ''}{ci}:{bit}" for ci in range(len(p.cells)) for bit in (0, 1)]
+    for tokens in _tokens(partitions):
         level = [key + token for key in level for token in tokens]
         keys.extend(level)
     return keys
 
 
 def encode_cell_path(path: CellPath) -> str:
-    return ",".join(f"{ci}:{bit}" for ci, bit in path)
+    return "".join(_token(depth, ci, bit) for depth, (ci, bit) in enumerate(path))
 
 
 class _GameEngine:

@@ -717,6 +717,8 @@ def table_document(cells, horizon=1):
         (["verify", "--value-function", "{file}"], table_document([("0", "1", False, False)], horizon=1.5)),
         (["verify", "--value-function", "{file}"], table_document([("0", "1", False, False)], horizon=True)),
         (["value", "--event", "{file}", "--table-out", "{file}.out", "--witness-out", "{file}.out"], GOOD_EVENT),
+        (["value", "--event", "{file}", "--engine", "game", "--table-out", "{file}"], GOOD_EVENT),
+        (["value", "--event", "{file}", "--engine", "measure", "--witness-out", "{file}"], GOOD_EVENT),
     ],
     ids=[
         "stream-threshold-zero-denominator",
@@ -748,6 +750,8 @@ def table_document(cells, horizon=1):
         "value-function-horizon-float",
         "value-function-horizon-boolean",
         "value-table-and-witness-one-path",
+        "value-table-out-is-the-event",
+        "value-witness-out-is-the-event",
     ],
 )
 def test_malformed_input_is_one_line_input_error(capsys, tmp_path, argv, document):
@@ -758,6 +762,21 @@ def test_malformed_input_is_one_line_input_error(capsys, tmp_path, argv, documen
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--table-out", "--witness-out"])
+def test_an_output_naming_the_event_leaves_it_unchanged(capsys, monkeypatch, tmp_path, flag):
+    """The output is refused before the event is read, whether named by another spelling of its path or a link."""
+    monkeypatch.chdir(tmp_path)
+    event = tmp_path / "e.json"
+    event.write_text(GOOD_EVENT)
+    (tmp_path / "link.json").symlink_to(event)
+    for out in ("./e.json", str(event), "link.json"):
+        code, out_text, err = run(capsys, "value", "--event", "e.json", "--engine", "both", flag, out)
+        assert (code, out_text) == (2, "")
+        assert err == f"error: {flag} names the event file, {out}: write it elsewhere\n"
+    assert event.read_text() == GOOD_EVENT
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["e.json", "link.json"]
 
 
 def test_ville_past_the_certification_limit_is_one_line_input_error(capsys):

@@ -1,5 +1,6 @@
 """Core prequential objects: induced paths, cylinder weights, sampling."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -159,4 +160,4 @@ class TestForecastingSystem:
         phi = ForecastingSystem.constant(HALF, 100)
         assert len(sample_outcomes(phi, 100, 7)) == 100
         with pytest.raises(HorizonError):
-            phi.to_doc()
+            json.loads(phi.to_json())

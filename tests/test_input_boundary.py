@@ -164,6 +164,8 @@ CASES = {
     "event-bound-unicode-digit": (["value", "--event", "{file}"], event_steps({"p": [AR0, "1"], "y": "*"})),
     "ville-threshold-unicode-exponent": (["ville", "-C", UNICODE_EXPONENT], None),
     "ville-bound-overflows-a-float": (["ville", "-C", "1e-400", "--samples", "10"], None),
+    "event-without-boxes": (["value", "--event", "{file}"], '{"horizon": 2}'),
+    "event-is-a-game-table": (["value", "--event", "{file}"], json.dumps(GOOD_TABLE)),
     "value-table-out-with-measure-engine": (
         ["value", "--event", "{file}", "--engine", "measure", "--table-out", "{file}.table"], GOOD_EVENT
     ),
@@ -319,6 +321,13 @@ def test_a_malformed_document_is_named():
         parse_stream_csv(5)
 
 
+def test_an_event_needs_its_boxes_and_may_have_none():
+    with pytest.raises(InputError, match=r"^malformed event document: missing 'boxes'$"):
+        event_from_json('{"horizon": 2}')
+    empty = event_from_json('{"horizon": 2, "boxes": []}')
+    assert empty == EventUnion(2, ()) and measure_upper_probability(empty)[0] == 0
+
+
 def test_a_float_value_is_refused_after_an_equal_int():
     """Each distinct value is parsed once, but 1.0 does not share the parse of 1."""
     doc = dict(GOOD_TABLE, values={"": 1, "0:0": 1, "0:1": 1.0})
@@ -434,7 +443,7 @@ BUILT_CHECKED = {
     "from_table": lambda: random_forecasting_system(random.Random(3), 10),
     "measure-witness": witness_at_10,
 }
-# Each caller-code system with the checks its to_doc makes, one per expand of a distinct state of
+# Each caller-code system with the checks its to_json makes, one per expand of a distinct state of
 # a depth: the history rule's state is the history, the stepping system's its depth.
 CALLER_CODE = {
     "history-rule": (lambda: ForecastingSystem(10, lambda h: Fraction(1 + sum(h), 2 + len(h))), 2**10 - 1),
@@ -446,7 +455,7 @@ CALLER_CODE = {
 def test_systems_checked_when_built_are_trusted_downstream(check_calls, kind):
     phi = BUILT_CHECKED[kind]()
     check_calls.clear()
-    phi.to_doc()
+    json.loads(phi.to_json())
     assert check_calls == []
 
 
@@ -455,7 +464,7 @@ def test_caller_code_has_each_forecast_checked(check_calls, kind):
     make, checks = CALLER_CODE[kind]
     phi = make()
     check_calls.clear()
-    phi.to_doc()
+    json.loads(phi.to_json())
     assert len(check_calls) == checks
 
 

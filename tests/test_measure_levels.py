@@ -14,6 +14,7 @@ import json
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given
@@ -156,7 +157,7 @@ def test_a_live_set_of_one_box_reads_its_interval_ends(text):
     value, witness = measure_upper_probability(event)
     expected_value, expected_witness = reference_measure(event)
     assert value == expected_value
-    assert witness.to_doc() == expected_witness.to_doc()
+    assert json.loads(witness.to_json()) == json.loads(expected_witness.to_json())
 
 
 class _Tripwire(int):
@@ -195,6 +196,17 @@ def test_past_the_budget_value_exits_2_with_one_line(capsys, monkeypatch, tmp_pa
     code, out, err = run(capsys, "value", "--engine", "measure", "--event", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: the measure engine reaches more than 5 ") and err.count("\n") == 1
+
+
+def test_the_budget_refusal_names_the_step_it_stops_at(monkeypatch):
+    """A budget one short of the pairs the game engine reaches through step k is refused at step k."""
+    event = event_from_json(nested_event(4, 10))
+    upper_game_probability(event)
+    reached = list(accumulate(len(level) - (0 in level) for level in gameprob._engine(event)._values))
+    for step in range(1, 11):
+        monkeypatch.setattr(measureprob, "MEASURE_BUDGET", reached[step] - 1)
+        with pytest.raises(MeasureBudgetError, match=f"pairs by step {step} of 10;"):
+            measure_upper_probability(event)
 
 
 def test_the_measure_engine_reaches_no_more_pairs_than_the_game_engine(monkeypatch):

@@ -182,6 +182,20 @@ def test_live_set_budget_counts_the_forward_pass(monkeypatch):
     assert upper_game_probability(event) == value
 
 
+def test_a_constrained_step_may_reach_the_budget_exactly(monkeypatch):
+    """Box 4 constrains the last step: a forward pass of exactly the budget's pairs is solved, one more is refused."""
+    event = event_from_json(nested_event(4, 4))
+    engine = _GameEngine(event)
+    full = engine.all_live()
+    assert engine.masks[-1] != ((full, full),)
+    reached = sum(len(level) - (0 in level) for level in engine._values)
+    monkeypatch.setattr(gameprob, "LIVE_SET_BUDGET", reached)
+    assert _GameEngine(event)._values == engine._values
+    monkeypatch.setattr(gameprob, "LIVE_SET_BUDGET", reached - 1)
+    with pytest.raises(LiveSetBudgetError, match="pairs by step 4 of 4;"):
+        _GameEngine(event)
+
+
 class TestCalibrationSums:
     def test_sum_bounds_are_inclusive_and_exact(self):
         n = 3

@@ -1,5 +1,6 @@
 """The stepping form of forecasting systems: one expand per node, checks kept in every walker."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -60,7 +61,7 @@ def test_witness_doc_equals_the_per_history_reference():
     for _ in range(30):
         event = random_event(rng, max_horizon=7, max_boxes=4)
         witness = measure_upper_probability(event)[1]
-        doc = witness.to_doc()
+        doc = json.loads(witness.to_json())
         assert doc == reference_doc(witness)
         assert list(doc["table"]) == sorted(doc["table"])
 
@@ -103,19 +104,19 @@ def test_doc_equals_the_per_history_reference(kind):
     rng = random.Random(kind)
     for horizon in (1, 2, 3, 5, 8, 10):
         phi = SYSTEMS[kind](rng, horizon)
-        doc = phi.to_doc()
+        doc = json.loads(phi.to_json())
         assert doc == reference_doc(phi)
         assert list(doc["table"]) == sorted(doc["table"])
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_witness_table_expands_each_history_once(expand_calls, seed):
-    """A walk of every history expands each; ``to_doc`` each distinct (depth, live-set) state once."""
+    """A walk of every history expands each; ``to_json`` each distinct (depth, live-set) state once."""
     rng = random.Random(seed)
     event = random_event(rng, horizon=rng.randint(1, 10), max_boxes=4)
     witness = measure_upper_probability(event)[1]
     expand_calls.clear()
-    witness.to_doc()
+    json.loads(witness.to_json())
     per_state = sorted(expand_calls)
     expand_calls.clear()
     # Every history's state, in level order: the children of k are 2k+1 and 2k+2.
@@ -133,7 +134,7 @@ def test_a_depth_counter_writes_its_horizon_16_table_in_16_expands():
         calls.append(depth)
         return Fraction(depth, 16), depth + 1, depth + 1
 
-    doc = ForecastingSystem.stepping(16, 0, expand).to_doc()
+    doc = json.loads(ForecastingSystem.stepping(16, 0, expand).to_json())
     assert calls == list(range(16))
     # Every bit string of each length n < 16, sorted.
     keys = sorted(format(k, f"0{n}b") if n else "" for n in range(16) for k in range(2**n))
@@ -205,7 +206,7 @@ def stepped_rule(depth):
 
 WALKERS = {
     "forecast": lambda phi: [phi.forecast(h) for h in ((), (1,), (1, 0))],
-    "to_doc": lambda phi: phi.to_doc(),
+    "to_json": lambda phi: phi.to_json(),
     "sample_outcomes": lambda phi: sample_outcomes(phi, 3, 0),
     "induced_path": lambda phi: induced_path(phi, (0, 1, 1)),
     "cylinder_probability": lambda phi: cylinder_probability(phi, (1, 1, 0)),

@@ -1,12 +1,12 @@
 """``ForecastingSystem.to_json`` writes the table document once per state, as ``json.dumps`` writes the dict.
 
-``dict_fold`` below is ``to_doc`` as it stood before the writer: the same
-``level_graph`` walk, each state's forecasts folded into a list in preorder
-and zipped with the sorted bit-string keys into a dict.  The property
-compares the writer with ``json.dumps`` of that dict, in both separator
-styles, on measure witnesses of random events, whose states (depth,
-live-set) merge, on ``from_table`` systems, whose states never merge, and on
-``constant`` systems, whose one state every history shares.
+``dict_fold`` below builds the table document as it was built before the
+writer: the same ``level_graph`` walk, each state's forecasts folded into a
+list in preorder and zipped with the sorted bit-string keys into a dict.
+The property compares the writer with ``json.dumps`` of that dict, in both
+separator styles, on measure witnesses of random events, whose states
+(depth, live-set) merge, on ``from_table`` systems, whose states never
+merge, and on ``constant`` systems, whose one state every history shares.
 """
 
 import json
@@ -68,4 +68,4 @@ def test_the_writer_writes_what_json_dumps_writes_of_the_fold(phi):
     reference = dict_fold(phi)
     assert phi.to_json() == json.dumps(reference, sort_keys=True)
     assert phi.to_json(separators=(",", ":")) == json.dumps(reference, sort_keys=True, separators=(",", ":"))
-    assert list(phi.to_doc()["table"]) == list(reference["table"])
+    assert list(json.loads(phi.to_json())["table"]) == list(reference["table"])
