@@ -35,6 +35,7 @@ from .core import (
     InputError,
     as_fraction,
     as_int,
+    check_seed,
     digits_beyond_limit,
     induced_path,
     reading,
@@ -169,9 +170,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_seed(args) -> int:
+    """``--seed``, else ``$PREQ_SEED``, else 0, refused if negative by ``check_seed``."""
     if args.seed is not None:
-        return args.seed
-    return as_int(os.environ.get("PREQ_SEED", "0"), "$PREQ_SEED")
+        return check_seed(args.seed, "--seed")
+    return check_seed(as_int(os.environ.get("PREQ_SEED", "0"), "$PREQ_SEED"), "$PREQ_SEED")
 
 
 def cmd_value(args) -> Report:
@@ -371,10 +373,10 @@ def cmd_duality_sweep(args) -> Report:
 
 
 def cmd_levy_trace(args) -> Report:
+    seed = _default_seed(args)
     text, digest = _read(args.event)
     event = event_from_json(text)
     threshold = as_fraction(args.threshold)
-    seed = _default_seed(args)
     report = Report(
         "levy-trace",
         inputs={
@@ -460,7 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed=False):
         p.add_argument("--json", action="store_true", help="emit a machine-readable report")
         if seed:
-            p.add_argument("--seed", type=_int_option, default=None, help="RNG seed (default: $PREQ_SEED or 0)")
+            p.add_argument(
+                "--seed", type=_int_option, default=None, help="non-negative RNG seed (default: $PREQ_SEED or 0)"
+            )
 
     p = sub.add_parser("value", help="upper probability of an event file")
     p.add_argument("--event", required=True, help="event JSON file")

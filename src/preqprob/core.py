@@ -284,6 +284,17 @@ def check_outcome(y) -> int:
     return int(y)
 
 
+def check_seed(seed: int, what: str = "seed") -> int:
+    """Refuse a negative seed: ``random.Random(-k)`` draws what ``random.Random(k)`` draws.
+
+    Sample i of ``ville_check``, ``monte_carlo_probability`` and ``preq
+    levy-trace`` is seeded seed + i, so a negative seed would repeat samples.
+    """
+    if seed < 0:
+        raise InputError(f"{what} must be non-negative, got {seed}")
+    return seed
+
+
 class ForecastingSystem:
     """A rule assigning a forecast to every outcome history shorter than the horizon.
 

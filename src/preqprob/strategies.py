@@ -39,7 +39,10 @@ strategy value) pair of a depth once, by ``level_graph``, but its violations
 can name all 2^(N+1) - 1 histories, so both size the outcome tree with
 ``check_walk`` and refuse it before any strategy is built.
 Sampling then steps each outcome-tree node at most once per call: the value
-reached at a node is kept and shared by every later sample through it.
+reached at a node is kept and shared by every later sample through it, so a
+sample asks the system for its forecasts only when it reaches a node no
+earlier sample stepped, and a sample stops at a node whose capital has
+reached the threshold or is 0, from which no sampled path reaches it.
 
 A strategy is a frozen, hashable value with a ``capital`` attribute (a
 Fraction) and a pure ``step(p, y)`` that consumes one checked pair, a
@@ -63,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (ONE, ZERO, ForecastingSystem, HorizonError, InputError, as_fraction, as_int, check_forecast,
-                   check_outcome, check_walk, induced_path, level_graph, marked_paths, outcome_tree_nodes,
+                   check_outcome, check_seed, check_walk, induced_path, level_graph, marked_paths, outcome_tree_nodes,
                    parse_once_per_string, reading, sample_outcomes)
 from .events import point_partition
 from .gameprob import StateGraph, ValueFunction, tree_nodes
@@ -176,6 +179,16 @@ class CalibrationState:
             0 <= 4 * spread.numerator <= self.n * spread.denominator
         ):
             raise InputError("inconsistent calibration sums")
+
+    def __hash__(self) -> int:
+        """A hash of n and the sums' integer numerators and denominators, consistent with ==.
+
+        A Fraction's own hash takes a modular inverse; walks over the tree
+        hash every state they reach.  Equal states have equal n and, Fractions
+        being in lowest terms, equal numerators and denominators.
+        """
+        bias, spread = self.bias, self.spread
+        return hash((self.n, bias.numerator, bias.denominator, spread.numerator, spread.denominator))
 
     @functools.cached_property
     def capital(self) -> Fraction:
@@ -376,8 +389,9 @@ def certify_strategy(strategy_factory, phi: ForecastingSystem) -> tuple[bool, li
     return not violations, violations
 
 
-# Node mark in ``ville_check``: capital has reached the threshold here.
+# Node marks in ``ville_check``: capital has reached the threshold here, or is 0.
 _REACHED = object()
+_BROKE = object()
 
 
 @dataclass(frozen=True)
@@ -395,22 +409,33 @@ def ville_check(
     The strategy must pass exact certification under ``phi`` first; sampled
     streams then estimate the frequency of sup_n V >= C, reported against the
     bound V(initial)/C with the slack 4 sqrt(bound / samples).  A walk over
-    ``check_walk``'s budget raises HorizonError before the factory is called,
-    and a threshold whose bound is too large for a float raises InputError
-    before the certification walk.
+    ``check_walk``'s budget raises HorizonError before the factory is called;
+    a negative seed (``check_seed``) and a threshold whose bound is too large
+    for a float raise InputError before the certification walk.
 
-    Each outcome-tree node is stepped at most once per call.  Nodes are
-    indexed as in ``history_at`` (the children of k are 2k+1 and 2k+2), and
-    a dict keeps each node's strategy value, or a mark once capital has
-    reached the threshold there; strategies are pure values, so a kept value
-    equals a replayed one.
+    Sample i draws ``sample_outcomes(phi, N, seed + i)``.  Each outcome-tree
+    node is stepped at most once per call.  Nodes are indexed as in
+    ``history_at`` (the children of k are 2k+1 and 2k+2), and a dict keeps
+    each node's strategy value, or a mark once capital has reached the
+    threshold there, or is 0; strategies are pure values, so a kept value
+    equals a replayed one.  A sample walks the kept nodes along its outcomes
+    and computes its forecasts, by ``induced_path``, only if it reaches a
+    node no earlier sample stepped.
+
+    A sample stops at a node of capital 0.  Certification has passed, so
+    there capital = (1 - p) capital(x0) + p capital(x1) with both children
+    non-negative: for 0 < p < 1 both are 0, at p = 0 the sampler draws only
+    0 and at p = 1 only 1, and the child it draws has capital 0 again.  No
+    sampled path through the node reaches C > 0.
     """
     if samples < 1:
         raise InputError("samples must be at least 1")
+    check_seed(seed)
     threshold = as_fraction(threshold)
     if threshold <= ZERO:
         raise InputError("threshold must be positive")
-    check_walk(outcome_tree_nodes(phi.horizon), f"the certification walk at horizon {phi.horizon}")
+    horizon = phi.horizon
+    check_walk(outcome_tree_nodes(horizon), f"the certification walk at horizon {horizon}")
     start = strategy_factory()
     try:
         bound = float(start.capital / threshold)
@@ -422,19 +447,26 @@ def ville_check(
             f"strategy is not a non-negative martingale under the system "
             f"(first violation at history {violations[0]})"
         )
-    nodes = {0: _REACHED if start.capital >= threshold else start}
+
+    def kept(value):
+        capital = value.capital
+        return _REACHED if capital >= threshold else value if capital else _BROKE
+
+    nodes = {0: kept(start)}
     hits = 0
     for i in range(samples):
-        omega = sample_outcomes(phi, phi.horizon, seed + i)
+        omega = sample_outcomes(phi, horizon, seed + i)
+        path = None
         node, value = 0, nodes[0]
-        for p, y in induced_path(phi, omega):
-            if value is _REACHED:
+        for depth, y in enumerate(omega):
+            if value is _REACHED or value is _BROKE:
                 break
             node = 2 * node + 1 + y
             child = nodes.get(node)
             if child is None:
-                child = value.step(p, y)
-                nodes[node] = child = _REACHED if child.capital >= threshold else child
+                if path is None:
+                    path = induced_path(phi, omega)
+                nodes[node] = child = kept(value.step(path[depth][0], y))
             value = child
         if value is _REACHED:
             hits += 1

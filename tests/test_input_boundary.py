@@ -595,3 +595,58 @@ def test_an_argparse_refusal_is_one_error_line_and_exit_2(capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "usage:" not in err
+
+
+def test_a_negative_seed_would_repeat_a_non_negative_seeds_samples():
+    """``random.Random(-k)`` draws what ``random.Random(k)`` draws: seeds -3 .. 6 hold three copies."""
+    phi = ForecastingSystem.constant(HALF, 20)
+    assert core.sample_outcomes(phi, 20, -3) == core.sample_outcomes(phi, 20, 3)
+    assert len({core.sample_outcomes(phi, 20, seed) for seed in range(-3, 7)}) == 7
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["ville", "--seed", "-3", "--samples", "10", "--json"], None, "--seed must be non-negative, got -3"),
+        (["ville", "--samples", "10"], "-2", "$PREQ_SEED must be non-negative, got -2"),
+        (["duality-sweep", "--count", "1", "--seed", "-1"], None, "--seed must be non-negative, got -1"),
+        (["levy-trace", "--event", "{file}", "--seed", "-1"], None, "--seed must be non-negative, got -1"),
+        (["levy-trace", "--event", "{file}"], "-4", "$PREQ_SEED must be non-negative, got -4"),
+    ],
+    ids=["ville-option", "ville-variable", "duality-sweep-option", "levy-trace-option", "levy-trace-variable"],
+)
+def test_a_negative_seed_exits_2_before_any_work(capsys, monkeypatch, tmp_path, argv, env, message):
+    event = tmp_path / "event.json"
+    event.write_text(GOOD_EVENT)
+    if env is not None:
+        monkeypatch.setenv("PREQ_SEED", env)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("ran before the seed was checked")
+
+    for module, name in ((cli.strategies, "ville_check"), (randgen, "random_event"), (cli, "event_from_json")):
+        monkeypatch.setattr(module, name, boom)
+    code, out, err = run(capsys, *[arg.replace("{file}", str(event)) for arg in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_zero_seed_is_still_read(capsys, monkeypatch):
+    monkeypatch.setenv("PREQ_SEED", "0")
+    code, out, err = run(capsys, "ville", "--samples", "3", "--json")
+    assert code == 0, err
+    assert json.loads(out)["seed"] == 0
+
+
+def test_library_samplers_refuse_a_negative_seed_before_any_work(monkeypatch):
+    calls = []
+
+    def factory():
+        calls.append("factory")
+        return DoublingStrategy()
+
+    monkeypatch.setattr(measureprob, "sample_outcomes", lambda *args: calls.append("sample"))
+    with pytest.raises(InputError, match=r"^seed must be non-negative, got -1$"):
+        ville_check(ForecastingSystem.constant(HALF, 3), factory, 4, 10, -1)
+    with pytest.raises(InputError, match=r"^seed must be non-negative, got -3$"):
+        measureprob.monte_carlo_probability(ForecastingSystem.constant(HALF, 2), counterexample_pair()[0], 10, -3)
+    assert calls == []
