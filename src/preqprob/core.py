@@ -462,15 +462,16 @@ def sample_outcomes(phi: ForecastingSystem, n: int, seed: int) -> BinaryHistory:
     """
     if type(n) is not int or not 0 <= n <= phi.horizon:  # refuses a bool as well
         raise HorizonError(f"cannot sample {n} outcomes at horizon {phi.horizon}")
-    rng = random.Random(seed)
+    draw, expand = random.Random(seed).random, phi.expand
     state = phi.start
     bits = []
+    append = bits.append
     for _ in range(n):
-        p, after0, after1 = phi.expand(state)
-        if int(rng.random() * _TWO_53) * p.denominator < p.numerator << 53:
-            bits.append(1)
+        p, after0, after1 = expand(state)
+        if int(draw() * _TWO_53) * p.denominator < p.numerator << 53:
+            append(1)
             state = after1
         else:
-            bits.append(0)
+            append(0)
             state = after0
     return tuple(bits)

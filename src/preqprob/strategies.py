@@ -9,7 +9,10 @@ linear in the forecast and holds on the whole cell iff it holds at both cell
 endpoints.  The check reads the table as levels of states
 (``ValueFunction.state_graph``): a state fixes its value and its children's,
 so each (depth, state, cell) is decided once, and only the nodes holding a
-failing state are looked up, by ``StateGraph.marked_nodes``.
+failing state are looked up, by ``StateGraph.marked_nodes``.  The identity
+is decided on integers: ``_gap_sign`` gives the sign of
+parent - ((1 - p) v0 + p v1) by cross-multiplying numerators and
+denominators, for ``check_farthingale`` and ``certify_strategy`` alike.
 
 The calibration strategy realizes the finite-horizon bias test: with
 S = sum(y_i - p_i) and A = sum(p_i (1 - p_i)) the process
@@ -23,11 +26,13 @@ rejection is backed by the corresponding betting gain.  Capital never
 overflows: everything is exact rational arithmetic.
 
 S and A change through one exact update, ``_add(p, count, ones)``: ``count``
-more pairs with forecast p, ``ones`` of them with outcome 1.  ``step`` adds
-one pair; the sums are order-free, so ``calibration_fold`` (what ``preq
+more pairs with forecast p, ``ones`` of them with outcome 1.  It builds the
+new state directly and checks its sums on integers.  ``step`` adds one
+pair; the sums are order-free, so ``calibration_fold`` (what ``preq
 test-stream`` runs) adds each distinct forecast of a stream once.  A state's
 capital is computed once, on first read, and the verdict's ratio is the
-final capital over the initial one.
+final capital over the initial one.  ``parse_stream_csv`` parses each
+distinct string of a stream once.
 
 ``ville_check`` verifies the capital/probability inequality empirically: a
 non-negative martingale starting at v reaches C with probability at most v/C
@@ -67,7 +72,7 @@ from fractions import Fraction
 
 from .core import (ONE, ZERO, ForecastingSystem, HorizonError, InputError, as_fraction, as_int, check_forecast,
                    check_outcome, check_seed, check_walk, induced_path, level_graph, marked_paths, outcome_tree_nodes,
-                   parse_once_per_string, reading, sample_outcomes)
+                   reading, sample_outcomes)
 from .events import point_partition
 from .gameprob import StateGraph, ValueFunction, tree_nodes
 
@@ -110,7 +115,9 @@ def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
     linear in p, so the node dominates it on the whole cell iff it does at hi
     when v1 > v0, at lo when v1 < v0, and anywhere when they are equal; both
     endpoints are scanned only when that test fails.  A cell whose two
-    children are one state is decided by one compare against its value.
+    children are one state, or hold equal values, is decided by one compare
+    against that value.  Every endpoint test is decided on integers, by
+    ``_gap_sign``; the one Fraction built per test is v1 - v0.
 
     The check reads ``vf.state_graph()``, after sizing the interior tree with
     ``tree_nodes``, and decides each (depth, state, cell) once.  Every node
@@ -129,31 +136,53 @@ def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
     failing: list[dict] = []
     for partition, parents, below, children in zip(vf.partitions, graph.levels, graph.levels[1:], graph.children):
         failing.append({})
+        ends = [cell.endpoints() for cell in partition.cells]
         for state, (parent, kids) in enumerate(zip(parents, children)):
             failed = ()
-            for cell, c0, c1 in zip(partition.cells, kids[0::2], kids[1::2]):
+            for points, c0, c1 in zip(ends, kids[0::2], kids[1::2]):
                 if c0 != c1:
-                    failed += _failing_endpoints(cell, parent, below[c0], below[c1], exact)
+                    failed += _failing_endpoints(points, parent, below[c0], below[c1], exact)
                 elif parent != below[c0] if exact else parent < below[c0]:
                     # One child state: the right-hand side is its value at every p.
-                    failed += cell.endpoints()
+                    failed += points
             if failed:
                 failing[-1][state] = tuple(dict.fromkeys(failed))
     violations = [(path, p) for path, failed in graph.marked_nodes(failing) for p in failed]
     return not violations, violations
 
 
-def _failing_endpoints(cell, parent: Fraction, v0: Fraction, v1: Fraction, exact: bool) -> tuple:
-    """The endpoints of ``cell`` at which ``parent`` fails against v0 + p*(v1 - v0)."""
+def _gap_sign(parent, v0, v1, p) -> int:
+    """The sign (-1, 0 or 1) of parent - ((1 - p) v0 + p v1), decided on integers.
+
+    Each argument is an int or a Fraction, whose denominator is positive.
+    With p = a/q, parent = x/d, v0 = x0/d0 and v1 = x1/d1 the difference is
+    (x q d0 d1 - d ((q - a) x0 d1 + a x1 d0)) / (d q d0 d1), over a positive
+    denominator, so its sign is the sign of that numerator.
+    """
+    a, q = p.numerator, p.denominator
+    x0, d0 = v0.numerator, v0.denominator
+    x1, d1 = v1.numerator, v1.denominator
+    gap = parent.numerator * q * d0 * d1 - parent.denominator * ((q - a) * x0 * d1 + a * x1 * d0)
+    return (gap > 0) - (gap < 0)
+
+
+def _failing_endpoints(points: tuple, parent: Fraction, v0: Fraction, v1: Fraction, exact: bool) -> tuple:
+    """The cell endpoints ``points`` ((lo,) or (lo, hi)) at which ``parent`` fails against (1 - p) v0 + p v1.
+
+    The right-hand side is v0 + p (v1 - v0): with v1 = v0 it is v0 at every
+    p, and in "super" mode the endpoint hi (v1 > v0) or lo (v1 < v0) decides
+    the cell unless the node fails there.  Each endpoint is tested on
+    integers, by ``_gap_sign``.
+    """
     d = v1 - v0
-    if not exact:
-        top = v0 + (cell.hi if d > 0 else cell.lo) * d if d else v0
-        if parent >= top:
-            return ()
+    if not d:
+        return points if (parent != v0 if exact else parent < v0) else ()
+    if not exact and _gap_sign(parent, v0, v1, points[-1] if d.numerator > 0 else points[0]) >= 0:
+        return ()
     failing = []
-    for p in cell.endpoints():
-        rhs = v0 + p * d if d else v0
-        if parent != rhs if exact else parent < rhs:
+    for p in points:
+        sign = _gap_sign(parent, v0, v1, p)
+        if sign if exact else sign < 0:
             failing.append(p)
     return tuple(failing)
 
@@ -173,12 +202,8 @@ class CalibrationState:
             raise InputError("horizon must be a positive integer")
         if self.threshold_c <= ZERO:
             raise InputError("threshold must be positive")
-        # |bias| <= n and 0 <= spread <= n/4, compared as integers (denominators are positive).
         bias, spread = self.bias, self.spread
-        if abs(bias.numerator) > self.n * bias.denominator or not (
-            0 <= 4 * spread.numerator <= self.n * spread.denominator
-        ):
-            raise InputError("inconsistent calibration sums")
+        _check_sums(self.n, bias.numerator, bias.denominator, spread.numerator, spread.denominator)
 
     def __hash__(self) -> int:
         """A hash of n and the sums' integer numerators and denominators, consistent with ==.
@@ -218,19 +243,34 @@ class CalibrationState:
         """The state after ``count`` more pairs with forecast p, ``ones`` of them with outcome 1.
 
         With p = a/q: bias' = (b_n q + (ones q - count a) b_d) / (b_d q) and
-        spread' = (s_n q^2 + count a (q - a) s_d) / (s_d q^2).
+        spread' = (s_n q^2 + count a (q - a) s_d) / (s_d q^2).  The new state
+        is built directly: ``_check_sums`` checks these integers, as
+        ``__post_init__`` checks a state's sums, and the sums are stored as
+        reduced Fractions, so equal states compare and hash equal.  The
+        horizon and threshold are copied from this state, which was checked
+        when it was made.
         """
         a, q = p.numerator, p.denominator
         bn, bd = self.bias.numerator, self.bias.denominator
         sn, sd = self.spread.numerator, self.spread.denominator
-        q2 = q * q
-        return CalibrationState(
-            horizon=self.horizon,
-            threshold_c=self.threshold_c,
-            n=self.n + count,
-            bias=Fraction(bn * q + (ones * q - count * a) * bd, bd * q),
-            spread=Fraction(sn * q2 + count * a * (q - a) * sd, sd * q2),
-        )
+        n, q2 = self.n + count, q * q
+        bias_top, bias_bottom = bn * q + (ones * q - count * a) * bd, bd * q
+        spread_top, spread_bottom = sn * q2 + count * a * (q - a) * sd, sd * q2
+        _check_sums(n, bias_top, bias_bottom, spread_top, spread_bottom)
+        state = object.__new__(CalibrationState)
+        set_field = object.__setattr__  # the frozen class's own refuses
+        set_field(state, "horizon", self.horizon)
+        set_field(state, "threshold_c", self.threshold_c)
+        set_field(state, "n", n)
+        set_field(state, "bias", Fraction(bias_top, bias_bottom))
+        set_field(state, "spread", Fraction(spread_top, spread_bottom))
+        return state
+
+
+def _check_sums(n: int, bias_top: int, bias_bottom: int, spread_top: int, spread_bottom: int):
+    """Refuse sums outside |bias| <= n and 0 <= spread <= n/4, compared as integers (denominators are positive)."""
+    if abs(bias_top) > n * bias_bottom or not 0 <= 4 * spread_top <= n * spread_bottom:
+        raise InputError("inconsistent calibration sums")
 
 
 CalibrationStrategy = CalibrationState
@@ -244,24 +284,29 @@ def calibration_step(state: CalibrationState, step) -> tuple[CalibrationState, F
 
 
 def calibration_fold(state: CalibrationState, pairs) -> CalibrationState:
-    """The state after all of ``pairs`` (a sequence), equal to stepping them one by one.
+    """The state after all of ``pairs`` (a sequence of 2-tuples), equal to stepping them one by one.
 
-    The sums are order-free, so the pairs are counted first and each
-    distinct forecast is added once, with its count and number of ones.
-    More pairs than the horizon has left raise HorizonError before any
-    work; every pair is checked as ``calibration_step`` checks it, the
-    first bad pair in stream order raising.
+    The sums are order-free, so the pairs are counted first, by one
+    ``Counter`` over (forecast object, outcome), and each distinct forecast
+    is added once, with its count and number of ones.  More pairs than the
+    horizon has left raise HorizonError before any work; every pair is
+    checked as ``calibration_step`` checks it, the first bad pair in stream
+    order raising.
     """
     left = state.horizon - state.n
     if len(pairs) > left:
         raise HorizonError(f"calibration horizon {state.horizon} has {left} steps left, got {len(pairs)} pairs")
+    if not pairs:
+        return state
     # Pairs are counted by forecast object, not value: a Fraction's hash is
     # recomputed on every call, and ``parse_stream_csv`` hands out one object
     # per distinct forecast string.  Equal forecasts held by different objects
-    # (or given as "0.5" and "1/2") merge in ``tallies`` once checked.
-    objects = {id(p): p for p, _ in pairs}
+    # (or given as "0.5" and "1/2") merge in ``tallies`` once checked.  The
+    # counts keep first-seen order, so the first bad pair is checked first.
+    forecasts, outcomes = zip(*pairs)
+    objects = dict(zip(map(id, forecasts), forecasts))
     tallies: dict[Fraction, list[int]] = {}  # forecast -> [pairs, ones]
-    for (key, y), c in collections.Counter((id(p), y) for p, y in pairs).items():
+    for (key, y), c in collections.Counter(zip(map(id, forecasts), outcomes)).items():
         tally = tallies.setdefault(check_forecast(objects[key]), [0, 0])
         tally[0] += c
         tally[1] += check_outcome(y) * c
@@ -352,10 +397,11 @@ def strategy_value_table(strategy_factory, horizon: int, grid) -> ValueFunction:
         raise InputError(f"horizon must be non-negative, got {horizon}")
     partition = point_partition(map(check_forecast, grid))
     partitions = tuple(partition for _ in range(horizon))
+    points = [cell.lo if cell.is_point else None for cell in partition.cells]  # None: a gap cell
 
     @functools.cache
     def children(strategy) -> list:
-        return [strategy.step(c.lo, bit) if c.is_point else strategy for c in partition.cells for bit in (0, 1)]
+        return [strategy if p is None else strategy.step(p, bit) for p in points for bit in (0, 1)]
 
     graph = StateGraph.reach(partitions, strategy_factory(), lambda s, d: children(s), lambda s, d: s.capital)
     return ValueFunction(horizon, partitions, graph)
@@ -367,10 +413,11 @@ def certify_strategy(strategy_factory, phi: ForecastingSystem) -> tuple[bool, li
     Walks (system state, strategy value) pairs with ``level_graph``, equal
     pairs of a depth being one, and checks each pair once:
     capital(x) == (1-phi(x)) capital(x0) + phi(x) capital(x1) together with
-    non-negativity, at the leaves too.  Returns (ok, the histories that reach
-    a failing pair, in ``history_at`` order).  The list can name every node,
-    so ``check_walk`` refuses an outcome tree over its budget with
-    HorizonError before the factory is called.
+    non-negativity, at the leaves too.  Both are decided on integers: the
+    identity by ``_gap_sign``, the sign by the capital's numerator.  Returns
+    (ok, the histories that reach a failing pair, in ``history_at`` order).
+    The list can name every node, so ``check_walk`` refuses an outcome tree
+    over its budget with HorizonError before the factory is called.
     """
     horizon, expand = phi.horizon, phi.expand
     check_walk(outcome_tree_nodes(horizon), f"the outcome tree at horizon {horizon}")
@@ -380,10 +427,10 @@ def certify_strategy(strategy_factory, phi: ForecastingSystem) -> tuple[bool, li
         p, after0, after1 = expand(state)
         s0, s1 = strategy.step(p, 0), strategy.step(p, 1)
         value = strategy.capital
-        return value < ZERO or value != (ONE - p) * s0.capital + p * s1.capital, ((after0, s0), (after1, s1))
+        return value.numerator < 0 or _gap_sign(value, s0.capital, s1.capital, p) != 0, ((after0, s0), (after1, s1))
 
     pairs, failed, links = level_graph((phi.start, strategy_factory()), step, horizon, "the certification walk")
-    failed.append([strategy.capital < ZERO for _, strategy in pairs[horizon]])
+    failed.append([strategy.capital.numerator < 0 for _, strategy in pairs[horizon]])
     marks = [{index: True for index, bad in enumerate(level) if bad} for level in failed]
     violations = [history for history, _ in marked_paths(links, marks)]
     return not violations, violations
@@ -448,9 +495,11 @@ def ville_check(
             f"(first violation at history {violations[0]})"
         )
 
+    top, bottom = threshold.numerator, threshold.denominator
+
     def kept(value):
-        capital = value.capital
-        return _REACHED if capital >= threshold else value if capital else _BROKE
+        capital = value.capital  # capital >= threshold, compared on integers
+        return _REACHED if capital.numerator * bottom >= top * capital.denominator else value if capital else _BROKE
 
     nodes = {0: kept(start)}
     hits = 0
@@ -476,22 +525,45 @@ def ville_check(
 
 
 def parse_stream_csv(text: str) -> list[tuple[Fraction, int]]:
-    """Parse the stream format: header "p,y", forecasts as decimals or num/den."""
+    """Parse the stream format: header "p,y", forecasts as decimals or num/den.
+
+    Blank lines are skipped and fields are stripped.  Each column is stripped
+    in one pass and each distinct string parsed once, so equal forecast
+    strings share one Fraction.  If a row has the wrong number of fields or
+    a string does not parse, the rows are read again one by one, and the
+    first bad row, in stream order, raises StreamFormatError with its index.
+    """
     with reading("stream", csv.Error):
         rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows or [field.strip() for field in rows[0]] != ["p", "y"]:
         raise StreamFormatError('stream must start with the header "p,y"')
-    # Streams repeat a few forecast strings and two outcome strings.
-    forecast = parse_once_per_string(check_forecast)
-    outcome = parse_once_per_string(lambda text: check_outcome(as_int(text, "outcome")))
-    stream = []
-    for index, row in enumerate(rows[1:], start=1):
+    body = rows[1:]
+    if not body:
+        return []
+    try:
+        if set(map(len, body)) != {2}:
+            raise ValueError("a row without two fields")
+        forecasts, outcomes = zip(*body)
+        forecasts, outcomes = list(map(str.strip, forecasts)), list(map(str.strip, outcomes))
+        forecast = {text: check_forecast(text) for text in set(forecasts)}
+        outcome = {text: _outcome(text) for text in set(outcomes)}
+    except ValueError:
+        _first_bad_row(body)
+        raise
+    return list(zip(map(forecast.__getitem__, forecasts), map(outcome.__getitem__, outcomes)))
+
+
+def _outcome(text: str) -> int:
+    return check_outcome(as_int(text, "outcome"))
+
+
+def _first_bad_row(rows):
+    """Raise StreamFormatError for the first malformed row of a stream's body (row 1 is ``rows[0]``)."""
+    for index, row in enumerate(rows, start=1):
         if len(row) != 2:
             raise StreamFormatError(f"row {index}: expected two fields, got {len(row)}")
         try:
-            p = forecast(row[0].strip())
-            y = outcome(row[1].strip())
+            check_forecast(row[0].strip())
+            _outcome(row[1].strip())
         except ValueError as exc:
             raise StreamFormatError(f"row {index}: {exc}") from exc
-        stream.append((p, y))
-    return stream
