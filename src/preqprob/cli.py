@@ -198,9 +198,11 @@ def cmd_value(args) -> Report:
     if args.engine in ("measure", "both"):
         value, witness = measureprob.measure_upper_probability(event)
         report.results["upper_measure"] = value
-        report.results["witness_system"] = Written(witness.to_json(separators=(",", ":")))
+        # One walk of the witness writes the report's compact text and, for --witness-out, the file's.
+        texts = witness._json_texts((",", ":"), *([(", ", ": ")] if args.witness_out else []))
+        report.results["witness_system"] = Written(texts[0])
         if args.witness_out:
-            report.files[args.witness_out] = witness.to_json()
+            report.files[args.witness_out] = texts[1]
             report.results["witness_out"] = args.witness_out
     if args.engine == "both":
         equal = report.results["upper_game"] == report.results["upper_measure"]

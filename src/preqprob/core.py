@@ -19,7 +19,8 @@ at horizon 16; a tree written node by node is sized against it first.
 
 Everything here is exact: forecasts and probabilities are
 ``fractions.Fraction`` values, and all operations are pure.  Floating point
-enters the package only in Monte Carlo estimators and report output.
+enters the package only in the sampler, whose float compare is exact, in
+Monte Carlo estimators and in report output.
 Input is checked once, where it enters: refused input raises ``InputError``
 (a ``ValueError``), and document loaders read under one guard, ``reading``.
 """
@@ -29,9 +30,9 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
-import random
 import re
 import sys
+from _random import Random as _MersenneTwister  # the C class ``random.Random`` subclasses
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -47,6 +48,9 @@ _TWO_53 = float(2**53)  # random() returns multiples of 1 / 2^53
 # Largest horizon whose outcome tree is materialized; ``check_walk`` derives
 # the node budget from it.  Rule-backed systems work at any horizon.
 MAX_TABLE_HORIZON = 16
+
+# Most samples ``ville_check`` and ``monte_carlo_probability`` draw in one call.
+SAMPLE_LIMIT = 10**7
 
 
 class InputError(ValueError):
@@ -295,6 +299,15 @@ def check_seed(seed: int, what: str = "seed") -> int:
     return seed
 
 
+def check_samples(samples: int) -> int:
+    """Refuse, before any work, a sample count below 1 or over SAMPLE_LIMIT."""
+    if samples < 1:
+        raise InputError("samples must be at least 1")
+    if samples > SAMPLE_LIMIT:
+        raise InputError(f"samples must be at most {SAMPLE_LIMIT}")
+    return samples
+
+
 class ForecastingSystem:
     """A rule assigning a forecast to every outcome history shorter than the horizon.
 
@@ -374,6 +387,10 @@ class ForecastingSystem:
         ``tree_json`` writes one text per state, the keys extended by the bit
         of each step; histories that reach equal states share that text.
         """
+        return self._json_texts(separators)[0]
+
+    def _json_texts(self, *styles: tuple[str, str]) -> list[str]:
+        """``to_json(separators)`` for each separators pair of ``styles``, from one ``level_graph`` walk."""
         check_walk(outcome_tree_nodes(self.horizon), f"the outcome tree at horizon {self.horizon}")
 
         def step(state, depth) -> tuple:
@@ -381,8 +398,8 @@ class ForecastingSystem:
             return p, (after0, after1)
 
         _, forecasts, links = level_graph(self.start, step, self.horizon, "the table")
-        bits = [(("0", 0), ("1", 1))] * (self.horizon - 1)
-        return tree_json({"horizon": self.horizon, "table": {}}, forecasts, links[:-1], bits, separators)
+        head, bits = {"horizon": self.horizon, "table": {}}, [(("0", 0), ("1", 1))] * (self.horizon - 1)
+        return [tree_json(head, forecasts, links[:-1], bits, separators) for separators in styles]
 
     @classmethod
     def from_json(cls, text: str) -> "ForecastingSystem":
@@ -452,23 +469,34 @@ def sample_outcomes(phi: ForecastingSystem, n: int, seed: int) -> BinaryHistory:
     Deterministic: a Mersenne Twister generator is seeded with ``seed`` and one
     uniform variate x is drawn per step; the outcome is 1 iff x is strictly
     below the forecast p, compared exactly, so degenerate forecasts 0 and 1
-    give constant bits.  The compare is on integers: ``random()`` returns
-    x = m / 2^53 exactly, so with p = a / b (b > 0)
+    give constant bits.  The generator is ``_random.Random``, the C class
+    ``random.Random`` subclasses: for an int seed both hand the seed to the
+    same C seeding, so they draw the same variates.
 
-        Fraction(x) < p  <=>  m * b < a * 2^53,   m = int(x * 2^53).
+    ``random()`` returns x = m / 2^53 exactly, 0 <= m < 2^53, so with
+    p = a / b (b > 0)
+
+        Fraction(x) < p  <=>  m * b < a * 2^53  <=>  m < T,   T = ceil(a * 2^53 / b),
+
+    and T <= 2^53, so T / 2^53 is a double and ``x < T / 2^53`` decides the
+    step exactly.  That cut-off is computed again only when the forecast
+    object differs from the previous step's.
 
     The system is stepped along the drawn bits, one expand per step.
     Identical (phi, n, seed) give identical output.
     """
     if type(n) is not int or not 0 <= n <= phi.horizon:  # refuses a bool as well
         raise HorizonError(f"cannot sample {n} outcomes at horizon {phi.horizon}")
-    draw, expand = random.Random(seed).random, phi.expand
+    draw, expand = _MersenneTwister(seed).random, phi.expand
     state = phi.start
     bits = []
     append = bits.append
+    last = cut = None
     for _ in range(n):
         p, after0, after1 = expand(state)
-        if int(draw() * _TWO_53) * p.denominator < p.numerator << 53:
+        if p is not last:
+            last, cut = p, -((-p.numerator << 53) // p.denominator) / _TWO_53
+        if draw() < cut:
             append(1)
             state = after1
         else:

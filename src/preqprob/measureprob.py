@@ -52,8 +52,8 @@ import math
 import operator
 from fractions import Fraction
 
-from .core import (ONE, ZERO, ForecastingSystem, InputError, check_seed, check_walk, induced_path, level_graph,
-                   outcome_tree_nodes, sample_outcomes)
+from .core import (ONE, ZERO, ForecastingSystem, InputError, check_samples, check_seed, check_walk, induced_path,
+                   level_graph, outcome_tree_nodes, sample_outcomes)
 from .events import WILDCARD, ArityError, EventUnion, contains, per_distinct_step
 
 # Refuse grid enumerations beyond this many forecasting systems.
@@ -282,8 +282,7 @@ def monte_carlo_probability(
     fraction and the half-width 4 * sqrt(est * (1 - est) / samples).  A
     negative seed raises InputError (``check_seed``).
     """
-    if samples < 1:
-        raise InputError("samples must be at least 1")
+    check_samples(samples)
     check_seed(seed)
     if phi.horizon < event.horizon:
         raise ArityError(

@@ -25,14 +25,15 @@ p(1 - p), cancelling the increment of A, for every forecast p), and whenever
 rejection is backed by the corresponding betting gain.  Capital never
 overflows: everything is exact rational arithmetic.
 
-S and A change through one exact update, ``_add(p, count, ones)``: ``count``
-more pairs with forecast p, ``ones`` of them with outcome 1.  It builds the
-new state directly and checks its sums on integers.  ``step`` adds one
-pair; the sums are order-free, so ``calibration_fold`` (what ``preq
-test-stream`` runs) adds each distinct forecast of a stream once.  A state's
-capital is computed once, on first read, and the verdict's ratio is the
-final capital over the initial one.  ``parse_stream_csv`` parses each
-distinct string of a stream once.
+S and A change through one exact update, ``_add(tallies)``: for each
+(p, count, ones), ``count`` more pairs with forecast p, ``ones`` of them
+with outcome 1.  It checks the sums on integers after each tally and builds
+one new state directly.  ``step`` adds one pair; the sums are order-free, so
+``calibration_fold`` (what ``preq test-stream`` runs) adds each distinct
+forecast of a stream once, in one call.  A state's capital is computed
+once, when the state is built, and the verdict's ratio is the final capital
+over the initial one.  ``parse_stream_csv`` parses each distinct string of a
+stream once.
 
 ``ville_check`` verifies the capital/probability inequality empirically: a
 non-negative martingale starting at v reaches C with probability at most v/C
@@ -71,8 +72,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (ONE, ZERO, ForecastingSystem, HorizonError, InputError, as_fraction, as_int, check_forecast,
-                   check_outcome, check_seed, check_walk, induced_path, level_graph, marked_paths, outcome_tree_nodes,
-                   reading, sample_outcomes)
+                   check_outcome, check_samples, check_seed, check_walk, induced_path, level_graph, marked_paths,
+                   outcome_tree_nodes, reading, sample_outcomes)
 from .events import point_partition
 from .gameprob import StateGraph, ValueFunction, tree_nodes
 
@@ -189,7 +190,11 @@ def _failing_endpoints(points: tuple, parent: Fraction, v0: Fraction, v1: Fracti
 
 @dataclass(frozen=True)
 class CalibrationState:
-    """The calibration strategy: running sums of the test after n of N steps."""
+    """The calibration strategy: running sums of the test after n of N steps, and their ``capital``.
+
+    ``capital`` is computed by ``_capital`` when the state is built, in
+    ``__post_init__`` or ``_add``, and is not a dataclass field.
+    """
 
     horizon: int
     threshold_c: Fraction
@@ -204,6 +209,7 @@ class CalibrationState:
             raise InputError("threshold must be positive")
         bias, spread = self.bias, self.spread
         _check_sums(self.n, bias.numerator, bias.denominator, spread.numerator, spread.denominator)
+        object.__setattr__(self, "capital", _capital(self))
 
     def __hash__(self) -> int:
         """A hash of n and the sums' integer numerators and denominators, consistent with ==.
@@ -215,56 +221,60 @@ class CalibrationState:
         bias, spread = self.bias, self.spread
         return hash((self.n, bias.numerator, bias.denominator, spread.numerator, spread.denominator))
 
-    @functools.cached_property
-    def capital(self) -> Fraction:
-        """(bias^2 - spread + N/4) / (C^2 N + N/4), computed once per state.
-
-        With bias = b_n/b_d, spread = s_n/s_d and C = c_n/c_d, the numerator
-        is top / (4 b_d^2 s_d) and the scale N (4 c_n^2 + c_d^2) / (4 c_d^2),
-        so the capital is the integer quotient
-        top c_d^2 / (b_d^2 s_d N (4 c_n^2 + c_d^2)), the one Fraction
-        constructed.  The value is kept in the instance dict, outside the
-        dataclass fields, so ==, hash and repr do not see it.
-        """
-        bn, bd = self.bias.numerator, self.bias.denominator
-        sn, sd = self.spread.numerator, self.spread.denominator
-        cn, cd = self.threshold_c.numerator, self.threshold_c.denominator
-        bd2, cd2 = bd * bd, cd * cd
-        top = 4 * bn * bn * sd - 4 * sn * bd2 + self.horizon * bd2 * sd
-        return Fraction(top * cd2, bd2 * sd * self.horizon * (4 * cn * cn + cd2))
-
     def step(self, p: Fraction, y: int) -> "CalibrationState":
         """The state after one checked pair (a Fraction forecast and a bit; ``calibration_step`` checks)."""
         if self.n >= self.horizon:
             raise HorizonError(f"calibration horizon {self.horizon} already consumed")
-        return self._add(p, 1, y)
+        return self._add(((p, 1, y),))
 
-    def _add(self, p: Fraction, count: int, ones: int) -> "CalibrationState":
-        """The state after ``count`` more pairs with forecast p, ``ones`` of them with outcome 1.
+    def _add(self, tallies) -> "CalibrationState":
+        """The state after ``tallies``: per (p, count, ones), ``count`` more pairs with forecast p, ``ones`` of them 1.
 
         With p = a/q: bias' = (b_n q + (ones q - count a) b_d) / (b_d q) and
-        spread' = (s_n q^2 + count a (q - a) s_d) / (s_d q^2).  The new state
-        is built directly: ``_check_sums`` checks these integers, as
-        ``__post_init__`` checks a state's sums, and the sums are stored as
-        reduced Fractions, so equal states compare and hash equal.  The
-        horizon and threshold are copied from this state, which was checked
-        when it was made.
+        spread' = (s_n q^2 + count a (q - a) s_d) / (s_d q^2).  ``_check_sums``
+        checks these integers after each tally, as ``__post_init__`` checks a
+        state's sums, and the sums are kept as reduced Fractions, so equal
+        states compare and hash equal.  One state is built, at the end, with
+        its capital.  The horizon and threshold are copied from this state,
+        which was checked when it was made.
         """
-        a, q = p.numerator, p.denominator
-        bn, bd = self.bias.numerator, self.bias.denominator
-        sn, sd = self.spread.numerator, self.spread.denominator
-        n, q2 = self.n + count, q * q
-        bias_top, bias_bottom = bn * q + (ones * q - count * a) * bd, bd * q
-        spread_top, spread_bottom = sn * q2 + count * a * (q - a) * sd, sd * q2
-        _check_sums(n, bias_top, bias_bottom, spread_top, spread_bottom)
+        n, bias, spread = self.n, self.bias, self.spread
+        for p, count, ones in tallies:
+            a, q = p.numerator, p.denominator
+            bn, bd = bias.numerator, bias.denominator
+            sn, sd = spread.numerator, spread.denominator
+            n, q2 = n + count, q * q
+            bias_top, bias_bottom = bn * q + (ones * q - count * a) * bd, bd * q
+            spread_top, spread_bottom = sn * q2 + count * a * (q - a) * sd, sd * q2
+            _check_sums(n, bias_top, bias_bottom, spread_top, spread_bottom)
+            bias, spread = Fraction(bias_top, bias_bottom), Fraction(spread_top, spread_bottom)
         state = object.__new__(CalibrationState)
         set_field = object.__setattr__  # the frozen class's own refuses
         set_field(state, "horizon", self.horizon)
         set_field(state, "threshold_c", self.threshold_c)
         set_field(state, "n", n)
-        set_field(state, "bias", Fraction(bias_top, bias_bottom))
-        set_field(state, "spread", Fraction(spread_top, spread_bottom))
+        set_field(state, "bias", bias)
+        set_field(state, "spread", spread)
+        set_field(state, "capital", _capital(state))
         return state
+
+
+def _capital(state: CalibrationState) -> Fraction:
+    """(bias^2 - spread + N/4) / (C^2 N + N/4), stored on a state when it is built.
+
+    With bias = b_n/b_d, spread = s_n/s_d and C = c_n/c_d, the numerator
+    is top / (4 b_d^2 s_d) and the scale N (4 c_n^2 + c_d^2) / (4 c_d^2),
+    so the capital is the integer quotient
+    top c_d^2 / (b_d^2 s_d N (4 c_n^2 + c_d^2)), the one Fraction
+    constructed.  It is kept in the instance dict, outside the dataclass
+    fields, so ==, hash and repr do not see it.
+    """
+    bn, bd = state.bias.numerator, state.bias.denominator
+    sn, sd = state.spread.numerator, state.spread.denominator
+    cn, cd = state.threshold_c.numerator, state.threshold_c.denominator
+    bd2, cd2 = bd * bd, cd * cd
+    top = 4 * bn * bn * sd - 4 * sn * bd2 + state.horizon * bd2 * sd
+    return Fraction(top * cd2, bd2 * sd * state.horizon * (4 * cn * cn + cd2))
 
 
 def _check_sums(n: int, bias_top: int, bias_bottom: int, spread_top: int, spread_bottom: int):
@@ -310,9 +320,7 @@ def calibration_fold(state: CalibrationState, pairs) -> CalibrationState:
         tally = tallies.setdefault(check_forecast(objects[key]), [0, 0])
         tally[0] += c
         tally[1] += check_outcome(y) * c
-    for p, (count, ones) in tallies.items():
-        state = state._add(p, count, ones)
-    return state
+    return state._add((p, count, ones) for p, (count, ones) in tallies.items())
 
 
 @dataclass(frozen=True)
@@ -475,8 +483,7 @@ def ville_check(
     0 and at p = 1 only 1, and the child it draws has capital 0 again.  No
     sampled path through the node reaches C > 0.
     """
-    if samples < 1:
-        raise InputError("samples must be at least 1")
+    check_samples(samples)
     check_seed(seed)
     threshold = as_fraction(threshold)
     if threshold <= ZERO:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_calibration_fold import PROPERTY, forecasts, stepped, streams, thresholds
 
+from preqprob import strategies
 from preqprob.strategies import CalibrationState, calibration_fold, calibration_step
 
 ONE = Fraction(1)
@@ -55,3 +56,20 @@ def test_the_cached_capital_does_not_change_the_hash():
     before = hash(state)
     assert state.capital > 0
     assert hash(state) == before == hash(stepped(CalibrationState(3, ONE), [("1/3", 1)]))
+
+
+def test_a_state_holds_its_capital_once_built():
+    """Built by the constructor, a step or a fold, a state holds its capital before anything reads it."""
+    start = CalibrationState(3, ONE)
+    for state in (start, start.step(Fraction(1, 3), 1), calibration_fold(start, [("1/4", 0), ("1/4", 1)])):
+        assert "capital" in vars(state)
+        assert state.capital == (state.bias**2 - state.spread + Fraction(3, 4)) / (3 + Fraction(3, 4))
+
+
+def test_a_fold_computes_one_capital(monkeypatch):
+    """A fold over several distinct forecasts builds one state, so its sums, which grow, are priced once."""
+    priced, start = [], CalibrationState(6, ONE)
+    capital = strategies._capital
+    monkeypatch.setattr(strategies, "_capital", lambda state: priced.append(state) or capital(state))
+    state = calibration_fold(start, [("1/3", 1), ("2/7", 0), ("3/8", 1), ("1/3", 0)])
+    assert priced == [state]

@@ -122,6 +122,7 @@ CASES = {
     "stream-field-over-csv-limit": (["test-stream", "--stream", "{file}"], "p,y\n" + "1" * 200_000 + ",1\n"),
     "stream-too-short": (["test-stream", "--stream", "{file}", "-N", "3"], "p,y\n1/2,1\n"),
     "ville-samples-zero": (["ville", "--samples", "0"], None),
+    "ville-samples-over-the-limit": (["ville", "-N", "2", "--samples", "100000000000000000000"], None),
     "ville-threshold-zero": (["ville", "-C", "0"], None),
     "ville-threshold-not-a-rational": (["ville", "-C", "abc"], None),
     "ville-horizon-zero": (["ville", "-N", "0"], None),
@@ -650,3 +651,20 @@ def test_library_samplers_refuse_a_negative_seed_before_any_work(monkeypatch):
     with pytest.raises(InputError, match=r"^seed must be non-negative, got -3$"):
         measureprob.monte_carlo_probability(ForecastingSystem.constant(HALF, 2), counterexample_pair()[0], 10, -3)
     assert calls == []
+
+
+def test_library_samplers_refuse_too_many_samples_before_any_work(monkeypatch):
+    calls = []
+
+    def factory():
+        calls.append("factory")
+        return DoublingStrategy()
+
+    monkeypatch.setattr(measureprob, "sample_outcomes", lambda *args: calls.append("sample"))
+    too_many = core.SAMPLE_LIMIT + 1
+    with pytest.raises(InputError, match=r"^samples must be at most 10000000$"):
+        ville_check(ForecastingSystem.constant(HALF, 3), factory, 4, too_many, 0)
+    with pytest.raises(InputError, match=r"^samples must be at most 10000000$"):
+        measureprob.monte_carlo_probability(ForecastingSystem.constant(HALF, 2), counterexample_pair()[0], too_many, 0)
+    assert calls == []
+    assert core.check_samples(core.SAMPLE_LIMIT) == 10**7

@@ -7,6 +7,8 @@ The property compares the writer with ``json.dumps`` of that dict, in both
 separator styles, on measure witnesses of random events, whose states
 (depth, live-set) merge, on ``from_table`` systems, whose states never
 merge, and on ``constant`` systems, whose one state every history shares.
+``value --witness-out`` writes the report's compact text and the file's
+from one walk of the witness; a test holds both to ``to_json``'s bytes.
 """
 
 import json
@@ -16,7 +18,9 @@ from fractions import Fraction
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from preqprob import cli, core, measureprob
 from preqprob.core import ForecastingSystem, check_walk, level_graph, outcome_tree_nodes
+from preqprob.events import event_to_json
 from preqprob.measureprob import measure_upper_probability
 from preqprob.randgen import random_event, random_forecasting_system
 from test_value_memo import PROPERTY
@@ -69,3 +73,24 @@ def test_the_writer_writes_what_json_dumps_writes_of_the_fold(phi):
     assert phi.to_json() == json.dumps(reference, sort_keys=True)
     assert phi.to_json(separators=(",", ":")) == json.dumps(reference, sort_keys=True, separators=(",", ":"))
     assert list(json.loads(phi.to_json())["table"]) == list(reference["table"])
+
+
+def test_value_writes_both_witness_texts_from_one_walk(tmp_path, monkeypatch, capsys):
+    """``value --witness-out``'s report and file hold what two ``to_json`` calls write, from one witness walk."""
+    walks, solved = [], []
+    walk, solve = core.level_graph, measureprob.measure_upper_probability
+    monkeypatch.setattr(core, "level_graph", lambda *args: walks.append(args[3]) or walk(*args))
+    monkeypatch.setattr(measureprob, "measure_upper_probability", lambda e: solved.append(solve(e)) or solved[-1])
+    event_path, witness_path = tmp_path / "event.json", tmp_path / "witness.json"
+    rng = random.Random(39)
+    for _ in range(300):
+        event_path.write_text(event_to_json(random_event(rng, max_horizon=6, max_boxes=4)))
+        walks.clear()
+        capsys.readouterr()
+        argv = ["value", "--event", str(event_path), "--engine", "measure", "--witness-out", str(witness_path)]
+        assert cli.main([*argv, "--json"]) == 0
+        assert walks == ["the table"]
+        witness = solved.pop()[1]
+        report, compact = capsys.readouterr().out, witness.to_json(separators=(",", ":"))
+        assert report.endswith(f',"witness_system":{compact}}}}}\n')  # the last result
+        assert witness_path.read_text() == witness.to_json()

@@ -29,6 +29,12 @@ PINS = [
     ("ville --phi {data}/doubling_breaks_phi.json --strategy doubling --json", 2, EMPTY),
     ("ville --strategy doubling -N 12 -C 8192 --samples 2000 --json", 0,
      "12504cdfa393cbf28bb5ca06d34b59db434ef8ec7d1638874a8c41395f1c5ef1"),
+    # Forecasts at and next to 0, 1 and 1/2 on the 2^-53 grid, some with denominators above 2^53.
+    ("ville --phi {data}/edge_forecasts_phi.json --strategy calibration --samples 500 --seed 9 --json", 0,
+     "ab1725858e282634c0f02b5949b9cd8d30aefb005c065a7c3ccd89fc278f5198"),
+    # At C = 1/4 the frequency, 0.48, counts the bits drawn at the two forecasts next to 1/2.
+    ("ville --phi {data}/edge_forecasts_phi.json --strategy calibration -C 1/4 --samples 500 --seed 9 --json", 0,
+     "4c8677cca3d7eab1bb8e835b7843ea74e716f0e83dcef8e18fd73a5205973d1e"),
 ]
 
 
