@@ -26,12 +26,12 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import gameprob, measureprob, randgen, strategies
 from .core import (
     ForecastingSystem,
+    Frozen,
     InputError,
     as_fraction,
     as_int,
@@ -54,6 +54,9 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_REJECT = 3
+
+# Most events ``duality-sweep`` draws in one run, minutes of work.
+SWEEP_LIMIT = 10**6
 
 
 class Written(str):
@@ -92,15 +95,20 @@ def _render(value, name: str):
     return value
 
 
-@dataclass
-class Report:
-    command: str
-    inputs: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-    seed: int | None = None
-    rejected: bool = False  # a statistical rejection of the forecasts
-    files: dict = field(default_factory=dict)  # path -> text, written by ``main``
+class Report(Frozen):
+    """A command's report: unlike the other values its fields can be set, and it is unhashable.
+
+    ``rejected`` is a statistical rejection of the forecasts; ``files`` maps
+    each path ``main`` writes to its text.
+    """
+
+    _fields = ("command", "inputs", "results", "checks", "seed", "rejected", "files")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, command, inputs=None, results=None, checks=None, seed=None, rejected=False, files=None):
+        """A missing dict or list is a new empty one."""
+        super().__init__(command, {} if inputs is None else inputs, {} if results is None else results,
+                         [] if checks is None else checks, seed, rejected, {} if files is None else files)
 
     def add_check(self, name: str, passed: bool, detail: str):
         self.checks.append({"name": name, "status": "PASS" if passed else "FAIL", "detail": detail})
@@ -324,6 +332,8 @@ def cmd_ville(args) -> Report:
 def cmd_duality_sweep(args) -> Report:
     if args.count < 1:
         raise InputError(f"--count must be a positive integer, got {args.count}")
+    if args.count > SWEEP_LIMIT:
+        raise InputError(f"--count must be at most {SWEEP_LIMIT}, got {args.count}")
     if args.grid is not None and args.grid < 1:
         raise InputError(f"--grid must be a positive integer, got {args.grid}")
     seed = _default_seed(args)

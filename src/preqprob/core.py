@@ -30,11 +30,12 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import operator
 import re
 import sys
 from _random import Random as _MersenneTwister  # the C class ``random.Random`` subclasses
+from collections.abc import Callable, Mapping
 from fractions import Fraction
-from typing import Callable, Mapping
 
 Forecast = Fraction
 Outcome = int
@@ -59,6 +60,59 @@ class InputError(ValueError):
 
 class HorizonError(InputError):
     """A history, prefix or step index exceeds the relevant horizon."""
+
+
+class Frozen:
+    """An immutable value whose ``==``, hash and repr read the fields its class names in ``_fields``.
+
+    ``__init__`` takes the fields in that order, by position or keyword, the
+    last ``len(_defaults)`` defaulting to ``_defaults``, then calls the
+    class's check, ``__post_init__``, which may set a field through
+    ``object.__setattr__``.  ``==`` compares the field tuples of two values
+    of one class and is ``NotImplemented`` for any other class; the hash is
+    the field tuple's.  No attribute can be assigned or deleted.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls):
+        get = operator.attrgetter(*cls._fields)  # _key(value) is the field tuple, also of one field
+        cls._key = get if len(cls._fields) > 1 else staticmethod(lambda value: (get(value),))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            values = {**dict(zip(fields[::-1], self._defaults[::-1])), **dict(zip(fields, args)), **kwargs}
+            if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]) or len(values) < len(fields):
+                raise TypeError(f"{type(self).__name__}() takes {', '.join(fields)}, each once, "
+                                f"the last {len(self._defaults)} optional")
+            args = [values[name] for name in fields]
+        set_field = object.__setattr__  # the class's own refuses
+        for name, value in zip(fields, args):
+            set_field(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 @contextlib.contextmanager

@@ -34,12 +34,12 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
     ONE,
     ZERO,
+    Frozen,
     InputError,
     PrequentialPrefix,
     as_fraction,
@@ -57,13 +57,10 @@ class ArityError(InputError):
     """Lengths or horizons of two prequential objects do not match."""
 
 
-@dataclass(frozen=True)
-class StepConstraint:
+class StepConstraint(Frozen):
     """One step of a box: closed forecast interval [p_lo, p_hi], outcome bit or wildcard, kept as checked."""
 
-    p_lo: Fraction
-    p_hi: Fraction
-    y: int | None = WILDCARD
+    _fields, _defaults = ("p_lo", "p_hi", "y"), (WILDCARD,)
 
     def __post_init__(self):
         set_field = object.__setattr__  # the frozen class's own refuses
@@ -90,9 +87,8 @@ class StepConstraint:
         return self.p_lo <= p <= self.p_hi and (self.y is WILDCARD or self.y == y)
 
 
-@dataclass(frozen=True)
-class Box:
-    steps: tuple[StepConstraint, ...]
+class Box(Frozen):
+    _fields = ("steps",)  # a tuple of StepConstraint
 
     @property
     def horizon(self) -> int:
@@ -108,10 +104,8 @@ class Box:
         return all(step.accepts(p, y) for step, (p, y) in zip(self.steps, prefix))
 
 
-@dataclass(frozen=True)
-class EventUnion:
-    horizon: int
-    boxes: tuple[Box, ...]
+class EventUnion(Frozen):
+    _fields = ("horizon", "boxes")  # an int and a tuple of Box
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -181,8 +175,7 @@ def _intersect_boxes(a: Box, b: Box) -> Box | None:
     return Box(tuple(steps))
 
 
-@dataclass(frozen=True, slots=True)
-class Cell:
+class Cell(Frozen):
     """A maximal interval of [0, 1] on which every relevant interval test is constant.
 
     Ends may be open after merging (e.g. the cell (1/2, 1] next to the point
@@ -190,10 +183,11 @@ class Cell:
     piecewise-linear maximization: values at open ends are one-sided limits.
     """
 
-    lo: Fraction
-    hi: Fraction
-    lo_open: bool = False
-    hi_open: bool = False
+    __slots__ = _fields = ("lo", "hi", "lo_open", "hi_open")  # two Fractions and two bools
+    _defaults = (False, False)
+
+    def __reduce__(self):  # copy and pickle build a cell anew: its slots refuse assignment
+        return Cell, (self.lo, self.hi, self.lo_open, self.hi_open)
 
     def __post_init__(self):
         # lo <= hi compared on integers: the ends times the product of their denominators.

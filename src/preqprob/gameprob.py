@@ -75,12 +75,11 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, chain, product
 from operator import itemgetter, mul
 
-from .core import (ONE, ZERO, InputError, PrequentialPrefix, as_fraction, as_int, check_outcome, check_walk,
+from .core import (ONE, ZERO, Frozen, InputError, PrequentialPrefix, as_fraction, as_int, check_outcome, check_walk,
                    digits_beyond_limit, level_graph, marked_paths, parse_once_per_string, reading, tree_json)
 from .events import ArityError, Cell, EventUnion, ForecastPartition, event_partitions
 
@@ -215,8 +214,7 @@ class StateGraph(Mapping):
         return _level_order(self._counts())
 
 
-@dataclass(frozen=True, eq=False)
-class ValueFunction:
+class ValueFunction(Frozen):
     """Rational values on every node of a partition-refined prequential tree.
 
     A node is addressed by its cell-path: per step, the index of the chosen
@@ -231,12 +229,12 @@ class ValueFunction:
     a graph that does not fit the partitions, with other than horizon + 1
     levels or 2 * cells(d) children per state of an interior depth d, is
     refused.  Any other mapping (a dict, say) works as well, and
-    ``state_graph`` reads it once into one.
+    ``state_graph`` reads it once into one.  Two tables are equal only if
+    they are one object.
     """
 
-    horizon: int
-    partitions: tuple[ForecastPartition, ...]
-    values: Mapping
+    _fields = ("horizon", "partitions", "values")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __post_init__(self):
         if self.horizon != len(self.partitions):
@@ -589,8 +587,7 @@ def optimal_forecast_at(event: EventUnion, x: PrequentialPrefix) -> Fraction:
     raise RuntimeError("supremum not attained at any closed endpoint")
 
 
-@dataclass(frozen=True)
-class LevyStrategy:
+class LevyStrategy(Frozen):
     """Regime-switching betting strategy driving conditional values toward 1.
 
     Capital starts at 1 and is frozen while the conditional upper probability
@@ -603,18 +600,16 @@ class LevyStrategy:
     the witness values positively, each completed ride multiplies capital by
     more than 1/threshold; riding a zero-valued witness is replaced by
     freezing, which keeps the process a non-negative farthingale vacuously
-    (e.g. on the empty event capital stays at 1).
+    (e.g. on the empty event capital stays at 1).  ``live`` is the bitmask
+    of the boxes still consistent with the prefix.  The ``engine``, the
+    event's, solved once, is not a field: ==, hash and repr leave it out.
     """
 
-    event: EventUnion
-    threshold: Fraction
-    depth: int
-    live: int  # bitmask of the boxes still consistent with the prefix
-    capital: Fraction
-    ride_base: Fraction | None
-    conditional: Fraction
-    engine: _GameEngine = field(compare=False, repr=False)  # the event's, solved once
-    milestones: tuple[Fraction, ...] = ()
+    _fields = ("event", "threshold", "depth", "live", "capital", "ride_base", "conditional", "milestones")
+
+    def __init__(self, event, threshold, depth, live, capital, ride_base, conditional, engine, milestones=()):
+        super().__init__(event, threshold, depth, live, capital, ride_base, conditional, milestones)
+        object.__setattr__(self, "engine", engine)
 
     @property
     def regime(self) -> str:
@@ -658,5 +653,5 @@ def levy_strategy_step(state: LevyStrategy, step) -> LevyStrategy:
             ride_base, milestones = None, milestones + (capital,)
     if ride_base is None and ZERO < w < state.threshold and capital > ZERO:
         ride_base = w
-    return replace(state, depth=state.depth + 1, live=live, capital=capital, ride_base=ride_base,
-                   conditional=w, milestones=milestones)
+    return LevyStrategy(state.event, state.threshold, state.depth + 1, live, capital, ride_base, w, state.engine,
+                        milestones)

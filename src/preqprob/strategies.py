@@ -68,10 +68,9 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (ONE, ZERO, ForecastingSystem, HorizonError, InputError, as_fraction, as_int, check_forecast,
+from .core import (ONE, ZERO, ForecastingSystem, Frozen, HorizonError, InputError, as_fraction, as_int, check_forecast,
                    check_outcome, check_samples, check_seed, check_walk, induced_path, level_graph, marked_paths,
                    outcome_tree_nodes, reading, sample_outcomes)
 from .events import point_partition
@@ -90,12 +89,10 @@ class StreamFormatError(InputError):
     """A forecast/outcome stream row is malformed."""
 
 
-@dataclass(frozen=True)
-class CapitalProcess:
+class CapitalProcess(Frozen):
     """A betting strategy's value along a stream: initial capital, then one value per step."""
 
-    initial_capital: Fraction
-    trajectory: tuple[Fraction, ...]
+    _fields = ("initial_capital", "trajectory")  # a Fraction and a tuple of them
 
     def __post_init__(self):
         if self.initial_capital < ZERO or any(v < ZERO for v in self.trajectory):
@@ -188,19 +185,16 @@ def _failing_endpoints(points: tuple, parent: Fraction, v0: Fraction, v1: Fracti
     return tuple(failing)
 
 
-@dataclass(frozen=True)
-class CalibrationState:
+class CalibrationState(Frozen):
     """The calibration strategy: running sums of the test after n of N steps, and their ``capital``.
 
     ``capital`` is computed by ``_capital`` when the state is built, in
-    ``__post_init__`` or ``_add``, and is not a dataclass field.
+    ``__post_init__`` or ``_add``, and is not a field: ``==``, hash and repr
+    leave it out.
     """
 
-    horizon: int
-    threshold_c: Fraction
-    n: int = 0
-    bias: Fraction = ZERO  # sum of y_i - p_i
-    spread: Fraction = ZERO  # sum of p_i (1 - p_i)
+    # bias is the sum of y_i - p_i, spread the sum of p_i (1 - p_i).
+    _fields, _defaults = ("horizon", "threshold_c", "n", "bias", "spread"), (0, ZERO, ZERO)
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -266,8 +260,8 @@ def _capital(state: CalibrationState) -> Fraction:
     is top / (4 b_d^2 s_d) and the scale N (4 c_n^2 + c_d^2) / (4 c_d^2),
     so the capital is the integer quotient
     top c_d^2 / (b_d^2 s_d N (4 c_n^2 + c_d^2)), the one Fraction
-    constructed.  It is kept in the instance dict, outside the dataclass
-    fields, so ==, hash and repr do not see it.
+    constructed.  It is kept in the instance dict, outside the fields, so
+    ==, hash and repr do not see it.
     """
     bn, bd = state.bias.numerator, state.bias.denominator
     sn, sd = state.spread.numerator, state.spread.denominator
@@ -323,10 +317,8 @@ def calibration_fold(state: CalibrationState, pairs) -> CalibrationState:
     return state._add((p, count, ones) for p, (count, ones) in tallies.items())
 
 
-@dataclass(frozen=True)
-class CalibrationVerdict:
-    reject: bool
-    ratio: Fraction
+class CalibrationVerdict(Frozen):
+    _fields = ("reject", "ratio")  # a bool and a Fraction
 
 
 def calibration_verdict(state: CalibrationState) -> CalibrationVerdict:
@@ -342,18 +334,16 @@ def calibration_verdict(state: CalibrationState) -> CalibrationVerdict:
     return CalibrationVerdict(reject=reject, ratio=ratio)
 
 
-@dataclass(frozen=True)
-class ConstantStrategy:
+class ConstantStrategy(Frozen):
     """Never bets; capital is constant."""
 
-    capital: Fraction = ONE
+    _fields, _defaults = ("capital",), (ONE,)
 
     def step(self, p, y) -> "ConstantStrategy":
         return self
 
 
-@dataclass(frozen=True)
-class DoublingStrategy:
+class DoublingStrategy(Frozen):
     """All of the capital rides on outcome 1 at even odds each step.
 
     Capital doubles on outcome 1 and is lost on outcome 0; a martingale under
@@ -361,7 +351,7 @@ class DoublingStrategy:
     certification step enforces).
     """
 
-    capital: Fraction = ONE
+    _fields, _defaults = ("capital",), (ONE,)
 
     def step(self, p: Fraction, y: int) -> "DoublingStrategy":
         """The value after one checked pair (a Fraction forecast and a bit)."""
@@ -449,11 +439,8 @@ _REACHED = object()
 _BROKE = object()
 
 
-@dataclass(frozen=True)
-class VilleResult:
-    frequency: float
-    bound: float
-    passed: bool
+class VilleResult(Frozen):
+    _fields = ("frequency", "bound", "passed")  # two floats and a bool
 
 
 def ville_check(

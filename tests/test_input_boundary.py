@@ -368,6 +368,17 @@ def test_duality_sweep_refuses_a_count_below_one_before_any_event(capsys, monkey
     assert err == f"error: --count must be a positive integer, got {count}\n"
 
 
+@pytest.mark.parametrize("count", ["1000001", "100000000000000000000"])
+def test_duality_sweep_refuses_a_count_over_its_limit_before_any_event(capsys, monkeypatch, count):
+    def generate(rng):
+        raise AssertionError("an event was generated")
+
+    monkeypatch.setattr(randgen, "random_event", generate)
+    code, out, err = run(capsys, "duality-sweep", "--count", count)
+    assert (code, out) == (2, "")
+    assert err == f"error: --count must be at most 1000000, got {count}\n"
+
+
 def test_duality_sweep_grid_one_is_checked(capsys):
     code, out, _ = run(capsys, "duality-sweep", "--count", "2", "--grid", "1", "--json")
     assert code == 0

@@ -147,7 +147,6 @@ def test_certification_steps_each_distinct_pair_once():
     """Doubling under constant 1/2 holds two capitals per depth, so horizon 16 steps 62 values, not 131,070."""
     steps = []
 
-    @dataclass(frozen=True)
     class Counting(DoublingStrategy):
         def step(self, p, y):
             steps.append(self)
