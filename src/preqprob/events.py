@@ -22,10 +22,10 @@ reads the partition's cells.
 
 Long events repeat steps: ``event_from_json`` reads and checks each
 distinct endpoint string once as a forecast, builds one ``StepConstraint``
-per distinct raw step from those checked bounds and shares it, and
-``per_distinct_step`` sets up a step (its partition, the measure engine's
-candidates) once per distinct column of box steps, keyed on the identity of
-those shared objects.
+per distinct raw step straight from those checked bounds, with no
+constructor call, and shares it, and ``per_distinct_step`` sets up a step
+(its partition, the measure engine's candidates) once per distinct column
+of box steps, keyed on the identity of those shared objects.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .core import (
     as_int,
     check_forecast,
     check_outcome,
-    parse_once_per_string,
     reading,
 )
 
@@ -70,18 +69,6 @@ class StepConstraint(Frozen):
             raise InputError(f"empty interval [{self.p_lo}, {self.p_hi}]")
         if self.y is not WILDCARD:
             set_field(self, "y", check_outcome(self.y))
-
-    @classmethod
-    def _of_forecasts(cls, p_lo: Fraction, p_hi: Fraction, y: int | None) -> "StepConstraint":
-        """A step whose bounds are checked forecasts: only ``p_lo <= p_hi`` and ``y`` are checked, as above."""
-        if p_lo.numerator * p_hi.denominator > p_hi.numerator * p_lo.denominator:
-            raise InputError(f"empty interval [{p_lo}, {p_hi}]")
-        step = object.__new__(cls)
-        set_field = object.__setattr__  # the frozen class's own refuses
-        set_field(step, "p_lo", p_lo)
-        set_field(step, "p_hi", p_hi)
-        set_field(step, "y", y if y is WILDCARD else check_outcome(y))
-        return step
 
     def accepts(self, p: Fraction, y: int) -> bool:
         return self.p_lo <= p <= self.p_hi and (self.y is WILDCARD or self.y == y)
@@ -407,25 +394,35 @@ def event_to_json(event: EventUnion) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _endpoint(value) -> tuple[Fraction, bool]:
-    """An endpoint as ``as_fraction`` reads it, and whether it lies in [0, 1], as ``check_forecast`` asks."""
+def _endpoint(value) -> tuple:
+    """An endpoint as ``as_fraction`` reads it, its numerator and denominator, and whether it lies in [0, 1]."""
     p = as_fraction(value)
-    return p, 0 <= p.numerator <= p.denominator
+    n, d = p.as_integer_ratio()
+    return p, n, d, 0 <= n <= d
+
+
+class _Endpoints(dict):
+    """Endpoint string -> ``_endpoint`` of it, read when first looked up."""
+
+    def __missing__(self, text):
+        self[text] = parsed = _endpoint(text)
+        return parsed
 
 
 def event_from_json(text: str) -> EventUnion:
     """Parse an event document; identical raw steps share one ``StepConstraint``.
 
     Each distinct endpoint string is read and checked as a forecast once,
-    into one Fraction that every step giving that string shares.  Only
-    strings share a parse, and only steps whose bounds are both strings are
-    shared: a key must not let a float such as 1.0, which ``as_fraction``
-    refuses, match the key of 1.  A new step is built from its checked
-    bounds, which leaves only their order and the outcome to check; the
+    into one Fraction that every step giving it shares.  Only steps whose
+    bounds are both strings are shared: a key must not let a float such as
+    1.0, which ``as_fraction`` refuses, match the key of 1.  Steps and boxes
+    are built from checked values with no constructor call, so only a step's
+    bound order, on integer ratios, and its outcome are checked here; the
     refusals come in the order, and with the messages, of ``StepConstraint``.
     """
-    endpoint = parse_once_per_string(_endpoint)
+    known = _Endpoints()
     shared: dict = {}  # (lo, hi, y) as written -> the step built from them
+    new = object.__new__
     with reading("event"):
         doc = json.loads(text)
         horizon = as_int(doc["horizon"], "horizon")
@@ -440,13 +437,22 @@ def event_from_json(text: str) -> EventUnion:
                 key = (p[0], p[1], y_raw) if plain else None
                 step = shared.get(key)
                 if step is None:
-                    y = WILDCARD if y_raw == "*" else as_int(y_raw, "outcome y")  # the step checks it
-                    (lo, lo_in), (hi, hi_in) = endpoint(p[0]), endpoint(p[1])
+                    y = WILDCARD if y_raw == "*" else as_int(y_raw, "outcome y")  # its value is checked last
+                    lo, a, b, lo_in = known[p[0]] if type(p[0]) is str else _endpoint(p[0])
+                    hi, c, d, hi_in = known[p[1]] if type(p[1]) is str else _endpoint(p[1])
                     if not (lo_in and hi_in):
                         raise InputError(f"forecast {hi if lo_in else lo} outside [0, 1]")
-                    step = StepConstraint._of_forecasts(lo, hi, y)
+                    if a * d > c * b:
+                        raise InputError(f"empty interval [{lo}, {hi}]")
+                    if y not in (WILDCARD, 0, 1):
+                        check_outcome(y)  # refuses it
+                    step = new(StepConstraint)
+                    fields = vars(step)  # set past the class's refusal, as its constructor sets them
+                    fields["p_lo"], fields["p_hi"], fields["y"] = lo, hi, y
                     if key is not None:
                         shared[key] = step
                 steps.append(step)
-            boxes.append(Box(tuple(steps)))
+            box = new(Box)
+            vars(box)["steps"] = tuple(steps)
+            boxes.append(box)
     return EventUnion(horizon, tuple(boxes))

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit-code contract, byte-stable reports."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -639,6 +640,70 @@ def test_successive_calls_match_separate_runs(capsys, event_file, tmp_path):
     ]
     assert in_process == [(done.returncode, done.stdout) for done in separate]
     assert [code for code, _ in in_process] == [0, 0, 0, 1]
+
+
+class Parsed(Exception):
+    """Carries the namespace ``parse_args`` returned, so that ``main`` runs no command."""
+
+
+def parse(main, argv, monkeypatch, capsys) -> tuple:
+    """What ``main(argv)`` parses: ("args", its namespace but ``subcommand``), or ("exit", code, stdout, stderr)."""
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, args=None, namespace=None):
+        raise Parsed(parse_args(self, args, namespace))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        try:
+            main(argv)
+        except Parsed as parsed:
+            return "args", {key: value for key, value in vars(parsed.args[0]).items() if key != "subcommand"}
+        except SystemExit as exc:
+            return ("exit", exc.code, *capsys.readouterr())
+    raise AssertionError(f"main({argv}) parsed nothing")
+
+
+def reference_main(argv):
+    """``main``'s parse with every argv through the whole parser."""
+    cli.build_parser().parse_args(argv)
+
+
+# Per subcommand, an argv of every default and one giving every option, some abbreviated or with "=".
+VALID = [
+    ["value", "--event", "e.json"],
+    ["value", "--event=e.json", "--eng", "game", "--witness-out", "w.json", "--table-out", "t.json", "--json"],
+    ["counterexample"],
+    ["counterexample", "--measure", "--json"],
+    ["test-stream", "--stream", "s.csv"],
+    ["test-stream", "--stream", "s.csv", "-N", "5", "-C", "1/2", "--json"],
+    ["ville"],
+    ["ville", "--phi", "phi.json", "--strategy", "calibration", "-C", "2", "-N", "4", "--samples", "30",
+     "--seed", "7", "--json"],
+    ["duality-sweep"],
+    ["duality-sweep", "--count", "3", "--grid", "2", "--seed", "1", "--json"],
+    ["levy-trace", "--event", "e.json"],
+    ["levy-trace", "--event", "e.json", "--threshold", "1/2", "--stream", "s.csv", "--seed", "2", "--json"],
+    ["verify", "--value-function", "t.json"],
+    ["verify", "--value-function", "t.json", "--mode", "exact", "--json"],
+]
+REFUSED = [
+    [], ["bogus"], ["--json", "value", "--event", "e.json"], ["value", "--event", "e.json", "--bogus"],
+    ["value"], ["value", "--event", "e.json", "--engine", "neither"], ["ville", "-N", "x"],
+    ["verify", "--value-function"], ["counterexample", "counterexample"],
+]
+
+
+def test_main_parses_as_the_whole_parser_does(monkeypatch, capsys):
+    """``main`` gives an argv that starts with a subcommand to its parser: the same namespace, help and refusal."""
+    commands = sorted(cli.build_parser().commands)
+    assert sorted({argv[0] for argv in VALID}) == commands and len(commands) == 7
+    helps = [["-h"], *([name, "-h"] for name in commands)]
+    for argv in VALID + helps + REFUSED:
+        got, want = parse(cli.main, argv, monkeypatch, capsys), parse(reference_main, argv, monkeypatch, capsys)
+        assert got == want, argv
+        assert (got[0] == "args") == (argv in VALID)
+        assert got[0] == "args" or got[1] == (0 if argv in helps else 2)
 
 
 GOOD_EVENT = event_to_json(counterexample_pair()[0])

@@ -123,6 +123,9 @@ def doc(*steps):
 @example(doc({"p": ["3/2", "1"], "y": "x"}))  # the outcome's type before the bounds
 @example(doc({"p": "0", "y": 1}))  # a p that is not a list
 @example(doc({"p": ["1/2", "1"], "y": 1}, {"p": ["2/4", "1"], "y": 1}, {"p": ["1/2", "1"], "y": 1}))
+# A fault in each of two boxes: the first box's, checked last within its step, is the one named.
+@example(json.dumps({"horizon": 1, "boxes": [{"steps": [{"p": ["0", "1"], "y": 2}]}, {"steps": [{"p": ["x", "1"]}]}]}))
+@example(doc({"p": ["1/4", 1]}, {"p": ["1/4", "1"]}))  # a mixed step, then a plain one with the same endpoint string
 def test_the_parse_equals_the_reference_parse(text):
     event, refusal = parsed(event_from_json, text)
     expected, expected_refusal = parsed(reference_parse, text)

@@ -599,8 +599,11 @@ def test_integer_options_still_read_every_ascii_spelling_of_int(capsys, spelling
         ["ville", "-N", "abc"],
         ["no-such-command"],
         [],
+        ["value", "--event", "e.json", "--bogus"],
+        ["--json", "value", "--event", "e.json"],
     ],
-    ids=["missing-required-option", "bad-engine-choice", "non-integer-N", "bad-subcommand", "no-subcommand"],
+    ids=["missing-required-option", "bad-engine-choice", "non-integer-N", "bad-subcommand", "no-subcommand",
+         "unrecognized-after-subcommand", "option-before-subcommand"],
 )
 def test_an_argparse_refusal_is_one_error_line_and_exit_2(capsys, argv):
     code, out, err = parser_refusal(capsys, *argv)

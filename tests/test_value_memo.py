@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preqprob import cli, gameprob
+from preqprob import cli, gameprob, strategies
 from preqprob.events import Cell, ForecastPartition
 from preqprob.gameprob import StateGraph, ValueFunction, encode_cell_path, witness_superfarthingale
 from preqprob.randgen import random_event
@@ -146,14 +146,10 @@ def test_every_path_sharing_a_failing_triple_is_reported_in_level_order(mode):
 
 
 def counting_fraction():
-    """A Fraction subclass that counts its ``__sub__`` and ``__str__`` calls, and the counter."""
+    """A Fraction subclass that counts its ``__str__`` calls, and the counter."""
     calls = collections.Counter()
 
     class Counting(Fraction):
-        def __sub__(self, other):
-            calls["sub"] += 1
-            return Fraction.__sub__(self, other)
-
         def __str__(self):
             calls["str"] += 1
             return Fraction.__str__(self)
@@ -171,8 +167,12 @@ def counted_witness():
     return vf, table, calls
 
 
-def test_each_distinct_check_subtracts_once(counted_witness):
-    vf, table, calls = counted_witness
+def test_each_distinct_check_runs_once(counted_witness, monkeypatch):
+    """``check_farthingale`` calls ``_failing_endpoints`` at most once per distinct (cell, parent, v0, v1)."""
+    vf, table, _ = counted_witness
+    calls = []
+    failing_endpoints = strategies._failing_endpoints
+    monkeypatch.setattr(strategies, "_failing_endpoints", lambda *args: calls.append(args) or failing_endpoints(*args))
     values = table.values
     checks = set()
     cell_checks = 0
@@ -181,11 +181,10 @@ def test_each_distinct_check_subtracts_once(counted_witness):
             v0, v1 = values[path + ((ci, 0),)], values[path + ((ci, 1),)]
             checks.add((id(cell), id(values[path]), id(v0), id(v1)))
             cell_checks += 1
-    calls.clear()
     for mode in MODES:
-        assert check_farthingale(table, mode) == reference_check(vf, mode)
-        assert 0 < calls["sub"] <= len(checks) < cell_checks // 10
         calls.clear()
+        assert check_farthingale(table, mode) == reference_check(vf, mode)
+        assert 0 < len(calls) <= len(checks) < cell_checks // 10
 
 
 def test_to_json_formats_each_object_once(counted_witness):
