@@ -451,7 +451,7 @@ def cmd_verify(args) -> Report:
         path, p = violations[0]
         details.append(f"first violation at node '{gameprob.encode_cell_path(path)}' p={p}")
     # A table certifies an upper probability only as a non-negative (super)farthingale.
-    graph = vf.state_graph()
+    graph = vf.values
     negative = [{state: v for state, v in enumerate(level) if v < 0} for level in graph.levels]
     depth = next((d for d, marked in enumerate(negative) if marked), None)
     if depth is not None:

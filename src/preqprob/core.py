@@ -285,9 +285,10 @@ def as_fraction(value) -> Fraction:
     An ASCII string "n" or "n/d" of digits alone, d not 0, and no longer
     than that limit (any length when it is 0) is read as ``int`` reads its
     parts, without the regular expressions; any other string takes the
-    general path.
+    general path.  A ``Fraction`` comes back as itself; a subclass of one is
+    found by an ABC ``isinstance`` test, which no such string pays.
     """
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:
         return value
     limit = sys.get_int_max_str_digits()
     if isinstance(value, str) and value.isascii() and (len(value) <= limit or not limit):
@@ -302,6 +303,8 @@ def as_fraction(value) -> Fraction:
             f"cannot interpret {value!r} as an exact rational: its exponent's magnitude is over "
             f"{limit}, the interpreter's limit on integer digits"
         )
+    if isinstance(value, Fraction):
+        return value
     try:
         fraction = Fraction(value) if not isinstance(value, bool) and isinstance(value, (int, str)) else None
     except (ValueError, ZeroDivisionError):

@@ -53,21 +53,19 @@ A value table is held as levels of states, a ``StateGraph``, which holds
 only each depth's state values and each interior state's child-state
 indices; its shape and its length come from those children.  A witness
 table and a strategy table are reached from the root by ``StateGraph.reach``
-through ``core.level_graph``, the equal states of a depth being one; any
-other table is hash-consed from its node values in level order by
-``StateGraph.from_nodes``, nodes with equal keys over the same child states
-being one state.  ``from_json`` keys
-a node on its JSON value as written, and ``ValueFunction.state_graph``,
-which reads any other mapping, on its value object's ``id``.  The builder
-sizes the tree, ``reach`` with ``tree_nodes`` against ``core.check_walk``'s
-node budget before it starts.  The tree order lives here alone: level by
-level, children in (cell, bit) order, as ``_level_order`` lists it, and a
-node's key string is the ``_token``s along its cell-path.  No walk builds a
-cell-path: ``to_json`` writes each state's subtree once, by
-``core.tree_json``, the writer of the measure witness as well, ``from_json``
-builds the keys a level at a time and parses each state's string once, and
-``StateGraph.marked_nodes`` decodes, by ``core.marked_paths``, only the paths
-of the nodes it reports.
+through ``core.level_graph``, the equal states of a depth being one; a
+table read by ``from_json`` is hash-consed from its node values in level
+order by ``StateGraph.from_nodes``, nodes with equal JSON values over the
+same child states being one state.  The builder sizes the tree, ``reach``
+with ``tree_nodes`` against ``core.check_walk``'s node budget before it
+starts.  The tree order lives here alone: level by level, children in
+(cell, bit) order, as ``_level_order`` lists it, and a node's key string is
+the ``_token``s along its cell-path.  No walk builds a cell-path:
+``to_json`` writes each state's subtree once, by ``core.tree_json``, the
+writer of the measure witness as well, ``from_json`` builds the keys a
+level at a time and parses each state's string once, and
+``StateGraph.marked_nodes`` decodes, by ``core.marked_paths``, only the
+paths of the nodes it reports.
 """
 
 from __future__ import annotations
@@ -223,14 +221,13 @@ class ValueFunction(Frozen):
     The nodes come level by level, children in (cell, bit) order.
 
     A horizon other than the count of partitions, one per step, is refused.
-    ``values`` maps cell-paths to values.  Tables the library builds hold a
-    ``StateGraph``, which holds only levels and children and takes its
-    shape and length from its children, sized by the builder that made it;
-    a graph that does not fit the partitions, with other than horizon + 1
-    levels or 2 * cells(d) children per state of an interior depth d, is
-    refused.  Any other mapping (a dict, say) works as well, and
-    ``state_graph`` reads it once into one.  Two tables are equal only if
-    they are one object.
+    ``values`` is a ``StateGraph``, which holds only levels and children and
+    takes its shape and length from its children, sized by the builder that
+    made it; any other ``values``, a dict of paths say, is refused, and so
+    is a graph that does not fit the partitions, with other than horizon + 1
+    levels or 2 * cells(d) children per state of an interior depth d.  A
+    table is built by hand with ``StateGraph.from_nodes``.  Two tables are
+    equal only if they are one object.
     """
 
     _fields = ("horizon", "partitions", "values")
@@ -240,7 +237,9 @@ class ValueFunction(Frozen):
         if self.horizon != len(self.partitions):
             raise InputError(f"horizon {self.horizon} but {len(self.partitions)} partitions")
         graph = self.values
-        if isinstance(graph, StateGraph) and (
+        if not isinstance(graph, StateGraph):
+            raise InputError(f"a value table holds a StateGraph, not a {type(graph).__name__}")
+        if (
             len(graph.levels) != self.horizon + 1
             or len(graph.children) != len(self.partitions)
             or any(set(map(len, kids)) != {2 * len(p.cells)} for kids, p in zip(graph.children, self.partitions))
@@ -250,22 +249,6 @@ class ValueFunction(Frozen):
                 f"{self.horizon + 1} levels and 2 * cells(d) children per state of each interior depth d"
             )
 
-    def state_graph(self) -> StateGraph:
-        """The table as levels of states: ``values`` itself if it is one.
-
-        Any other mapping is sized with ``tree_nodes`` and read once in level
-        order, and a missing node raises ``KeyError``.  Its nodes are
-        hash-consed on their values' ids, so equal values held by distinct
-        objects stay distinct states, and each state holds its node's object.
-        """
-        if isinstance(self.values, StateGraph):
-            return self.values
-        tree_nodes(self.partitions)
-        nodes = [self.values[path] for path in _level_order([2 * len(p.cells) for p in self.partitions])]
-        graph = StateGraph.from_nodes(self.partitions, list(map(id, nodes)))
-        objects = dict(zip(map(id, nodes), nodes))
-        return StateGraph([list(map(objects.__getitem__, level)) for level in graph.levels], graph.children)
-
     def to_json(self) -> str:
         """The table document, keys in sorted order, written once per state by ``core.tree_json``.
 
@@ -274,7 +257,7 @@ class ValueFunction(Frozen):
         ``InputError``, raised before any is formatted.
         """
         tree_nodes(self.partitions)
-        graph = self.state_graph()
+        graph = self.values
         limit = sys.get_int_max_str_digits()
         if any(digits_beyond_limit(v, limit) for level in graph.levels for v in level):
             raise InputError(f"a table value has more than {limit} digits, the interpreter's integer digit limit")

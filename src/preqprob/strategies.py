@@ -6,13 +6,13 @@ gambler may discard capital (superfarthingale).  ``check_farthingale``
 verifies either property exactly on a cell-indexed value table: within one
 partition cell the successor values are constant, so the defining identity is
 linear in the forecast and holds on the whole cell iff it holds at both cell
-endpoints.  The check reads the table as levels of states
-(``ValueFunction.state_graph``): a state fixes its value and its children's,
-so each (depth, state, cell) is decided once, and only the nodes holding a
-failing state are looked up, by ``StateGraph.marked_nodes``.  The identity
-is decided on integers: ``_gap_sign`` gives the sign of
-parent - ((1 - p) v0 + p v1) by cross-multiplying numerators and
-denominators, for ``check_farthingale`` and ``certify_strategy`` alike.
+endpoints.  The check reads the table's ``StateGraph``, its levels of
+states: a state fixes its value and its children's, so each (depth, state,
+cell) is decided once, and only the nodes holding a failing state are
+looked up, by ``StateGraph.marked_nodes``.  The identity is decided on
+integers: ``_gap_sign`` gives the sign of parent - ((1 - p) v0 + p v1) by
+cross-multiplying numerators and denominators, for ``check_farthingale``
+and ``certify_strategy`` alike.
 
 The calibration strategy realizes the finite-horizon bias test: with
 S = sum(y_i - p_i) and A = sum(p_i (1 - p_i)) the process
@@ -77,10 +77,6 @@ from .events import point_partition
 from .gameprob import StateGraph, ValueFunction, tree_nodes
 
 
-class IncompleteTableError(InputError):
-    """A value table is missing nodes required by its partitions."""
-
-
 class CertificationError(InputError):
     """A strategy failed the exact martingale certification."""
 
@@ -104,20 +100,16 @@ class CapitalProcess(Frozen):
 
 
 def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
-    """Verify the (super)farthingale identity on a complete cell-indexed table.
+    """Verify the (super)farthingale identity on a cell-indexed table.
 
     mode "exact" requires equality, "super" allows the node to dominate.
     Returns (ok, violations) with the distinct (cell-path, forecast) pairs at
-    which an endpoint check failed, shortest paths first.  In "super" mode
-    one endpoint decides a cell: the right-hand side v0 + p*(v1 - v0) is
-    linear in p, so the node dominates it on the whole cell iff it does at hi
-    when v1 > v0, at lo when v1 < v0, and anywhere when they are equal; both
-    endpoints are scanned only when that test fails.  A cell whose two
+    which an endpoint check failed, shortest paths first.  A cell whose two
     children are one state, or hold equal values, is decided by one compare
-    against that value.  Every endpoint test is decided on integers, by
-    ``_gap_sign``; the one Fraction built per test is v1 - v0.
+    against that value; any other cell tests each endpoint on integers, by
+    ``_gap_sign``, and builds no Fraction.
 
-    The check reads ``vf.state_graph()``, after sizing the interior tree with
+    The check reads ``vf.values``, after sizing the interior tree with
     ``tree_nodes``, and decides each (depth, state, cell) once.  Every node
     holding a failing state reports its failing endpoints, in level, cell
     and endpoint order, from ``StateGraph.marked_nodes``.
@@ -126,10 +118,7 @@ def check_farthingale(vf: ValueFunction, mode: str) -> tuple[bool, list]:
         raise InputError(f"mode must be 'exact' or 'super', got {mode!r}")
     exact = mode == "exact"
     tree_nodes(vf.partitions[:-1])
-    try:
-        graph = vf.state_graph()
-    except KeyError:
-        raise IncompleteTableError("value table does not cover the partition tree") from None
+    graph = vf.values
     # failing[depth][state]: the distinct endpoints at which that state fails, in cell order.
     failing: list[dict] = []
     for partition, parents, below, children in zip(vf.partitions, graph.levels, graph.levels[1:], graph.children):
@@ -167,16 +156,11 @@ def _gap_sign(parent, v0, v1, p) -> int:
 def _failing_endpoints(points: tuple, parent: Fraction, v0: Fraction, v1: Fraction, exact: bool) -> tuple:
     """The cell endpoints ``points`` ((lo,) or (lo, hi)) at which ``parent`` fails against (1 - p) v0 + p v1.
 
-    The right-hand side is v0 + p (v1 - v0): with v1 = v0 it is v0 at every
-    p, and in "super" mode the endpoint hi (v1 > v0) or lo (v1 < v0) decides
-    the cell unless the node fails there.  Each endpoint is tested on
-    integers, by ``_gap_sign``.
+    With v1 = v0 the right-hand side is v0 at every p, one compare; otherwise
+    each endpoint is tested on integers, by ``_gap_sign``.
     """
-    d = v1 - v0
-    if not d:
+    if v0 == v1:
         return points if (parent != v0 if exact else parent < v0) else ()
-    if not exact and _gap_sign(parent, v0, v1, points[-1] if d.numerator > 0 else points[0]) >= 0:
-        return ()
     failing = []
     for p in points:
         sign = _gap_sign(parent, v0, v1, p)

@@ -112,3 +112,28 @@ def test_a_plain_ratio_takes_no_regular_expression(monkeypatch):
 
     monkeypatch.setattr(core, "_exponent_beyond_limit", scanned)
     assert (core.as_fraction("007/014"), core.as_fraction("12/12"), core.as_fraction("0")) == (Fraction(1, 2), 1, 0)
+
+
+class Tenths(Fraction):
+    """A Fraction subclass, which ``as_fraction`` hands back unchanged."""
+
+
+def test_a_plain_ratio_asks_no_subclass_question(monkeypatch):
+    """A string reaches the integer path without ``isinstance(value, Fraction)``, an ABC check.
+
+    A Fraction, or a subclass of one, still comes back as itself, and any
+    other value that is not a string reads as the general path reads it.
+    """
+    asked = []
+
+    def spy(value, kinds):
+        asked.append(kinds)
+        return isinstance(value, kinds)
+
+    monkeypatch.setattr(core, "isinstance", spy, raising=False)
+    assert (core.as_fraction("3/7"), core.as_fraction("12")) == (Fraction(3, 7), 12)
+    assert asked and Fraction not in asked
+    for value in (Fraction(3, 7), Tenths(3, 10)):
+        assert core.as_fraction(value) is value
+    for value in (7, -2, True, 0.5, None, [1], b"1/2"):
+        assert outcome(core.as_fraction, value) == outcome(general_path, value)

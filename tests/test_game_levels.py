@@ -29,9 +29,10 @@ from preqprob.gameprob import (
     upper_game_probability,
     witness_superfarthingale,
 )
+from path_tables import node_paths, path_graph
 from test_measure_levels import ONE_BOX_EDGES, doc, event_docs
 from test_step_memo import run
-from test_value_memo import PROPERTY, node_paths
+from test_value_memo import PROPERTY
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -120,7 +121,7 @@ class Reference:
             for depth, (ci, bit) in enumerate(path):
                 live &= self.cuts[depth][ci][1][bit]
             values[path] = self.value(len(path), live)
-        return ValueFunction(self.event.horizon, tuple(parts), values).to_json()
+        return ValueFunction(self.event.horizon, tuple(parts), path_graph(parts, values)).to_json()
 
 
 @PROPERTY

@@ -33,7 +33,6 @@ from preqprob.strategies import (
     CalibrationState,
     CertificationError,
     DoublingStrategy,
-    IncompleteTableError,
     StreamFormatError,
     parse_stream_csv,
     ville_check,
@@ -322,6 +321,14 @@ def test_a_malformed_document_is_named():
         parse_stream_csv(5)
 
 
+def test_the_committed_missing_node_table_is_refused(capsys):
+    """The python-floor CI job verifies ``tests/data/missing_node_table.json``: the reader refuses it with exit 2."""
+    path = Path(__file__).parent / "data" / "missing_node_table.json"
+    assert json.loads(path.read_text()) == dict(GOOD_TABLE, values={"": "0", "0:0": "0"})
+    assert run(capsys, "verify", "--value-function", str(path), "--json") == (
+        2, "", "error: malformed value-function document: missing '0:1'\n")
+
+
 def test_an_event_needs_its_boxes_and_may_have_none():
     with pytest.raises(InputError, match=r"^malformed event document: missing 'boxes'$"):
         event_from_json('{"horizon": 2}')
@@ -338,8 +345,8 @@ def test_a_float_value_is_refused_after_an_equal_int():
 
 @pytest.mark.parametrize(
     "error",
-    [core.HorizonError, ArityError, LiveSetBudgetError, StreamFormatError,
-     IncompleteTableError, CertificationError, EnumerationLimitError],
+    [core.HorizonError, ArityError, LiveSetBudgetError, StreamFormatError, CertificationError,
+     EnumerationLimitError],
 )
 def test_every_refusal_is_an_input_error(error):
     assert issubclass(error, InputError) and issubclass(error, ValueError)

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from path_tables import path_graph
 from test_calibration_fold import PROPERTY
 
 from preqprob.core import ForecastingSystem, history_at
@@ -168,7 +169,7 @@ def perturbed_witness(rng):
     table = dict(vf.values.items())
     for path in rng.sample(sorted(table), min(len(table), rng.randint(1, 4))):
         table[path] = rng.choice([rng.randint(-2, 2), random_rational(rng), -random_rational(rng)])
-    return ValueFunction(vf.horizon, vf.partitions, table)
+    return ValueFunction(vf.horizon, vf.partitions, path_graph(vf.partitions, table))
 
 
 def grid_table(rng):

@@ -11,6 +11,7 @@ the view with a dict built in level order.
 import hashlib
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -28,6 +29,7 @@ from preqprob.strategies import (
     check_farthingale,
     strategy_value_table,
 )
+from path_tables import node_paths, path_graph
 from test_strategies import reference_check
 from test_value_memo import (
     MODES,
@@ -36,7 +38,6 @@ from test_value_memo import (
     TAMPERED_VIOLATIONS,
     WITNESS_PINS,
     even_partition,
-    node_paths,
     partitions,
     tampered_table,
 )
@@ -67,7 +68,7 @@ def test_the_view_agrees_with_the_path_dict(table):
     assert len(by_path) == len(view) == len(paths)
     assert list(view) == list(by_path)
     assert all(view[path] is value for path, value in by_path.items())
-    again = ValueFunction(len(parts), parts, by_path).state_graph()
+    again = path_graph(parts, by_path)
     assert (again.levels, again.children) == (view.levels, view.children)
 
 
@@ -161,14 +162,21 @@ def test_a_state_graph_that_does_not_fit_the_partitions_is_refused(horizon, part
 
 
 def test_a_horizon_other_than_the_partition_count_is_refused():
-    """Whatever holds the values: ``from_json`` would refuse the table such a horizon writes."""
+    """Whatever holds the values: ``from_json`` would refuse the table such a horizon writes.
+
+    Values that are not a ``StateGraph``, a dict of paths say, are refused at the right horizon too.
+    """
     parts = (point_partition([]),)
     paths = node_paths(parts)
     values = dict(zip(paths, [Fraction(k, len(paths)) for k in range(len(paths))]))
-    for table in (values, StateGraph.from_nodes(parts, list(values.values()))):
+    graph = StateGraph.from_nodes(parts, list(values.values()))
+    for table in (values, graph):
         with pytest.raises(InputError, match=r"^horizon 2 but 1 partitions$"):
             ValueFunction(2, parts, table)
-        assert ValueFunction.from_json(ValueFunction(1, parts, table).to_json()).horizon == 1
+    for table in (values, MappingProxyType(values)):
+        with pytest.raises(InputError, match=rf"^a value table holds a StateGraph, not a {type(table).__name__}$"):
+            ValueFunction(1, parts, table)
+    assert ValueFunction.from_json(ValueFunction(1, parts, graph).to_json()).horizon == 1
 
 
 def test_a_negative_horizon_is_refused_before_the_factory_is_called():
@@ -295,7 +303,7 @@ def replayed(factory, horizon, grid):
             strategy = strategy.step(cell.lo, bit) if cell.is_point else strategy
         table[path] = strategy.capital
         values[len(path)].add(strategy)
-    return ValueFunction(horizon, parts, table), values
+    return ValueFunction(horizon, parts, path_graph(parts, table)), values
 
 
 @PROPERTY

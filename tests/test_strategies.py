@@ -17,7 +17,6 @@ from preqprob.strategies import (
     CertificationError,
     ConstantStrategy,
     DoublingStrategy,
-    IncompleteTableError,
     StreamFormatError,
     calibration_step,
     calibration_verdict,
@@ -29,6 +28,7 @@ from preqprob.strategies import (
     strategy_value_table,
     ville_check,
 )
+from path_tables import path_graph
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -50,7 +50,7 @@ def constant_table(horizon, value):
         ]
         for path in level:
             values[path] = value
-    return ValueFunction(horizon, partitions, values)
+    return ValueFunction(horizon, partitions, path_graph(partitions, values))
 
 
 class TestCheckFarthingale:
@@ -70,16 +70,10 @@ class TestCheckFarthingale:
         for ci in range(len(partition.cells)):
             values[((ci, 0),)] = ZERO
             values[((ci, 1),)] = Fraction(2)
-        vf = ValueFunction(1, (partition,), values)
+        vf = ValueFunction(1, (partition,), path_graph((partition,), values))
         ok, violations = check_farthingale(vf, "super")
         assert not ok
         assert violations == [((), ONE)]
-
-    def test_incomplete_table_rejected(self):
-        vf = constant_table(1, ONE)
-        del vf.values[((0, 1),)]
-        with pytest.raises(IncompleteTableError):
-            check_farthingale(vf, "super")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -90,10 +84,6 @@ class TestCheckFarthingale:
         """A table with no partitions has no interior node, so nothing can fail."""
         vf = ValueFunction.from_json('{"horizon": 0, "partitions": [], "values": {"": "1"}}')
         assert check_farthingale(vf, mode) == (True, [])
-
-    def test_root_only_table_needs_its_root(self):
-        with pytest.raises(IncompleteTableError):
-            check_farthingale(ValueFunction(0, (), {}), "super")
 
 
 def reference_check(vf, mode):
@@ -139,7 +129,7 @@ def one_step_table(partition, parent, children):
     for ci, (v0, v1) in enumerate(children):
         values[((ci, 0),)] = Fraction(v0)
         values[((ci, 1),)] = Fraction(v1)
-    return ValueFunction(1, (partition,), values)
+    return ValueFunction(1, (partition,), path_graph((partition,), values))
 
 
 class TestCheckFarthingaleAgainstReference:
@@ -191,7 +181,7 @@ class TestCheckFarthingaleAgainstReference:
                 ]
                 for path in level:
                     values[path] = rng.choice(levels)
-            vf = ValueFunction(2, partitions, values)
+            vf = ValueFunction(2, partitions, path_graph(partitions, values))
             for mode in ("super", "exact"):
                 got = check_farthingale(vf, mode)
                 assert got == reference_check(vf, mode)
@@ -208,11 +198,11 @@ class TestCheckFarthingaleAgainstReference:
     @pytest.mark.parametrize("partition", [WHOLE, POINTS, MIXED], ids=["whole", "points", "mixed"])
     @pytest.mark.parametrize("parent", [Fraction(3, 4), HALF, QUARTER], ids=["above", "equal", "below"])
     def test_a_cell_whose_children_are_one_state_is_one_compare(self, monkeypatch, partition, parent):
-        """Each cell's children are one object, so one state: the cell fails at every endpoint or at none."""
+        """Each cell's children hold one value, so one state: the cell fails at every endpoint or at none."""
         values = {(): parent}
         for ci in range(len(partition.cells)):
             values[((ci, 0),)] = values[((ci, 1),)] = HALF
-        vf = ValueFunction(1, (partition,), values)
+        vf = ValueFunction(1, (partition,), path_graph((partition,), values))
         ends = list(dict.fromkeys(p for cell in partition.cells for p in cell.endpoints()))
         expected = {"super": ends if parent < HALF else [], "exact": ends if parent != HALF else []}
 
@@ -226,9 +216,9 @@ class TestCheckFarthingaleAgainstReference:
 
     @pytest.mark.parametrize("parent", [Fraction(3, 4), HALF, QUARTER], ids=["above", "equal", "below"])
     def test_cells_with_one_child_state_mix_with_cells_with_two(self, parent):
-        """Two steps over ``POINTS``: an odd cell's children are 0 and 1, an even cell's are one object.
+        """Two steps over ``POINTS``: an odd cell's children are 0 and 1, an even cell's are one value.
 
-        That object is the parent itself under the root, and 1/2 under every depth-1 node.
+        That value is the parent's own under the root, and 1/2 under every depth-1 node.
         """
         values = {(): parent}
         level = [()]
@@ -238,7 +228,7 @@ class TestCheckFarthingaleAgainstReference:
                     for bit in (0, 1):
                         values[path + ((ci, bit),)] = (ZERO, ONE)[bit] if ci % 2 else shared
             level = [path + ((ci, bit),) for path in level for ci in range(len(POINTS.cells)) for bit in (0, 1)]
-        vf = ValueFunction(2, (POINTS, POINTS), values)
+        vf = ValueFunction(2, (POINTS, POINTS), path_graph((POINTS, POINTS), values))
         for mode in ("super", "exact"):
             assert check_farthingale(vf, mode) == reference_check(vf, mode)
 

@@ -28,6 +28,7 @@ from preqprob.events import Box, Cell, EventUnion, StepConstraint
 from preqprob.gameprob import LevyStrategy, ValueFunction
 from preqprob.strategies import (CalibrationState, CalibrationVerdict, CapitalProcess, ConstantStrategy,
                                  DoublingStrategy, VilleResult)
+from path_tables import path_graph
 
 ZERO, HALF, ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 STEP = StepConstraint(HALF, ONE)
@@ -160,11 +161,12 @@ def test_a_wrong_call_is_a_type_error(call):
 
 
 def test_a_value_function_compares_by_identity():
-    table = ValueFunction(0, (), {"": ONE})
-    again = ValueFunction(horizon=0, partitions=(), values={"": ONE})
+    graph = path_graph((), {(): ONE})
+    table = ValueFunction(0, (), graph)
+    again = ValueFunction(horizon=0, partitions=(), values=graph)
     assert table == table and table != again and not table == again
     assert hash(table) == object.__hash__(table)
-    assert repr(table) == repr(again) == "ValueFunction(horizon=0, partitions=(), values={'': Fraction(1, 1)})"
+    assert repr(table) == repr(again) == f"ValueFunction(horizon=0, partitions=(), values={graph!r})"
     with pytest.raises(AttributeError):
         table.horizon = 1
     with pytest.raises(ValueError):

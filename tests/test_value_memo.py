@@ -10,10 +10,8 @@ are pinned to the values they had before tables were shared.
 
 import collections
 import hashlib
-import itertools
 import json
 import random
-from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +24,7 @@ from preqprob.events import Cell, ForecastPartition
 from preqprob.gameprob import StateGraph, ValueFunction, encode_cell_path, witness_superfarthingale
 from preqprob.randgen import random_event
 from preqprob.strategies import CalibrationState, DoublingStrategy, check_farthingale, strategy_value_table
+from path_tables import node_paths, path_graph
 from test_strategies import MIXED, POINTS, WHOLE, reference_check
 
 ZERO = Fraction(0)
@@ -58,12 +57,6 @@ def partitions(draw):
     return ForecastPartition(tuple(cells))
 
 
-def node_paths(parts):
-    """Every node of the tree over ``parts``, in level order: per depth, children in (cell, bit) order."""
-    steps = [[(ci, bit) for ci in range(len(p.cells)) for bit in (0, 1)] for p in parts]
-    return [path for depth in range(len(parts) + 1) for path in itertools.product(*steps[:depth])]
-
-
 @st.composite
 def shared_tables(draw):
     """A 1- or 2-step table whose values are objects of ``POOL``."""
@@ -71,49 +64,17 @@ def shared_tables(draw):
     parts = tuple(draw(st.lists(step, min_size=1, max_size=2)))
     paths = node_paths(parts)
     picks = draw(st.lists(st.integers(0, len(POOL) - 1), min_size=len(paths), max_size=len(paths)))
-    return ValueFunction(len(parts), parts, {path: POOL[i] for path, i in zip(paths, picks)})
-
-
-def fresh(v: Fraction) -> Fraction:
-    """An equal value held by a new object."""
-    return Fraction(v.numerator, v.denominator)
-
-
-class FreshValues(Mapping):
-    """A value mapping that hands out a new object on every lookup."""
-
-    def __init__(self, values):
-        self._values = values
-
-    def __getitem__(self, path):
-        return fresh(self._values[path])
-
-    def __iter__(self):
-        return iter(self._values)
-
-    def __len__(self):
-        return len(self._values)
-
-
-def copied(vf):
-    return ValueFunction(vf.horizon, vf.partitions, {path: fresh(v) for path, v in vf.values.items()})
-
-
-def looked_up(vf):
-    return ValueFunction(vf.horizon, vf.partitions, FreshValues(vf.values))
+    return ValueFunction(len(parts), parts, path_graph(parts, {path: POOL[i] for path, i in zip(paths, picks)}))
 
 
 def state_graph(vf):
-    """The library's form: the same values hash-consed into a ``StateGraph``."""
-    nodes = [vf.values[path] for path in node_paths(vf.partitions)]
-    return ValueFunction(vf.horizon, vf.partitions, StateGraph.from_nodes(vf.partitions, nodes))
+    """The same table read back by path and hash-consed again into a ``StateGraph``."""
+    return ValueFunction(vf.horizon, vf.partitions, path_graph(vf.partitions, vf.values))
 
 
 @PROPERTY
 @given(shared_tables())
-@pytest.mark.parametrize(
-    "form", [lambda vf: vf, copied, looked_up, state_graph], ids=["shared", "copied", "fresh-lookups", "state-graph"]
-)
+@pytest.mark.parametrize("form", [lambda vf: vf, state_graph], ids=["shared", "state-graph"])
 def test_memo_matches_the_reference(form, vf):
     table = form(vf)
     for mode in MODES:
@@ -134,7 +95,7 @@ def test_every_path_sharing_a_failing_triple_is_reported_in_level_order(mode):
         values[path] = quarter
         values[path + ((0, 0),)] = ZERO
         values[path + ((0, 1),)] = ONE
-    vf = ValueFunction(2, (POINTS, WHOLE), values)
+    vf = ValueFunction(2, (POINTS, WHOLE), path_graph((POINTS, WHOLE), values))
     ok, violations = check_farthingale(vf, mode)
     assert (ok, violations) == reference_check(vf, mode)
     ends = (ONE,) if mode == "super" else (ZERO, ONE)
@@ -162,8 +123,9 @@ def counted_witness():
     """A witness table (2857 nodes, 13 states) rebuilt on counting values, object for object."""
     counting, calls = counting_fraction()
     vf = witness_superfarthingale(random_event(random.Random(0), max_horizon=4, max_boxes=3))
-    twins = {id(v): counting(v) for v in vf.values.values()}
-    table = ValueFunction(vf.horizon, vf.partitions, {path: twins[id(v)] for path, v in vf.values.items()})
+    graph = vf.values
+    twins = StateGraph([list(map(counting, level)) for level in graph.levels], graph.children)
+    table = ValueFunction(vf.horizon, vf.partitions, twins)
     return vf, table, calls
 
 
@@ -191,8 +153,7 @@ def test_to_json_formats_each_object_once(counted_witness):
     vf, table, calls = counted_witness
     calls.clear()
     assert table.to_json() == vf.to_json()
-    assert calls["str"] == sum(map(len, table.state_graph().levels)) == 13
-    assert copied(vf).to_json() == vf.to_json()  # one object per node formats to the same bytes
+    assert calls["str"] == sum(map(len, table.values.levels)) == 13
 
 
 def test_from_json_parses_each_distinct_string_once(monkeypatch):
@@ -320,15 +281,13 @@ def wide_tables(draw):
     parts = tuple(draw(step) for _ in range(draw(st.sampled_from([0, 1, 2, 2]))))
     paths = node_paths(parts)
     picks = draw(st.lists(st.integers(0, 2), min_size=len(paths), max_size=len(paths)))
-    return ValueFunction(len(parts), parts, {path: POOL[i] for path, i in zip(paths, picks)})
+    return ValueFunction(len(parts), parts, path_graph(parts, {path: POOL[i] for path, i in zip(paths, picks)}))
 
 
 @settings(PROPERTY, max_examples=60)
 @given(wide_tables())
-@pytest.mark.parametrize("form", [lambda vf: vf, state_graph], ids=["dict", "state-graph"])
-def test_to_json_matches_the_node_by_node_writer(form, vf):
-    table = form(vf)
-    assert table.to_json() == reference_json(vf)
+def test_to_json_matches_the_node_by_node_writer(vf):
+    assert vf.to_json() == reference_json(vf)
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from preqprob.core import InputError, as_fraction
 from preqprob.gameprob import ValueFunction, encode_cell_path
-from test_value_memo import PROPERTY, even_partition, node_paths, reference_json
+from path_tables import node_paths, path_graph
+from test_value_memo import PROPERTY, even_partition, reference_json
 
 STRINGS = ["0", "1", "1/2", "2/4", "0.5", "3/4"]
 INTEGERS = [0, 1, 2]
@@ -107,7 +108,8 @@ def test_the_reader_matches_the_node_by_node_reader(document):
     vf = ValueFunction.from_json(text)
     assert (vf.values.levels, vf.values.children) == expected
     paths = node_paths(parts)
-    by_path = ValueFunction(len(parts), parts, {path: as_fraction(given[encode_cell_path(path)]) for path in paths})
+    values = {path: as_fraction(given[encode_cell_path(path)]) for path in paths}
+    by_path = ValueFunction(len(parts), parts, path_graph(parts, values))
     assert vf.to_json() == reference_json(by_path)
 
 

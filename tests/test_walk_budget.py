@@ -31,6 +31,7 @@ from preqprob.strategies import (
     strategy_value_table,
     ville_check,
 )
+from path_tables import node_paths, path_graph
 
 HALF = Fraction(1, 2)
 DATA = Path(__file__).parent / "data"
@@ -198,6 +199,7 @@ class TestCellPathTree:
         # check_farthingale walks the interior nodes: 3 of them pass a budget of 3 ...
         assert check_farthingale(table, "super") == (True, [])
         # ... and 7 interior nodes do not.
-        deeper = ValueFunction(3, one_cell(3), {})
+        parts = one_cell(3)
+        deeper = ValueFunction(3, parts, path_graph(parts, dict.fromkeys(node_paths(parts), HALF)))
         with pytest.raises(HorizonError, match="has 7 nodes"):
             check_farthingale(deeper, "super")
