@@ -1,14 +1,15 @@
 """Farthingale checking, the calibration test, Ville verification, streams."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from preqprob import strategies
-from preqprob.core import ForecastingSystem, HorizonError
+from preqprob.core import ForecastingSystem, HorizonError, InputError
 from preqprob.events import Cell, ForecastPartition, counterexample_pair
-from preqprob.gameprob import ValueFunction, witness_superfarthingale
+from preqprob.gameprob import StateGraph, ValueFunction, witness_superfarthingale
 from preqprob.randgen import random_event, random_forecasting_system
 from preqprob.strategies import (
     CalibrationState,
@@ -75,6 +76,18 @@ class TestCheckFarthingale:
         assert not ok
         assert violations == [((), ONE)]
 
+    def test_incomplete_table_rejected(self):
+        """A table missing a node never reaches the check: the reader refuses it, and so does ``from_nodes``."""
+        vf = constant_table(1, ONE)
+        doc = json.loads(vf.to_json())
+        del doc["values"]["0:1"]
+        with pytest.raises(InputError, match=r"^malformed value-function document: missing '0:1'$"):
+            ValueFunction.from_json(json.dumps(doc))
+        values = dict(vf.values.items())
+        del values[((0, 1),)]
+        with pytest.raises(KeyError):
+            path_graph(vf.partitions, values)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             check_farthingale(constant_table(1, ONE), "strict")
@@ -84,6 +97,13 @@ class TestCheckFarthingale:
         """A table with no partitions has no interior node, so nothing can fail."""
         vf = ValueFunction.from_json('{"horizon": 0, "partitions": [], "values": {"": "1"}}')
         assert check_farthingale(vf, mode) == (True, [])
+
+    def test_root_only_table_needs_its_root(self):
+        """With no root value there is no table: the reader and the constructor both refuse it."""
+        with pytest.raises(InputError, match=r"^malformed value-function document: missing ''$"):
+            ValueFunction.from_json('{"horizon": 0, "partitions": [], "values": {}}')
+        with pytest.raises(InputError, match=r"^the state graph does not fit a horizon-0 table"):
+            ValueFunction(0, (), StateGraph([], []))
 
 
 def reference_check(vf, mode):

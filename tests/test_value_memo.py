@@ -12,6 +12,7 @@ import collections
 import hashlib
 import json
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 
@@ -67,6 +68,38 @@ def shared_tables(draw):
     return ValueFunction(len(parts), parts, path_graph(parts, {path: POOL[i] for path, i in zip(paths, picks)}))
 
 
+def fresh(v: Fraction) -> Fraction:
+    """An equal value held by a new object."""
+    return Fraction(v.numerator, v.denominator)
+
+
+class FreshValues(Mapping):
+    """A value mapping that hands out a new object on every lookup."""
+
+    def __init__(self, values):
+        self._values = values
+
+    def __getitem__(self, path):
+        return fresh(self._values[path])
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
+
+
+def copied(vf):
+    """The table hash-consed from a dict that holds a new, equal object at every node."""
+    values = {path: fresh(v) for path, v in vf.values.items()}
+    return ValueFunction(vf.horizon, vf.partitions, path_graph(vf.partitions, values))
+
+
+def looked_up(vf):
+    """The table hash-consed from a mapping that hands out a new, equal object on every lookup."""
+    return ValueFunction(vf.horizon, vf.partitions, path_graph(vf.partitions, FreshValues(vf.values)))
+
+
 def state_graph(vf):
     """The same table read back by path and hash-consed again into a ``StateGraph``."""
     return ValueFunction(vf.horizon, vf.partitions, path_graph(vf.partitions, vf.values))
@@ -74,9 +107,13 @@ def state_graph(vf):
 
 @PROPERTY
 @given(shared_tables())
-@pytest.mark.parametrize("form", [lambda vf: vf, state_graph], ids=["shared", "state-graph"])
+@pytest.mark.parametrize(
+    "form", [lambda vf: vf, copied, looked_up, state_graph], ids=["shared", "copied", "fresh-lookups", "state-graph"]
+)
 def test_memo_matches_the_reference(form, vf):
+    """Equal values held by distinct objects hash-cons by value: every form has the same states and verdicts."""
     table = form(vf)
+    assert (table.values.levels, table.values.children) == (vf.values.levels, vf.values.children)
     for mode in MODES:
         assert check_farthingale(table, mode) == reference_check(vf, mode)
 
@@ -286,8 +323,11 @@ def wide_tables(draw):
 
 @settings(PROPERTY, max_examples=60)
 @given(wide_tables())
-def test_to_json_matches_the_node_by_node_writer(vf):
-    assert vf.to_json() == reference_json(vf)
+@pytest.mark.parametrize("form", [copied, state_graph], ids=["dict", "state-graph"])
+def test_to_json_matches_the_node_by_node_writer(form, vf):
+    """A table built from a dict with one object per node writes the same bytes as the node-by-node writer."""
+    table = form(vf)
+    assert table.to_json() == reference_json(vf)
 
 
 @pytest.mark.parametrize(
