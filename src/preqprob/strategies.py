@@ -44,6 +44,11 @@ is refused rather than sampled.  That walk steps each distinct (system state,
 strategy value) pair of a depth once, by ``level_graph``, but its violations
 can name all 2^(N+1) - 1 histories, so both size the outcome tree with
 ``check_walk`` and refuse it before any strategy is built.
+The walk also hands ville the largest capital of any pair it stepped, and
+that decides some checks with no draw: a start capital >= C gives the
+frequency 1, and if no pair holds C, no sampled path can reach it, so the
+frequency is 0.  Seeding a generator, not drawing from it, is what a sample
+costs, so only the remaining checks sample.
 Sampling then steps each outcome-tree node at most once per call: the value
 reached at a node is kept and shared by every later sample through it, so a
 sample asks the system for its forecasts only when it reaches a node no
@@ -389,7 +394,20 @@ def strategy_value_table(strategy_factory, horizon: int, grid) -> ValueFunction:
     return ValueFunction(horizon, partitions, graph)
 
 
-def certify_strategy(strategy_factory, phi: ForecastingSystem) -> tuple[bool, list]:
+class Certificate(tuple):
+    """``certify_strategy``'s (ok, violations), carrying the walk's ``largest_capital``.
+
+    A tuple of those two, so ``==`` and unpacking read the pair alone, as a
+    ``cli.Written`` is read as its ``str``.
+    """
+
+    def __new__(cls, ok: bool, violations: list, largest_capital: Fraction):
+        certificate = super().__new__(cls, (ok, violations))
+        certificate.largest_capital = largest_capital
+        return certificate
+
+
+def certify_strategy(strategy_factory, phi: ForecastingSystem) -> Certificate:
     """Exact martingale certification of a strategy under a forecasting system.
 
     Walks (system state, strategy value) pairs with ``level_graph``, equal
@@ -397,7 +415,9 @@ def certify_strategy(strategy_factory, phi: ForecastingSystem) -> tuple[bool, li
     capital(x) == (1-phi(x)) capital(x0) + phi(x) capital(x1) together with
     non-negativity, at the leaves too.  Both are decided on integers: the
     identity by ``_gap_sign``, the sign by the capital's numerator.  Returns
-    (ok, the histories that reach a failing pair, in ``history_at`` order).
+    (ok, the histories that reach a failing pair, in ``history_at`` order)
+    as a ``Certificate``, whose ``largest_capital`` is the largest capital
+    of any pair walked, so of any history, compared on integers.
     The list can name every node, so ``check_walk`` refuses an outcome tree
     over its budget with HorizonError before the factory is called.
     """
@@ -415,7 +435,14 @@ def certify_strategy(strategy_factory, phi: ForecastingSystem) -> tuple[bool, li
     failed.append([strategy.capital.numerator < 0 for _, strategy in pairs[horizon]])
     marks = [{index: True for index, bad in enumerate(level) if bad} for level in failed]
     violations = [history for history, _ in marked_paths(links, marks)]
-    return not violations, violations
+    largest = pairs[0][0][1].capital
+    top, bottom = largest.numerator, largest.denominator
+    for level in pairs:
+        for _, strategy in level:
+            capital = strategy.capital  # capital > largest, compared on integers
+            if capital.numerator * bottom > top * capital.denominator:
+                largest, top, bottom = capital, capital.numerator, capital.denominator
+    return Certificate(not violations, violations, largest)
 
 
 # Node marks in ``ville_check``: capital has reached the threshold here, or is 0.
@@ -453,6 +480,15 @@ def ville_check(
     non-negative: for 0 < p < 1 both are 0, at p = 0 the sampler draws only
     0 and at p = 1 only 1, and the child it draws has capital 0 again.  No
     sampled path through the node reaches C > 0.
+
+    Ville draws nothing when the certification walk decides the answer.  A
+    start capital >= C gives the frequency 1.0.  If the certificate's
+    ``largest_capital`` is below C, the frequency is 0.0: every node a
+    sample can step holds a pair the walk stepped, and the walk went on
+    past capital 0 too, where samples stop, so its largest capital is at
+    least any sampled one.  The walk has expanded every forecast a sample
+    could ask for, so no refusal is skipped.  Both are compared with C on
+    integers, as the nodes' marks are.
     """
     check_samples(samples)
     check_seed(seed)
@@ -466,7 +502,8 @@ def ville_check(
         bound = float(start.capital / threshold)
     except OverflowError:
         raise InputError("threshold too small: the bound V(initial)/C is too large for a float") from None
-    ok, violations = certify_strategy(lambda: start, phi)
+    certificate = certify_strategy(lambda: start, phi)
+    ok, violations = certificate
     if not ok:
         raise CertificationError(
             f"strategy is not a non-negative martingale under the system "
@@ -479,7 +516,25 @@ def ville_check(
         capital = value.capital  # capital >= threshold, compared on integers
         return _REACHED if capital.numerator * bottom >= top * capital.denominator else value if capital else _BROKE
 
-    nodes = {0: kept(start)}
+    root, largest = kept(start), certificate.largest_capital
+    if root is _REACHED:
+        hits = samples  # every sample starts at capital >= C
+    elif largest.numerator * bottom < top * largest.denominator:
+        hits = 0  # no pair of the walk holds C, so no sampled node does
+    else:
+        hits = _sampled_hits(phi, root, kept, samples, seed)
+    frequency = hits / samples
+    passed = frequency <= bound + 4.0 * math.sqrt(bound / samples)
+    return VilleResult(frequency=frequency, bound=bound, passed=passed)
+
+
+def _sampled_hits(phi: ForecastingSystem, root, kept, samples: int, seed: int) -> int:
+    """How many of ``ville_check``'s samples reach a node marked ``_REACHED``, the root's mark or value being ``root``.
+
+    Each node's ``kept`` value is computed when a sample first steps it.
+    """
+    horizon = phi.horizon
+    nodes = {0: root}
     hits = 0
     for i in range(samples):
         omega = sample_outcomes(phi, horizon, seed + i)
@@ -497,9 +552,7 @@ def ville_check(
             value = child
         if value is _REACHED:
             hits += 1
-    frequency = hits / samples
-    passed = frequency <= bound + 4.0 * math.sqrt(bound / samples)
-    return VilleResult(frequency=frequency, bound=bound, passed=passed)
+    return hits
 
 
 def parse_stream_csv(text: str) -> list[tuple[Fraction, int]]:
