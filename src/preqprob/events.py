@@ -18,8 +18,8 @@ mask.  It keeps each cell as an integer row, the bitmasks of the boxes
 accepting it and its integer ends, and each box's whole interval as one row
 for the live-set of that box alone; the game engine reads the rows as they
 are.  The ``Cell`` objects are built from the rows only when something
-reads the partition's cells, each by ``Cell._of``, which sets its slots
-directly.
+reads the partition's cells; ``Cell``'s own ``__init__`` sets the four
+slots directly, past ``Frozen.__init__``'s generic loop.
 
 Long events repeat steps: ``event_from_json`` reads and checks each
 distinct endpoint string once as a forecast, builds one ``StepConstraint``
@@ -172,24 +172,18 @@ class Cell(Frozen):
     """
 
     __slots__ = _fields = ("lo", "hi", "lo_open", "hi_open")  # two Fractions and two bools
-    _defaults = (False, False)
+
+    def __init__(self, lo: Fraction, hi: Fraction, lo_open: bool = False, hi_open: bool = False):
+        # The slots are set directly, not by Frozen.__init__'s generic loop: cells are built by the thousand.
+        set_field = object.__setattr__  # the class's own refuses
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "lo_open", lo_open)
+        set_field(self, "hi_open", hi_open)
+        self.__post_init__()
 
     def __reduce__(self):  # copy and pickle build a cell anew: its slots refuse assignment
         return Cell, (self.lo, self.hi, self.lo_open, self.hi_open)
-
-    @classmethod
-    def _of(cls, lo: Fraction, hi: Fraction, lo_open: bool, hi_open: bool) -> "Cell":
-        """``Cell(lo, hi, lo_open, hi_open)`` without ``Frozen.__init__``'s generic loop: the slots are set directly.
-
-        ``__post_init__`` checks the cell as the constructor does.
-        """
-        cell = _new(cls)
-        _set_lo(cell, lo)
-        _set_hi(cell, hi)
-        _set_lo_open(cell, lo_open)
-        _set_hi_open(cell, hi_open)
-        cell.__post_init__()
-        return cell
 
     def __post_init__(self):
         # lo <= hi compared on integers: the ends times the product of their denominators.
@@ -225,11 +219,6 @@ class Cell(Frozen):
         if not self.hi_open and self.hi != self.lo:
             pts.append(self.hi)
         return tuple(pts)
-
-
-# Cell._of writes the slots through their descriptors, past Frozen.__setattr__'s refusal.
-_new = object.__new__
-_set_lo, _set_hi, _set_lo_open, _set_hi_open = (vars(Cell)[name].__set__ for name in Cell._fields)
 
 
 class ForecastPartition:
@@ -354,7 +343,7 @@ def forecast_partition(event: EventUnion, step: int) -> ForecastPartition:
         for a, p in zip(ends, endpoints):
             point.setdefault(a, p)
         return tuple(
-            Cell._of(point[lo], point[hi], a % 2 == 1, end % 2 == 0)
+            Cell(point[lo], point[hi], a % 2 == 1, end % 2 == 0)
             for (_, _, lo, hi), a, end in zip(rows, starts, starts[1:])
         )
 

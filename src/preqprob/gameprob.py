@@ -328,7 +328,7 @@ class ValueFunction(Frozen):
 def _cell_from_json(step: int, doc, number) -> Cell:
     if not (isinstance(doc["lo_open"], bool) and isinstance(doc["hi_open"], bool)):
         raise InputError(f"partition {step}: lo_open and hi_open must be true or false")
-    return Cell._of(number(doc["lo"]), number(doc["hi"]), doc["lo_open"], doc["hi_open"])
+    return Cell(number(doc["lo"]), number(doc["hi"]), doc["lo_open"], doc["hi_open"])
 
 
 def _covers_unit_interval(cells: tuple[Cell, ...]) -> bool:

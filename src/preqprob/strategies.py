@@ -398,13 +398,16 @@ class Certificate(tuple):
     """``certify_strategy``'s (ok, violations), carrying the walk's ``largest_capital``.
 
     A tuple of those two, so ``==`` and unpacking read the pair alone, as a
-    ``cli.Written`` is read as its ``str``.
+    ``cli.Written`` is read as its ``str``.  Copies and pickles keep all three.
     """
 
     def __new__(cls, ok: bool, violations: list, largest_capital: Fraction):
         certificate = super().__new__(cls, (ok, violations))
         certificate.largest_capital = largest_capital
         return certificate
+
+    def __getnewargs__(self):  # tuple's own would hand __new__ the pair alone
+        return (*self, self.largest_capital)
 
 
 def certify_strategy(strategy_factory, phi: ForecastingSystem) -> Certificate:
@@ -516,43 +519,31 @@ def ville_check(
         capital = value.capital  # capital >= threshold, compared on integers
         return _REACHED if capital.numerator * bottom >= top * capital.denominator else value if capital else _BROKE
 
-    root, largest = kept(start), certificate.largest_capital
-    if root is _REACHED:
+    largest = certificate.largest_capital
+    hits = 0
+    if kept(start) is _REACHED:
         hits = samples  # every sample starts at capital >= C
-    elif largest.numerator * bottom < top * largest.denominator:
-        hits = 0  # no pair of the walk holds C, so no sampled node does
-    else:
-        hits = _sampled_hits(phi, root, kept, samples, seed)
+    elif largest.numerator * bottom >= top * largest.denominator:  # else no pair of the walk holds C: no draw
+        nodes = {0: kept(start)}
+        for i in range(samples):
+            omega = sample_outcomes(phi, horizon, seed + i)
+            path = None
+            node, value = 0, nodes[0]
+            for depth, y in enumerate(omega):
+                if value is _REACHED or value is _BROKE:
+                    break
+                node = 2 * node + 1 + y
+                child = nodes.get(node)
+                if child is None:
+                    if path is None:
+                        path = induced_path(phi, omega)
+                    nodes[node] = child = kept(value.step(path[depth][0], y))
+                value = child
+            if value is _REACHED:
+                hits += 1
     frequency = hits / samples
     passed = frequency <= bound + 4.0 * math.sqrt(bound / samples)
     return VilleResult(frequency=frequency, bound=bound, passed=passed)
-
-
-def _sampled_hits(phi: ForecastingSystem, root, kept, samples: int, seed: int) -> int:
-    """How many of ``ville_check``'s samples reach a node marked ``_REACHED``, the root's mark or value being ``root``.
-
-    Each node's ``kept`` value is computed when a sample first steps it.
-    """
-    horizon = phi.horizon
-    nodes = {0: root}
-    hits = 0
-    for i in range(samples):
-        omega = sample_outcomes(phi, horizon, seed + i)
-        path = None
-        node, value = 0, nodes[0]
-        for depth, y in enumerate(omega):
-            if value is _REACHED or value is _BROKE:
-                break
-            node = 2 * node + 1 + y
-            child = nodes.get(node)
-            if child is None:
-                if path is None:
-                    path = induced_path(phi, omega)
-                nodes[node] = child = kept(value.step(path[depth][0], y))
-            value = child
-        if value is _REACHED:
-            hits += 1
-    return hits
 
 
 def parse_stream_csv(text: str) -> list[tuple[Fraction, int]]:

@@ -7,6 +7,8 @@ either way ``ville_check`` seeds no generator.  Every other check samples as
 before, such as one whose only capital >= C lies past a node of capital 0.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -107,3 +109,6 @@ def test_certificate_is_the_old_pair_carrying_the_largest_capital(phi, name):
     assert (ok, violations) == expected
     assert type(ok) is bool
     assert certificate.largest_capital == brute_force_largest_capital(start, phi)
+    for again in (copy.copy(certificate), copy.deepcopy(certificate), pickle.loads(pickle.dumps(certificate))):
+        assert type(again) is type(certificate) and again == certificate
+        assert again.largest_capital == certificate.largest_capital
