@@ -250,6 +250,12 @@ def as_int(value, what: str) -> int:
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
 
 
+# What 3.11's ``Fraction`` refuses and another supported Python reads: a "_"
+# not between two ASCII digits, or whitespace next to "/".  It is compiled
+# by ``re``'s cache on first use, not at import.
+_OFF_GRAMMAR = r"(?<![0-9])_|_(?![0-9])|\s/|/\s"
+
+
 def _exponent_beyond_limit(text: str) -> bool:
     """Whether ``text`` has an exponent of magnitude over ``sys.get_int_max_str_digits()`` (0: no limit)."""
     match, limit = _EXPONENT.search(text), sys.get_int_max_str_digits()
@@ -287,6 +293,11 @@ def as_fraction(value) -> Fraction:
     parts, without the regular expressions; any other string takes the
     general path.  A ``Fraction`` comes back as itself; a subclass of one is
     found by an ABC ``isinstance`` test, which no such string pays.
+
+    The general path reads Python 3.11's grammar on every supported Python:
+    ``Fraction`` reads no "_" before 3.11 and whitespace next to "/" from
+    3.12.  A "_" not between two ASCII digits, or whitespace next to "/",
+    is refused; any other string is parsed with its underscores removed.
     """
     if type(value) is Fraction:
         return value
@@ -305,8 +316,13 @@ def as_fraction(value) -> Fraction:
         )
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        off_grammar = ("_" in value or "/" in value) and re.search(_OFF_GRAMMAR, value)
+        read = None if off_grammar else value.replace("_", "")
+    else:
+        read = value if not isinstance(value, bool) and isinstance(value, int) else None
     try:
-        fraction = Fraction(value) if not isinstance(value, bool) and isinstance(value, (int, str)) else None
+        fraction = None if read is None else Fraction(read)
     except (ValueError, ZeroDivisionError):
         fraction = None
     if fraction is None:

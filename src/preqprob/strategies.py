@@ -27,13 +27,16 @@ overflows: everything is exact rational arithmetic.
 
 S and A change through one exact update, ``_add(tallies)``: for each
 (p, count, ones), ``count`` more pairs with forecast p, ``ones`` of them
-with outcome 1.  It checks the sums on integers after each tally and builds
-one new state directly.  ``step`` adds one pair; the sums are order-free, so
+with outcome 1.  A state holds n, S and A as one tuple of integers, S and A
+each a reduced numerator and denominator; the update steps them on
+integers, checks them after each tally and builds one new state directly.
+``==`` and the hash read that tuple, and S and A become Fractions only when
+read.  ``step`` adds one pair; the sums are order-free, so
 ``calibration_fold`` (what ``preq test-stream`` runs) adds each distinct
 forecast of a stream once, in one call.  A state's capital is computed
-once, when the state is built, and the verdict's ratio is the final capital
-over the initial one.  ``parse_stream_csv`` parses each distinct string of a
-stream once.
+once, when the state is built, the one Fraction a step or fold builds, and
+the verdict's ratio is the final capital over the initial one.
+``parse_stream_csv`` parses each distinct string of a stream once.
 
 ``ville_check`` verifies the capital/probability inequality empirically: a
 non-negative martingale starting at v reaches C with probability at most v/C
@@ -177,12 +180,16 @@ def _failing_endpoints(points: tuple, parent: Fraction, v0: Fraction, v1: Fracti
 class CalibrationState(Frozen):
     """The calibration strategy: running sums of the test after n of N steps, and their ``capital``.
 
-    ``capital`` is computed by ``_capital`` when the state is built, in
-    ``__post_init__`` or ``_add``, and is not a field: ``==``, hash and repr
-    leave it out.
+    The sums are held as integers, in ``sums``: n and the numerators and
+    denominators of bias and spread, each pair in lowest terms with a
+    positive denominator.  ``==`` and the hash read that tuple, ``==`` the
+    horizon and threshold too.  ``bias`` and ``spread`` read as Fractions,
+    each built from ``sums`` the first time it is read, unless the
+    constructor was given it.  ``capital`` is computed by ``_capital`` when
+    the state is built, in ``__post_init__`` or ``_add``; neither it nor
+    ``sums`` is a field, and repr leaves both out.
     """
 
-    # bias is the sum of y_i - p_i, spread the sum of p_i (1 - p_i).
     _fields, _defaults = ("horizon", "threshold_c", "n", "bias", "spread"), (0, ZERO, ZERO)
 
     def __post_init__(self):
@@ -191,18 +198,36 @@ class CalibrationState(Frozen):
         if self.threshold_c <= ZERO:
             raise InputError("threshold must be positive")
         bias, spread = self.bias, self.spread
-        _check_sums(self.n, bias.numerator, bias.denominator, spread.numerator, spread.denominator)
+        sums = (self.n, bias.numerator, bias.denominator, spread.numerator, spread.denominator)
+        _check_sums(*sums)
+        object.__setattr__(self, "sums", sums)
         object.__setattr__(self, "capital", _capital(self))
 
+    # A cached_property has no setter, so the value the constructor sets, or
+    # the one built on the first read, sits in the instance dict, which later
+    # reads find first.
+    @functools.cached_property
+    def bias(self) -> Fraction:
+        """S, the sum of y_i - p_i."""
+        return Fraction(self.sums[1], self.sums[2])
+
+    @functools.cached_property
+    def spread(self) -> Fraction:
+        """A, the sum of p_i (1 - p_i)."""
+        return Fraction(self.sums[3], self.sums[4])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.sums, self.horizon, self.threshold_c) == (other.sums, other.horizon, other.threshold_c)
+        return NotImplemented
+
     def __hash__(self) -> int:
-        """A hash of n and the sums' integer numerators and denominators, consistent with ==.
+        """The hash of ``sums``, consistent with ==: equal states have equal n and reduced sums.
 
         A Fraction's own hash takes a modular inverse; walks over the tree
-        hash every state they reach.  Equal states have equal n and, Fractions
-        being in lowest terms, equal numerators and denominators.
+        hash every state they reach.
         """
-        bias, spread = self.bias, self.spread
-        return hash((self.n, bias.numerator, bias.denominator, spread.numerator, spread.denominator))
+        return hash(self.sums)
 
     def step(self, p: Fraction, y: int) -> "CalibrationState":
         """The state after one checked pair (a Fraction forecast and a bit; ``calibration_step`` checks)."""
@@ -216,28 +241,28 @@ class CalibrationState(Frozen):
         With p = a/q: bias' = (b_n q + (ones q - count a) b_d) / (b_d q) and
         spread' = (s_n q^2 + count a (q - a) s_d) / (s_d q^2).  ``_check_sums``
         checks these integers after each tally, as ``__post_init__`` checks a
-        state's sums, and the sums are kept as reduced Fractions, so equal
-        states compare and hash equal.  One state is built, at the end, with
-        its capital.  The horizon and threshold are copied from this state,
-        which was checked when it was made.
+        state's sums, and each is then divided by its gcd, as ``Fraction``
+        reduces, so equal states hold equal ``sums``.  One state is built, at
+        the end, with its capital and no other Fraction.  The horizon and
+        threshold are copied from this state, which was checked when it was
+        made.
         """
-        n, bias, spread = self.n, self.bias, self.spread
+        n, bn, bd, sn, sd = self.sums
+        gcd = math.gcd
         for p, count, ones in tallies:
             a, q = p.numerator, p.denominator
-            bn, bd = bias.numerator, bias.denominator
-            sn, sd = spread.numerator, spread.denominator
             n, q2 = n + count, q * q
             bias_top, bias_bottom = bn * q + (ones * q - count * a) * bd, bd * q
             spread_top, spread_bottom = sn * q2 + count * a * (q - a) * sd, sd * q2
             _check_sums(n, bias_top, bias_bottom, spread_top, spread_bottom)
-            bias, spread = Fraction(bias_top, bias_bottom), Fraction(spread_top, spread_bottom)
+            g, h = gcd(bias_top, bias_bottom), gcd(spread_top, spread_bottom)
+            bn, bd, sn, sd = bias_top // g, bias_bottom // g, spread_top // h, spread_bottom // h
         state = object.__new__(CalibrationState)
         set_field = object.__setattr__  # the frozen class's own refuses
         set_field(state, "horizon", self.horizon)
         set_field(state, "threshold_c", self.threshold_c)
         set_field(state, "n", n)
-        set_field(state, "bias", bias)
-        set_field(state, "spread", spread)
+        set_field(state, "sums", (n, bn, bd, sn, sd))
         set_field(state, "capital", _capital(state))
         return state
 
@@ -245,15 +270,14 @@ class CalibrationState(Frozen):
 def _capital(state: CalibrationState) -> Fraction:
     """(bias^2 - spread + N/4) / (C^2 N + N/4), stored on a state when it is built.
 
-    With bias = b_n/b_d, spread = s_n/s_d and C = c_n/c_d, the numerator
-    is top / (4 b_d^2 s_d) and the scale N (4 c_n^2 + c_d^2) / (4 c_d^2),
-    so the capital is the integer quotient
+    With bias = b_n/b_d, spread = s_n/s_d read from the state's ``sums``
+    and C = c_n/c_d, the numerator is top / (4 b_d^2 s_d) and the scale
+    N (4 c_n^2 + c_d^2) / (4 c_d^2), so the capital is the integer quotient
     top c_d^2 / (b_d^2 s_d N (4 c_n^2 + c_d^2)), the one Fraction
     constructed.  It is kept in the instance dict, outside the fields, so
     ==, hash and repr do not see it.
     """
-    bn, bd = state.bias.numerator, state.bias.denominator
-    sn, sd = state.spread.numerator, state.spread.denominator
+    _, bn, bd, sn, sd = state.sums
     cn, cd = state.threshold_c.numerator, state.threshold_c.denominator
     bd2, cd2 = bd * bd, cd * cd
     top = 4 * bn * bn * sd - 4 * sn * bd2 + state.horizon * bd2 * sd
