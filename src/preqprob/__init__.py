@@ -46,6 +46,7 @@ from .gameprob import (
 )
 from .measureprob import (
     EnumerationLimitError,
+    MeasureBudgetError,
     exact_event_probability,
     grid_bruteforce,
     measure_upper_probability,

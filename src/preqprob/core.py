@@ -13,9 +13,10 @@ instead of computing each history's forecast anew.
 
 The outcome tree is indexed in level order (``history_at``): the children of
 k are 2k+1 and 2k+2.  Every whole-tree walk of a stepping form is one
-``level_graph``, each distinct state of a depth expanded once and the states
-kept counted against ``check_walk``'s budget, 131,071 nodes, the outcome tree
-at horizon 16; a tree written node by node is sized against it first.
+``level_graph``, each distinct state of a depth expanded once and the
+(depth, state) pairs kept counted against ``PAIR_BUDGET``, as the engines'
+forward passes count theirs; a tree written node by node is sized first by
+``check_walk``, against the outcome tree at ``MAX_TABLE_HORIZON``.
 
 Everything here is exact: forecasts and probabilities are
 ``fractions.Fraction`` values, and all operations are pure.  Floating point
@@ -49,6 +50,9 @@ _TWO_53 = float(2**53)  # random() returns multiples of 1 / 2^53
 # Largest horizon whose outcome tree is materialized; ``check_walk`` derives
 # the node budget from it.  Rule-backed systems work at any horizon.
 MAX_TABLE_HORIZON = 16
+
+# Most (depth, state) pairs any level walk keeps, read through ``core`` once per call so one setting moves every walk.
+PAIR_BUDGET = 300_000
 
 # Most samples ``ville_check`` and ``monte_carlo_probability`` draw in one call.
 SAMPLE_LIMIT = 10**7
@@ -129,16 +133,11 @@ def reading(document: str, *also: type):
         raise InputError(f"malformed {document} document: {what}") from exc
 
 
-def check_walk(nodes: int, what: str) -> int:
-    """Refuse, before any work, a walk of more nodes than the outcome tree at MAX_TABLE_HORIZON.
-
-    Returns that budget, read when called, so a walk that grows can count against it.
-    """
-    budget = 2 ** (MAX_TABLE_HORIZON + 1) - 1
-    if nodes > budget:
+def check_walk(nodes: int, what: str) -> None:
+    """Refuse, before any work, a tree of more nodes than the outcome tree at MAX_TABLE_HORIZON."""
+    if nodes > 2 ** (MAX_TABLE_HORIZON + 1) - 1:
         count = nodes if nodes.bit_length() <= 64 else f"more than 2^{nodes.bit_length() - 1}"
         raise HorizonError(f"{what} has {count} nodes; table form limited to horizon {MAX_TABLE_HORIZON}")
-    return budget
 
 
 def level_graph(start, expand: Callable, horizon: int, what: str) -> tuple[list, list, list]:
@@ -147,12 +146,12 @@ def level_graph(start, expand: Callable, horizon: int, what: str) -> tuple[list,
     ``expand(state, depth)`` returns ``(item, children)``, the children being
     hashable states.  Returns ``(states, items, links)``: depth d's states, in
     the order first reached, and each interior state's item and child indices;
-    a depth with no state ends the lists.  The states kept are counted against
-    ``check_walk``'s budget, read once per call, a level at a time, before the
-    next is expanded, the refusal naming ``what`` and the step.
+    a depth with no state ends the lists.  The (depth, state) pairs kept are
+    counted against ``PAIR_BUDGET``, read once per call, a level at a time,
+    before the next is expanded, the refusal naming ``what`` and the step.
     """
     states, items, links, kept = [[start]], [], [], 1
-    budget = check_walk(0, what)  # refuses nothing: it reads the budget
+    budget = PAIR_BUDGET
     for depth in range(horizon):
         index, here, kids = {}, [], []
         for state in states[depth]:
@@ -169,7 +168,7 @@ def level_graph(start, expand: Callable, horizon: int, what: str) -> tuple[list,
             break
         kept += len(index)
         if kept > budget:
-            check_walk(kept, f"{what} to step {depth + 1} of {horizon}")
+            raise HorizonError(f"{what} keeps more than {budget} (depth, state) pairs by step {depth + 1} of {horizon}")
     return states, items, links
 
 

@@ -29,10 +29,11 @@ the live-sets reachable at each depth, and a backward pass fills in their
 values, so long horizons need no deep stack.  A step no box constrains
 shares its neighbour's level in both passes.  The forward pass counts the
 (depth, live-set) pairs it reaches and refuses an event past
-``LIVE_SET_BUDGET`` with ``LiveSetBudgetError`` (an input error), because
+``core.PAIR_BUDGET`` with ``LiveSetBudgetError`` (an input error), because
 the count can double with every box; a horizon past the budget is refused
 the same way before any step is set up, since every depth holds a level even
-when no box is live.  The empty live-set has value zero.
+when no box is live.  The engine keeps its own counter and error; only the
+number is shared.  The empty live-set has value zero.
 
 The backward pass runs on integers.  A value at depth d is a numerator over
 D_d = q_d * D_{d+1}, where q_d is the partition's ``scale``, the lcm of step
@@ -77,24 +78,21 @@ from fractions import Fraction
 from itertools import accumulate, chain, product
 from operator import itemgetter, mul
 
+from . import core
 from .core import (ONE, ZERO, Frozen, InputError, PrequentialPrefix, as_fraction, as_int, check_outcome, check_walk,
                    digits_beyond_limit, level_graph, marked_paths, parse_once_per_string, reading, tree_json)
 from .events import ArityError, Cell, EventUnion, ForecastPartition, event_partitions
 
 CellPath = tuple[tuple[int, int], ...]
 
-# Most (depth, live-set) pairs the game engine's forward pass may reach; the
-# count can double with every box, so it is checked as the pass goes.
-LIVE_SET_BUDGET = 300_000
-
 
 class LiveSetBudgetError(InputError):
-    """An event's game tree reaches more live-sets than ``LIVE_SET_BUDGET``."""
+    """An event's game tree reaches more (depth, live-set) pairs than ``core.PAIR_BUDGET``."""
 
 
-def _over_budget(depth: int, horizon: int) -> LiveSetBudgetError:
+def _over_budget(budget: int, depth: int, horizon: int) -> LiveSetBudgetError:
     return LiveSetBudgetError(
-        f"the game engine reaches more than {LIVE_SET_BUDGET} (depth, live-set) "
+        f"the game engine reaches more than {budget} (depth, live-set) "
         f"pairs by step {depth + 1} of {horizon}; too many overlapping boxes"
     )
 
@@ -400,16 +398,17 @@ class _GameEngine:
     maps each live-set to itself and passes each value up unchanged, so the
     forward pass appends the level above again and the backward pass the
     value dict and denominator below; the level's live-sets still count
-    toward ``LIVE_SET_BUDGET``.
+    toward ``core.PAIR_BUDGET``.
     """
 
     def __init__(self, event: EventUnion):
         # The passes keep one level per depth, empty or not, so a horizon past
         # the budget is refused before any step is set up.
-        if event.horizon > LIVE_SET_BUDGET:
+        budget = core.PAIR_BUDGET
+        if event.horizon > budget:
             raise LiveSetBudgetError(
                 f"the game engine keeps one level per step; horizon {event.horizon} "
-                f"is more than its budget of {LIVE_SET_BUDGET}"
+                f"is more than its budget of {budget}"
             )
         self.event = event
         self.partitions = event_partitions(event)
@@ -418,7 +417,7 @@ class _GameEngine:
 
     def _solve(self) -> tuple[list, list]:
         """Collect the reachable live-sets going forward, then fill in numerators going back."""
-        horizon = self.event.horizon
+        horizon, budget = self.event.horizon, core.PAIR_BUDGET
         full = self.all_live()
         free = [masks == ((full, full),) for masks in self.masks]
         levels = [{full} - {0}]
@@ -427,8 +426,8 @@ class _GameEngine:
             if free[depth]:
                 # The same live-sets again, counted again: a refusal comes at the same step.
                 reached = levels[depth]
-                if count + len(reached) > LIVE_SET_BUDGET:
-                    raise _over_budget(depth, horizon)
+                if count + len(reached) > budget:
+                    raise _over_budget(budget, depth, horizon)
             else:
                 step, own = [m for pair in self.masks[depth] for m in pair], self.partitions[depth].own
                 # Holding 0 from the start, len(reached) - 1 counts the non-empty live-sets.
@@ -438,8 +437,8 @@ class _GameEngine:
                         reached.add(live)
                     else:
                         reached.update([live & m for m in step])
-                    if count + len(reached) - 1 > LIVE_SET_BUDGET:
-                        raise _over_budget(depth, horizon)
+                    if count + len(reached) - 1 > budget:
+                        raise _over_budget(budget, depth, horizon)
                 reached.discard(0)
             count += len(reached)
             levels.append(reached)

@@ -28,11 +28,12 @@ interval's first and last candidates for it, and the box alone reaches
 only itself.
 
 The program runs in level order, without recursion.  A forward pass collects
-the live-sets reachable through candidates with a survivor, counted against
-``MEASURE_BUDGET``; a backward pass fills in their values.  A value at depth
-d is an integer numerator over one denominator per depth, the product of
-the q of steps d..N-1, so the pass compares integers and builds no Fraction
-but the root value.  The maximizers the backward pass keeps per (depth,
+the live-sets reachable through candidates with a survivor, counted by the
+engine's own counter against ``core.PAIR_BUDGET`` and refused past it with
+its own error; a backward pass fills in their values.  A value at depth d is
+an integer numerator over one denominator per depth, the product of the q of
+steps d..N-1, so the pass compares integers and builds no Fraction but the
+root value.  The maximizers the backward pass keeps per (depth,
 live-set) are the witness: a forecasting system in stepping form whose state
 is (depth, live-set), where one step reads the maximizer and its two masks.
 A path of n steps costs n lookups, and a whole-tree walk, such as ``to_json``,
@@ -52,6 +53,7 @@ import math
 import operator
 from fractions import Fraction
 
+from . import core
 from .core import (ONE, ZERO, ForecastingSystem, InputError, check_samples, check_seed, check_walk, induced_path,
                    level_graph, outcome_tree_nodes, sample_outcomes)
 from .events import WILDCARD, ArityError, EventUnion, contains, per_distinct_step
@@ -59,23 +61,20 @@ from .events import WILDCARD, ArityError, EventUnion, contains, per_distinct_ste
 # Refuse grid enumerations beyond this many forecasting systems.
 GRID_ENUMERATION_LIMIT = 10**7
 
-# Refuse events whose forward pass reaches more (depth, live-set) pairs.
-MEASURE_BUDGET = 300_000
-
 
 class EnumerationLimitError(InputError):
     """The requested brute-force enumeration exceeds the guarded size."""
 
 
 class MeasureBudgetError(InputError):
-    """An event's measure program reaches more (depth, live-set) pairs than ``MEASURE_BUDGET``."""
+    """An event's measure program reaches more (depth, live-set) pairs than ``core.PAIR_BUDGET``."""
 
 
 def exact_event_probability(phi: ForecastingSystem, event: EventUnion) -> Fraction:
     """Exact probability that the induced path lies in the event.
 
     ``level_graph`` walks (system state, surviving boxes) pairs, equal pairs
-    of a depth being one, and counts them against ``check_walk``'s budget;
+    of a depth being one, and counts them against ``core.PAIR_BUDGET``;
     branches no box can accept, or of weight 0, are pruned with their whole
     cylinder.  The cylinder weights then go forward over the links in one pass.
     """
@@ -160,7 +159,7 @@ def measure_upper_probability(event: EventUnion) -> tuple[Fraction, ForecastingS
     numerators; the witness is in stepping form with state (depth, live-set),
     so each step is one lookup of the maximizers the backward pass kept.
     """
-    horizon = event.horizon
+    horizon, budget = event.horizon, core.PAIR_BUDGET
     # ``value`` prints the witness as a table over all 2^N histories; refuse before any work.
     check_walk(outcome_tree_nodes(horizon), f"the measure witness at horizon {horizon}")
     # Steps whose box constraints repeat an earlier step's share its candidates and masks.
@@ -179,9 +178,9 @@ def measure_upper_probability(event: EventUnion) -> tuple[Fraction, ForecastingS
                 reached.add(live)
             else:
                 reached.update([live & m for m in masks])
-            if count + len(reached) - 1 > MEASURE_BUDGET:
+            if count + len(reached) - 1 > budget:
                 raise MeasureBudgetError(
-                    f"the measure engine reaches more than {MEASURE_BUDGET} (depth, live-set) "
+                    f"the measure engine reaches more than {budget} (depth, live-set) "
                     f"pairs by step {depth + 1} of {horizon}; too many overlapping boxes"
                 )
         reached.discard(0)

@@ -27,7 +27,7 @@ from preqprob.events import (
     intersection,
 )
 from preqprob.gameprob import LiveSetBudgetError, ValueFunction
-from preqprob.measureprob import EnumerationLimitError, measure_upper_probability
+from preqprob.measureprob import EnumerationLimitError, MeasureBudgetError, measure_upper_probability
 from preqprob.randgen import random_event, random_forecasting_system
 from preqprob.strategies import (
     CalibrationState,
@@ -345,7 +345,7 @@ def test_a_float_value_is_refused_after_an_equal_int():
 
 @pytest.mark.parametrize(
     "error",
-    [core.HorizonError, ArityError, LiveSetBudgetError, StreamFormatError, CertificationError,
+    [core.HorizonError, ArityError, LiveSetBudgetError, MeasureBudgetError, StreamFormatError, CertificationError,
      EnumerationLimitError],
 )
 def test_every_refusal_is_an_input_error(error):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from preqprob import gameprob, measureprob
+from preqprob import core, gameprob, measureprob
 from preqprob.core import ForecastingSystem
 from preqprob.events import WILDCARD, Box, EventUnion, StepConstraint, event_from_json
 from preqprob.gameprob import upper_game_probability
@@ -184,7 +184,7 @@ def test_the_budget_refuses_before_the_backward_pass(monkeypatch, tripwire):
     event = event_from_json(nested_event(4, 10))
     with pytest.raises(AssertionError, match="the backward pass ran"):
         measure_upper_probability(event)
-    monkeypatch.setattr(measureprob, "MEASURE_BUDGET", 5)
+    monkeypatch.setattr(core, "PAIR_BUDGET", 5)
     with pytest.raises(MeasureBudgetError, match="more than 5 .depth, live-set. pairs by step"):
         measure_upper_probability(event)
 
@@ -192,7 +192,7 @@ def test_the_budget_refuses_before_the_backward_pass(monkeypatch, tripwire):
 def test_past_the_budget_value_exits_2_with_one_line(capsys, monkeypatch, tmp_path):
     path = tmp_path / "nested.json"
     path.write_text(nested_event(4, 10))
-    monkeypatch.setattr(measureprob, "MEASURE_BUDGET", 5)
+    monkeypatch.setattr(core, "PAIR_BUDGET", 5)
     code, out, err = run(capsys, "value", "--engine", "measure", "--event", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: the measure engine reaches more than 5 ") and err.count("\n") == 1
@@ -204,7 +204,7 @@ def test_the_budget_refusal_names_the_step_it_stops_at(monkeypatch):
     upper_game_probability(event)
     reached = list(accumulate(len(level) - (0 in level) for level in gameprob._engine(event)._values))
     for step in range(1, 11):
-        monkeypatch.setattr(measureprob, "MEASURE_BUDGET", reached[step] - 1)
+        monkeypatch.setattr(core, "PAIR_BUDGET", reached[step] - 1)
         with pytest.raises(MeasureBudgetError, match=f"pairs by step {step} of 10;"):
             measure_upper_probability(event)
 
@@ -215,8 +215,9 @@ def test_the_measure_engine_reaches_no_more_pairs_than_the_game_engine(monkeypat
         event = random_event(rng, max_horizon=5, max_boxes=6)
         value = upper_game_probability(event)
         reached = sum(len(level) - (0 in level) for level in gameprob._engine(event)._values)
-        monkeypatch.setattr(measureprob, "MEASURE_BUDGET", reached)
-        assert measure_upper_probability(event)[0] == value
+        with monkeypatch.context() as patch:  # the next event's game solve reads the same budget
+            patch.setattr(core, "PAIR_BUDGET", reached)
+            assert measure_upper_probability(event)[0] == value
 
 
 def test_exact_probability_follows_one_live_path_past_any_recursion_limit():

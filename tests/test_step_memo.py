@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from preqprob import cli, events, gameprob
+from preqprob import cli, core, events, gameprob
 from preqprob.events import (
     WILDCARD,
     Box,
@@ -124,7 +124,7 @@ def test_nested_boxes_past_the_live_set_budget_are_one_line_input_error(capsys, 
     code, out, err = run(capsys, "value", "--engine", "game", "--event", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert str(gameprob.LIVE_SET_BUDGET) in err
+    assert str(core.PAIR_BUDGET) in err
 
 
 def test_the_live_set_budget_refusal_names_its_step(capsys, tmp_path):
@@ -146,7 +146,7 @@ def test_a_free_step_counts_its_live_sets_toward_the_budget(monkeypatch):
         levels.append({live & m for live in levels[-1] for pair in masks for m in pair} - {0})
     for step in range(5, 11):
         assert engine.masks[step - 1] == ((full, full),)
-        monkeypatch.setattr(gameprob, "LIVE_SET_BUDGET", sum(map(len, levels[: step + 1])) - 1)
+        monkeypatch.setattr(core, "PAIR_BUDGET", sum(map(len, levels[: step + 1])) - 1)
         with pytest.raises(LiveSetBudgetError, match=f"pairs by step {step} of 10;"):
             _GameEngine(event)
 
@@ -175,10 +175,10 @@ def test_live_set_budget_counts_the_forward_pass(monkeypatch):
     assert value == measure_upper_probability(event)[0]
     reached = sum(len(level) - (0 in level) for level in gameprob._engine(event)._values)
     event = event_from_json(nested_event(4, 10))
-    monkeypatch.setattr(gameprob, "LIVE_SET_BUDGET", reached - 1)
+    monkeypatch.setattr(core, "PAIR_BUDGET", reached - 1)
     with pytest.raises(LiveSetBudgetError):
         upper_game_probability(event)
-    monkeypatch.setattr(gameprob, "LIVE_SET_BUDGET", reached)
+    monkeypatch.setattr(core, "PAIR_BUDGET", reached)
     assert upper_game_probability(event) == value
 
 
@@ -189,11 +189,25 @@ def test_a_constrained_step_may_reach_the_budget_exactly(monkeypatch):
     full = engine.all_live()
     assert engine.masks[-1] != ((full, full),)
     reached = sum(len(level) - (0 in level) for level in engine._values)
-    monkeypatch.setattr(gameprob, "LIVE_SET_BUDGET", reached)
+    monkeypatch.setattr(core, "PAIR_BUDGET", reached)
     assert _GameEngine(event)._values == engine._values
-    monkeypatch.setattr(gameprob, "LIVE_SET_BUDGET", reached - 1)
+    monkeypatch.setattr(core, "PAIR_BUDGET", reached - 1)
     with pytest.raises(LiveSetBudgetError, match="pairs by step 4 of 4;"):
         _GameEngine(event)
+
+
+def test_a_horizon_past_the_budget_is_refused_before_any_step_is_set_up(monkeypatch):
+    """Every depth keeps a level, even with no box: horizon 10 fits a budget of 10, horizon 11 is refused up front."""
+    monkeypatch.setattr(core, "PAIR_BUDGET", 10)
+    assert upper_game_probability(EventUnion(10, ())) == 0
+
+    def refuse(event):
+        raise AssertionError("a step was set up past the horizon guard")
+
+    monkeypatch.setattr(gameprob, "event_partitions", refuse)
+    with pytest.raises(LiveSetBudgetError, match=r"^the game engine keeps one level per step; "
+                                                 r"horizon 11 is more than its budget of 10$"):
+        upper_game_probability(EventUnion(11, ()))
 
 
 class TestCalibrationSums:

@@ -1,9 +1,12 @@
-"""One node budget for every materialized tree, and one level-order layout of the outcome tree.
+"""One node budget for every materialized tree, one pair budget for every level walk, and one tree layout.
 
-``core.check_walk`` refuses a walk of more nodes than the outcome tree at
+``core.check_walk`` refuses a tree of more nodes than the outcome tree at
 ``MAX_TABLE_HORIZON`` has, 2^(MAX_TABLE_HORIZON+1) - 1, before the walk
-starts.  The tests shrink the budget to 7 nodes (horizon 2) by patching the
-constant, as ``test_step_memo`` does for the live-set budget.
+starts.  ``core.level_graph`` refuses a walk that keeps more (depth, state)
+pairs than ``core.PAIR_BUDGET``, a level at a time.  The tests shrink either
+budget to 7 (horizon 2, or 7 pairs) by patching its constant, as
+``test_step_memo`` does for the engines' forward passes.  The outcome tree
+is laid out in level order.
 """
 
 import json
@@ -70,12 +73,14 @@ def test_boundary(budget_7):
         check_walk(8, "a walk")
 
 
-def test_a_level_walk_refuses_one_state_past_the_budget(budget_7):
+def test_a_level_walk_refuses_one_state_past_the_budget(monkeypatch):
     def expand(state, depth):
         # Two new states a state for two steps, then all into one: 1 + 2 + 4 + 1 = 8 states kept.
         return None, ([(state, 0), (state, 1)] if depth < 2 else [0])
 
-    with pytest.raises(HorizonError, match=r"^the walk to step 3 of 3 has 8 nodes; table form limited to horizon 2$"):
+    monkeypatch.setattr(core, "PAIR_BUDGET", 7)
+    monkeypatch.setattr(core, "MAX_TABLE_HORIZON", 1)  # a tree budget of 3 nodes sizes no level walk
+    with pytest.raises(HorizonError, match=r"^the walk keeps more than 7 \(depth, state\) pairs by step 3 of 3$"):
         core.level_graph((), expand, 3, "the walk")
     states, _, _ = core.level_graph((), expand, 2, "the walk")  # 7 states: at the budget
     assert list(map(len, states)) == [1, 2, 4]
@@ -158,12 +163,15 @@ class TestOutcomeTree:
         with pytest.raises(HorizonError, match="has 15 nodes"):
             measure_upper_probability(EventUnion.full(3))
 
-    def test_exact_probability_counts_the_pairs_it_keeps(self, budget_7):
+    def test_exact_probability_counts_the_pairs_it_keeps(self, monkeypatch):
         """Equal (system state, surviving boxes) pairs of a depth are one; a history rule's never merge."""
+        monkeypatch.setattr(core, "PAIR_BUDGET", 7)
+        monkeypatch.setattr(core, "MAX_TABLE_HORIZON", 1)  # a tree budget of 3 nodes sizes no level walk
         assert exact_event_probability(ForecastingSystem.constant(HALF, 3), EventUnion.full(3)) == 1
         phi = ForecastingSystem(3, lambda h: HALF)
         assert exact_event_probability(phi, EventUnion.full(2)) == 1
-        with pytest.raises(HorizonError, match="to step 3 of 3 has 15 nodes"):
+        with pytest.raises(HorizonError, match=r"^the outcome walk of the event keeps more than 7 \(depth, state\) "
+                                               r"pairs by step 3 of 3$"):
             exact_event_probability(phi, EventUnion.full(3))
 
     def test_exact_probability_of_a_nested_union_at_horizon_300(self):
