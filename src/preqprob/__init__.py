@@ -12,7 +12,6 @@ from .core import (
     ForecastingSystem,
     HorizonError,
     InputError,
-    Outcome,
     PrequentialPrefix,
     cylinder_probability,
     induced_path,

@@ -187,16 +187,22 @@ def _default_seed(args) -> int:
     return check_seed(as_int(os.environ.get("PREQ_SEED", "0"), "$PREQ_SEED"), "$PREQ_SEED")
 
 
+def _one_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: equal real paths, or both there and one file, as a hard link is."""
+    same = os.path.realpath(a) == os.path.realpath(b)
+    return same or (os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b))  # stats, reads nothing
+
+
 def cmd_value(args) -> Report:
     if args.table_out and args.engine == "measure":
         raise InputError("--table-out needs the game engine: use --engine game or both")
     if args.witness_out and args.engine == "game":
         raise InputError("--witness-out needs the measure engine: use --engine measure or both")
-    if args.table_out and args.witness_out and os.path.realpath(args.table_out) == os.path.realpath(args.witness_out):
+    if args.table_out and args.witness_out and _one_file(args.table_out, args.witness_out):
         raise InputError(f"--table-out and --witness-out name one file, {args.witness_out}: give each its own")
     for flag, out in (("--table-out", args.table_out), ("--witness-out", args.witness_out)):
         # An output not there yet is not the event, which is read: one stat instead of two realpath walks.
-        if out and os.path.exists(out) and os.path.realpath(out) == os.path.realpath(args.event):
+        if out and os.path.exists(out) and _one_file(out, args.event):
             raise InputError(f"{flag} names the event file, {out}: write it elsewhere")
     text, digest = _read(args.event)
     event = event_from_json(text)
@@ -209,11 +215,9 @@ def cmd_value(args) -> Report:
     if args.engine in ("measure", "both"):
         value, witness = measureprob.measure_upper_probability(event)
         report.results["upper_measure"] = value
-        # One walk of the witness writes the report's compact text and, for --witness-out, the file's.
-        texts = witness._json_texts((",", ":"), *([(", ", ": ")] if args.witness_out else []))
-        report.results["witness_system"] = Written(texts[0])
+        report.results["witness_system"] = Written(witness.to_json((",", ":")))
         if args.witness_out:
-            report.files[args.witness_out] = texts[1]
+            report.files[args.witness_out] = witness.to_json()
             report.results["witness_out"] = args.witness_out
     if args.engine == "both":
         equal = report.results["upper_game"] == report.results["upper_measure"]

@@ -39,7 +39,6 @@ from collections.abc import Callable, Mapping
 from fractions import Fraction
 
 Forecast = Fraction
-Outcome = int
 BinaryHistory = tuple[int, ...]
 PrequentialPrefix = tuple[tuple[Fraction, int], ...]
 
@@ -459,10 +458,6 @@ class ForecastingSystem:
         ``tree_json`` writes one text per state, the keys extended by the bit
         of each step; histories that reach equal states share that text.
         """
-        return self._json_texts(separators)[0]
-
-    def _json_texts(self, *styles: tuple[str, str]) -> list[str]:
-        """``to_json(separators)`` for each separators pair of ``styles``, from one ``level_graph`` walk."""
         check_walk(outcome_tree_nodes(self.horizon), f"the outcome tree at horizon {self.horizon}")
 
         def step(state, depth) -> tuple:
@@ -471,7 +466,7 @@ class ForecastingSystem:
 
         _, forecasts, links = level_graph(self.start, step, self.horizon, "the table")
         head, bits = {"horizon": self.horizon, "table": {}}, [(("0", 0), ("1", 1))] * (self.horizon - 1)
-        return [tree_json(head, forecasts, links[:-1], bits, separators) for separators in styles]
+        return tree_json(head, forecasts, links[:-1], bits, separators)
 
     @classmethod
     def from_json(cls, text: str) -> "ForecastingSystem":

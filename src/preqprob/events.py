@@ -47,6 +47,7 @@ from .core import (
     as_int,
     check_forecast,
     check_outcome,
+    parse_once_per_string,
     reading,
 )
 
@@ -410,14 +411,6 @@ def _endpoint(value) -> tuple:
     return p, n, d, 0 <= n <= d
 
 
-class _Endpoints(dict):
-    """Endpoint string -> ``_endpoint`` of it, read when first looked up."""
-
-    def __missing__(self, text):
-        self[text] = parsed = _endpoint(text)
-        return parsed
-
-
 def event_from_json(text: str) -> EventUnion:
     """Parse an event document; identical raw steps share one ``StepConstraint``.
 
@@ -429,7 +422,7 @@ def event_from_json(text: str) -> EventUnion:
     bound order, on integer ratios, and its outcome are checked here; the
     refusals come in the order, and with the messages, of ``StepConstraint``.
     """
-    known = _Endpoints()
+    known = parse_once_per_string(_endpoint)
     shared: dict = {}  # (lo, hi, y) as written -> the step built from them
     new = object.__new__
     with reading("event"):
@@ -447,8 +440,8 @@ def event_from_json(text: str) -> EventUnion:
                 step = shared.get(key)
                 if step is None:
                     y = WILDCARD if y_raw == "*" else as_int(y_raw, "outcome y")  # its value is checked last
-                    lo, a, b, lo_in = known[p[0]] if type(p[0]) is str else _endpoint(p[0])
-                    hi, c, d, hi_in = known[p[1]] if type(p[1]) is str else _endpoint(p[1])
+                    lo, a, b, lo_in = known(p[0])
+                    hi, c, d, hi_in = known(p[1])
                     if not (lo_in and hi_in):
                         raise InputError(f"forecast {hi if lo_in else lo} outside [0, 1]")
                     if a * d > c * b:

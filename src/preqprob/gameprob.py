@@ -60,22 +60,21 @@ order by ``StateGraph.from_nodes``, nodes with equal JSON values over the
 same child states being one state.  The builder sizes the tree, ``reach``
 with ``tree_nodes`` against ``core.check_walk``'s node budget before it
 starts.  The tree order lives here alone: level by level, children in
-(cell, bit) order, as ``_level_order`` lists it, and a node's key string is
-the ``_token``s along its cell-path.  No walk builds a cell-path:
-``to_json`` writes each state's subtree once, by ``core.tree_json``, the
-writer of the measure witness as well, ``from_json`` builds the keys a
-level at a time and parses each state's string once, and
-``StateGraph.marked_nodes`` decodes, by ``core.marked_paths``, only the
-paths of the nodes it reports.
+(cell, bit) order, as ``_tokens`` lists each depth's children, and a
+node's key string is the ``_token``s along its cell-path.  No walk builds a
+cell-path: ``to_json`` writes each state's subtree once, by
+``core.tree_json``, the writer of the measure witness as well,
+``from_json`` builds the keys a level at a time and parses each state's
+string once, and ``StateGraph.marked_nodes`` decodes, by
+``core.marked_paths``, only the paths of the nodes it reports.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Mapping
 from fractions import Fraction
-from itertools import accumulate, chain, product
+from itertools import accumulate
 from operator import itemgetter, mul
 
 from . import core
@@ -107,26 +106,20 @@ def tree_nodes(partitions) -> int:
     return nodes
 
 
-def _level_order(counts):
-    """Every node's cell-path in level order, given each step's child count: per depth, the product of the steps."""
-    steps = [[divmod(i, 2) for i in range(count)] for count in counts]
-    return chain.from_iterable(product(*steps[:depth]) for depth in range(len(steps) + 1))
-
-
-class StateGraph(Mapping):
-    """A read-only, path-keyed view of a value table held as levels of distinct states.
+class StateGraph:
+    """A value table held as levels of distinct states, read by path with ``graph[path]``.
 
     ``levels[d]`` lists the values of depth d's states, and state 0 of depth
     0 is the root.  At an interior depth, ``children[d][s]`` holds state s's
-    child-state indices at depth d + 1, one per (cell, bit) in level order,
-    (0, 0), (0, 1), (1, 0), ...; the graph holds nothing else.  Every state
-    of a depth has the same number of children, so the tree's shape comes
-    from ``children``, and its builder, ``reach`` or ``from_nodes``, sizes
-    it.  A node is a state reached from the root; nodes that hold the same
-    value with the same children share one state.  A path is followed along
-    the child indices in O(depth), and any key that is not a node of the
-    tree raises ``KeyError``.  ``len`` is the tree's node count and iteration
-    yields every node's cell-path in level order.
+    child-state indices at depth d + 1, one per (cell, bit) in the order of
+    ``_tokens``, (0, 0), (0, 1), (1, 0), ...; the graph holds nothing
+    else.  Every state of a depth has the same number of children, so the
+    tree's shape comes from ``children``, and its builder, ``reach`` or
+    ``from_nodes``, sizes it.  A node is a state reached from the root;
+    nodes that hold the same value with the same children share one state.
+    A path is followed along the child indices in O(depth), and any key
+    that is not a node of the tree raises ``KeyError``.  ``len`` is the
+    tree's node count.
     """
 
     __slots__ = ("levels", "children")
@@ -180,10 +173,6 @@ class StateGraph(Mapping):
         # Both lists run from the leaves up.
         return cls(levels[::-1], children[::-1])
 
-    def _counts(self) -> list:
-        """Each interior depth's child count per node, 2 * cells(d)."""
-        return [len(kids[0]) for kids in self.children]
-
     def marked_nodes(self, marks: list) -> list:
         """(cell-path, mark) of each node whose state s of depth d has a mark ``marks[d][s]``, in level order."""
         return [(tuple(divmod(step, 2) for step in path), mark) for path, mark in marked_paths(self.children, marks)]
@@ -204,10 +193,7 @@ class StateGraph(Mapping):
         return self.levels[len(path)][state]
 
     def __len__(self) -> int:
-        return sum(accumulate(self._counts(), mul, initial=1))
-
-    def __iter__(self):
-        return _level_order(self._counts())
+        return sum(accumulate((len(kids[0]) for kids in self.children), mul, initial=1))
 
 
 class ValueFunction(Frozen):

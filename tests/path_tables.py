@@ -1,4 +1,4 @@
-"""Value tables built by hand: node paths in level order, and a path dict as a ``StateGraph``."""
+"""Value tables built by hand: node paths in level order, and a path dict as a ``StateGraph`` and back."""
 
 import itertools
 
@@ -19,3 +19,8 @@ def path_graph(parts, values):
     ``KeyError``.
     """
     return StateGraph.from_nodes(parts, [values[path] for path in node_paths(parts)])
+
+
+def path_dict(parts, graph):
+    """The table ``graph`` over ``parts`` as a dict from every node's cell-path to its value, in level order."""
+    return {path: graph[path] for path in node_paths(parts)}

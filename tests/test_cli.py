@@ -831,17 +831,18 @@ def test_malformed_input_is_one_line_input_error(capsys, tmp_path, argv, documen
 
 @pytest.mark.parametrize("flag", ["--table-out", "--witness-out"])
 def test_an_output_naming_the_event_leaves_it_unchanged(capsys, monkeypatch, tmp_path, flag):
-    """The output is refused before the event is read, whether named by another spelling of its path or a link."""
+    """The output is refused before the event is read, whether named by another spelling of its path or any link."""
     monkeypatch.chdir(tmp_path)
     event = tmp_path / "e.json"
     event.write_text(GOOD_EVENT)
     (tmp_path / "link.json").symlink_to(event)
-    for out in ("./e.json", str(event), "link.json"):
+    os.link(event, tmp_path / "hard.json")
+    for out in ("./e.json", str(event), "link.json", "hard.json"):
         code, out_text, err = run(capsys, "value", "--event", "e.json", "--engine", "both", flag, out)
         assert (code, out_text) == (2, "")
         assert err == f"error: {flag} names the event file, {out}: write it elsewhere\n"
     assert event.read_text() == GOOD_EVENT
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["e.json", "link.json"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["e.json", "hard.json", "link.json"]
 
 
 def test_ville_past_the_certification_limit_is_one_line_input_error(capsys):

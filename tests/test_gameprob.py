@@ -7,6 +7,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from path_tables import path_dict
 
 from preqprob import gameprob
 from preqprob.events import (
@@ -199,7 +200,7 @@ class TestWitnessSuperfarthingale:
 
     def test_empty_event_is_identically_zero(self):
         vf = witness_superfarthingale(EventUnion.empty(2))
-        assert all(v == ZERO for v in vf.values.values())
+        assert all(v == ZERO for v in path_dict(vf.partitions, vf.values).values())
 
     def test_passes_super_mode(self):
         a, b = counterexample_pair()
@@ -220,7 +221,7 @@ class TestWitnessSuperfarthingale:
         for _ in range(15):
             event = random_event(rng, max_horizon=2, max_boxes=2)
             vf = witness_superfarthingale(event)
-            for path, value in vf.values.items():
+            for path, value in path_dict(vf.partitions, vf.values).items():
                 if len(path) != event.horizon:
                     continue
                 cells = [vf.partitions[i].cells[ci] for i, (ci, _) in enumerate(path)]
@@ -236,7 +237,7 @@ class TestWitnessSuperfarthingale:
         vf = witness_superfarthingale(a)
         again = ValueFunction.from_json(vf.to_json())
         assert again.horizon == vf.horizon
-        assert again.values == vf.values
+        assert path_dict(again.partitions, again.values) == path_dict(vf.partitions, vf.values)
         assert [
             [str(c) for c in part.cells] for part in again.partitions
         ] == [[str(c) for c in part.cells] for part in vf.partitions]

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from path_tables import path_graph
+from path_tables import path_dict, path_graph
 from test_calibration_fold import PROPERTY
 
 from preqprob.core import ForecastingSystem, history_at
@@ -166,7 +166,7 @@ def witness(rng):
 def perturbed_witness(rng):
     """A witness table with a few values replaced by ints and Fractions, negatives included."""
     vf = witness(rng)
-    table = dict(vf.values.items())
+    table = path_dict(vf.partitions, vf.values)
     for path in rng.sample(sorted(table), min(len(table), rng.randint(1, 4))):
         table[path] = rng.choice([rng.randint(-2, 2), random_rational(rng), -random_rational(rng)])
     return ValueFunction(vf.horizon, vf.partitions, path_graph(vf.partitions, table))

@@ -29,7 +29,7 @@ from preqprob.strategies import (
     strategy_value_table,
     ville_check,
 )
-from path_tables import path_graph
+from path_tables import path_dict, path_graph
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -83,7 +83,7 @@ class TestCheckFarthingale:
         del doc["values"]["0:1"]
         with pytest.raises(InputError, match=r"^malformed value-function document: missing '0:1'$"):
             ValueFunction.from_json(json.dumps(doc))
-        values = dict(vf.values.items())
+        values = path_dict(vf.partitions, vf.values)
         del values[((0, 1),)]
         with pytest.raises(KeyError):
             path_graph(vf.partitions, values)

@@ -8,7 +8,8 @@ separator styles, on measure witnesses of random events, whose states
 (depth, live-set) merge, on ``from_table`` systems, whose states never
 merge, and on ``constant`` systems, whose one state every history shares.
 ``value --witness-out`` writes the report's compact text and the file's
-from one walk of the witness; a test holds both to ``to_json``'s bytes.
+as two ``to_json`` calls, one walk of the witness each; a test holds both
+to ``to_json``'s bytes.
 """
 
 import json
@@ -75,8 +76,8 @@ def test_the_writer_writes_what_json_dumps_writes_of_the_fold(phi):
     assert list(json.loads(phi.to_json())["table"]) == list(reference["table"])
 
 
-def test_value_writes_both_witness_texts_from_one_walk(tmp_path, monkeypatch, capsys):
-    """``value --witness-out``'s report and file hold what two ``to_json`` calls write, from one witness walk."""
+def test_value_writes_both_witness_texts_as_to_json_writes_them(tmp_path, monkeypatch, capsys):
+    """``value --witness-out``'s report and file hold what two ``to_json`` calls write, one witness walk each."""
     walks, solved = [], []
     walk, solve = core.level_graph, measureprob.measure_upper_probability
     monkeypatch.setattr(core, "level_graph", lambda *args: walks.append(args[3]) or walk(*args))
@@ -89,7 +90,7 @@ def test_value_writes_both_witness_texts_from_one_walk(tmp_path, monkeypatch, ca
         capsys.readouterr()
         argv = ["value", "--event", str(event_path), "--engine", "measure", "--witness-out", str(witness_path)]
         assert cli.main([*argv, "--json"]) == 0
-        assert walks == ["the table"]
+        assert walks == ["the table", "the table"]
         witness = solved.pop()[1]
         report, compact = capsys.readouterr().out, witness.to_json(separators=(",", ":"))
         assert report.endswith(f',"witness_system":{compact}}}}}\n')  # the last result

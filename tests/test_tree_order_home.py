@@ -1,10 +1,10 @@
 """The order of the partition-refined tree lives in ``gameprob`` alone.
 
-``_level_order`` lists every cell-path in the node order, and
+``_tokens`` lists each depth's children in (cell, bit) order, and
 ``StateGraph`` follows that order in its children and decodes a reported
 node's path by mixed radix.  ``strategies`` builds and checks tables
-through ``StateGraph`` and must not name ``_level_order``, so a second copy
-of the order cannot grow there.
+through ``StateGraph`` and must not name ``_tokens``, so a second copy of
+the order cannot grow there.
 """
 
 import ast
@@ -13,7 +13,7 @@ from pathlib import Path
 import preqprob
 
 PACKAGE = Path(preqprob.__file__).resolve().parent
-TREE_ORDER = {"_level_order"}
+TREE_ORDER = {"_tokens"}
 
 
 def names_used(path: Path) -> set[str]:
@@ -43,9 +43,9 @@ def test_every_way_to_name_the_tree_order_is_seen(tmp_path):
     """An import under another name, an attribute of the module and a bare name: each one alone is seen."""
     probe = tmp_path / "probe.py"
     for source in (
-        "from .gameprob import _level_order as walk\n",
-        "from . import gameprob\npaths = gameprob._level_order([2, 4])\n",
-        "order = _level_order\n",
+        "from .gameprob import _tokens as order\n",
+        "from . import gameprob\ntokens = gameprob._tokens(partitions)\n",
+        "order = _tokens\n",
     ):
         probe.write_text(source)
         assert names_used(probe) & TREE_ORDER == TREE_ORDER

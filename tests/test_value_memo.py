@@ -91,7 +91,7 @@ class FreshValues(Mapping):
 
 def copied(vf):
     """The table hash-consed from a dict that holds a new, equal object at every node."""
-    values = {path: fresh(v) for path, v in vf.values.items()}
+    values = {path: fresh(vf.values[path]) for path in node_paths(vf.partitions)}
     return ValueFunction(vf.horizon, vf.partitions, path_graph(vf.partitions, values))
 
 
@@ -351,7 +351,6 @@ def test_to_json_walks_no_node(monkeypatch):
         raise AssertionError("to_json walked the tree node by node")
 
     vf = witness_superfarthingale(random_event(random.Random(5)))
-    monkeypatch.setattr(gameprob, "_level_order", refuse)
     monkeypatch.setattr(gameprob, "_node_keys", refuse)
     text = vf.to_json()
     assert (hashlib.sha256(text.encode()).hexdigest(), len(text)) == WITNESS_PINS[5]
