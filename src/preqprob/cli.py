@@ -16,7 +16,9 @@ and seed; --json is byte-stable, with rationals as "num/den" strings and
 floats at 12 significant digits.  ``main`` renders a report whole before it
 writes a file or prints a byte, and a computed rational too long for ``str``
 (``core.digits_beyond_limit``) is an ``InputError`` naming it, so the
-command writes and prints nothing and exits 2.
+command writes and prints nothing and exits 2.  It opens every output file
+before it writes any, so an output that cannot be opened leaves the others
+as they were.
 """
 
 from __future__ import annotations
@@ -538,6 +540,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_all(paths) -> list:
+    """A handle on each of ``paths``, opened for appending before any is written, so none is truncated yet.
+
+    If one fails to open, the others are closed and the files this call
+    created are removed before the error propagates, so every path is left
+    as it was.
+    """
+    opened = []  # (handle, created)
+    try:
+        for path in paths:
+            created = not os.path.lexists(path)
+            opened.append((open(path, "a", encoding="utf-8"), created))
+    finally:
+        if len(opened) < len(paths):
+            for handle, created in opened:
+                handle.close()
+                if created:
+                    os.remove(handle.name)
+    return [handle for handle, _ in opened]
+
+
 def main(argv=None) -> int:
     argv, parser = sys.argv[1:] if argv is None else argv, build_parser()
     # A leading subcommand's parser reads the rest: the top-level pass would only find it and hand the rest on.
@@ -547,8 +570,10 @@ def main(argv=None) -> int:
         report = args.func(args)
         # Rendered whole first, so a value that cannot be printed writes and prints nothing.
         text = report.to_json() if args.json else report.to_text()
-        for path, contents in report.files.items():
-            with open(path, "w", encoding="utf-8") as handle:
+        for handle, contents in zip(_open_all(report.files), report.files.values()):
+            with handle:
+                if handle.seekable() and handle.tell():  # an existing file's old bytes; a device has none
+                    handle.truncate(0)
                 handle.write(contents)
         sys.stdout.write(text)
     except (InputError, OSError) as exc:

@@ -43,20 +43,16 @@ non-negative martingale starting at v reaches C with probability at most v/C
 under the measure of the forecasting system being tested.  Strategies are
 certified before sampling by walking them over the system's whole outcome
 tree and checking the martingale identity exactly, so ad hoc capital inflation
-is refused rather than sampled.  That walk steps each distinct (system state,
-strategy value) pair of a depth once, by ``level_graph``, but its violations
-can name all 2^(N+1) - 1 histories, so both size the outcome tree with
-``check_walk`` and refuse it before any strategy is built.
-The walk also hands ville the largest capital of any pair it stepped, and
-that decides some checks with no draw: a start capital >= C gives the
-frequency 1, and if no pair holds C, no sampled path can reach it, so the
-frequency is 0.  Seeding a generator, not drawing from it, is what a sample
-costs, so only the remaining checks sample.
-Sampling then steps each outcome-tree node at most once per call: the value
-reached at a node is kept and shared by every later sample through it, so a
-sample asks the system for its forecasts only when it reaches a node no
-earlier sample stepped, and a sample stops at a node whose capital has
-reached the threshold or is 0, from which no sampled path reaches it.
+is refused rather than sampled.  That walk, ``_certification_walk``, steps
+each distinct (system state, strategy value) pair of a depth once, by
+``level_graph``, but its violations can name all 2^(N+1) - 1 histories, so
+both size the outcome tree with ``check_walk`` and refuse it before any
+strategy is built.  Sampling runs on the walk's pairs and links and steps
+no strategy again: each pair is marked where its capital has reached the
+threshold or is 0, from which no sampled path reaches it, and a sample
+follows its outcomes to the first marked pair.  If the root is marked
+reached, or no pair is, the frequency is 1 or 0 with no draw; seeding a
+generator, not drawing from it, is what a sample costs.
 
 A strategy is a frozen, hashable value with a ``capital`` attribute (a
 Fraction) and a pure ``step(p, y)`` that consumes one checked pair, a
@@ -81,6 +77,7 @@ from fractions import Fraction
 from .core import (ONE, ZERO, ForecastingSystem, Frozen, HorizonError, InputError, as_fraction, as_int, check_forecast,
                    check_outcome, check_samples, check_seed, check_walk, induced_path, level_graph, marked_paths,
                    outcome_tree_nodes, reading, sample_outcomes)
+# Nothing here calls ``induced_path``: it is bound for perfbench, whose spans wrap ``strategies.induced_path``.
 from .events import point_partition
 from .gameprob import StateGraph, ValueFunction, tree_nodes
 
@@ -418,35 +415,18 @@ def strategy_value_table(strategy_factory, horizon: int, grid) -> ValueFunction:
     return ValueFunction(horizon, partitions, graph)
 
 
-class Certificate(tuple):
-    """``certify_strategy``'s (ok, violations), carrying the walk's ``largest_capital``.
+def _certification_walk(strategy_factory, phi: ForecastingSystem) -> tuple[list, list, list]:
+    """Walk and check (system state, strategy value) pairs: ``(pairs, links, violations)``.
 
-    A tuple of those two, so ``==`` and unpacking read the pair alone, as a
-    ``cli.Written`` is read as its ``str``.  Copies and pickles keep all three.
-    """
-
-    def __new__(cls, ok: bool, violations: list, largest_capital: Fraction):
-        certificate = super().__new__(cls, (ok, violations))
-        certificate.largest_capital = largest_capital
-        return certificate
-
-    def __getnewargs__(self):  # tuple's own would hand __new__ the pair alone
-        return (*self, self.largest_capital)
-
-
-def certify_strategy(strategy_factory, phi: ForecastingSystem) -> Certificate:
-    """Exact martingale certification of a strategy under a forecasting system.
-
-    Walks (system state, strategy value) pairs with ``level_graph``, equal
-    pairs of a depth being one, and checks each pair once:
-    capital(x) == (1-phi(x)) capital(x0) + phi(x) capital(x1) together with
-    non-negativity, at the leaves too.  Both are decided on integers: the
-    identity by ``_gap_sign``, the sign by the capital's numerator.  Returns
-    (ok, the histories that reach a failing pair, in ``history_at`` order)
-    as a ``Certificate``, whose ``largest_capital`` is the largest capital
-    of any pair walked, so of any history, compared on integers.
-    The list can name every node, so ``check_walk`` refuses an outcome tree
-    over its budget with HorizonError before the factory is called.
+    ``pairs`` and ``links`` are ``level_graph``'s, equal pairs of a depth
+    being one, each pair stepped once, and ``violations`` the histories that
+    reach a failing pair, in ``history_at`` order.  A pair fails where
+    capital(x) == (1-phi(x)) capital(x0) + phi(x) capital(x1) does not hold,
+    or its capital is negative, at the leaves too.  Both are decided on
+    integers: the identity by ``_gap_sign``, the sign by the capital's
+    numerator.  The list can name every node, so ``check_walk`` refuses an
+    outcome tree over its budget with HorizonError before the factory is
+    called.
     """
     horizon, expand = phi.horizon, phi.expand
     check_walk(outcome_tree_nodes(horizon), f"the outcome tree at horizon {horizon}")
@@ -461,20 +441,18 @@ def certify_strategy(strategy_factory, phi: ForecastingSystem) -> Certificate:
     pairs, failed, links = level_graph((phi.start, strategy_factory()), step, horizon, "the certification walk")
     failed.append([strategy.capital.numerator < 0 for _, strategy in pairs[horizon]])
     marks = [{index: True for index, bad in enumerate(level) if bad} for level in failed]
-    violations = [history for history, _ in marked_paths(links, marks)]
-    largest = pairs[0][0][1].capital
-    top, bottom = largest.numerator, largest.denominator
-    for level in pairs:
-        for _, strategy in level:
-            capital = strategy.capital  # capital > largest, compared on integers
-            if capital.numerator * bottom > top * capital.denominator:
-                largest, top, bottom = capital, capital.numerator, capital.denominator
-    return Certificate(not violations, violations, largest)
+    return pairs, links, [history for history, _ in marked_paths(links, marks)]
 
 
-# Node marks in ``ville_check``: capital has reached the threshold here, or is 0.
-_REACHED = object()
-_BROKE = object()
+def certify_strategy(strategy_factory, phi: ForecastingSystem) -> tuple[bool, list]:
+    """Exact martingale certification of a strategy under a forecasting system.
+
+    Returns (ok, the histories that reach a failing pair, in ``history_at``
+    order), from ``_certification_walk``, which checks each distinct
+    (system state, strategy value) pair of a depth once.
+    """
+    _, _, violations = _certification_walk(strategy_factory, phi)
+    return not violations, violations
 
 
 class VilleResult(Frozen):
@@ -493,29 +471,23 @@ def ville_check(
     a negative seed (``check_seed``) and a threshold whose bound is too large
     for a float raise InputError before the certification walk.
 
-    Sample i draws ``sample_outcomes(phi, N, seed + i)``.  Each outcome-tree
-    node is stepped at most once per call.  Nodes are indexed as in
-    ``history_at`` (the children of k are 2k+1 and 2k+2), and a dict keeps
-    each node's strategy value, or a mark once capital has reached the
-    threshold there, or is 0; strategies are pure values, so a kept value
-    equals a replayed one.  A sample walks the kept nodes along its outcomes
-    and computes its forecasts, by ``induced_path``, only if it reaches a
-    node no earlier sample stepped.
+    Samples follow the certification walk's links and step no strategy
+    value.  Each pair of the walk is marked on integers: True where its
+    capital is >= C, False where it is 0, and not at all otherwise.  Sample
+    i draws ``sample_outcomes(phi, N, seed + i)`` and follows those outcomes
+    from the root pair until the first marked pair, and hits if that mark is
+    True.  Equal pairs of a depth hold equal strategy values, so one
+    capital, and ``phi.expand`` is pure, so the walk's forecasts are the
+    ones the sampler draws by.
 
-    A sample stops at a node of capital 0.  Certification has passed, so
+    A sample stops at a pair of capital 0.  Certification has passed, so
     there capital = (1 - p) capital(x0) + p capital(x1) with both children
     non-negative: for 0 < p < 1 both are 0, at p = 0 the sampler draws only
     0 and at p = 1 only 1, and the child it draws has capital 0 again.  No
-    sampled path through the node reaches C > 0.
+    sampled path through the pair reaches C > 0.
 
-    Ville draws nothing when the certification walk decides the answer.  A
-    start capital >= C gives the frequency 1.0.  If the certificate's
-    ``largest_capital`` is below C, the frequency is 0.0: every node a
-    sample can step holds a pair the walk stepped, and the walk went on
-    past capital 0 too, where samples stop, so its largest capital is at
-    least any sampled one.  The walk has expanded every forecast a sample
-    could ask for, so no refusal is skipped.  Both are compared with C on
-    integers, as the nodes' marks are.
+    Ville draws nothing when the marks decide the answer: a root marked True
+    gives the frequency 1.0, and if no pair is, the frequency is 0.0.
     """
     check_samples(samples)
     check_seed(seed)
@@ -529,42 +501,34 @@ def ville_check(
         bound = float(start.capital / threshold)
     except OverflowError:
         raise InputError("threshold too small: the bound V(initial)/C is too large for a float") from None
-    certificate = certify_strategy(lambda: start, phi)
-    ok, violations = certificate
-    if not ok:
+    pairs, links, violations = _certification_walk(lambda: start, phi)
+    if violations:
         raise CertificationError(
             f"strategy is not a non-negative martingale under the system "
             f"(first violation at history {violations[0]})"
         )
 
     top, bottom = threshold.numerator, threshold.denominator
-
-    def kept(value):
-        capital = value.capital  # capital >= threshold, compared on integers
-        return _REACHED if capital.numerator * bottom >= top * capital.denominator else value if capital else _BROKE
-
-    largest = certificate.largest_capital
+    # marks[d][s]: True where pair s of depth d holds capital >= C (compared on integers), False where it holds 0.
+    marks = [{} for _ in pairs]
+    for level, marked in zip(pairs, marks):
+        for index, (_, strategy) in enumerate(level):
+            capital = strategy.capital
+            if capital.numerator * bottom >= top * capital.denominator:
+                marked[index] = True
+            elif not capital:
+                marked[index] = False
     hits = 0
-    if kept(start) is _REACHED:
+    if marks[0].get(0):
         hits = samples  # every sample starts at capital >= C
-    elif largest.numerator * bottom >= top * largest.denominator:  # else no pair of the walk holds C: no draw
-        nodes = {0: kept(start)}
+    elif any(True in marked.values() for marked in marks):  # else no sample can reach C: no draw
         for i in range(samples):
             omega = sample_outcomes(phi, horizon, seed + i)
-            path = None
-            node, value = 0, nodes[0]
-            for depth, y in enumerate(omega):
-                if value is _REACHED or value is _BROKE:
-                    break
-                node = 2 * node + 1 + y
-                child = nodes.get(node)
-                if child is None:
-                    if path is None:
-                        path = induced_path(phi, omega)
-                    nodes[node] = child = kept(value.step(path[depth][0], y))
-                value = child
-            if value is _REACHED:
-                hits += 1
+            depth = state = 0
+            while depth < horizon and state not in marks[depth]:
+                state = links[depth][state][omega[depth]]
+                depth += 1
+            hits += marks[depth].get(state, False)
     frequency = hits / samples
     passed = frequency <= bound + 4.0 * math.sqrt(bound / samples)
     return VilleResult(frequency=frequency, bound=bound, passed=passed)

@@ -845,6 +845,22 @@ def test_an_output_naming_the_event_leaves_it_unchanged(capsys, monkeypatch, tmp
     assert sorted(path.name for path in tmp_path.iterdir()) == ["e.json", "hard.json", "link.json"]
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_an_unopenable_output_leaves_every_other_output_as_it_was(capsys, monkeypatch, tmp_path, existing):
+    """Every output is opened before any is written: the table file is left absent, or with its old bytes."""
+    monkeypatch.chdir(tmp_path)
+    table = tmp_path / "w.json"
+    old = b'{"horizon": 0}\n' * 1000  # longer than the table value writes, so a truncation would show
+    if existing:
+        table.write_bytes(old)
+    code, out, err = run(capsys, "value", "--event", str(DATA / "three_box_event.json"), "--engine", "both",
+                         "--table-out", "w.json", "--witness-out", "nodir/x.json", "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: 'nodir/x.json'\n"
+    assert table.read_bytes() == old if existing else not table.exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == (["w.json"] if existing else [])
+
+
 def test_ville_past_the_certification_limit_is_one_line_input_error(capsys):
     """The 2^31 - 1 node certification walk at horizon 30 is refused before it starts."""
     code, out, err = run(capsys, "ville", "-N", "30", "--samples", "1")

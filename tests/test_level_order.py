@@ -190,25 +190,50 @@ def test_a_negative_horizon_is_refused_before_the_factory_is_called():
     assert path_dict(again.partitions, again.values) == {(): Fraction(1)}
 
 
-def test_table_walks_build_no_cell_path(capsys, monkeypatch, tmp_path):
+@pytest.fixture()
+def decoded_paths(monkeypatch):
+    """The number of cell-paths ``gameprob.marked_paths`` decodes, the one way a table walk names nodes."""
+    decoded = [0]
+    real = gameprob.marked_paths
+
+    def counting(*args):
+        found = real(*args)
+        decoded[0] += len(found)
+        return found
+
+    monkeypatch.setattr(gameprob, "marked_paths", counting)
+    return decoded
+
+
+def test_table_walks_build_no_cell_path(decoded_paths, capsys, monkeypatch, tmp_path):
+    """A check decodes the path of each node holding a failing state and no other: none on a clean table."""
+
+    def checked(table, mode):
+        decoded_paths[0] = 0
+        ok, violations = check_farthingale(table, mode)
+        assert decoded_paths == [len({path for path, _ in violations})]
+        return ok, violations
+
     vf = witness_superfarthingale(random_event(random.Random(5)))
     text = vf.to_json()
     assert (hashlib.sha256(text.encode()).hexdigest(), len(text)) == WITNESS_PINS[5]
     again = ValueFunction.from_json(text)
     assert all(again.values[path] == vf.values[path] for path in node_paths(vf.partitions))
     assert again.to_json() == text
+    assert checked(again, "super") == (True, [])
     tampered = ValueFunction.from_json(tampered_table())
     for mode in MODES:
-        assert check_farthingale(again, mode) == reference_check(vf, mode)
-        _, violations = check_farthingale(tampered, mode)
+        assert checked(again, mode) == reference_check(vf, mode)
+        _, violations = checked(tampered, mode)
         lines = "\n".join(f"{encode_cell_path(path)} {p}" for path, p in violations)
         assert hashlib.sha256(lines.encode()).hexdigest() == TAMPERED_VIOLATIONS[mode]
     calibration = strategy_value_table(lambda: CalibrationState(3, Fraction(1)), 3, [Fraction(1, 3)])
-    assert check_farthingale(calibration, "exact") == (True, [])
+    assert checked(calibration, "exact") == (True, [])
     monkeypatch.chdir(tmp_path)
     (tmp_path / "table.json").write_text(text)
     assert cli.main(["verify", "--value-function", "table.json", "--mode", "super", "--json"]) == 0
     assert '"nodes":297' in capsys.readouterr().out
+    assert decoded_paths == [0]  # still, after verify's check of the clean table
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -223,7 +248,13 @@ def test_a_witness_has_one_state_per_live_set_reached(seed):
     assert len(graph.levels[-1]) == len(lives)
 
 
-def test_the_witness_is_built_without_walking_the_tree():
+def test_the_witness_is_built_without_walking_the_tree(monkeypatch):
+    """``gameprob._node_keys``, the whole-tree key walk ``from_json`` reads by, is refused while a witness is built."""
+
+    def refuse(*args):
+        raise AssertionError("the witness walked the cell tree")
+
+    monkeypatch.setattr(gameprob, "_node_keys", refuse)
     event = random_event(random.Random(5))
     vf = witness_superfarthingale(event)
     text = vf.to_json()

@@ -1,14 +1,13 @@
 """Ville answers from the certification walk when the walk decides it, and draws nothing then.
 
-``certify_strategy`` returns a ``Certificate``: its (ok, violations) pair,
-carrying the largest capital of any pair it walked.  If that capital is below
-C, no sample can reach C, and a start capital >= C reaches it at the root;
-either way ``ville_check`` seeds no generator.  Every other check samples as
-before, such as one whose only capital >= C lies past a node of capital 0.
+``ville_check`` marks the pairs of the certification walk that hold a
+capital >= C.  If none does, no sample can reach C, and a start capital >= C
+reaches it at the root; either way ``ville_check`` seeds no generator.  Every
+other check samples as before, such as one whose only capital >= C lies past
+a pair of capital 0.  ``certify_strategy`` returns a plain (ok, violations)
+tuple.
 """
 
-import copy
-import pickle
 from fractions import Fraction
 
 import pytest
@@ -56,7 +55,7 @@ def test_no_certified_pair_reaching_c_draws_nothing(draws, phi):
     """Calibration capital stays far below C = 4 at N <= 6, so the frequency is 0.0 with no draw."""
     start = CalibrationStrategy(phi.horizon, ONE)
     threshold = Fraction(4)
-    assert certify_strategy(lambda: start, phi).largest_capital < threshold
+    assert brute_force_largest_capital(start, phi) < threshold
     result = ville_check(phi, lambda: start, threshold, 5000, seed=17)
     assert result.frequency == 0.0
     assert draws == {"sample_outcomes": [], "induced_path": []}
@@ -80,7 +79,7 @@ def test_capital_past_a_capital_0_pair_still_samples(draws, degenerate):
     table = {h: HALF if all(h) else degenerate for h in all_histories_below(horizon)}
     phi = ForecastingSystem.from_table(table, horizon)
     threshold = Fraction(32)
-    assert certify_strategy(Phoenix, phi).largest_capital == 64
+    assert brute_force_largest_capital(Phoenix(), phi) == 64
     result = ville_check(phi, Phoenix, threshold, samples, seed)
     assert draws["sample_outcomes"] == list(range(seed, seed + samples))
     assert result.frequency == reference_frequency(phi, Phoenix(), threshold, samples, seed)
@@ -99,16 +98,12 @@ def brute_force_largest_capital(start, phi):
 
 @PROPERTY
 @given(systems, st.sampled_from(sorted([*STARTS, "phoenix"])))
-def test_certificate_is_the_old_pair_carrying_the_largest_capital(phi, name):
+def test_certify_strategy_returns_the_reference_pair_as_a_plain_tuple(phi, name):
     start = Phoenix() if name == "phoenix" else STARTS[name](phi.horizon)
     certificate = certify_strategy(lambda: start, phi)
     expected = reference_certify(lambda: start, phi)
     assert certificate == expected
-    assert tuple(certificate) == expected and len(certificate) == 2
+    assert type(certificate) is tuple and len(certificate) == 2
     ok, violations = certificate
     assert (ok, violations) == expected
     assert type(ok) is bool
-    assert certificate.largest_capital == brute_force_largest_capital(start, phi)
-    for again in (copy.copy(certificate), copy.deepcopy(certificate), pickle.loads(pickle.dumps(certificate))):
-        assert type(again) is type(certificate) and again == certificate
-        assert again.largest_capital == certificate.largest_capital

@@ -1,10 +1,13 @@
-"""The Ville walk: forecasts only for nodes no earlier sample stepped, and a stop at capital 0.
+"""The Ville walk: samples follow the certification walk's links, and stop at capital 0.
 
 ``ville_check``'s frequency must equal the one got by stepping every sample
 from the root (``reference_frequency``), whatever the system, strategy and
-threshold; the probes count how often it asks the system for forecasts.
+threshold.  The probes count the strategy steps and the ``induced_path`` and
+``sample_outcomes`` calls of a check: once the strategy is certified, its
+samples step no strategy value and induce no path.
 """
 
+import collections
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,51 +78,46 @@ def test_frequency_matches_stepping_every_sample_from_the_root(phi, name, factor
     assert result.frequency == reference_frequency(phi, start, threshold, samples, seed)
 
 
-@pytest.fixture()
-def induced_paths(monkeypatch):
-    """The calls ``ville_check`` makes to ``induced_path``."""
-    calls = []
-    real = strategies_module.induced_path
+def counted_calls(strategy_class, run):
+    """``run()``'s result and a count of its ``strategy_class.step``, ``induced_path`` and ``sample_outcomes`` calls."""
+    calls = collections.Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name in ((strategy_class, "step"), (strategies_module, "induced_path"),
+                            (strategies_module, "sample_outcomes")):
+            real = getattr(owner, name)
 
-    def counting(phi, omega):
-        calls.append(omega)
-        return real(phi, omega)
+            def counting(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
 
-    monkeypatch.setattr(strategies_module, "induced_path", counting)
-    return calls
+            patch.setattr(owner, name, counting)
+        return run(), calls
 
 
-def test_doubling_asks_for_forecasts_at_most_twice_per_step(induced_paths):
-    """Capital 0 ends a sample, so only the all-ones spine and its 0 children are ever new nodes."""
-    steps = []
+def sampling_calls(phi, start, threshold, samples, seed):
+    """``ville_check``'s result from ``start``, and its calls beyond those ``certify_strategy`` makes on its own."""
+    _, certifying = counted_calls(type(start), lambda: certify_strategy(lambda: start, phi))
+    result, checking = counted_calls(type(start), lambda: ville_check(phi, lambda: start, threshold, samples, seed))
+    checking.subtract(certifying)
+    return result, +checking
 
-    @dataclass(frozen=True)
-    class CountingDoubling:
-        capital: Fraction = ONE
 
-        def step(self, p, y):
-            steps.append((p, y))
-            return CountingDoubling(2 * self.capital if y == 1 else ZERO)
-
-    horizon = 6
+def test_doubling_samples_step_no_strategy_and_induce_no_path():
+    """All-ones reaches C = 2^N at 1/2^N of the samples; every sample follows the certified pairs' links."""
+    horizon, samples = 6, 3000
     phi = ForecastingSystem.constant(HALF, horizon)
-    assert certify_strategy(CountingDoubling, phi)[0]
-    certifying = len(steps)
-    steps.clear()
-    result = ville_check(phi, CountingDoubling, 2 ** (horizon + 1), 3000, seed=0)
-    assert result.frequency == 0.0
-    assert len(induced_paths) <= 2 * horizon
-    assert len(steps) - certifying <= 2 * horizon
-    # No two calls are for one history: a call only comes with a node no earlier sample stepped.
-    assert len(set(induced_paths)) == len(induced_paths)
+    result, calls = sampling_calls(phi, DoublingStrategy(), 2**horizon, samples, 0)
+    assert calls == {"sample_outcomes": samples}
+    assert 0 < result.frequency == reference_frequency(phi, DoublingStrategy(), 2**horizon, samples, 0)
 
 
-def test_a_sample_through_kept_nodes_asks_for_no_forecasts(induced_paths):
-    """Once every node is kept, further samples walk the dict alone."""
+def test_calibration_samples_step_no_strategy_and_induce_no_path():
+    """Calibration at N = 3, C = 1 peaks at capital 3/5 >= 1/2 after three ones at 1/2, so the check samples."""
     phi = ForecastingSystem.constant(HALF, 3)
-    start = CalibrationStrategy(3, ONE)
-    ville_check(phi, lambda: start, 10**9, 500, seed=0)
-    assert len(induced_paths) <= 2**3
+    start, threshold, samples = CalibrationStrategy(3, ONE), HALF, 500
+    result, calls = sampling_calls(phi, start, threshold, samples, 0)
+    assert calls == {"sample_outcomes": samples}
+    assert 0 < result.frequency == reference_frequency(phi, start, threshold, samples, 0)
 
 
 @dataclass(frozen=True)
@@ -151,3 +149,16 @@ def test_capital_0_ends_a_sample_when_a_forecast_rules_out_the_rise(degenerate):
     for threshold in (Fraction(2), Fraction(32)):
         result = ville_check(phi, Phoenix, threshold, 400, seed=7)
         assert result.frequency == reference_frequency(phi, Phoenix(), threshold, 400, 7)
+
+
+@pytest.mark.parametrize("degenerate", [ZERO, ONE], ids=["p=0", "p=1"])
+def test_a_phoenix_sample_stops_at_its_capital_0_pair(degenerate):
+    """The only pair holding C = 32 is a capital-0 pair's free child, so the check samples, and no sample reaches it."""
+    horizon, threshold, samples = 4, Fraction(32), 400
+    table = {h: HALF if all(h) else degenerate for h in all_histories_below(horizon)}
+    phi = ForecastingSystem.from_table(table, horizon)
+    pairs, _, _ = strategies_module._certification_walk(Phoenix, phi)
+    assert max(strategy.capital for level in pairs for _, strategy in level) == 64
+    result, calls = sampling_calls(phi, Phoenix(), threshold, samples, 7)
+    assert calls == {"sample_outcomes": samples}
+    assert result.frequency == 0.0 == reference_frequency(phi, Phoenix(), threshold, samples, 7)
