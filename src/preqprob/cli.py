@@ -271,15 +271,15 @@ def cmd_test_stream(args) -> Report:
     if args.horizon is not None and args.horizon < 1:
         raise InputError(f"-N must be a positive integer, got {args.horizon}")
     text, digest = _read(args.stream)
-    stream = strategies.parse_stream_csv(text)
-    if not stream:
+    rows, counted = strategies.count_stream_csv(text, args.horizon)
+    if not rows:
         raise InputError("stream has no rows")
-    horizon = len(stream) if args.horizon is None else args.horizon
-    if len(stream) < horizon:
-        raise InputError(f"stream has {len(stream)} rows, need {horizon}")
+    horizon = rows if args.horizon is None else args.horizon
+    if rows < horizon:
+        raise InputError(f"stream has {rows} rows, need {horizon}")
     threshold_c = as_fraction(args.threshold_c)
     start = strategies.CalibrationState(horizon, threshold_c)
-    state = strategies.calibration_fold(start, stream[:horizon])
+    state = strategies.calibration_fold_counts(start, counted)
     verdict = strategies.calibration_verdict(state)
     report = Report(
         "test-stream",

@@ -32,11 +32,19 @@ each a reduced numerator and denominator; the update steps them on
 integers, checks them after each tally and builds one new state directly.
 ``==`` and the hash read that tuple, and S and A become Fractions only when
 read.  ``step`` adds one pair; the sums are order-free, so
-``calibration_fold`` (what ``preq test-stream`` runs) adds each distinct
-forecast of a stream once, in one call.  A state's capital is computed
-once, when the state is built, the one Fraction a step or fold builds, and
-the verdict's ratio is the final capital over the initial one.
-``parse_stream_csv`` parses each distinct string of a stream once.
+``calibration_fold_counts`` merges counted pairs by forecast and adds each
+distinct forecast once, in one call, and ``calibration_fold`` counts its
+pairs and hands them on.  A state's capital is computed once, when the
+state is built, the one Fraction a step or fold builds, and the verdict's
+ratio is the final capital over the initial one.
+
+A stream is read once, by ``csv.reader`` in ``_read_stream``, each row
+keyed by its fields: the rows of the first N are counted with one
+``Counter``, each distinct row is checked once, and each distinct stripped
+string parsed once.  ``preq test-stream`` runs ``count_stream_csv``, which
+returns those counts, so no pair is built per row; ``parse_stream_csv`` is
+the ordered view of the same read, for ``preq levy-trace --stream`` and
+library callers.
 
 ``ville_check`` verifies the capital/probability inequality empirically: a
 non-negative martingale starting at v reaches C with probability at most v/C
@@ -58,9 +66,10 @@ A strategy is a frozen, hashable value with a ``capital`` attribute (a
 Fraction) and a pure ``step(p, y)`` that consumes one checked pair, a
 Fraction forecast and a bit, and nothing else, and returns the next value;
 pairs are checked where they enter (``run_stream``, ``calibration_step``,
-``calibration_fold``, or the forecasting system's constructor).  Functions
-that take a strategy factory call it once for the start value and carry
-values down the tree or stream, never replaying a history from the root.
+``calibration_fold``, the stream readers, or the forecasting system's
+constructor).  Functions that take a strategy factory call it once for the
+start value and carry values down the tree or stream, never replaying a
+history from the root.
 ``strategy_value_table`` is reached from the start value by
 ``StateGraph.reach``: equal values at a depth are one state, stepped once.
 """
@@ -76,7 +85,7 @@ from fractions import Fraction
 
 from .core import (ONE, ZERO, ForecastingSystem, Frozen, HorizonError, InputError, as_fraction, as_int, check_forecast,
                    check_outcome, check_samples, check_seed, check_walk, induced_path, level_graph, marked_paths,
-                   outcome_tree_nodes, reading, sample_outcomes)
+                   outcome_tree_nodes, parse_once_per_string, reading, sample_outcomes)
 # Nothing here calls ``induced_path``: it is bound for perfbench, whose spans wrap ``strategies.induced_path``.
 from .events import point_partition
 from .gameprob import StateGraph, ValueFunction, tree_nodes
@@ -301,11 +310,11 @@ def calibration_fold(state: CalibrationState, pairs) -> CalibrationState:
     """The state after all of ``pairs`` (a sequence of 2-tuples), equal to stepping them one by one.
 
     The sums are order-free, so the pairs are counted first, by one
-    ``Counter`` over (forecast object, outcome), and each distinct forecast
-    is added once, with its count and number of ones.  More pairs than the
-    horizon has left raise HorizonError before any work; every pair is
-    checked as ``calibration_step`` checks it, the first bad pair in stream
-    order raising.
+    ``Counter`` over (forecast object, outcome), and the counts are added by
+    ``calibration_fold_counts``.  More pairs than the horizon has left raise
+    HorizonError before any work; every pair is checked as
+    ``calibration_step`` checks it, the first bad pair in stream order
+    raising.
     """
     left = state.horizon - state.n
     if len(pairs) > left:
@@ -314,16 +323,30 @@ def calibration_fold(state: CalibrationState, pairs) -> CalibrationState:
         return state
     # Pairs are counted by forecast object, not value: a Fraction's hash is
     # recomputed on every call, and ``parse_stream_csv`` hands out one object
-    # per distinct forecast string.  Equal forecasts held by different objects
-    # (or given as "0.5" and "1/2") merge in ``tallies`` once checked.  The
-    # counts keep first-seen order, so the first bad pair is checked first.
+    # per distinct forecast string.  The counts keep first-seen order, so the
+    # first bad pair is checked first.
     forecasts, outcomes = zip(*pairs)
     objects = dict(zip(map(id, forecasts), forecasts))
+    counts = collections.Counter(zip(map(id, forecasts), outcomes)).items()
+    return calibration_fold_counts(state, (((check_forecast(objects[key]), check_outcome(y)), c)
+                                           for (key, y), c in counts))
+
+
+def calibration_fold_counts(state: CalibrationState, counted) -> CalibrationState:
+    """The state after counted checked pairs: per ((p, y), count) of ``counted``, ``count`` pairs (p, y).
+
+    Equal forecasts, whether one object or several (from "0.5" and "1/2"),
+    merge into one (p, count, ones) tally, and the tallies are added by one
+    ``_add``.  More pairs than the horizon has left raise HorizonError.
+    """
     tallies: dict[Fraction, list[int]] = {}  # forecast -> [pairs, ones]
-    for (key, y), c in collections.Counter(zip(map(id, forecasts), outcomes)).items():
-        tally = tallies.setdefault(check_forecast(objects[key]), [0, 0])
-        tally[0] += c
-        tally[1] += check_outcome(y) * c
+    for (p, y), count in counted:
+        tally = tallies.setdefault(p, [0, 0])
+        tally[0] += count
+        tally[1] += y * count
+    total, left = sum(count for count, _ in tallies.values()), state.horizon - state.n
+    if total > left:
+        raise HorizonError(f"calibration horizon {state.horizon} has {left} steps left, got {total} pairs")
     return state._add((p, count, ones) for p, (count, ones) in tallies.items())
 
 
@@ -474,11 +497,14 @@ def ville_check(
     Samples follow the certification walk's links and step no strategy
     value.  Each pair of the walk is marked on integers: True where its
     capital is >= C, False where it is 0, and not at all otherwise.  Sample
-    i draws ``sample_outcomes(phi, N, seed + i)`` and follows those outcomes
-    from the root pair until the first marked pair, and hits if that mark is
-    True.  Equal pairs of a depth hold equal strategy values, so one
-    capital, and ``phi.expand`` is pure, so the walk's forecasts are the
-    ones the sampler draws by.
+    i draws ``sample_outcomes(phi, length, seed + i)`` and follows those
+    outcomes from the root pair until the first marked pair, and hits if
+    that mark is True.  ``length`` is N, or one more than the deepest depth
+    holding an unmarked pair if that is less: a sample reads no outcome
+    past it.  The sampler draws one variate per step, in order, so these
+    outcomes are a prefix of the N it would draw.  Equal pairs of a depth
+    hold equal strategy values, so one capital, and ``phi.expand`` is pure,
+    so the walk's forecasts are the ones the sampler draws by.
 
     A sample stops at a pair of capital 0.  Certification has passed, so
     there capital = (1 - p) capital(x0) + p capital(x1) with both children
@@ -522,8 +548,10 @@ def ville_check(
     if marks[0].get(0):
         hits = samples  # every sample starts at capital >= C
     elif any(True in marked.values() for marked in marks):  # else no sample can reach C: no draw
+        # A sample reads one outcome per unmarked pair it passes, so none reads past the deepest one.
+        length = min(horizon, 1 + max((d for d, level in enumerate(pairs) if len(marks[d]) < len(level)), default=-1))
         for i in range(samples):
-            omega = sample_outcomes(phi, horizon, seed + i)
+            omega = sample_outcomes(phi, length, seed + i)
             depth = state = 0
             while depth < horizon and state not in marks[depth]:
                 state = links[depth][state][omega[depth]]
@@ -537,30 +565,55 @@ def ville_check(
 def parse_stream_csv(text: str) -> list[tuple[Fraction, int]]:
     """Parse the stream format: header "p,y", forecasts as decimals or num/den.
 
-    Blank lines are skipped and fields are stripped.  Each column is stripped
-    in one pass and each distinct string parsed once, so equal forecast
-    strings share one Fraction.  If a row has the wrong number of fields or
-    a string does not parse, the rows are read again one by one, and the
+    Blank lines are skipped and fields are stripped.  The stream is read by
+    ``_read_stream``, so equal rows share one pair tuple and equal forecast
+    strings one Fraction; the list is those pairs in stream order.  The
     first bad row, in stream order, raises StreamFormatError with its index.
     """
+    body, _, pairs = _read_stream(text)
+    return list(map(pairs.__getitem__, body))
+
+
+def count_stream_csv(text: str, limit: int | None = None) -> tuple[int, list]:
+    """Read a stream as ``parse_stream_csv`` does: its number of rows, and its first ``limit`` rows counted.
+
+    The counts are a list of ((p, y), count), one per distinct row of the
+    first ``limit`` rows (every row when ``limit`` is None), in first-seen
+    order: the input of ``calibration_fold_counts``.  No pair is built per
+    row.  Every row, past the cut too, is checked, and the first bad row
+    raises as ``parse_stream_csv`` raises.
+    """
+    body, counts, pairs = _read_stream(text, limit)
+    return len(body), [(pairs[row], count) for row, count in counts.items()]
+
+
+def _read_stream(text: str, limit: int | None = None) -> tuple[list, collections.Counter, dict]:
+    """A stream's rows, its first ``limit`` rows counted, and each distinct row's (Fraction, int) pair.
+
+    The rows are those after the header "p,y", blank lines skipped, each
+    read by ``csv.reader`` and kept as the tuple of its fields, which keys
+    both the ``Counter`` and the pairs.  Each distinct row is checked once,
+    and each distinct stripped string parsed once.  If a row has the wrong
+    number of fields or a string does not parse, the rows are read again
+    one by one, and the first bad row raises StreamFormatError.
+    """
     with reading("stream", csv.Error):
-        rows = [row for row in csv.reader(io.StringIO(text)) if row]
+        rows = list(filter(None, map(tuple, csv.reader(io.StringIO(text)))))
     if not rows or [field.strip() for field in rows[0]] != ["p", "y"]:
         raise StreamFormatError('stream must start with the header "p,y"')
     body = rows[1:]
-    if not body:
-        return []
+    head = body if limit is None else body[:limit]
+    counts = collections.Counter(head)
+    forecast, outcome = parse_once_per_string(check_forecast), parse_once_per_string(_outcome)
+    pairs = {}
     try:
-        if set(map(len, body)) != {2}:
-            raise ValueError("a row without two fields")
-        forecasts, outcomes = zip(*body)
-        forecasts, outcomes = list(map(str.strip, forecasts)), list(map(str.strip, outcomes))
-        forecast = {text: check_forecast(text) for text in set(forecasts)}
-        outcome = {text: _outcome(text) for text in set(outcomes)}
+        for row in counts.keys() | body[len(head):]:
+            p, y = row  # ValueError unless the row has two fields
+            pairs[row] = (forecast(p.strip()), outcome(y.strip()))
     except ValueError:
         _first_bad_row(body)
         raise
-    return list(zip(map(forecast.__getitem__, forecasts), map(outcome.__getitem__, outcomes)))
+    return body, counts, pairs
 
 
 def _outcome(text: str) -> int:

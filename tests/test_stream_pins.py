@@ -26,6 +26,9 @@ PINS = [
     # Forecasts written 0.5, 1/2, 2/4 and 5e-1, padded fields, a blank line and the outcome 01.
     ("test-stream --stream tests/data/mixed_forms_stream.csv --json", 0,
      "355ba06c1b3bb38b8124ea0ba7bd1dc52290637366c7d460a1d3d4742d5d8dbf", ""),
+    # The same stream cut at six rows: the four spellings of 1/2 are kept, and the rows past the cut still parse.
+    ("test-stream --stream tests/data/mixed_forms_stream.csv -N 6 --json", 0,
+     "40fad63570eaa510e12ee55e1c4b2bfb11045b5d2d5e92f0822c955811db8e36", ""),
     # A forecast outside [0, 1] at row 2 and a row of three fields at row 3: row 2 is named.
     ("test-stream --stream tests/data/malformed_stream.csv --json", 2, EMPTY,
      "error: row 2: forecast 3/2 outside [0, 1]\n"),

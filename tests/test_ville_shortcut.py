@@ -4,8 +4,9 @@
 capital >= C.  If none does, no sample can reach C, and a start capital >= C
 reaches it at the root; either way ``ville_check`` seeds no generator.  Every
 other check samples as before, such as one whose only capital >= C lies past
-a pair of capital 0.  ``certify_strategy`` returns a plain (ok, violations)
-tuple.
+a pair of capital 0.  A sample draws outcomes only down to the deepest
+depth that holds an unmarked pair, a prefix of the N it would draw.
+``certify_strategy`` returns a plain (ok, violations) tuple.
 """
 
 from fractions import Fraction
@@ -83,6 +84,23 @@ def test_capital_past_a_capital_0_pair_still_samples(draws, degenerate):
     result = ville_check(phi, Phoenix, threshold, samples, seed)
     assert draws["sample_outcomes"] == list(range(seed, seed + samples))
     assert result.frequency == reference_frequency(phi, Phoenix(), threshold, samples, seed)
+
+
+@pytest.mark.parametrize("threshold, depth", [(2, 1), (4, 2), (8, 3), (256, 8)])
+def test_doubling_draws_down_to_its_deepest_unmarked_pair(monkeypatch, threshold, depth):
+    """Doubling at C = 2^k marks every pair of depth k, so a sample draws k outcomes, and at most N = 8."""
+    lengths = []
+    real_sample = strategies_module.sample_outcomes
+
+    def sampling(phi, n, seed):
+        lengths.append(n)
+        return real_sample(phi, n, seed)
+
+    monkeypatch.setattr(strategies_module, "sample_outcomes", sampling)
+    phi, samples = ForecastingSystem.constant(HALF, 8), 100
+    result = ville_check(phi, DoublingStrategy, threshold, samples, seed=11)
+    assert lengths == [depth] * samples
+    assert result.frequency == reference_frequency(phi, DoublingStrategy(), threshold, samples, 11)
 
 
 def brute_force_largest_capital(start, phi):
