@@ -26,7 +26,9 @@ distinct endpoint string once as a forecast, builds one ``StepConstraint``
 per distinct raw step straight from those checked bounds, with no
 constructor call, and shares it, and ``per_distinct_step`` sets up a step
 (its partition, the measure engine's candidates) once per distinct column
-of box steps, keyed on the identity of those shared objects.
+of box steps, keyed on the identity of those shared objects.  It finds the
+runs of equal columns in C and costs one Python step per run, not per
+depth, so the hundreds of free steps of a long horizon are set up at once.
 """
 
 from __future__ import annotations
@@ -358,13 +360,26 @@ def per_distinct_step(event: EventUnion, build) -> tuple:
     earlier step's reuses that step's result; ``event_from_json`` shares the
     constraint of identical raw steps, so a repeated step is set up once.
     The columns are keyed on object identity, so no Fraction is hashed.
+    The columns of ids are built in C, and so are the depths where a column
+    differs from the one before it, the starts of the runs of equal columns.
+    The loop then runs once per run, calling ``build`` at the first depth of
+    each distinct column, and each result is repeated over its run.
     """
-    first: dict = {}
-    built: list = []
-    columns = zip(*[box.steps for box in event.boxes]) if event.boxes else itertools.repeat((), event.horizon)
-    for depth, column in enumerate(columns):
-        j = first.setdefault(tuple(map(id, column)), depth)
-        built.append(built[j] if j < depth else build(depth))
+    horizon = event.horizon
+    if not event.boxes:
+        return (build(0),) * horizon
+    columns = list(zip(*[map(id, box.steps) for box in event.boxes]))
+    # A run of equal columns starts at depth 0 and wherever a column differs from the one before it.
+    starts = [0, *itertools.compress(range(1, horizon), map(operator.ne, columns, columns[1:]))]
+    first: dict = {}  # a column -> the index of its first run
+    built: list = []  # one result per run
+    for run, start in enumerate(starts):
+        j = first.setdefault(columns[start], run)
+        built.append(built[j] if j < run else build(start))
+    if len(built) < horizon:  # some run is longer than one step: repeat each result over its run
+        built = itertools.chain.from_iterable(
+            map(itertools.repeat, built, map(operator.sub, [*starts[1:], horizon], starts))
+        )
     return tuple(built)
 
 

@@ -27,7 +27,8 @@ of a node's children are then ``live & mask``, with no rational comparison.
 The induction runs level by level, without recursion: a forward pass collects
 the live-sets reachable at each depth, and a backward pass fills in their
 values, so long horizons need no deep stack.  A step no box constrains
-shares its neighbour's level in both passes.  The forward pass counts the
+shares its neighbour's level in both passes, and a run of such steps
+sharing one partition object does so in one step.  The forward pass counts the
 (depth, live-set) pairs it reaches and refuses an event past
 ``core.PAIR_BUDGET`` with ``LiveSetBudgetError`` (an input error), because
 the count can double with every box; a horizon past the budget is refused
@@ -43,7 +44,10 @@ scores q_d * n0 + a * (n1 - n0) at its better end, and the pass neither
 builds nor hashes a Fraction, nor builds a ``Cell``.  A live-set of one
 box reads the partition's ``own`` row for that box instead, one row over
 the box's whole interval, since every cell outside it scores 0.  A value
-becomes a Fraction when it is read.  All operations are pure and the exact
+becomes a Fraction when it is read.  The survivors of one step along a
+prefix, which Lévy's strategy and ``conditional_upper_probability`` follow,
+are tested on integers against each live box's ``own`` row, so they build
+no ``Cell`` either.  All operations are pure and the exact
 arithmetic makes results independent of evaluation order.
 
 One slot keeps the engine of the last event object asked for, compared by
@@ -74,12 +78,12 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from itertools import accumulate
-from operator import itemgetter, mul
+from itertools import accumulate, compress
+from operator import is_not, itemgetter, mul
 
 from . import core
-from .core import (ONE, ZERO, Frozen, InputError, PrequentialPrefix, as_fraction, as_int, check_outcome, check_walk,
-                   digits_beyond_limit, level_graph, marked_paths, parse_once_per_string, reading, tree_json)
+from .core import (ONE, ZERO, Frozen, InputError, PrequentialPrefix, as_fraction, as_int, check_forecast, check_outcome,
+                   check_walk, digits_beyond_limit, level_graph, marked_paths, parse_once_per_string, reading, tree_json)
 from .events import ArityError, Cell, EventUnion, ForecastPartition, event_partitions
 
 CellPath = tuple[tuple[int, int], ...]
@@ -363,8 +367,8 @@ def encode_cell_path(path: CellPath) -> str:
 class _GameEngine:
     """Backward induction for one event, solved level by level on bitmask live-sets.
 
-    Bit i of a live-set stands for box i.  ``masks[depth]`` is the ``masks``
-    of step ``depth``'s partition: per cell, the pair (m0, m1) of boxes whose
+    Bit i of a live-set stands for box i.  ``partitions[depth].masks`` holds,
+    per cell of step ``depth``'s partition, the pair (m0, m1) of boxes whose
     step accepts every forecast in the cell together with outcome 0 and 1
     respectively, so the survivors of a node are ``live & m0`` and
     ``live & m1``; the backward pass reads each pair with the cell's integer
@@ -381,10 +385,16 @@ class _GameEngine:
 
     A free step, one that no box constrains, has masks ``((full, full),)``:
     one cell [0, 1], scale 1, and every box accepting either outcome.  It
-    maps each live-set to itself and passes each value up unchanged, so the
-    forward pass appends the level above again and the backward pass the
-    value dict and denominator below; the level's live-sets still count
-    toward ``core.PAIR_BUDGET``.
+    maps each live-set to itself and passes each value up unchanged.  The
+    passes walk runs of depths that share one partition object, found in C
+    as ``per_distinct_step`` finds its runs: over a free run of n depths the
+    forward pass repeats the level above n times, and the backward pass the
+    value dict and denominator below, one list repetition each.  The level's
+    live-sets still count toward ``core.PAIR_BUDGET`` at every depth of the
+    run, so a refusal inside it names the step a count per depth would.  A
+    run that is not free is stepped a depth at a time.  ``masks``, each
+    step's ``masks`` in a tuple, is built when read; the passes read the
+    partitions.
     """
 
     def __init__(self, event: EventUnion):
@@ -398,47 +408,69 @@ class _GameEngine:
             )
         self.event = event
         self.partitions = event_partitions(event)
-        self.masks = tuple(partition.masks for partition in self.partitions)
         self._values, self._denominators = self._solve()
 
+    @property
+    def masks(self) -> tuple:
+        """Each step's ``masks``, one (m0, m1) pair per cell."""
+        return tuple(partition.masks for partition in self.partitions)
+
     def _solve(self) -> tuple[list, list]:
-        """Collect the reachable live-sets going forward, then fill in numerators going back."""
-        horizon, budget = self.event.horizon, core.PAIR_BUDGET
+        """Collect the reachable live-sets going forward, then fill in numerators going back.
+
+        Both passes walk ``steps``: (depth, partition, n) for a free run of n depths from ``depth``,
+        and (depth, partition, 0) for a depth stepped cell by cell.
+        """
+        horizon, budget, partitions = self.event.horizon, core.PAIR_BUDGET, self.partitions
         full = self.all_live()
-        free = [masks == ((full, full),) for masks in self.masks]
+        free = ((full, full),)
+        # Runs of one partition object start at depth 0 and wherever the object changes.
+        starts = [0, *compress(range(1, horizon), map(is_not, partitions, partitions[1:]))]
+        steps = []
+        for start, end in zip(starts, [*starts[1:], horizon]):
+            partition = partitions[start]
+            if partition.masks == free:
+                steps.append((start, partition, end - start))
+            elif end - start == 1:  # the common run, on events whose steps all differ
+                steps.append((start, partition, 0))
+            else:
+                steps += [(depth, partition, 0) for depth in range(start, end)]
         levels = [{full} - {0}]
         count = len(levels[0])
-        for depth in range(horizon):
-            if free[depth]:
-                # The same live-sets again, counted again: a refusal comes at the same step.
+        for depth, partition, n in steps:
+            if n:
+                # The same live-sets at each of the n depths, counted at each, so a
+                # refusal names the depth where the count first passes the budget.
+                # The count never passes it before a step, so a refused level is not empty.
                 reached = levels[depth]
-                if count + len(reached) > budget:
+                if count + n * len(reached) > budget:
+                    raise _over_budget(budget, depth + (budget - count) // len(reached), horizon)
+                count += n * len(reached)
+                levels += [reached] * n
+                continue
+            step, own = [m for pair in partition.masks for m in pair], partition.own
+            # Holding 0 from the start, len(reached) - 1 counts the non-empty live-sets.
+            reached = {0}
+            for live in levels[depth]:
+                if live in own:  # a box alone: its interval holds a cell with an outcome it allows
+                    reached.add(live)
+                else:
+                    reached.update([live & m for m in step])
+                if count + len(reached) - 1 > budget:
                     raise _over_budget(budget, depth, horizon)
-            else:
-                step, own = [m for pair in self.masks[depth] for m in pair], self.partitions[depth].own
-                # Holding 0 from the start, len(reached) - 1 counts the non-empty live-sets.
-                reached = {0}
-                for live in levels[depth]:
-                    if live in own:  # a box alone: its interval holds a cell with an outcome it allows
-                        reached.add(live)
-                    else:
-                        reached.update([live & m for m in step])
-                    if count + len(reached) - 1 > budget:
-                        raise _over_budget(budget, depth, horizon)
-                reached.discard(0)
+            reached.discard(0)
             count += len(reached)
             levels.append(reached)
         # below[live]: the value at the depth below, a numerator over that depth's denominator.
         below = dict.fromkeys(levels[horizon], 1)
         below[0] = 0
         values, denominators = [below], [1]
-        for depth in reversed(range(horizon)):
-            if free[depth]:
+        for depth, partition, n in reversed(steps):
+            if n:
                 # The one cell's children are (live, live): each value passes up unchanged.
-                values.append(below)
-                denominators.append(denominators[-1])
+                values += [below] * n
+                denominators += [denominators[-1]] * n
                 continue
-            partition = self.partitions[depth]
             q, rows, own = partition.scale, partition.rows, partition.own
             here = {0: 0}
             for live in levels[depth]:
@@ -465,8 +497,23 @@ class _GameEngine:
         return (1 << len(self.event.boxes)) - 1
 
     def survivors_at(self, live: int, depth: int, p: Fraction, y: int) -> int:
-        # Every box test is constant on a cell, so the cell's mask decides them all.
-        return live & self.masks[depth][self.partitions[depth].cell_index_of(p)][y]
+        """The boxes of ``live`` whose step ``depth`` accepts the forecast p, checked here, with outcome y.
+
+        Each live box i is tested on its own row (m0, m1, lo, hi), ``own[1 << i]``, on integers: with
+        p = a/b and the step's scale q, box i accepts p when lo*b <= a*q <= hi*b, and then y when bit i
+        is in m_y.  No Fraction is compared and no ``Cell`` is built.
+        """
+        a, b = check_forecast(p).as_integer_ratio()
+        partition = self.partitions[depth]
+        a *= partition.scale
+        own, survivors = partition.own, 0
+        while live:
+            bit = live & -live
+            live ^= bit
+            (row,) = own[bit]
+            if row[2] * b <= a <= row[3] * b:
+                survivors |= row[y]
+        return survivors
 
     def live_for_prefix(self, prefix: PrequentialPrefix) -> int:
         live = self.all_live()
@@ -525,7 +572,7 @@ def witness_superfarthingale(event: EventUnion) -> ValueFunction:
     eng = _engine(event)
 
     def survivors(live: int, depth: int) -> list:
-        return [live & m for pair in eng.masks[depth] for m in pair]
+        return [live & m for pair in eng.partitions[depth].masks for m in pair]
 
     graph = StateGraph.reach(eng.partitions, eng.all_live(), survivors, lambda live, depth: eng.value(depth, live))
     return ValueFunction(event.horizon, eng.partitions, graph)
@@ -545,7 +592,8 @@ def optimal_forecast_at(event: EventUnion, x: PrequentialPrefix) -> Fraction:
     live = eng.live_for_prefix(x)
     best = eng.value(depth, live)
     # Cells are ordered and disjoint, so closed endpoints come in ascending order.
-    for (m0, m1), cell in zip(eng.masks[depth], eng.partitions[depth].cells):
+    partition = eng.partitions[depth]
+    for (m0, m1), cell in zip(partition.masks, partition.cells):
         v0 = eng.value(depth + 1, live & m0)
         v1 = eng.value(depth + 1, live & m1)
         for p in cell.closed_endpoints():

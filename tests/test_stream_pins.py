@@ -1,9 +1,9 @@
-"""The ``test-stream --json`` reports of the python-floor job's stream commands, pinned byte for byte.
+"""The ``--json`` reports of the python-floor job's stream commands, ``test-stream`` and ``levy-trace --stream``, pinned byte for byte.
 
 Each pin is the SHA-256 of the command's standard output, its exit code and
 its standard error.  A report names the stream by the path it was given, so
 the commands run from the root of the checkout, with the paths the job uses.
-How the stream is read and folded must leave every pin as it is.
+How the stream is read, folded and stepped must leave every pin as it is.
 """
 
 import hashlib
@@ -32,6 +32,9 @@ PINS = [
     # A forecast outside [0, 1] at row 2 and a row of three fields at row 3: row 2 is named.
     ("test-stream --stream tests/data/malformed_stream.csv --json", 2, EMPTY,
      "error: row 2: forecast 3/2 outside [0, 1]\n"),
+    # 100 Lévy steps on the nested union, 90 of them into the level its last 290 free steps share.
+    ("levy-trace --event tests/data/nested_union_300.json --stream tests/data/fair_coin_stream.csv --json", 0,
+     "51804813c4c1d7b9d4c8b6840d2e412f6b46d4dbdc7912025d6c7c635a8f1dc1", ""),
 ]
 
 
