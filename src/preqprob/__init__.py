@@ -16,6 +16,7 @@ from .core import (
     cylinder_probability,
     induced_path,
     sample_outcomes,
+    sample_path,
 )
 from .events import (
     WILDCARD,

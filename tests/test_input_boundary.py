@@ -666,7 +666,8 @@ def test_library_samplers_refuse_a_negative_seed_before_any_work(monkeypatch):
         calls.append("factory")
         return DoublingStrategy()
 
-    monkeypatch.setattr(measureprob, "sample_outcomes", lambda *args: calls.append("sample"))
+    for sampler in ("sample_outcomes", "sample_path"):
+        monkeypatch.setattr(measureprob, sampler, lambda *args: calls.append("sample"))
     with pytest.raises(InputError, match=r"^seed must be non-negative, got -1$"):
         ville_check(ForecastingSystem.constant(HALF, 3), factory, 4, 10, -1)
     with pytest.raises(InputError, match=r"^seed must be non-negative, got -3$"):
@@ -681,7 +682,8 @@ def test_library_samplers_refuse_too_many_samples_before_any_work(monkeypatch):
         calls.append("factory")
         return DoublingStrategy()
 
-    monkeypatch.setattr(measureprob, "sample_outcomes", lambda *args: calls.append("sample"))
+    for sampler in ("sample_outcomes", "sample_path"):
+        monkeypatch.setattr(measureprob, sampler, lambda *args: calls.append("sample"))
     too_many = core.SAMPLE_LIMIT + 1
     with pytest.raises(InputError, match=r"^samples must be at most 10000000$"):
         ville_check(ForecastingSystem.constant(HALF, 3), factory, 4, too_many, 0)

@@ -1,9 +1,11 @@
-"""The ``--json`` reports of the python-floor job's stream commands, ``test-stream`` and ``levy-trace --stream``, pinned byte for byte.
+"""The ``--json`` reports of the python-floor job's stream and trace commands, pinned byte for byte.
 
-Each pin is the SHA-256 of the command's standard output, its exit code and
-its standard error.  A report names the stream by the path it was given, so
-the commands run from the root of the checkout, with the paths the job uses.
-How the stream is read, folded and stepped must leave every pin as it is.
+The commands are ``test-stream``, ``levy-trace --stream`` and a sampled
+``levy-trace`` whose member search loops.  Each pin is the SHA-256 of the
+command's standard output, its exit code and its standard error.  A report
+names its inputs by the paths it was given, so the commands run from the
+root of the checkout, with the paths the job uses.  How the stream is read,
+folded and stepped, and how a member is drawn, must leave every pin as it is.
 """
 
 import hashlib
@@ -35,6 +37,9 @@ PINS = [
     # 100 Lévy steps on the nested union, 90 of them into the level its last 290 free steps share.
     ("levy-trace --event tests/data/nested_union_300.json --stream tests/data/fair_coin_stream.csv --json", 0,
      "51804813c4c1d7b9d4c8b6840d2e412f6b46d4dbdc7912025d6c7c635a8f1dc1", ""),
+    # Seed 7's first twelve draws from the measure witness miss the event, and the thirteenth is the member traced.
+    ("levy-trace --event tests/data/horizon_10_event.json --seed 7 --json", 0,
+     "4d16675225164044fe3519bb3e9d6f3f61c0cb83e9872044955a915023170e1a", ""),
 ]
 
 

@@ -4,8 +4,9 @@
 capital >= C.  If none does, no sample can reach C, and a start capital >= C
 reaches it at the root; either way ``ville_check`` seeds no generator.  Every
 other check samples as before, such as one whose only capital >= C lies past
-a pair of capital 0.  A sample draws outcomes only down to the deepest
-depth that holds an unmarked pair, a prefix of the N it would draw.
+a pair of capital 0.  A sample draws one variate per pair it passes, down to
+its first marked pair, so never past the deepest depth that holds an
+unmarked pair: a prefix of the N variates it would draw.
 ``certify_strategy`` returns a plain (ok, violations) tuple.
 """
 
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 from test_calibration_fold import PROPERTY
 from test_level_walk import reference_certify
 from test_sampling import reference_frequency
-from test_ville_walk import STARTS, Phoenix, systems, tabled_system
+from test_ville_walk import (STARTS, Phoenix, assert_doubling_hits_draw_k_variates,
+                             assert_each_sample_draws_to_its_first_mark, logged_generators, systems, tabled_system)
 
 from preqprob import strategies as strategies_module
 from preqprob.core import ForecastingSystem, all_histories_below, history_at
@@ -30,21 +32,21 @@ ONE = Fraction(1)
 
 @pytest.fixture()
 def draws(monkeypatch):
-    """The seeds ``ville_check`` hands ``sample_outcomes``, and the histories it hands ``induced_path``."""
-    calls = {"sample_outcomes": [], "induced_path": []}
-    real_sample, real_path = strategies_module.sample_outcomes, strategies_module.induced_path
+    """The generators ``ville_check`` seeds, as (seed, variates drawn), and its ``sample_outcomes`` and
+    ``induced_path`` calls."""
+    calls = {"generators": logged_generators(monkeypatch), "sample_outcomes": [], "induced_path": []}
+    for name in ("sample_outcomes", "induced_path"):
+        real = getattr(strategies_module, name)
 
-    def sampling(phi, n, seed):
-        calls["sample_outcomes"].append(seed)
-        return real_sample(phi, n, seed)
+        def logging(*args, real=real, name=name):
+            calls[name].append(args[1:])
+            return real(*args)
 
-    def inducing(phi, omega):
-        calls["induced_path"].append(omega)
-        return real_path(phi, omega)
-
-    monkeypatch.setattr(strategies_module, "sample_outcomes", sampling)
-    monkeypatch.setattr(strategies_module, "induced_path", inducing)
+        monkeypatch.setattr(strategies_module, name, logging)
     return calls
+
+
+NOTHING_DRAWN = {"generators": [], "sample_outcomes": [], "induced_path": []}
 
 
 @pytest.mark.parametrize(
@@ -59,7 +61,7 @@ def test_no_certified_pair_reaching_c_draws_nothing(draws, phi):
     assert brute_force_largest_capital(start, phi) < threshold
     result = ville_check(phi, lambda: start, threshold, 5000, seed=17)
     assert result.frequency == 0.0
-    assert draws == {"sample_outcomes": [], "induced_path": []}
+    assert draws == NOTHING_DRAWN
     assert result.frequency == reference_frequency(phi, start, threshold, 50, 17)
 
 
@@ -69,7 +71,7 @@ def test_start_capital_at_c_draws_nothing(draws, threshold):
     phi = ForecastingSystem.constant(HALF, 6)
     result = ville_check(phi, DoublingStrategy, threshold, 5000, seed=3)
     assert result.frequency == 1.0
-    assert draws == {"sample_outcomes": [], "induced_path": []}
+    assert draws == NOTHING_DRAWN
     assert result.frequency == reference_frequency(phi, DoublingStrategy(), threshold, 50, 3)
 
 
@@ -82,25 +84,21 @@ def test_capital_past_a_capital_0_pair_still_samples(draws, degenerate):
     threshold = Fraction(32)
     assert brute_force_largest_capital(Phoenix(), phi) == 64
     result = ville_check(phi, Phoenix, threshold, samples, seed)
-    assert draws["sample_outcomes"] == list(range(seed, seed + samples))
+    assert draws["sample_outcomes"] == draws["induced_path"] == []
+    assert_each_sample_draws_to_its_first_mark(draws["generators"], phi, Phoenix(), threshold, samples, seed)
     assert result.frequency == reference_frequency(phi, Phoenix(), threshold, samples, seed)
 
 
 @pytest.mark.parametrize("threshold, depth", [(2, 1), (4, 2), (8, 3), (256, 8)])
-def test_doubling_draws_down_to_its_deepest_unmarked_pair(monkeypatch, threshold, depth):
-    """Doubling at C = 2^k marks every pair of depth k, so a sample draws k outcomes, and at most N = 8."""
-    lengths = []
-    real_sample = strategies_module.sample_outcomes
-
-    def sampling(phi, n, seed):
-        lengths.append(n)
-        return real_sample(phi, n, seed)
-
-    monkeypatch.setattr(strategies_module, "sample_outcomes", sampling)
-    phi, samples = ForecastingSystem.constant(HALF, 8), 100
-    result = ville_check(phi, DoublingStrategy, threshold, samples, seed=11)
-    assert lengths == [depth] * samples
-    assert result.frequency == reference_frequency(phi, DoublingStrategy(), threshold, samples, 11)
+def test_doubling_draws_down_to_its_deepest_unmarked_pair(draws, threshold, depth):
+    """Doubling at C = 2^k marks every pair of depth k, so a sample draws at most k variates, exactly k when it
+    hits, and at most N = 8."""
+    phi, samples, seed = ForecastingSystem.constant(HALF, 8), 100, 11
+    result = ville_check(phi, DoublingStrategy, threshold, samples, seed)
+    assert draws["sample_outcomes"] == draws["induced_path"] == []
+    assert_each_sample_draws_to_its_first_mark(draws["generators"], phi, DoublingStrategy(), threshold, samples, seed)
+    assert_doubling_hits_draw_k_variates(draws["generators"], depth, result, samples)
+    assert result.frequency == reference_frequency(phi, DoublingStrategy(), threshold, samples, seed)
 
 
 def brute_force_largest_capital(start, phi):
