@@ -24,11 +24,16 @@ slots directly, past ``Frozen.__init__``'s generic loop.
 Long events repeat steps: ``event_from_json`` reads and checks each
 distinct endpoint string once as a forecast, builds one ``StepConstraint``
 per distinct raw step straight from those checked bounds, with no
-constructor call, and shares it, and ``per_distinct_step`` sets up a step
-(its partition, the measure engine's candidates) once per distinct column
-of box steps, keyed on the identity of those shared objects.  It finds the
-runs of equal columns in C and costs one Python step per run, not per
-depth, so the hundreds of free steps of a long horizon are set up at once.
+constructor call, and shares it.  It reads a box's run of equal step
+documents once when the run's first document holds strings alone, finding
+the run in C and passing the rest unread; a run led by any other document
+is read step by step, since JSON 1, true and 1.0 are equal in Python and
+true and 1.0 are refused at their own step.  ``per_distinct_step`` sets up
+a step (its partition, the measure engine's candidates) once per distinct
+column of box steps, keyed on the identity of those shared objects.  It
+finds the runs of equal columns in C and costs one Python step per run,
+not per depth, so the hundreds of free steps of a long horizon are read
+and set up at once.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ from .core import (
     as_int,
     check_forecast,
     check_outcome,
-    parse_once_per_string,
     reading,
 )
 
@@ -426,18 +430,39 @@ def _endpoint(value) -> tuple:
     return p, n, d, 0 <= n <= d
 
 
+class _Endpoints(dict):
+    """Endpoint strings and their readings by ``_endpoint``: a string not yet read is read and kept."""
+
+    def __missing__(self, text: str) -> tuple:
+        self[text] = value = _endpoint(text)
+        return value
+
+
 def event_from_json(text: str) -> EventUnion:
     """Parse an event document; identical raw steps share one ``StepConstraint``.
 
     Each distinct endpoint string is read and checked as a forecast once,
-    into one Fraction that every step giving it shares.  Only steps whose
-    bounds are both strings are shared: a key must not let a float such as
-    1.0, which ``as_fraction`` refuses, match the key of 1.  Steps and boxes
-    are built from checked values with no constructor call, so only a step's
-    bound order, on integer ratios, and its outcome are checked here; the
-    refusals come in the order, and with the messages, of ``StepConstraint``.
+    into one Fraction that every step giving it shares; the readings are
+    looked up in a dict, with no call unless a string is new.  Only steps
+    whose bounds are both strings are shared: a key must not let a float
+    such as 1.0, which ``as_fraction`` refuses, match the key of 1.  Steps
+    and boxes are built from checked values with no constructor call, so
+    only a step's bound order, on integer ratios, and its outcome are
+    checked here; the refusals come in the order, and with the messages, of
+    ``StepConstraint``.
+
+    A box reads a run of equal step documents once when the run is led by a
+    document of strings alone: two string bounds and a string outcome, or
+    none.  A string equals only a string, so every document of such a run is
+    spelled as its first and is the first's step.  After reading such a
+    document the reader compares the next one with it; if they are equal, it
+    compares every neighbouring pair of the box's documents once, in C,
+    gives the rest of the run the same step object and passes its documents
+    unread.  A run led by any other document is read step by step: JSON 1,
+    true and 1.0 are equal in Python, and true and 1.0 are refused at their
+    own step.
     """
-    known = parse_once_per_string(_endpoint)
+    ends = _Endpoints()
     shared: dict = {}  # (lo, hi, y) as written -> the step built from them
     new = object.__new__
     with reading("event"):
@@ -445,8 +470,9 @@ def event_from_json(text: str) -> EventUnion:
         horizon = as_int(doc["horizon"], "horizon")
         boxes = []
         for box_doc in doc["boxes"]:
-            steps = []
-            for step_doc in box_doc["steps"]:
+            docs, steps, same = box_doc["steps"], [], None
+            rest = iter(docs)
+            for step_doc in rest:
                 p, y_raw = step_doc["p"], step_doc.get("y", "*")
                 if type(p) is not list or len(p) != 2:
                     raise InputError(f"a step's p must be a pair [lo, hi], got {p!r}")
@@ -455,8 +481,8 @@ def event_from_json(text: str) -> EventUnion:
                 step = shared.get(key)
                 if step is None:
                     y = WILDCARD if y_raw == "*" else as_int(y_raw, "outcome y")  # its value is checked last
-                    lo, a, b, lo_in = known(p[0])
-                    hi, c, d, hi_in = known(p[1])
+                    lo, a, b, lo_in = ends[p[0]] if type(p[0]) is str else _endpoint(p[0])
+                    hi, c, d, hi_in = ends[p[1]] if type(p[1]) is str else _endpoint(p[1])
                     if not (lo_in and hi_in):
                         raise InputError(f"forecast {hi if lo_in else lo} outside [0, 1]")
                     if a * d > c * b:
@@ -469,6 +495,13 @@ def event_from_json(text: str) -> EventUnion:
                     if key is not None:
                         shared[key] = step
                 steps.append(step)
+                # Strings alone, and the next document equal: a run, whose other documents are this step.
+                if plain and type(y_raw) is str and (at := len(steps)) < len(docs) and docs[at] == step_doc:
+                    if same is None:  # same[i]: document i + 1 equals document i
+                        same = [*map(operator.eq, docs[1:], docs), False]
+                    run = same.index(False, at) - at + 1  # the run's documents after this one
+                    steps += [step] * run
+                    next(itertools.islice(rest, run, run), None)  # passed unread
             box = new(Box)
             vars(box)["steps"] = tuple(steps)
             boxes.append(box)

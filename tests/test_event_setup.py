@@ -2,9 +2,11 @@
 
 ``event_from_json`` reads each distinct endpoint string once as a forecast
 and builds a new step from its checked bounds, so only their order and the
-outcome are left to check.  The property below compares it with a parser
-kept here that builds every step through the public ``StepConstraint``:
-equal events, the same sharing of step objects and the same refusal text.
+outcome are left to check, and it reads a run of equal step documents of
+strings alone once.  The property below compares it with a parser kept
+here that builds every step through the public ``StepConstraint``, one
+step document at a time: equal events, the same sharing of step objects
+and the same refusal text, on boxes drawn as runs of equal documents.
 ``forecast_partition`` keeps each cell as an integer row and builds its
 cells when they are first read; they must equal a cut made from the
 definitions.  The game engine solves on the rows and builds no cell.
@@ -14,6 +16,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -97,17 +100,55 @@ def step_docs(draw):
     return step
 
 
+# The JSON values Python reads as equal to 0 and to 1.
+EQUAL = {0: (0, False, 0.0), 1: (1, True, 1.0)}
+
+
+def spellings(value) -> tuple:
+    """``value`` and the JSON values equal to it in Python: 0 and 1 are also false, true, 0.0 and 1.0."""
+    return EQUAL[value] if type(value) in (int, float, bool) and value in EQUAL else (value,)
+
+
+@st.composite
+def twins(draw, step):
+    """``step``, or a document equal to it in Python whose 0s and 1s may be spelled another way."""
+    step = dict(step)
+    if type(step["p"]) is list:
+        step["p"] = [draw(st.sampled_from(spellings(b))) for b in step["p"]]
+    if "y" in step:
+        step["y"] = draw(st.sampled_from(spellings(step["y"])))
+    return step
+
+
 @st.composite
 def documents(draw):
-    """Up to three boxes over up to three steps, each step drawn from a pool of at most four, so steps repeat."""
-    horizon, n_boxes = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    """Up to three boxes over up to twelve steps, each box drawn as runs of equal step documents.
+
+    Each run repeats one document of a pool of at most four, so steps repeat
+    within a box and across boxes, and a run's later documents may be twins
+    of its first: equal in Python, but with a 0 or 1 written false, true,
+    0.0 or 1.0.
+    """
+    horizon, n_boxes = draw(st.integers(1, 12)), draw(st.integers(0, 3))
     pool = draw(st.lists(step_docs(), min_size=1, max_size=4))
-    boxes = [{"steps": [draw(st.sampled_from(pool)) for _ in range(horizon)]} for _ in range(n_boxes)]
+    boxes = []
+    for _ in range(n_boxes):
+        steps = []
+        while len(steps) < horizon:
+            first = draw(st.sampled_from(pool))
+            steps += [first] + [draw(twins(first)) for _ in range(draw(st.integers(0, horizon - len(steps) - 1)))]
+        boxes.append({"steps": steps})
     return json.dumps({"horizon": horizon, "boxes": boxes})
 
 
 def doc(*steps):
     return json.dumps({"horizon": len(steps), "boxes": [{"steps": list(steps)}]})
+
+
+def nested(depth: int, y) -> str:
+    """Two equal steps, each also holding a list nested ``depth`` deep, which no reader looks at."""
+    step = json.dumps({"p": ["0", "1"], "y": y, "nested": None}).replace("null", "[" * depth + "]" * depth)
+    return f'{{"horizon": 2, "boxes": [{{"steps": [{step}, {step}]}}]}}'
 
 
 @PROPERTY
@@ -126,6 +167,20 @@ def doc(*steps):
 # A fault in each of two boxes: the first box's, checked last within its step, is the one named.
 @example(json.dumps({"horizon": 1, "boxes": [{"steps": [{"p": ["0", "1"], "y": 2}]}, {"steps": [{"p": ["x", "1"]}]}]}))
 @example(doc({"p": ["1/4", 1]}, {"p": ["1/4", "1"]}))  # a mixed step, then a plain one with the same endpoint string
+# Runs of equal documents: an equal twin of a step is refused at its own step.
+@example(doc(*[{"p": ["1/2", "1"], "y": 1}] * 3, {"p": ["1/2", "1"], "y": True}))
+@example(doc({"p": [0, 1]}, {"p": [0, 1.0]}))
+@example(doc(*[{"p": ["0", "1"], "y": "*", "z": math.nan}] * 2, {"p": [math.nan, "1"]}))  # NaN equals no NaN
+@example(doc(*[{"p": ["0", "1/2"]}] * 3, {"p": ["1/2", "0"]}))  # strings alone, then a reversed interval
+@example(doc(*[{"p": ["0", "1/2"], "y": "0"}] * 2, *[{"p": ["0", "1/2"], "y": 0}] * 2))  # "0" is not 0
+@example(json.dumps({"horizon": 1, "boxes": [{"steps": {"p": ["0", "1"]}}]}))  # steps as an object
+@example(json.dumps({"horizon": 1, "boxes": [{"steps": "pp"}]}))  # steps as a string
+@example(json.dumps({"horizon": 1, "boxes": [{"steps": 2}]}))  # steps as a number
+@example(json.dumps({"horizon": 2, "boxes": [{"steps": [1, 1]}]}))  # step entries that are not objects
+@example(json.dumps({"horizon": 2, "boxes": [{"steps": [["0", "1"], ["0", "1"]]}]}))
+@example(json.dumps({"horizon": 2, "boxes": [{"steps": [{"p": ["0", "1"]}, None]}]}))
+@example(nested(sys.getrecursionlimit() // 2, "*"))  # equal steps compared deep down
+@example(nested(sys.getrecursionlimit() // 2, 1))
 def test_the_parse_equals_the_reference_parse(text):
     event, refusal = parsed(event_from_json, text)
     expected, expected_refusal = parsed(reference_parse, text)
@@ -135,6 +190,26 @@ def test_the_parse_equals_the_reference_parse(text):
         assert sharing(event) == sharing(expected)
         bounds = [b for box in event.boxes for s in box.steps for b in (s.p_lo, s.p_hi)]
         assert all(type(b) is Fraction for b in bounds)
+
+
+@pytest.mark.parametrize("y", ["*", 1])
+def test_equal_steps_nested_to_the_parse_limit_read_as_the_reference_reads_them(y):
+    """The deepest nesting ``json.loads`` reads here, and one level more, which it refuses.
+
+    The reader compares neighbouring step documents, deep values and all, in
+    C; such a comparison must not be refused where the reference reads.
+    """
+    deepest, refused = 1, 1 << 15  # reads, and is refused, where the readers call json.loads
+    while deepest + 1 < refused:
+        middle = (deepest + refused) // 2
+        _, refusal = parsed(reference_parse, nested(middle, y))
+        deepest, refused = (deepest, middle) if refusal else (middle, refused)
+    for depth, reads in ((deepest, True), (refused, False)):
+        event, refusal = parsed(event_from_json, nested(depth, y))
+        expected, expected_refusal = parsed(reference_parse, nested(depth, y))
+        assert (refusal, expected_refusal is None) == (expected_refusal, reads)
+        if reads:
+            assert event == expected and sharing(event) == sharing(expected) == [[0, 0]]
 
 
 def test_the_public_constructor_still_checks_and_normalises():
@@ -233,3 +308,15 @@ def test_the_one_box_edges_event_equals_both_references(capsys):
     equals_the_reference(event)
     one_box = {live for level in gameprob._engine(event)._values for live in level if live.bit_count() == 1}
     assert one_box == {1, 2, 4, 8}
+
+
+def test_a_true_outcome_after_a_run_of_equal_steps_is_refused_at_its_own_step(capsys):
+    """The event the python-floor CI job runs: 20 free steps, 19 steps with y 1, then one with y true.
+
+    The last step equals the run before it in Python, but a run led by a
+    step whose outcome is not a string is read step by step, so the true is
+    refused at its own step.  The exit code and the line are pinned.
+    """
+    event = str(DATA / "bool_outcome_run_event.json")
+    code, out, err = run(capsys, "value", "--event", event, "--engine", "game", "--json")
+    assert (code, out, err) == (2, "", "error: outcome y must be an integer, got True\n")
